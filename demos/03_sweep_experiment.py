@@ -1,11 +1,9 @@
 """Config-driven sweep: privacy budget vs estimation error, CSV included.
 
-Builds the same experiment the CLI would run from configs/, executes it
+Builds the same experiment the CLI would run from a JSON config, executes it
 in-process, prints the mean error per epsilon, and writes the per-repetition
-CSV next to this script.
+CSV to the current directory.
 """
-
-from pathlib import Path
 
 from dpem.harness import parse_experiment_config, run_experiment, write_results
 
@@ -27,7 +25,6 @@ for value, mean in sorted(result.mean_final_error().items()):
     finals = result.per_rep_final()[value]
     print(f"  epsilon = {value:<4g} ->  {mean:.3f}  (rep std {finals.std(ddof=1):.3f})")
 
-out = Path(__file__).with_name("sweep_results.csv")
+out = "sweep_results.csv"
 write_results(result, out)
-print(f"\nper-repetition trajectories written to {out.name}")
-print("equivalent CLI: dpem run --config configs/gmm_n_sweep.json --out results.csv")
+print(f"\nper-repetition trajectories written to {out}")

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from dataclasses import replace
 
@@ -24,17 +23,14 @@ from .harness import (
     write_results,
 )
 
-__all__ = ["main", "cmd_run", "cmd_classify", "cmd_baseline"]
+__all__ = ["main", "cmd_run", "cmd_classify"]
 
 
-def _default_jobs() -> int:
-    env = os.environ.get("DPEM_JOBS")
-    if env is None:
-        return 1
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -53,15 +49,15 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", required=True, help="output CSV path")
         p.add_argument("--seed", type=int, default=None,
                        help="override the config master_seed")
-        p.add_argument("--jobs", type=int, default=_default_jobs(),
-                       help="max concurrent repetitions (env DPEM_JOBS)")
+        p.add_argument("--jobs", type=_positive_int, default=1,
+                       help="max concurrent repetitions")
     run_p.add_argument("--silent-noise", action="store_true",
                        help="zero mechanism noise; requires epsilon = Infinity")
     classify_p.add_argument("--data", required=True, help="input data CSV (label column + features)")
 
-    run_p.set_defaults(func=cmd_run)
+    run_p.set_defaults(func=cmd_run, engine="private")
     classify_p.set_defaults(func=cmd_classify)
-    baseline_p.set_defaults(func=cmd_baseline)
+    baseline_p.set_defaults(func=cmd_run, engine="nonprivate", silent_noise=False)
     return parser
 
 
@@ -72,6 +68,7 @@ def _swept_epsilons(config) -> list[float]:
 
 
 def cmd_run(args) -> int:
+    """``dpem run`` (engine 'private') and ``dpem baseline`` (engine 'nonprivate')."""
     config = load_experiment_config(args.config)
     if args.seed is not None:
         config = replace(config, master_seed=args.seed)
@@ -80,19 +77,10 @@ def cmd_run(args) -> int:
             "--silent-noise requires epsilon to be the Infinity sentinel "
             "(a silent run with finite epsilon would claim privacy it does not have)"
         )
-    result = run_experiment(config, silent_noise=args.silent_noise, jobs=args.jobs)
+    result = run_experiment(config, silent_noise=args.silent_noise, jobs=args.jobs,
+                            engine=args.engine)
     write_results(result, args.out)
-    print(_summary_line(config, result))
-    return 0
-
-
-def cmd_baseline(args) -> int:
-    config = load_experiment_config(args.config)
-    if args.seed is not None:
-        config = replace(config, master_seed=args.seed)
-    result = run_experiment(config, jobs=args.jobs, engine="nonprivate")
-    write_results(result, args.out)
-    print(_summary_line(config, result, label="baseline "))
+    print(_summary_line(config, result, label="baseline " if args.engine == "nonprivate" else ""))
     return 0
 
 

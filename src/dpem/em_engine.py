@@ -1,11 +1,11 @@
-"""The two private EM drivers.
+"""The two private EM drivers, one loop.
 
-The high-dimensional loop splits the sample into one batch per iteration,
-takes a truncated gradient step, and re-sparsifies through noisy hard
-thresholding.  The low-dimensional loop takes the same truncated gradient
-step and perturbs it with calibrated Gaussian noise instead.  Disjoint
-batches mean each record influences exactly one iteration, so the whole run
-inherits the per-iteration privacy guarantee.
+Both drivers split the sample into one batch per iteration and take a
+truncated gradient step on it; they differ only in how the step is
+privatized.  The high-dimensional driver re-sparsifies it through noisy hard
+thresholding; the low-dimensional driver perturbs it with calibrated
+Gaussian noise.  Disjoint batches mean each record influences exactly one
+iteration, so the whole run inherits the per-iteration privacy guarantee.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ class EmConfig:
     ``T = inf`` is a sentinel meaning "no truncation"; privacy calibration
     rejects it, so it is legal only with a silent noise oracle.  ``s_hat``
     is consulted in the high-dimensional regime only.  ``budget`` may be
-    omitted for non-private reference runs.
+    omitted only when ``T = inf``, for non-private reference runs.
     """
 
     eta: float
@@ -48,8 +48,8 @@ class EmConfig:
     regime: str = "high_dim"
 
     def __post_init__(self):
-        if self.eta < 0:
-            raise ValueError(f"eta must be nonnegative, got {self.eta}")
+        if not (self.eta >= 0 and math.isfinite(self.eta)):
+            raise ValueError(f"eta must be finite and nonnegative, got {self.eta}")
         if not self.T > 0:
             raise ValueError(f"T must be positive, got {self.T}")
         if self.N0 < 1:
@@ -127,6 +127,32 @@ def _record(betas, true_beta, bounds):
     return Trajectory(betas, errs, errs_sf, bounds)
 
 
+def _run(regime, spec, batch, config, beta0, oracle, true_beta, privatizer) -> Trajectory:
+    # The one EM loop.  ``privatizer(n_used)`` returns the per-iteration
+    # step mapping beta + eta * f_T(grad) to the released iterate.
+    if config.regime != regime:
+        raise ValueError(f"config.regime must be {regime!r}, got {config.regime!r}")
+    beta = _as_beta(beta0, spec.d)
+    nnz = int(np.count_nonzero(beta))
+    if regime == "high_dim" and nnz > config.s_hat:
+        raise ValueError(f"beta0 must have at most s_hat = {config.s_hat} nonzeros, got {nnz}")
+    if math.isinf(config.T):
+        if not oracle.silent:
+            raise ValueError("T = inf (no truncation) is legal only with a silent noise oracle")
+    elif config.budget is None:
+        raise ValueError(f"run_{regime} requires a privacy budget when T is finite")
+    n = len(batch)
+    bounds = split_batches(n, config.N0)
+    step = privatizer(config.N0 * (n // config.N0))
+
+    betas = [beta]
+    for lo, hi in bounds:
+        g = models.truncated_grad(spec, beta, batch[lo:hi], config.T)
+        beta = step(beta + config.eta * g)
+        betas.append(beta)
+    return _record(betas, true_beta, bounds)
+
+
 def run_high_dim(
     spec: models.ModelSpec,
     batch,
@@ -142,35 +168,13 @@ def run_high_dim(
         beta      = NoisyHT(beta_half, s_hat, sensitivity, budget)
     Every iterate from t = 1 on satisfies ||beta||_0 <= s_hat.
     """
-    if config.regime != "high_dim":
-        raise ValueError(f"config.regime must be 'high_dim', got {config.regime!r}")
-    beta = _as_beta(beta0, spec.d)
-    if int(np.count_nonzero(beta)) > config.s_hat:
-        raise ValueError(
-            f"beta0 must have at most s_hat = {config.s_hat} nonzeros, "
-            f"got {int(np.count_nonzero(beta))}"
-        )
-    n = len(batch)
-    bounds = split_batches(n, config.N0)
-    n_used = config.N0 * (n // config.N0)
 
-    if math.isinf(config.T):
-        if not oracle.silent:
-            raise ValueError("T = inf (no truncation) is legal only with a silent noise oracle")
-        lam = 0.0
-    else:
-        lam = models.sensitivity(spec.kind, config.T, config.eta, config.N0, n_used)
-    if config.budget is None:
-        raise ValueError("run_high_dim requires a privacy budget")
+    def privatizer(n_used):
+        lam = 0.0 if math.isinf(config.T) else models.sensitivity(
+            spec.kind, config.T, config.eta, config.N0, n_used)
+        return lambda v: noisy_hard_threshold(v, config.s_hat, lam, config.budget, oracle).values
 
-    betas = [beta]
-    for lo, hi in bounds:
-        g = models.truncated_grad(spec, beta, batch[lo:hi], config.T)
-        beta_half = beta + config.eta * g
-        selection = noisy_hard_threshold(beta_half, config.s_hat, lam, config.budget, oracle)
-        beta = selection.values
-        betas.append(beta)
-    return _record(betas, true_beta, bounds)
+    return _run("high_dim", spec, batch, config, beta0, oracle, true_beta, privatizer)
 
 
 def gaussian_noise_variance(
@@ -219,31 +223,13 @@ def run_low_dim(
         beta = beta + eta * f_T(grad) + W_t,  W_t ~ N(0, sigma_W^2 I_d)
     with sigma_W^2 from :func:`gaussian_noise_variance`.
     """
-    if config.regime != "low_dim":
-        raise ValueError(f"config.regime must be 'low_dim', got {config.regime!r}")
-    beta = _as_beta(beta0, spec.d)
-    n = len(batch)
-    bounds = split_batches(n, config.N0)
-    n_used = config.N0 * (n // config.N0)
 
-    if math.isinf(config.T):
-        if not oracle.silent:
-            raise ValueError("T = inf (no truncation) is legal only with a silent noise oracle")
-        noise_std = 0.0
-    else:
-        if config.budget is None:
-            raise ValueError("run_low_dim requires a privacy budget")
-        noise_std = gaussian_noise_std(
-            spec.kind, config.eta, config.T, config.N0, n_used, spec.d, config.budget
-        )
+    def privatizer(n_used):
+        std = 0.0 if math.isinf(config.T) else gaussian_noise_std(
+            spec.kind, config.eta, config.T, config.N0, n_used, spec.d, config.budget)
+        return lambda v: v + std * np.atleast_1d(oracle.standard_normal(spec.d))
 
-    betas = [beta]
-    for lo, hi in bounds:
-        g = models.truncated_grad(spec, beta, batch[lo:hi], config.T)
-        noise = noise_std * np.atleast_1d(oracle.standard_normal(spec.d))
-        beta = beta + config.eta * g + noise
-        betas.append(beta)
-    return _record(betas, true_beta, bounds)
+    return _run("low_dim", spec, batch, config, beta0, oracle, true_beta, privatizer)
 
 
 def fit_geometric_decay(errors) -> tuple[float, float]:

@@ -107,8 +107,8 @@ class FixedParams:
             raise ConfigError(f"reps must be at least 1, got {self.reps}")
         if not self.sigma > 0:
             raise ConfigError(f"sigma must be positive, got {self.sigma}")
-        if self.eta < 0:
-            raise ConfigError(f"eta must be nonnegative, got {self.eta}")
+        if not (self.eta >= 0 and math.isfinite(self.eta)):
+            raise ConfigError(f"eta must be finite and nonnegative, got {self.eta}")
         if not self.T_rule > 0 or not self.N0_rule > 0:
             raise ConfigError("T_rule and N0_rule must be positive")
         if self.s_hat_rule != "equal" and (not isinstance(self.s_hat_rule, int) or self.s_hat_rule < 1):
@@ -184,15 +184,18 @@ def parse_experiment_config(raw: dict) -> ExperimentConfig:
     return ExperimentConfig(raw["model"], raw["regime"], sweep, fixed, raw["master_seed"])
 
 
-def load_experiment_config(path) -> ExperimentConfig:
+def _load_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    return parse_experiment_config(raw)
+
+
+def load_experiment_config(path) -> ExperimentConfig:
+    return parse_experiment_config(_load_json(path))
 
 
 @dataclass(frozen=True)
@@ -321,22 +324,24 @@ def _run_cell(config: ExperimentConfig, sweep_value, rep: int, silent_noise: boo
     spec = ModelSpec(config.model, params.d, params.sigma, beta_star, config.fixed.missing_prob)
     batch = models.generate(spec, params.n, data_oracle)
 
+    s_hat = params.s_hat if config.regime == "high_dim" else None
+    beta0 = default_beta0(beta_star, s_hat, init_oracle)
     if engine == "nonprivate":
-        beta0 = default_beta0(beta_star, params.s_hat if config.regime == "high_dim" else None,
-                              init_oracle)
         em_config = EmConfig(eta=params.eta, T=math.inf, N0=params.N0, regime="low_dim")
         return nonprivate_em(spec, batch, em_config, beta0, true_beta=beta_star)
 
-    budget = PrivacyBudget(params.epsilon, params.delta)
-    if config.regime == "high_dim":
-        beta0 = default_beta0(beta_star, params.s_hat, init_oracle)
-        em_config = EmConfig(eta=params.eta, T=params.T, N0=params.N0,
-                             s_hat=params.s_hat, budget=budget, regime="high_dim")
-        return run_high_dim(spec, batch, em_config, beta0, noise_oracle, true_beta=beta_star)
-    beta0 = default_beta0(beta_star, None, init_oracle)
-    em_config = EmConfig(eta=params.eta, T=params.T, N0=params.N0,
-                         budget=budget, regime="low_dim")
-    return run_low_dim(spec, batch, em_config, beta0, noise_oracle, true_beta=beta_star)
+    em_config = EmConfig(eta=params.eta, T=params.T, N0=params.N0, s_hat=s_hat,
+                         budget=PrivacyBudget(params.epsilon, params.delta), regime=config.regime)
+    run = run_high_dim if config.regime == "high_dim" else run_low_dim
+    return run(spec, batch, em_config, beta0, noise_oracle, true_beta=beta_star)
+
+
+def _fan_out(fn, items, jobs: int) -> list:
+    """``[fn(item) for item in items]``, on up to ``jobs`` threads when jobs > 1."""
+    if jobs > 1 and len(items) > 1:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(fn, items))
+    return [fn(item) for item in items]
 
 
 def run_experiment(
@@ -368,11 +373,7 @@ def run_experiment(
                 f"run failed at {config.sweep.name}={value!r}, rep={rep}: {exc}"
             ) from exc
 
-    if jobs > 1 and len(cells) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            trajectories = list(pool.map(one, cells))
-    else:
-        trajectories = [one(cell) for cell in cells]
+    trajectories = _fan_out(one, cells, jobs)
 
     result = AggregateResult(config.sweep.name, tuple(config.sweep.values), config.fixed.reps)
     for (value, rep), traj in zip(cells, trajectories):
@@ -417,8 +418,8 @@ class ClassificationParams:
             raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
         if self.delta is not None and not 0 < self.delta < 1:
             raise ConfigError(f"delta must lie in (0, 1), got {self.delta}")
-        if self.eta < 0:
-            raise ConfigError(f"eta must be nonnegative, got {self.eta}")
+        if not (self.eta >= 0 and math.isfinite(self.eta)):
+            raise ConfigError(f"eta must be finite and nonnegative, got {self.eta}")
         if self.iters < 1:
             raise ConfigError(f"iters must be at least 1, got {self.iters}")
         if not self.T > 0:
@@ -469,14 +470,7 @@ def parse_classification_config(raw: dict) -> tuple[ClassificationParams, int, i
 
 
 def load_classification_config(path) -> tuple[ClassificationParams, int, int]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    return parse_classification_config(raw)
+    return parse_classification_config(_load_json(path))
 
 
 def load_classification_csv(path) -> tuple[np.ndarray, np.ndarray]:
@@ -591,11 +585,7 @@ def run_classification(
     def one(rep):
         return _classify_once(X, z, params, rep, master_seed, silent_noise)
 
-    if jobs > 1 and reps > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rates = list(pool.map(one, range(reps)))
-    else:
-        rates = [one(rep) for rep in range(reps)]
+    rates = _fan_out(one, range(reps), jobs)
 
     arr = np.asarray(rates)
     std_error = float(arr.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0

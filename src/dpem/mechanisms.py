@@ -1,4 +1,4 @@
-"""Noise samplers, truncation, and private sparse selection.
+"""Noise samplers and private sparse selection.
 
 The noisy hard-thresholding (peeling) routine here is the privacy-critical
 primitive: it selects ``s`` coordinates of a vector by noisy magnitude and
@@ -20,8 +20,6 @@ __all__ = [
     "NoiseOracle",
     "SparseSelection",
     "derive_seed",
-    "clamp_scalar",
-    "clamp_vector",
     "sample_laplace",
     "sample_gaussian",
     "noisy_ht_scale",
@@ -68,8 +66,8 @@ class NoiseOracle:
     exists so noiseless oracle-equivalence tests can run through the same
     code path as production, and is never the default.
 
-    An oracle is single-owner: concurrent runs must each derive their own
-    via :meth:`spawn`.
+    An oracle is single-owner: concurrent runs must each construct their own
+    from a seed of :func:`derive_seed`.
     """
 
     def __init__(self, seed: int, mode: str = "live"):
@@ -95,10 +93,6 @@ class NoiseOracle:
             return 0.0 if size is None else np.zeros(size)
         return self._rng.random(size) - 0.5
 
-    def spawn(self, *tags) -> "NoiseOracle":
-        """Independent child oracle keyed by ``tags``, same mode."""
-        return NoiseOracle(derive_seed(self.seed, *tags), self.mode)
-
     def __repr__(self) -> str:
         return f"NoiseOracle(seed={self.seed}, mode={self.mode!r})"
 
@@ -113,25 +107,6 @@ class SparseSelection:
 
     support: np.ndarray
     values: np.ndarray
-
-
-def clamp_scalar(x: float, T: float) -> float:
-    """Project ``x`` onto [-T, T]."""
-    if not math.isfinite(x):
-        raise ValueError(f"x must be finite, got {x}")
-    if not T > 0:
-        raise ValueError(f"T must be positive, got {T}")
-    return min(max(x, -T), T)
-
-
-def clamp_vector(v, T: float) -> np.ndarray:
-    """Coordinate-wise projection onto the ell-infinity ball of radius T."""
-    v = np.asarray(v, dtype=float)
-    if not np.all(np.isfinite(v)):
-        raise ValueError("v must have finite coordinates")
-    if not T > 0:
-        raise ValueError(f"T must be positive, got {T}")
-    return np.clip(v, -T, T)
 
 
 def _laplace_from_uniform(scale: float, u):
@@ -158,26 +133,31 @@ def sample_gaussian(std_dev: float, oracle: NoiseOracle, size=None):
     return std_dev * oracle.standard_normal(size)
 
 
-def noisy_ht_scale(lam: float, s: int, budget: PrivacyBudget) -> float:
+def noisy_ht_scale(lam: float, s: int, budget: PrivacyBudget | None) -> float:
     """Per-round Laplace scale used by :func:`noisy_hard_threshold`.
 
     Equals lam * 2 * sqrt(3 * s * ln(1/delta)) / epsilon, where ``lam`` is
     the caller-certified ell-infinity sensitivity of the input vector.
-    Natural logarithm throughout.
+    Natural logarithm throughout.  ``lam = 0`` gives scale 0 without reading
+    the budget, so a noiseless run may pass ``budget=None``; ``lam > 0``
+    requires a budget.
     """
     if lam < 0 or not math.isfinite(lam):
         raise ValueError(f"lam must be a finite nonnegative real, got {lam}")
     if s < 1:
         raise ValueError(f"s must be a positive integer, got {s}")
-    scale = lam * 2.0 * math.sqrt(3.0 * s * math.log(1.0 / budget.delta)) / budget.epsilon
-    return scale
+    if lam == 0:
+        return 0.0
+    if budget is None:
+        raise ValueError("noisy_ht_scale requires a privacy budget when lam > 0")
+    return lam * 2.0 * math.sqrt(3.0 * s * math.log(1.0 / budget.delta)) / budget.epsilon
 
 
 def noisy_hard_threshold(
     v,
     s: int,
     lam: float,
-    budget: PrivacyBudget,
+    budget: PrivacyBudget | None,
     oracle: NoiseOracle,
 ) -> SparseSelection:
     """Private sparse selection by noisy peeling.

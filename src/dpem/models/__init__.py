@@ -1,27 +1,25 @@
 """Model-specific ingredients for the private EM engines.
 
-Each model contributes a data generator, the sample gradient of its
-surrogate objective at the current iterate, a truncated gradient whose
-per-record influence is bounded, and the certified sensitivity constant for
-the corresponding gradient step.  The ``kind``-dispatching helpers below are
-what the engines call; the per-model functions remain directly importable.
+Each model is one table entry: its data generator, its truncated gradient
+(``T = inf`` gives the raw sample gradient), and the constant pair
+``(c, p)``.  The pair yields both the certified ell-infinity sensitivity
+``c eta T^p N0 / n`` of the eta-scaled gradient step and the ell-2 factor
+``c T^p`` of the low-dimensional Gaussian noise.  The ``kind``-dispatching
+helpers below are what the engines call; the per-model functions remain
+directly importable.
 """
 
 from __future__ import annotations
 
+import math
+from collections import namedtuple
+
 import numpy as np
 
 from ..mechanisms import NoiseOracle
-from .gmm import generate_gmm, gmm_grad, gmm_sensitivity, gmm_truncated_grad, gmm_weight
-from .mor import generate_mor, mor_grad, mor_sensitivity, mor_truncated_grad, mor_weight
-from .rmc import (
-    generate_rmc,
-    rmc_grad,
-    rmc_mbeta,
-    rmc_sensitivity,
-    rmc_truncated_grad,
-    rmc_truncated_grad_clamped_part,
-)
+from .gmm import generate_gmm, gmm_truncated_grad, gmm_weight
+from .mor import generate_mor, mor_truncated_grad, mor_weight
+from .rmc import generate_rmc, rmc_mbeta, rmc_truncated_grad, rmc_truncated_grad_clamped_part
 from .types import GmmBatch, ModelSpec, MorBatch, RmcBatch
 
 __all__ = [
@@ -36,57 +34,65 @@ __all__ = [
     "noise_multiplier",
     "generate_gmm",
     "gmm_weight",
-    "gmm_grad",
     "gmm_truncated_grad",
-    "gmm_sensitivity",
     "generate_mor",
     "mor_weight",
-    "mor_grad",
     "mor_truncated_grad",
-    "mor_sensitivity",
     "generate_rmc",
     "rmc_mbeta",
-    "rmc_grad",
     "rmc_truncated_grad",
     "rmc_truncated_grad_clamped_part",
-    "rmc_sensitivity",
 ]
 
-_GENERATORS = {"gmm": generate_gmm, "mor": generate_mor, "rmc": generate_rmc}
-_RAW_GRADS = {"gmm": gmm_grad, "mor": mor_grad, "rmc": rmc_grad}
-_TRUNCATED_GRADS = {"gmm": gmm_truncated_grad, "mor": mor_truncated_grad, "rmc": rmc_truncated_grad}
-_SENSITIVITIES = {"gmm": gmm_sensitivity, "mor": mor_sensitivity, "rmc": rmc_sensitivity}
+
+_Model = namedtuple("_Model", ["generate", "truncated_grad", "c", "p"])
+_MODELS = {
+    "gmm": _Model(generate_gmm, gmm_truncated_grad, 2.0, 1),
+    "mor": _Model(generate_mor, mor_truncated_grad, 4.0, 2),
+    "rmc": _Model(generate_rmc, rmc_truncated_grad, 6.0, 2),
+}
+
+
+def _model(kind: str) -> _Model:
+    if kind not in _MODELS:
+        raise ValueError(f"unknown model kind {kind!r}")
+    return _MODELS[kind]
 
 
 def generate(spec: ModelSpec, n: int, oracle: NoiseOracle):
     """Draw an n-sample batch from ``spec``'s generative model."""
-    return _GENERATORS[spec.kind](spec, n, oracle)
+    return _MODELS[spec.kind].generate(spec, n, oracle)
 
 
 def raw_grad(spec: ModelSpec, beta, batch) -> np.ndarray:
-    """Untruncated sample gradient for ``spec``'s model."""
-    return _RAW_GRADS[spec.kind](beta, batch, spec.sigma)
+    """Untruncated sample gradient for ``spec``'s model: the table gradient at T = inf."""
+    return _MODELS[spec.kind].truncated_grad(beta, batch, spec.sigma, math.inf)
 
 
 def truncated_grad(spec: ModelSpec, beta, batch, T: float) -> np.ndarray:
-    """Truncated sample gradient; T = inf reproduces :func:`raw_grad` exactly."""
-    return _TRUNCATED_GRADS[spec.kind](beta, batch, spec.sigma, T)
+    """Truncated sample gradient; T = inf is exactly :func:`raw_grad`."""
+    return _MODELS[spec.kind].truncated_grad(beta, batch, spec.sigma, T)
 
 
 def sensitivity(kind: str, T: float, eta: float, N0: int, n: int) -> float:
-    """Certified ell-infinity sensitivity of the eta-scaled truncated gradient step."""
-    return _SENSITIVITIES[kind](T, eta, N0, n)
+    """Certified ell-infinity sensitivity c eta T^p N0 / n of the eta-scaled truncated step.
+
+    2 eta T N0 / n for gmm, 4 eta T^2 N0 / n for mor, 6 eta T^2 N0 / n for rmc.
+    """
+    model = _model(kind)
+    if not (T > 0 and math.isfinite(T)):
+        raise ValueError(f"T must be positive and finite, got {T}")
+    if eta < 0:
+        raise ValueError(f"eta must be nonnegative, got {eta}")
+    if N0 < 1 or n < 1:
+        raise ValueError("N0 and n must be positive integers")
+    return model.c * eta * T**model.p * N0 / n
 
 
 def noise_multiplier(kind: str, T: float) -> float:
-    """Per-model ell-2 sensitivity factor for the low-dimensional Gaussian noise.
+    """Per-model ell-2 sensitivity factor c T^p for the low-dimensional Gaussian noise.
 
     2T for gmm, 4T^2 for mor, 6T^2 for rmc.
     """
-    if kind == "gmm":
-        return 2.0 * T
-    if kind == "mor":
-        return 4.0 * T**2
-    if kind == "rmc":
-        return 6.0 * T**2
-    raise ValueError(f"unknown model kind {kind!r}")
+    model = _model(kind)
+    return model.c * T**model.p

@@ -1,25 +1,17 @@
-"""Gaussian mixture model: generator, gradient, truncated gradient, sensitivity.
+"""Gaussian mixture model: generator, mixing weight, truncated gradient.
 
 Model: y = z * beta + e with z = +/-1 equiprobable and e ~ N(0, sigma^2 I_d).
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 from scipy.special import expit
 
 from ..mechanisms import NoiseOracle
-from .types import GmmBatch, ModelSpec
+from .types import GmmBatch, ModelSpec, clamp
 
-__all__ = [
-    "generate_gmm",
-    "gmm_weight",
-    "gmm_grad",
-    "gmm_truncated_grad",
-    "gmm_sensitivity",
-]
+__all__ = ["generate_gmm", "gmm_weight", "gmm_truncated_grad"]
 
 
 def generate_gmm(spec: ModelSpec, n: int, oracle: NoiseOracle) -> GmmBatch:
@@ -48,20 +40,12 @@ def gmm_weight(beta, y, sigma: float):
     return expit(inner / sigma**2)
 
 
-def gmm_grad(beta, batch: GmmBatch, sigma: float) -> np.ndarray:
-    """Sample gradient (1/n) sum_i (2 w(y_i) - 1) y_i - beta."""
-    if len(batch) == 0:
-        raise ValueError("batch must be nonempty")
-    beta = np.asarray(beta, dtype=float)
-    w = gmm_weight(beta, batch.y, sigma)
-    return np.mean((2.0 * w - 1.0)[:, None] * batch.y, axis=0) - beta
-
-
 def gmm_truncated_grad(beta, batch: GmmBatch, sigma: float, T: float) -> np.ndarray:
     """Truncated gradient (1/n) sum_i (2 w(y_i) - 1) clamp_T(y_i) - beta.
 
     The weight is evaluated on the untruncated observation; only the y_i
-    factor is clamped.  T = inf reproduces :func:`gmm_grad` exactly.
+    factor is clamped.  T = inf is the raw sample gradient
+    (1/n) sum_i (2 w(y_i) - 1) y_i - beta, computed without clamping.
     """
     if len(batch) == 0:
         raise ValueError("batch must be nonempty")
@@ -69,15 +53,4 @@ def gmm_truncated_grad(beta, batch: GmmBatch, sigma: float, T: float) -> np.ndar
         raise ValueError(f"T must be positive, got {T}")
     beta = np.asarray(beta, dtype=float)
     w = gmm_weight(beta, batch.y, sigma)
-    return np.mean((2.0 * w - 1.0)[:, None] * np.clip(batch.y, -T, T), axis=0) - beta
-
-
-def gmm_sensitivity(T: float, eta: float, N0: int, n: int) -> float:
-    """Certified ell-infinity sensitivity 2 eta T N0 / n of the gradient step."""
-    if not (T > 0 and math.isfinite(T)):
-        raise ValueError(f"T must be positive and finite, got {T}")
-    if eta < 0:
-        raise ValueError(f"eta must be nonnegative, got {eta}")
-    if N0 < 1 or n < 1:
-        raise ValueError("N0 and n must be positive integers")
-    return 2.0 * eta * T * N0 / n
+    return np.mean((2.0 * w - 1.0)[:, None] * clamp(batch.y, T), axis=0) - beta

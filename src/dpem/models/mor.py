@@ -1,4 +1,4 @@
-"""Mixture of regression: generator, gradient, truncated gradient, sensitivity.
+"""Mixture of regression: generator, mixing weight, truncated gradient.
 
 Model: y = z * <x, beta> + e with x ~ N(0, I_d), z = +/-1 equiprobable, and
 e ~ N(0, sigma^2).
@@ -6,21 +6,13 @@ e ~ N(0, sigma^2).
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 from scipy.special import expit
 
 from ..mechanisms import NoiseOracle
-from .types import ModelSpec, MorBatch
+from .types import ModelSpec, MorBatch, clamp
 
-__all__ = [
-    "generate_mor",
-    "mor_weight",
-    "mor_grad",
-    "mor_truncated_grad",
-    "mor_sensitivity",
-]
+__all__ = ["generate_mor", "mor_weight", "mor_truncated_grad"]
 
 
 def generate_mor(spec: ModelSpec, n: int, oracle: NoiseOracle) -> MorBatch:
@@ -46,22 +38,12 @@ def mor_weight(beta, x, y, sigma: float):
     return expit(np.asarray(y, dtype=float) * inner / sigma**2)
 
 
-def mor_grad(beta, batch: MorBatch, sigma: float) -> np.ndarray:
-    """Sample gradient (1/n) sum_i [2 w_i y_i x_i - x_i (x_i^T beta)]."""
-    if len(batch) == 0:
-        raise ValueError("batch must be nonempty")
-    beta = np.asarray(beta, dtype=float)
-    w = mor_weight(beta, batch.x, batch.y, sigma)
-    proj = batch.x @ beta
-    terms = (2.0 * w * batch.y)[:, None] * batch.x - batch.x * proj[:, None]
-    return np.mean(terms, axis=0)
-
-
 def mor_truncated_grad(beta, batch: MorBatch, sigma: float, T: float) -> np.ndarray:
     """Truncated gradient with y_i, x_i, and x_i^T beta clamped separately.
 
     (1/n) sum_i [2 w_i clamp(y_i) clamp(x_i) - clamp(x_i) clamp(x_i^T beta)];
-    the weight w_i uses the untruncated (x_i, y_i).
+    the weight w_i uses the untruncated (x_i, y_i).  T = inf is the raw
+    sample gradient (1/n) sum_i [2 w_i y_i x_i - x_i (x_i^T beta)].
     """
     if len(batch) == 0:
         raise ValueError("batch must be nonempty")
@@ -69,19 +51,8 @@ def mor_truncated_grad(beta, batch: MorBatch, sigma: float, T: float) -> np.ndar
         raise ValueError(f"T must be positive, got {T}")
     beta = np.asarray(beta, dtype=float)
     w = mor_weight(beta, batch.x, batch.y, sigma)
-    cy = np.clip(batch.y, -T, T)
-    cx = np.clip(batch.x, -T, T)
-    cproj = np.clip(batch.x @ beta, -T, T)
+    cy = clamp(batch.y, T)
+    cx = clamp(batch.x, T)
+    cproj = clamp(batch.x @ beta, T)
     terms = (2.0 * w * cy)[:, None] * cx - cx * cproj[:, None]
     return np.mean(terms, axis=0)
-
-
-def mor_sensitivity(T: float, eta: float, N0: int, n: int) -> float:
-    """Certified ell-infinity sensitivity 4 eta T^2 N0 / n of the gradient step."""
-    if not (T > 0 and math.isfinite(T)):
-        raise ValueError(f"T must be positive and finite, got {T}")
-    if eta < 0:
-        raise ValueError(f"eta must be nonnegative, got {eta}")
-    if N0 < 1 or n < 1:
-        raise ValueError("N0 and n must be positive integers")
-    return 4.0 * eta * T**2 * N0 / n

@@ -1,4 +1,4 @@
-"""Regression with missing covariates: generator, fill-in vector, gradients.
+"""Regression with missing covariates: generator, fill-in vector, truncated gradient.
 
 Model: y = <x, beta> + e with x ~ N(0, I_d), e ~ N(0, sigma^2); each
 coordinate of x is observed independently with probability 1 - p
@@ -7,19 +7,16 @@ coordinate of x is observed independently with probability 1 - p
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from ..mechanisms import NoiseOracle
-from .types import ModelSpec, RmcBatch
+from .types import ModelSpec, RmcBatch, clamp
 
 __all__ = [
     "generate_rmc",
     "rmc_mbeta",
-    "rmc_grad",
     "rmc_truncated_grad",
-    "rmc_sensitivity",
+    "rmc_truncated_grad_clamped_part",
 ]
 
 
@@ -56,39 +53,25 @@ def rmc_mbeta(beta, batch: RmcBatch, sigma: float) -> np.ndarray:
 
 
 def _grad_terms(beta, batch, sigma, T):
-    # Shared term assembly; T = None means no clamping.  The four terms are
+    # Shared term assembly; T = inf means no clamping.  The four terms are
     # y*m, diag(1-z)*beta, m*(m^T beta), and the missing-coordinate correction
-    # n*(n^T beta) with n = (1-z)*m.  Term structure is kept identical between
-    # the raw and clamped paths so that T = inf reproduces the raw gradient
-    # bit-for-bit.
+    # n*(n^T beta) with n = (1-z)*m.
+    if len(batch) == 0:
+        raise ValueError("batch must be nonempty")
+    if not T > 0:
+        raise ValueError(f"T must be positive, got {T}")
     beta = np.asarray(beta, dtype=float)
     missing = 1.0 - batch.z
     m = rmc_mbeta(beta, batch, sigma)
     nn = missing * m
-    if T is None:
-        cy, cm, cnn = batch.y, m, nn
-        cmb, cnnb = m @ beta, nn @ beta
-    else:
-        cy = np.clip(batch.y, -T, T)
-        cm = np.clip(m, -T, T)
-        cnn = np.clip(nn, -T, T)
-        cmb = np.clip(m @ beta, -T, T)
-        cnnb = np.clip(nn @ beta, -T, T)
+    cy = clamp(batch.y, T)
+    cm = clamp(m, T)
+    cnn = clamp(nn, T)
+    cmb = clamp(m @ beta, T)
+    cnnb = clamp(nn @ beta, T)
     clamped_part = cy[:, None] * cm - cm * cmb[:, None] + cnn * cnnb[:, None]
     diag_part = missing * beta
     return clamped_part, diag_part
-
-
-def rmc_grad(beta, batch: RmcBatch, sigma: float) -> np.ndarray:
-    """Sample gradient (1/n) sum_i [y_i m_i - K_i beta].
-
-    K_i = diag(1-z_i) + m_i m_i^T - n_i n_i^T is never materialized; the
-    product K_i beta is computed from its rank-structured form.
-    """
-    if len(batch) == 0:
-        raise ValueError("batch must be nonempty")
-    clamped_part, diag_part = _grad_terms(beta, batch, sigma, None)
-    return np.mean(clamped_part - diag_part, axis=0)
 
 
 def rmc_truncated_grad(beta, batch: RmcBatch, sigma: float, T: float) -> np.ndarray:
@@ -96,12 +79,11 @@ def rmc_truncated_grad(beta, batch: RmcBatch, sigma: float, T: float) -> np.ndar
 
     (1/n) sum_i [clamp(y_i) clamp(m_i) - diag(1-z_i) beta
                  - clamp(m_i) clamp(m_i^T beta) + clamp(n_i) clamp(n_i^T beta)];
-    the diag(1-z) beta term is left unclamped.
+    the diag(1-z) beta term is left unclamped.  T = inf is the raw sample
+    gradient (1/n) sum_i [y_i m_i - K_i beta] with
+    K_i = diag(1-z_i) + m_i m_i^T - n_i n_i^T, which is never materialized;
+    K_i beta is computed from its rank-structured form.
     """
-    if len(batch) == 0:
-        raise ValueError("batch must be nonempty")
-    if not T > 0:
-        raise ValueError(f"T must be positive, got {T}")
     clamped_part, diag_part = _grad_terms(beta, batch, sigma, T)
     return np.mean(clamped_part - diag_part, axis=0)
 
@@ -112,20 +94,5 @@ def rmc_truncated_grad_clamped_part(beta, batch: RmcBatch, sigma: float, T: floa
     This is the portion whose one-record sensitivity the 6 eta T^2 N0 / n
     constant certifies; the excluded term depends on the data only through z.
     """
-    if len(batch) == 0:
-        raise ValueError("batch must be nonempty")
-    if not T > 0:
-        raise ValueError(f"T must be positive, got {T}")
     clamped_part, _ = _grad_terms(beta, batch, sigma, T)
     return np.mean(clamped_part, axis=0)
-
-
-def rmc_sensitivity(T: float, eta: float, N0: int, n: int) -> float:
-    """Certified ell-infinity sensitivity 6 eta T^2 N0 / n of the gradient step."""
-    if not (T > 0 and math.isfinite(T)):
-        raise ValueError(f"T must be positive and finite, got {T}")
-    if eta < 0:
-        raise ValueError(f"eta must be nonnegative, got {eta}")
-    if N0 < 1 or n < 1:
-        raise ValueError("N0 and n must be positive integers")
-    return 6.0 * eta * T**2 * N0 / n

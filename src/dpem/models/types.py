@@ -1,4 +1,4 @@
-"""Shared model types: the model descriptor and per-model sample batches.
+"""Shared model types: the model descriptor, per-model sample batches, truncation.
 
 Batches are stored struct-of-arrays: a batch of n samples holds (n, d) and
 (n,) arrays rather than n per-sample objects, so the gradient operations
@@ -7,13 +7,19 @@ stay vectorized.  Slicing a batch returns a batch of the same kind.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-__all__ = ["ModelSpec", "GmmBatch", "MorBatch", "RmcBatch"]
+__all__ = ["ModelSpec", "GmmBatch", "MorBatch", "RmcBatch", "clamp"]
 
 MODEL_KINDS = ("gmm", "mor", "rmc")
+
+
+def clamp(a, T: float):
+    """Coordinate-wise projection onto [-T, T]; T = inf returns ``a`` itself, uncopied."""
+    return a if math.isinf(T) else np.clip(a, -T, T)
 
 
 @dataclass(frozen=True)
@@ -50,13 +56,15 @@ class ModelSpec:
 
 
 class _Batch:
+    # Every batch kind holds its responses in ``y``, one row per sample, and
+    # only per-sample arrays in its fields.
     def __len__(self) -> int:
-        return self._n()
+        return self.y.shape[0]
 
     def __getitem__(self, key):
         if not isinstance(key, slice):
             raise TypeError("batches support slice indexing only")
-        return self._slice(key)
+        return type(self)(*(getattr(self, f.name)[key] for f in fields(self)))
 
 
 @dataclass(frozen=True)
@@ -65,16 +73,6 @@ class GmmBatch(_Batch):
 
     y: np.ndarray
 
-    def _n(self):
-        return self.y.shape[0]
-
-    @property
-    def d(self):
-        return self.y.shape[1]
-
-    def _slice(self, key):
-        return GmmBatch(self.y[key])
-
 
 @dataclass(frozen=True)
 class MorBatch(_Batch):
@@ -82,16 +80,6 @@ class MorBatch(_Batch):
 
     x: np.ndarray
     y: np.ndarray
-
-    def _n(self):
-        return self.y.shape[0]
-
-    @property
-    def d(self):
-        return self.x.shape[1]
-
-    def _slice(self, key):
-        return MorBatch(self.x[key], self.y[key])
 
 
 @dataclass(frozen=True)
@@ -105,13 +93,3 @@ class RmcBatch(_Batch):
     x_obs: np.ndarray
     z: np.ndarray
     y: np.ndarray
-
-    def _n(self):
-        return self.y.shape[0]
-
-    @property
-    def d(self):
-        return self.x_obs.shape[1]
-
-    def _slice(self, key):
-        return RmcBatch(self.x_obs[key], self.z[key], self.y[key])

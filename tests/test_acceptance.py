@@ -34,13 +34,11 @@ from dpem.models import (
     MorBatch,
     RmcBatch,
     generate,
-    gmm_sensitivity,
     gmm_truncated_grad,
-    mor_sensitivity,
     mor_truncated_grad,
     raw_grad,
-    rmc_sensitivity,
     rmc_truncated_grad_clamped_part,
+    sensitivity,
 )
 from dpem.oracle import exact_top_k, finite_diff_grad, ht_gradient_em, nonprivate_em
 
@@ -150,7 +148,7 @@ def test_criterion_03_sensitivity_certification():
             beta = rng.standard_normal(d) * rng.uniform(0.2, 2.0)
             i = int(rng.integers(n0))
             if kind == "gmm":
-                bound = gmm_sensitivity(T, eta, N0, n)
+                bound = sensitivity("gmm", T, eta, N0, n)
                 y = rng.standard_normal((n0, d)) * rng.uniform(0.5, 3.0)
                 y2 = y.copy()
                 y2[i] = _adversarial_replacement(rng, "gmm", d, T)
@@ -158,7 +156,7 @@ def test_criterion_03_sensitivity_certification():
                 g2 = gmm_truncated_grad(beta, GmmBatch(y2), sigma, T)
                 pair = (y[i], y2[i])
             elif kind == "mor":
-                bound = mor_sensitivity(T, eta, N0, n)
+                bound = sensitivity("mor", T, eta, N0, n)
                 x = rng.standard_normal((n0, d))
                 y = rng.standard_normal(n0)
                 x2, y2 = x.copy(), y.copy()
@@ -169,7 +167,7 @@ def test_criterion_03_sensitivity_certification():
             else:
                 # The certified constant covers the clamped terms; the
                 # diag(1-z) beta term depends on the data only through z.
-                bound = rmc_sensitivity(T, eta, N0, n)
+                bound = sensitivity("rmc", T, eta, N0, n)
                 x = rng.standard_normal((n0, d))
                 z = (rng.random((n0, d)) > 0.3).astype(float)
                 y = rng.standard_normal(n0)

@@ -186,14 +186,24 @@ class TestInputImmutability:
         assert ccfg.read_bytes() == ccfg_bytes
 
 
-class TestJobsEnv:
-    def test_env_fallback(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("DPEM_JOBS", "2")
+class TestRejectedInput:
+    @pytest.mark.parametrize("command", ["run", "baseline", "classify"])
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_exits_2(self, tmp_path, command, jobs):
         cfg = write_config(tmp_path, experiment_config_dict())
-        out = tmp_path / "env.csv"
-        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        argv = [command, "--config", str(cfg), "--out", str(tmp_path / "o.csv"), "--jobs", jobs]
+        if command == "classify":
+            argv += ["--data", str(tmp_path / "data.csv")]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert not (tmp_path / "o.csv").exists()
 
-    def test_env_garbage_ignored(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("DPEM_JOBS", "many")
-        cfg = write_config(tmp_path, experiment_config_dict())
-        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "g.csv")]) == 0
+    @pytest.mark.parametrize("regime", ["high_dim", "low_dim"])
+    @pytest.mark.parametrize("eta", [float("nan"), float("inf")])
+    def test_non_finite_eta_exits_2(self, tmp_path, capsys, regime, eta):
+        cfg = write_config(tmp_path, experiment_config_dict(regime=regime, eta=eta))
+        out = tmp_path / "o.csv"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "eta" in capsys.readouterr().err
+        assert not out.exists()

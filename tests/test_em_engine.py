@@ -66,6 +66,11 @@ class TestEmConfig:
         with pytest.raises(ValueError):
             EmConfig(**kwargs)
 
+    @pytest.mark.parametrize("eta", [math.nan, math.inf])
+    def test_rejects_non_finite_eta(self, eta):
+        with pytest.raises(ValueError, match="eta"):
+            EmConfig(eta=eta, T=1.0, N0=3, s_hat=1)
+
 
 def make_instance(kind, seed, d=12, n=240, s_star=3, sigma=0.5):
     beta_star = sparse_beta(d, s_star)
@@ -197,6 +202,29 @@ class TestNoiseCalibration:
     def test_rejects_inf_T(self):
         with pytest.raises(ValueError):
             gaussian_noise_variance("gmm", 1.0, math.inf, 8, 4000, 5, BUDGET)
+
+
+@pytest.mark.parametrize("regime", ["high_dim", "low_dim"])
+@pytest.mark.parametrize(
+    "T, oracle_mode, budget, ok",
+    [
+        (math.inf, "live", BUDGET, False),  # no truncation needs silent noise
+        (2.0, "live", None, False),  # finite T is calibrated from a budget
+        (math.inf, "silent", None, True),  # noiseless reference run
+    ],
+    ids=["inf_T_live", "finite_T_no_budget", "inf_T_silent_no_budget"],
+)
+def test_budget_rule_same_in_both_drivers(regime, T, oracle_mode, budget, ok):
+    spec, data, beta_star = make_instance("gmm", 7)
+    s_hat = 3 if regime == "high_dim" else None
+    run = run_high_dim if regime == "high_dim" else run_low_dim
+    config = EmConfig(eta=0.5, T=T, N0=4, s_hat=s_hat, budget=budget, regime=regime)
+    args = (spec, data, config, sparse_beta(spec.d, 3), NoiseOracle(0, oracle_mode))
+    if ok:
+        assert run(*args).betas.shape == (5, spec.d)
+    else:
+        with pytest.raises(ValueError):
+            run(*args)
 
 
 class TestRunLowDim:

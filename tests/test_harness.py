@@ -70,6 +70,13 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             parse_experiment_config(raw)
 
+    @pytest.mark.parametrize("eta", [math.nan, math.inf])
+    def test_non_finite_eta_rejected(self, eta):
+        with pytest.raises(ConfigError, match="eta"):
+            parse_experiment_config(experiment_config_dict(eta=eta))
+        with pytest.raises(ConfigError, match="eta"):
+            ClassificationParams(s_hat=2, epsilon=0.5, eta=eta)
+
     def test_per_rep_seeds_distinct(self):
         cfg = parse_experiment_config(experiment_config_dict(reps=50))
         seeds = [

@@ -12,17 +12,12 @@ from dpem.models import (
     generate_gmm,
     generate_mor,
     generate_rmc,
-    gmm_grad,
-    gmm_sensitivity,
     gmm_truncated_grad,
     gmm_weight,
-    mor_grad,
-    mor_sensitivity,
     mor_truncated_grad,
-    rmc_grad,
     rmc_mbeta,
-    rmc_sensitivity,
     rmc_truncated_grad,
+    sensitivity,
 )
 
 
@@ -118,11 +113,13 @@ class TestGmmOps:
 
     def test_grad_zero_beta(self):
         batch = GmmBatch(np.random.default_rng(2).standard_normal((20, 3)))
-        np.testing.assert_array_equal(gmm_grad(np.zeros(3), batch, 1.0), np.zeros(3))
+        np.testing.assert_array_equal(
+            gmm_truncated_grad(np.zeros(3), batch, 1.0, math.inf), np.zeros(3)
+        )
 
     def test_grad_frozen_value(self):
         # d=1, beta=1, sigma=1, single y=2.
-        got = gmm_grad(np.array([1.0]), GmmBatch(np.array([[2.0]])), 1.0)
+        got = gmm_truncated_grad(np.array([1.0]), GmmBatch(np.array([[2.0]])), 1.0, math.inf)
         assert got[0] == pytest.approx(0.5231883119115293, rel=1e-12)
 
     def test_truncated_equals_raw_when_T_large(self):
@@ -131,7 +128,7 @@ class TestGmmOps:
         beta = rng.standard_normal(4)
         T = float(np.abs(batch.y).max()) + 1.0
         np.testing.assert_array_equal(
-            gmm_truncated_grad(beta, batch, 0.8, T), gmm_grad(beta, batch, 0.8)
+            gmm_truncated_grad(beta, batch, 0.8, T), gmm_truncated_grad(beta, batch, 0.8, math.inf)
         )
 
     def test_truncated_frozen_value(self):
@@ -145,15 +142,15 @@ class TestGmmOps:
     def test_sensitivity(self):
         # 2 * 0.5 * 2 * 8 / 4000; this is also the lambda used by the noisy
         # hard-threshold scale example in test_mechanisms.
-        assert gmm_sensitivity(2.0, 0.5, 8, 4000) == pytest.approx(0.004, rel=1e-12)
-        assert gmm_sensitivity(2.0, 0.0, 8, 4000) == 0.0
+        assert sensitivity("gmm", 2.0, 0.5, 8, 4000) == pytest.approx(0.004, rel=1e-12)
+        assert sensitivity("gmm", 2.0, 0.0, 8, 4000) == 0.0
         with pytest.raises(ValueError):
-            gmm_sensitivity(math.inf, 0.5, 8, 4000)
+            sensitivity("gmm", math.inf, 0.5, 8, 4000)
 
     def test_sensitivity_bounds_adjacent_steps(self):
         rng = np.random.default_rng(5)
         eta, T, N0, n0 = 0.5, 1.2, 4, 30
-        bound = gmm_sensitivity(T, eta, N0, N0 * n0)
+        bound = sensitivity("gmm", T, eta, N0, N0 * n0)
         for trial in range(50):
             beta = rng.standard_normal(3)
             y = rng.standard_normal((n0, 3)) * rng.uniform(0.5, 4)
@@ -170,11 +167,13 @@ class TestMorOps:
     def test_grad_zero_beta_single_pair(self):
         x = np.array([[0.7, -1.2]])
         y = np.array([3.0])
-        got = mor_grad(np.zeros(2), MorBatch(x, y), 1.0)
+        got = mor_truncated_grad(np.zeros(2), MorBatch(x, y), 1.0, math.inf)
         np.testing.assert_allclose(got, y[0] * x[0], rtol=1e-15)
 
     def test_grad_frozen_value(self):
-        got = mor_grad(np.array([1.0]), MorBatch(np.array([[1.0]]), np.array([2.0])), 1.0)
+        got = mor_truncated_grad(
+            np.array([1.0]), MorBatch(np.array([[1.0]]), np.array([2.0])), 1.0, math.inf
+        )
         assert got[0] == pytest.approx(2.5231883119115293, rel=1e-12)
 
     def test_truncated_equals_raw_when_T_large(self):
@@ -183,7 +182,7 @@ class TestMorOps:
         beta = rng.standard_normal(3)
         T = 50.0
         np.testing.assert_array_equal(
-            mor_truncated_grad(beta, batch, 0.5, T), mor_grad(beta, batch, 0.5)
+            mor_truncated_grad(beta, batch, 0.5, T), mor_truncated_grad(beta, batch, 0.5, math.inf)
         )
 
     def test_truncated_frozen_value(self):
@@ -193,13 +192,13 @@ class TestMorOps:
         assert got[0] == pytest.approx(0.9950547536867307, rel=1e-12)
 
     def test_sensitivity(self):
-        assert mor_sensitivity(2.0, 0.5, 8, 4000) == pytest.approx(0.016, rel=1e-12)
-        assert mor_sensitivity(2.0, 0.0, 8, 4000) == 0.0
+        assert sensitivity("mor", 2.0, 0.5, 8, 4000) == pytest.approx(0.016, rel=1e-12)
+        assert sensitivity("mor", 2.0, 0.0, 8, 4000) == 0.0
 
     def test_sensitivity_bounds_adjacent_steps(self):
         rng = np.random.default_rng(7)
         eta, T, N0, n0 = 0.5, 0.9, 4, 25
-        bound = mor_sensitivity(T, eta, N0, N0 * n0)
+        bound = sensitivity("mor", T, eta, N0, N0 * n0)
         for trial in range(50):
             beta = rng.standard_normal(3)
             x = rng.standard_normal((n0, 3))
@@ -243,11 +242,13 @@ class TestRmcOps:
         beta = rng.standard_normal(3)
         batch = RmcBatch(x, np.ones((1, 3)), y)
         expected = y[0] * x[0] - x[0] * (x[0] @ beta)
-        np.testing.assert_allclose(rmc_grad(beta, batch, 0.9), expected, rtol=1e-12)
+        np.testing.assert_allclose(
+            rmc_truncated_grad(beta, batch, 0.9, math.inf), expected, rtol=1e-12
+        )
 
     def test_grad_frozen_value(self):
         batch = RmcBatch(np.array([[0.0]]), np.array([[0.0]]), np.array([5.0]))
-        got = rmc_grad(np.array([2.0]), batch, 1.0)
+        got = rmc_truncated_grad(np.array([2.0]), batch, 1.0, math.inf)
         assert got[0] == pytest.approx(8.0, rel=1e-12)
 
     def test_truncated_frozen_value(self):
@@ -262,7 +263,8 @@ class TestRmcOps:
         batch = RmcBatch(z * x, z, rng.standard_normal(20))
         beta = rng.standard_normal(3) * 0.5
         np.testing.assert_array_equal(
-            rmc_truncated_grad(beta, batch, 0.8, 100.0), rmc_grad(beta, batch, 0.8)
+            rmc_truncated_grad(beta, batch, 0.8, 100.0),
+            rmc_truncated_grad(beta, batch, 0.8, math.inf),
         )
 
     def test_truncated_zero_beta_reduces_to_clamped_products(self):
@@ -293,11 +295,13 @@ class TestRmcOps:
                 nn = miss * m[i]
                 K = np.diag(miss) + np.outer(m[i], m[i]) - np.outer(nn, nn)
                 total += y[i] * m[i] - K @ beta
-            np.testing.assert_allclose(rmc_grad(beta, batch, 1.1), total / n, rtol=1e-10)
+            np.testing.assert_allclose(
+                rmc_truncated_grad(beta, batch, 1.1, math.inf), total / n, rtol=1e-10
+            )
 
     def test_sensitivity(self):
-        assert rmc_sensitivity(2.0, 0.5, 8, 4000) == pytest.approx(0.024, rel=1e-12)
-        assert rmc_sensitivity(2.0, 0.0, 8, 4000) == 0.0
+        assert sensitivity("rmc", 2.0, 0.5, 8, 4000) == pytest.approx(0.024, rel=1e-12)
+        assert sensitivity("rmc", 2.0, 0.0, 8, 4000) == 0.0
 
 
 class TestSharedProperties:
@@ -307,28 +311,28 @@ class TestSharedProperties:
         beta = rng.standard_normal(3)
 
         y = rng.standard_normal((18, 3))
-        a = gmm_grad(beta, GmmBatch(y), 0.7)
-        b = gmm_grad(beta, GmmBatch(y[perm]), 0.7)
+        a = gmm_truncated_grad(beta, GmmBatch(y), 0.7, math.inf)
+        b = gmm_truncated_grad(beta, GmmBatch(y[perm]), 0.7, math.inf)
         np.testing.assert_allclose(a, b, atol=1e-12)
 
         x, yy = rng.standard_normal((18, 3)), rng.standard_normal(18)
-        a = mor_grad(beta, MorBatch(x, yy), 0.7)
-        b = mor_grad(beta, MorBatch(x[perm], yy[perm]), 0.7)
+        a = mor_truncated_grad(beta, MorBatch(x, yy), 0.7, math.inf)
+        b = mor_truncated_grad(beta, MorBatch(x[perm], yy[perm]), 0.7, math.inf)
         np.testing.assert_allclose(a, b, atol=1e-12)
 
         z = (rng.random((18, 3)) > 0.3).astype(float)
-        a = rmc_grad(beta, RmcBatch(z * x, z, yy), 0.7)
-        b = rmc_grad(beta, RmcBatch((z * x)[perm], z[perm], yy[perm]), 0.7)
+        a = rmc_truncated_grad(beta, RmcBatch(z * x, z, yy), 0.7, math.inf)
+        b = rmc_truncated_grad(beta, RmcBatch((z * x)[perm], z[perm], yy[perm]), 0.7, math.inf)
         np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_empty_batches_rejected(self):
         empty_y = np.zeros((0, 2))
         with pytest.raises(ValueError):
-            gmm_grad(np.zeros(2), GmmBatch(empty_y), 1.0)
+            gmm_truncated_grad(np.zeros(2), GmmBatch(empty_y), 1.0, math.inf)
         with pytest.raises(ValueError):
-            mor_grad(np.zeros(2), MorBatch(empty_y, np.zeros(0)), 1.0)
+            mor_truncated_grad(np.zeros(2), MorBatch(empty_y, np.zeros(0)), 1.0, math.inf)
         with pytest.raises(ValueError):
-            rmc_grad(np.zeros(2), RmcBatch(empty_y, empty_y, np.zeros(0)), 1.0)
+            rmc_truncated_grad(np.zeros(2), RmcBatch(empty_y, empty_y, np.zeros(0)), 1.0, math.inf)
 
     def test_batch_slicing(self):
         rng = np.random.default_rng(15)

@@ -82,12 +82,12 @@ class TestFiniteDiff:
         # Every surrogate objective here is quadratic in its first argument,
         # so the central difference has no O(h^2) truncation term: the
         # mismatch is pure roundoff (~eps/h) at any step size.
-        from dpem.models import gmm_grad
+        from dpem.models import gmm_truncated_grad
 
         rng = np.random.default_rng(3)
         beta = rng.standard_normal(4) * 0.5
         batch = GmmBatch(rng.standard_normal((30, 4)))
-        exact = gmm_grad(beta, batch, 1.0)
+        exact = gmm_truncated_grad(beta, batch, 1.0, math.inf)
         for h in (1e-2, 1e-4):
             fd = finite_diff_grad("gmm", beta, batch, 1.0, h=h)
             assert np.linalg.norm(fd - exact) < 1e-9
@@ -95,12 +95,12 @@ class TestFiniteDiff:
     def test_roundoff_grows_as_h_shrinks(self):
         # The flip side of exactness: with no truncation term, shrinking h
         # can only amplify cancellation error.
-        from dpem.models import gmm_grad
+        from dpem.models import gmm_truncated_grad
 
         rng = np.random.default_rng(4)
         beta = rng.standard_normal(4) * 0.5
         batch = GmmBatch(rng.standard_normal((30, 4)))
-        exact = gmm_grad(beta, batch, 1.0)
+        exact = gmm_truncated_grad(beta, batch, 1.0, math.inf)
         coarse = np.linalg.norm(finite_diff_grad("gmm", beta, batch, 1.0, h=1e-3) - exact)
         fine = np.linalg.norm(finite_diff_grad("gmm", beta, batch, 1.0, h=1e-8) - exact)
         assert coarse < fine
