@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -63,6 +64,22 @@ class DataError(ValueError):
     """An input data file could not be parsed."""
 
 
+def _whole(name: str, value) -> int:
+    """``value`` as an int if it is a whole number >= 1; bools are rejected."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        if isinstance(value, numbers.Integral) or (math.isfinite(value) and value == int(value)):
+            if value >= 1:
+                return int(value)
+    raise ConfigError(f"{name} must be a positive integer, got {value!r}")
+
+
+def _positive_finite(name: str, value) -> None:
+    """Reject ``value`` unless it is a real number in (0, inf); bools are rejected."""
+    if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and value > 0 and math.isfinite(value)):
+        raise ConfigError(f"{name} must be positive and finite, got {value}")
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     name: str
@@ -72,6 +89,10 @@ class SweepSpec:
         if self.name not in SWEEPABLE:
             raise ConfigError(f"sweep.name must be one of {SWEEPABLE}, got {self.name!r}")
         object.__setattr__(self, "values", tuple(self.values))
+        if self.name in ("n", "d", "s_star"):
+            # Validated, not converted: the value as written seeds each cell.
+            for value in self.values:
+                _whole(f"sweep value of {self.name}", value)
 
 
 @dataclass(frozen=True)
@@ -103,16 +124,17 @@ class FixedParams:
             raise ConfigError(f"delta_rule must be 'half_n' or 'explicit', got {self.delta_rule!r}")
         if self.delta_rule == "explicit" and (self.delta is None or not 0 < self.delta < 1):
             raise ConfigError("delta_rule 'explicit' requires delta in (0, 1)")
-        if self.reps < 1:
-            raise ConfigError(f"reps must be at least 1, got {self.reps}")
-        if not self.sigma > 0:
-            raise ConfigError(f"sigma must be positive, got {self.sigma}")
+        for name in ("n", "d", "s_star"):
+            if getattr(self, name) is not None:
+                _whole(name, getattr(self, name))
+        object.__setattr__(self, "reps", _whole("reps", self.reps))
+        _positive_finite("sigma", self.sigma)
         if not (self.eta >= 0 and math.isfinite(self.eta)):
             raise ConfigError(f"eta must be finite and nonnegative, got {self.eta}")
-        if not self.T_rule > 0 or not self.N0_rule > 0:
-            raise ConfigError("T_rule and N0_rule must be positive")
-        if self.s_hat_rule != "equal" and (not isinstance(self.s_hat_rule, int) or self.s_hat_rule < 1):
-            raise ConfigError("s_hat_rule must be 'equal' or a positive integer")
+        _positive_finite("T_rule", self.T_rule)
+        _positive_finite("N0_rule", self.N0_rule)
+        if self.s_hat_rule != "equal":
+            object.__setattr__(self, "s_hat_rule", _whole("s_hat_rule", self.s_hat_rule))
         if not 0 <= self.missing_prob < 1:
             raise ConfigError(f"missing_prob must lie in [0, 1), got {self.missing_prob}")
 
@@ -220,8 +242,6 @@ def _resolve(config: ExperimentConfig, sweep_value) -> _RunParams:
     d = int(values["d"])
     s_star = int(values["s_star"])
     epsilon = float(values["epsilon"])
-    if n < 1 or d < 1 or s_star < 1:
-        raise ConfigError(f"n, d, s_star must be positive (n={n}, d={d}, s_star={s_star})")
     if s_star > d:
         raise ConfigError(f"s_star must not exceed d ({s_star} > {d})")
     if not epsilon > 0:
@@ -412,20 +432,16 @@ class ClassificationParams:
     sigma_fit: float = 0.5
 
     def __post_init__(self):
-        if self.s_hat < 1:
-            raise ConfigError(f"s_hat must be at least 1, got {self.s_hat}")
+        object.__setattr__(self, "s_hat", _whole("s_hat", self.s_hat))
         if not self.epsilon > 0:
             raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
         if self.delta is not None and not 0 < self.delta < 1:
             raise ConfigError(f"delta must lie in (0, 1), got {self.delta}")
         if not (self.eta >= 0 and math.isfinite(self.eta)):
             raise ConfigError(f"eta must be finite and nonnegative, got {self.eta}")
-        if self.iters < 1:
-            raise ConfigError(f"iters must be at least 1, got {self.iters}")
-        if not self.T > 0:
-            raise ConfigError(f"T must be positive, got {self.T}")
-        if not self.sigma_fit > 0:
-            raise ConfigError(f"sigma_fit must be positive, got {self.sigma_fit}")
+        object.__setattr__(self, "iters", _whole("iters", self.iters))
+        _positive_finite("T", self.T)
+        _positive_finite("sigma_fit", self.sigma_fit)
 
 
 @dataclass(frozen=True)
@@ -461,9 +477,7 @@ def parse_classification_config(raw: dict) -> tuple[ClassificationParams, int, i
     params = ClassificationParams(
         s_hat=raw["s_hat"], epsilon=float(raw["epsilon"]), delta=delta, **kwargs
     )
-    reps = raw["reps"]
-    if not isinstance(reps, int) or reps < 1:
-        raise ConfigError(f"reps must be a positive integer, got {reps}")
+    reps = _whole("reps", raw["reps"])
     if not isinstance(raw["master_seed"], int):
         raise ConfigError("master_seed must be an integer")
     return params, reps, raw["master_seed"]

@@ -30,6 +30,11 @@ __all__ = [
 # inverse CDF would hit log(0).
 _UNIFORM_CAP = float(np.nextafter(0.5, 0.0))
 
+# Values per block of selection noise in noisy_hard_threshold (512 KiB of
+# float64): enough rows to amortize the per-call NumPy overhead at moderate d,
+# small enough that a block stays cache-sized.
+_BLOCK_VALUES = 1 << 16
+
 
 def derive_seed(*parts) -> int:
     """Stable 64-bit seed derived from a tuple of ints/floats/strings.
@@ -68,6 +73,11 @@ class NoiseOracle:
 
     An oracle is single-owner: concurrent runs must each construct their own
     from a seed of :func:`derive_seed`.
+
+    The stream is a flat sequence of values: one draw of shape ``(k, d)``
+    consumes and returns exactly what ``k`` successive draws of shape ``d``
+    would, row by row.  Callers may therefore draw a block of rows at once
+    without changing any result.
     """
 
     def __init__(self, seed: int, mode: str = "live"):
@@ -109,11 +119,18 @@ class SparseSelection:
     values: np.ndarray
 
 
-def _laplace_from_uniform(scale: float, u):
-    # Inverse CDF: u in (-1/2, 1/2) -> -scale * sign(u) * log(1 - 2|u|).
-    # Exact, portable, no rejection loop; u = 0 maps to exactly 0.
-    a = np.minimum(np.abs(u), _UNIFORM_CAP)
-    return -scale * np.sign(u) * np.log1p(-2.0 * a)
+def _laplace_from_uniform(scale: float, u, out=None):
+    # Inverse CDF: u in (-1/2, 1/2) -> -scale * sign(u) * log(1 - 2|u|),
+    # evaluated as copysign(scale * log1p(-2 min(|u|, cap)), u), which is
+    # bitwise the same for every u the oracle draws, signed zeros included.
+    # Exact, portable, no rejection loop; u = 0 maps to exactly 0.  With
+    # ``out`` (an array that does not alias ``u``) every step runs in place.
+    r = np.abs(u, out=out)
+    r = np.minimum(r, _UNIFORM_CAP, out=out)
+    r = np.multiply(r, -2.0, out=out)
+    r = np.log1p(r, out=out)
+    r = np.multiply(r, scale, out=out)
+    return np.copysign(r, u, out=out)
 
 
 def sample_laplace(scale: float, oracle: NoiseOracle, size=None):
@@ -170,6 +187,16 @@ def noisy_hard_threshold(
     The output support has cardinality exactly ``s``; off-support
     coordinates are exactly zero.  ``s > d`` is rejected; ``s == d`` selects
     every coordinate.
+
+    The rounds' noise is drawn ``max(1, min(s, B // d))`` rows at a time
+    (``B`` = ``_BLOCK_VALUES``), one oracle draw per block, and transformed
+    into a score buffer allocated once per call, so memory stays
+    O(max(B, d)) rather than O(s * d).  Because a ``(k, d)``
+    draw is the same stream as ``k`` draws of size ``d``, the oracle is
+    consumed exactly as by one draw per round: ``(s + 1) * d`` uniforms per
+    call, the final release included, of which only the ``s`` on the support
+    are transformed.  Output and the oracle's later draws are bitwise those
+    of the round-by-round loop.
     """
     v = np.asarray(v, dtype=float)
     if v.ndim != 1:
@@ -183,15 +210,20 @@ def noisy_hard_threshold(
 
     magnitudes = np.abs(v)
     support = np.empty(s, dtype=int)
-    available = np.ones(d, dtype=bool)
-    for i in range(s):
-        w = _laplace_from_uniform(scale, oracle.uniform_centered(d))
-        scores = np.where(available, magnitudes + w, -np.inf)
-        j = int(np.argmax(scores))  # argmax takes the lowest index on ties
-        support[i] = j
-        available[j] = False
+    k = max(1, min(s, _BLOCK_VALUES // d))
+    scores = np.empty((k, d))
+    for start in range(0, s, k):
+        rows = min(k, s - start)
+        u = oracle.uniform_centered((rows, d))
+        block = _laplace_from_uniform(scale, u, out=scores[:rows])
+        block += magnitudes
+        block[:, support[:start]] = -np.inf
+        for i, row in enumerate(block):
+            j = int(np.argmax(row))  # argmax takes the lowest index on ties
+            support[start + i] = j
+            block[i + 1:, j] = -np.inf
 
-    w_final = _laplace_from_uniform(scale, oracle.uniform_centered(d))
+    u_final = oracle.uniform_centered(d)
     values = np.zeros(d)
-    values[support] = v[support] + w_final[support]
+    values[support] = v[support] + _laplace_from_uniform(scale, u_final[support])
     return SparseSelection(support=support, values=values)

@@ -23,9 +23,14 @@ def generate_gmm(spec: ModelSpec, n: int, oracle: NoiseOracle) -> GmmBatch:
     if spec.true_beta is None:
         raise ValueError("spec.true_beta is required to generate data")
     u = np.atleast_1d(oracle.uniform_centered(n))
-    z = np.where(u >= 0.0, 1.0, -1.0)
-    e = spec.sigma * np.atleast_2d(oracle.standard_normal((n, spec.d)))
-    return GmmBatch(z[:, None] * spec.true_beta + e)
+    positive = (u >= 0.0)[:, None]  # z_i = +1
+    # Built in place in the one (n, d) output: e + beta equals beta + e and
+    # e - beta equals (-beta) + e bitwise, so this is z * beta + e exactly.
+    y = oracle.standard_normal((n, spec.d))
+    y *= spec.sigma
+    np.add(y, spec.true_beta, out=y, where=positive)
+    np.subtract(y, spec.true_beta, out=y, where=~positive)
+    return GmmBatch(y)
 
 
 def gmm_weight(beta, y, sigma: float):

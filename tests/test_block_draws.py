@@ -1,0 +1,161 @@
+"""The block-drawn, in-place kernels against their round-by-round references.
+
+``noisy_hard_threshold`` draws its selection noise a block of rows at a time
+and transforms it into one reused buffer; ``generate_gmm`` builds its batch
+in one (n, d) array.  Both must reproduce the straightforward formulations below bit for
+bit, consume the oracle identically, and stay within their memory bounds.
+"""
+
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from dpem.mechanisms import (
+    _BLOCK_VALUES,
+    _UNIFORM_CAP,
+    NoiseOracle,
+    PrivacyBudget,
+    _laplace_from_uniform,
+    noisy_hard_threshold,
+    noisy_ht_scale,
+    sample_laplace,
+)
+from dpem.models import ModelSpec, generate_gmm
+
+BUDGET = PrivacyBudget(0.5, 1e-3)
+
+
+def bits(a):
+    """Raw IEEE-754 bit patterns, so that -0.0 and +0.0 compare unequal."""
+    return np.asarray(a, dtype=np.float64).view(np.uint64)
+
+
+def reference_laplace(scale, u):
+    a = np.minimum(np.abs(u), _UNIFORM_CAP)
+    return -scale * np.sign(u) * np.log1p(-2.0 * a)
+
+
+def reference_noisy_hard_threshold(v, s, lam, budget, oracle):
+    """One fresh d-vector of Laplace noise per round, then one for the release."""
+    v = np.asarray(v, dtype=float)
+    d = v.size
+    scale = noisy_ht_scale(lam, s, budget)
+    magnitudes = np.abs(v)
+    support = np.empty(s, dtype=int)
+    available = np.ones(d, dtype=bool)
+    for i in range(s):
+        w = reference_laplace(scale, oracle.uniform_centered(d))
+        scores = np.where(available, magnitudes + w, -np.inf)
+        j = int(np.argmax(scores))
+        support[i] = j
+        available[j] = False
+    w_final = reference_laplace(scale, oracle.uniform_centered(d))
+    values = np.zeros(d)
+    values[support] = v[support] + w_final[support]
+    return support, values
+
+
+def reference_generate_gmm(spec, n, oracle):
+    u = np.atleast_1d(oracle.uniform_centered(n))
+    z = np.where(u >= 0.0, 1.0, -1.0)
+    e = spec.sigma * np.atleast_2d(oracle.standard_normal((n, spec.d)))
+    return z[:, None] * spec.true_beta + e
+
+
+def traced_peak_bytes(fn):
+    """Peak bytes allocated while ``fn`` runs (NumPy reports to tracemalloc)."""
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    return peak, result
+
+
+class TestNoisyHardThresholdBlocks:
+    # (1, 1) and (7, 7): s == d; (200, 10): one block; (5000, 400): 13-row
+    # blocks, the last one short; (70000, 3): d > B, one row per block.
+    @pytest.mark.parametrize("d, s", [(1, 1), (200, 10), (5000, 400), (7, 7), (70000, 3)])
+    @pytest.mark.parametrize("lam", [0.0, 0.05])
+    @pytest.mark.parametrize("mode", ["live", "silent"])
+    def test_bitwise_equal_to_round_by_round(self, d, s, lam, mode):
+        seed = 1000 * d + s
+        # Rounding makes ties, so lowest-index tie-breaking is exercised too.
+        v = np.round(np.random.default_rng(seed).standard_normal(d), 1)
+        fast_oracle, ref_oracle = NoiseOracle(seed, mode), NoiseOracle(seed, mode)
+
+        sel = noisy_hard_threshold(v, s, lam, BUDGET, fast_oracle)
+        ref_support, ref_values = reference_noisy_hard_threshold(v, s, lam, BUDGET, ref_oracle)
+
+        np.testing.assert_array_equal(sel.support, ref_support)
+        np.testing.assert_array_equal(bits(sel.values), bits(ref_values))
+        # Both consumed the stream identically.
+        np.testing.assert_array_equal(bits(fast_oracle.uniform_centered(9)),
+                                      bits(ref_oracle.uniform_centered(9)))
+
+    def test_block_draw_is_same_stream_as_row_draws(self):
+        a, b = NoiseOracle(8), NoiseOracle(8)
+        block = a.uniform_centered((4, 6))
+        rows = np.stack([b.uniform_centered(6) for _ in range(4)])
+        np.testing.assert_array_equal(bits(block), bits(rows))
+
+
+class TestLaplaceTransform:
+    @pytest.mark.parametrize("scale", [0.0, 1e-300, 9.0, 1e300])
+    def test_copysign_form_bitwise_equal_to_sign_form(self, scale):
+        edges = [0.0, -0.5, _UNIFORM_CAP, -_UNIFORM_CAP, 5e-324, -5e-324]
+        u = np.concatenate([edges, NoiseOracle(4242).uniform_centered(1_000_000)])
+        expected = bits(reference_laplace(scale, u))
+        np.testing.assert_array_equal(bits(_laplace_from_uniform(scale, u)), expected)
+        out = np.empty_like(u)
+        assert _laplace_from_uniform(scale, u, out=out) is out
+        np.testing.assert_array_equal(bits(out), expected)
+        for x in edges:
+            assert bits(_laplace_from_uniform(scale, x)) == bits(reference_laplace(scale, x))
+
+    def test_silent_scalar_draw(self):
+        x = sample_laplace(2.7, NoiseOracle(3, "silent"))
+        assert np.ndim(x) == 0
+        assert x == 0.0
+        assert bits(x) == bits(reference_laplace(2.7, 0.0))
+
+
+class TestGenerateGmmInPlace:
+    @pytest.mark.parametrize("mode", ["live", "silent"])
+    def test_bitwise_equal_to_broadcast_form(self, mode):
+        beta = np.zeros(40)
+        beta[:6] = [0.5, -0.25, 1.0, -1.0, 0.0, 3.0]
+        spec = ModelSpec("gmm", 40, 0.7, beta)
+        got = generate_gmm(spec, 300, NoiseOracle(17, mode)).y
+        expected = reference_generate_gmm(spec, 300, NoiseOracle(17, mode))
+        np.testing.assert_array_equal(bits(got), bits(expected))
+
+
+class TestAllocationBounds:
+    def test_noisy_hard_threshold_memory_is_block_sized(self):
+        d, s = 5000, 400
+        v = np.random.default_rng(0).standard_normal(d)
+        oracle = NoiseOracle(1)
+        peak, sel = traced_peak_bytes(lambda: noisy_hard_threshold(v, s, 0.05, BUDGET, oracle))
+        assert sel.support.size == s
+        # The score buffer and one block draw (with its temporary) of at most
+        # B values each, plus a few d-vectors; drawing all (s + 1) * d values
+        # at once would take 16 MB.
+        assert peak < 3 * _BLOCK_VALUES * 8 + 8 * d * 8
+
+    def test_generate_gmm_memory_is_one_batch(self):
+        n, d = 500, 5000
+        beta = np.zeros(d)
+        beta[:10] = 1.0 / math.sqrt(10)
+        spec = ModelSpec("gmm", d, 0.5, beta)
+        peak, batch = traced_peak_bytes(lambda: generate_gmm(spec, n, NoiseOracle(2)))
+        assert batch.y.shape == (n, d)
+        assert peak < 1.5 * batch.y.nbytes

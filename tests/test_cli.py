@@ -207,3 +207,41 @@ class TestRejectedInput:
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
         assert "eta" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("reps", 2.5), ("reps", True), ("s_hat_rule", 2.5), ("s_hat_rule", True),
+        ("d", 25.7), ("d", True), ("s_star", 4.5),
+        ("sigma", float("inf")), ("T_rule", float("inf")), ("N0_rule", float("inf")),
+        ("sigma", True), ("sigma", "0.5"), ("T_rule", True), ("N0_rule", True),
+    ])
+    def test_bad_experiment_field_exits_2(self, tmp_path, capsys, key, value):
+        cfg = write_config(tmp_path, experiment_config_dict(**{key: value}))
+        out = tmp_path / "o.csv"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name, values", [("n", [400, 600.5]), ("s_star", [True])])
+    def test_bad_sweep_value_exits_2(self, tmp_path, capsys, name, values):
+        raw = experiment_config_dict(sweep={"name": name, "values": values})
+        cfg = write_config(tmp_path, raw)
+        out = tmp_path / "o.csv"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "sweep value" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("s_hat", 2.5), ("s_hat", True), ("iters", 1.5), ("iters", True),
+        ("reps", 2.5), ("reps", True), ("T", float("inf")), ("sigma_fit", float("inf")),
+        ("T", True), ("sigma_fit", True), ("sigma_fit", "0.5"),
+    ])
+    def test_bad_classification_field_exits_2(self, tmp_path, capsys, key, value):
+        X, labels = make_gmm_class_data(n=60)
+        data = tmp_path / "data.csv"
+        write_class_csv(data, X, labels)
+        cfg = classify_config(tmp_path, **{key: value})
+        out = tmp_path / "o.csv"
+        assert main(["classify", "--data", str(data), "--config", str(cfg),
+                     "--out", str(out)]) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
