@@ -41,7 +41,7 @@ direction = NoiseOracle(8).standard_normal(d)
 beta0 = exact_top_k(beta_star + 0.125 * direction / np.linalg.norm(direction), s_star).values
 
 config = EmConfig(eta=0.5, T=T, N0=N0, s_hat=s_star,
-                  budget=PrivacyBudget(epsilon, delta), regime="high_dim")
+                  budget=PrivacyBudget(epsilon, delta))
 private = run_high_dim(spec, data, config, beta0, NoiseOracle(9), true_beta=beta_star)
 
 baseline = nonprivate_em(spec, data, config, beta0, true_beta=beta_star)

@@ -39,7 +39,7 @@ for n in (5000, 10000, 20000):
         data = generate_gmm(spec, n, NoiseOracle(derive_seed("lowdim-demo", n, rep)))
         direction = NoiseOracle(derive_seed("lowdim-init", n, rep)).standard_normal(d)
         beta0 = beta_star + 0.125 * direction / np.linalg.norm(direction)
-        config = EmConfig(eta=0.5, T=T, N0=N0, budget=budget, regime="low_dim")
+        config = EmConfig(eta=0.5, T=T, N0=N0, budget=budget)
         traj = run_low_dim(spec, data, config, beta0,
                            NoiseOracle(derive_seed("lowdim-noise", n, rep)),
                            true_beta=beta_star)

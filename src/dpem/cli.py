@@ -61,18 +61,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _swept_epsilons(config) -> list[float]:
-    if config.sweep.name == "epsilon":
-        return [float(v) for v in config.sweep.values]
-    return [float(config.fixed.epsilon)]
-
-
 def cmd_run(args) -> int:
     """``dpem run`` (engine 'private') and ``dpem baseline`` (engine 'nonprivate')."""
     config = load_experiment_config(args.config)
     if args.seed is not None:
         config = replace(config, master_seed=args.seed)
-    if args.silent_noise and not all(math.isinf(e) for e in _swept_epsilons(config)):
+    if args.silent_noise and not all(math.isinf(em_config.budget.epsilon)
+                                     for _, _, em_config in config.cells.values()):
         raise ConfigError(
             "--silent-noise requires epsilon to be the Infinity sentinel "
             "(a silent run with finite epsilon would claim privacy it does not have)"

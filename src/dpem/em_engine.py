@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import models
-from .mechanisms import NoiseOracle, PrivacyBudget, noisy_hard_threshold
+from .mechanisms import NoiseOracle, PrivacyBudget, noisy_hard_threshold, require, whole
 
 __all__ = [
     "EmConfig",
@@ -36,8 +36,8 @@ class EmConfig:
 
     ``T = inf`` is a sentinel meaning "no truncation"; privacy calibration
     rejects it, so it is legal only with a silent noise oracle.  ``s_hat``
-    is consulted in the high-dimensional regime only.  ``budget`` may be
-    omitted only when ``T = inf``, for non-private reference runs.
+    is read by :func:`run_high_dim` only, which requires it.  ``budget`` may
+    be omitted only when ``T = inf``, for non-private reference runs.
     """
 
     eta: float
@@ -45,19 +45,13 @@ class EmConfig:
     N0: int
     s_hat: int | None = None
     budget: PrivacyBudget | None = None
-    regime: str = "high_dim"
 
     def __post_init__(self):
-        if not (self.eta >= 0 and math.isfinite(self.eta)):
-            raise ValueError(f"eta must be finite and nonnegative, got {self.eta}")
-        if not self.T > 0:
-            raise ValueError(f"T must be positive, got {self.T}")
-        if self.N0 < 1:
-            raise ValueError(f"N0 must be a positive integer, got {self.N0}")
-        if self.regime not in ("high_dim", "low_dim"):
-            raise ValueError(f"regime must be 'high_dim' or 'low_dim', got {self.regime!r}")
-        if self.regime == "high_dim" and (self.s_hat is None or self.s_hat < 1):
-            raise ValueError("high_dim regime requires s_hat >= 1")
+        require("eta", self.eta, "a finite nonnegative number", lambda v: 0 <= v < math.inf)
+        require("T", self.T, "a positive number", lambda v: v > 0)
+        object.__setattr__(self, "N0", whole("N0", self.N0))
+        if self.s_hat is not None:
+            object.__setattr__(self, "s_hat", whole("s_hat", self.s_hat))
 
 
 @dataclass(frozen=True)
@@ -130,12 +124,7 @@ def _record(betas, true_beta, bounds):
 def _run(regime, spec, batch, config, beta0, oracle, true_beta, privatizer) -> Trajectory:
     # The one EM loop.  ``privatizer(n_used)`` returns the per-iteration
     # step mapping beta + eta * f_T(grad) to the released iterate.
-    if config.regime != regime:
-        raise ValueError(f"config.regime must be {regime!r}, got {config.regime!r}")
     beta = _as_beta(beta0, spec.d)
-    nnz = int(np.count_nonzero(beta))
-    if regime == "high_dim" and nnz > config.s_hat:
-        raise ValueError(f"beta0 must have at most s_hat = {config.s_hat} nonzeros, got {nnz}")
     if math.isinf(config.T):
         if not oracle.silent:
             raise ValueError("T = inf (no truncation) is legal only with a silent noise oracle")
@@ -168,6 +157,11 @@ def run_high_dim(
         beta      = NoisyHT(beta_half, s_hat, sensitivity, budget)
     Every iterate from t = 1 on satisfies ||beta||_0 <= s_hat.
     """
+    if config.s_hat is None:
+        raise ValueError("run_high_dim requires s_hat >= 1")
+    nnz = int(np.count_nonzero(beta0))
+    if nnz > config.s_hat:
+        raise ValueError(f"beta0 must have at most s_hat = {config.s_hat} nonzeros, got {nnz}")
 
     def privatizer(n_used):
         lam = 0.0 if math.isinf(config.T) else models.sensitivity(

@@ -16,15 +16,15 @@ from __future__ import annotations
 import csv
 import json
 import math
-import numbers
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import models
 from .em_engine import EmConfig, run_high_dim, run_low_dim
-from .mechanisms import NoiseOracle, PrivacyBudget, derive_seed
+from .mechanisms import NoiseOracle, PrivacyBudget, derive_seed, require, whole
 from .models import GmmBatch, ModelSpec
 from .oracle import exact_top_k, nonprivate_em
 
@@ -64,20 +64,48 @@ class DataError(ValueError):
     """An input data file could not be parsed."""
 
 
-def _whole(name: str, value) -> int:
-    """``value`` as an int if it is a whole number >= 1; bools are rejected."""
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        if isinstance(value, numbers.Integral) or (math.isfinite(value) and value == int(value)):
-            if value >= 1:
-                return int(value)
-    raise ConfigError(f"{name} must be a positive integer, got {value!r}")
+@contextmanager
+def _config_errors(prefix: str = ""):
+    """Re-raise a library type's ``ValueError`` (or an overflow) as a ConfigError."""
+    try:
+        yield
+    except (ValueError, OverflowError) as exc:
+        raise ConfigError(f"{prefix}{exc}") from exc
 
 
 def _positive_finite(name: str, value) -> None:
-    """Reject ``value`` unless it is a real number in (0, inf); bools are rejected."""
-    if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and value > 0 and math.isfinite(value)):
-        raise ConfigError(f"{name} must be positive and finite, got {value}")
+    require(name, value, "a positive finite number", lambda v: 0 < v < math.inf)
+
+
+# Config-only checks, shared by the experiment and the classification config.
+# Every model, privacy and estimator value is checked by the library type that
+# owns it (ModelSpec, PrivacyBudget, EmConfig) when the config is loaded.
+
+
+def _keys(raw, where: str, required, optional=()) -> dict:
+    """``raw`` itself, if it is an object holding every required key and no unknown one."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    unknown = set(raw) - set(required) - set(optional)
+    if unknown:
+        raise ConfigError(f"unknown key(s) in {where}: {sorted(unknown)}")
+    for key in required:
+        if key not in raw:
+            raise ConfigError(f"{where}.{key} is required")
+    return raw
+
+
+def _check_delta_rule(rule, delta) -> None:
+    if rule not in ("half_n", "explicit"):
+        raise ConfigError(f"delta_rule must be 'half_n' or 'explicit', got {rule!r}")
+    if (delta is not None) != (rule == "explicit"):
+        raise ConfigError("delta must be given when, and only when, delta_rule is 'explicit'")
+
+
+def _check_seed(value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"master_seed must be an integer, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -89,10 +117,8 @@ class SweepSpec:
         if self.name not in SWEEPABLE:
             raise ConfigError(f"sweep.name must be one of {SWEEPABLE}, got {self.name!r}")
         object.__setattr__(self, "values", tuple(self.values))
-        if self.name in ("n", "d", "s_star"):
-            # Validated, not converted: the value as written seeds each cell.
-            for value in self.values:
-                _whole(f"sweep value of {self.name}", value)
+        if not self.values:
+            raise ConfigError("sweep.values must not be empty")
 
 
 @dataclass(frozen=True)
@@ -102,7 +128,9 @@ class FixedParams:
     delta_rule 'half_n' sets delta = 1/(2n); 'explicit' takes ``delta`` as
     given.  T_rule is the multiplier c_T in T = c_T * sigma * sqrt(ln n_used)
     and N0_rule the multiplier c_N in N0 = max(5, ceil(c_N * ln n)).
-    s_hat_rule is either 'equal' (s_hat = s_star) or an integer.
+    s_hat_rule is either 'equal' (s_hat = s_star) or an integer.  Only
+    ``reps`` and the rules are checked here; the other values are checked
+    when :class:`ExperimentConfig` resolves its cells.
     """
 
     n: int | None = None
@@ -120,43 +148,42 @@ class FixedParams:
     missing_prob: float = 0.1
 
     def __post_init__(self):
-        if self.delta_rule not in ("half_n", "explicit"):
-            raise ConfigError(f"delta_rule must be 'half_n' or 'explicit', got {self.delta_rule!r}")
-        if self.delta_rule == "explicit" and (self.delta is None or not 0 < self.delta < 1):
-            raise ConfigError("delta_rule 'explicit' requires delta in (0, 1)")
-        for name in ("n", "d", "s_star"):
-            if getattr(self, name) is not None:
-                _whole(name, getattr(self, name))
-        object.__setattr__(self, "reps", _whole("reps", self.reps))
-        _positive_finite("sigma", self.sigma)
-        if not (self.eta >= 0 and math.isfinite(self.eta)):
-            raise ConfigError(f"eta must be finite and nonnegative, got {self.eta}")
-        _positive_finite("T_rule", self.T_rule)
-        _positive_finite("N0_rule", self.N0_rule)
-        if self.s_hat_rule != "equal":
-            object.__setattr__(self, "s_hat_rule", _whole("s_hat_rule", self.s_hat_rule))
-        if not 0 <= self.missing_prob < 1:
-            raise ConfigError(f"missing_prob must lie in [0, 1), got {self.missing_prob}")
+        _check_delta_rule(self.delta_rule, self.delta)
+        with _config_errors():
+            object.__setattr__(self, "reps", whole("reps", self.reps))
+            _positive_finite("T_rule", self.T_rule)
+            _positive_finite("N0_rule", self.N0_rule)
+            if self.s_hat_rule != "equal":
+                object.__setattr__(self, "s_hat_rule", whole("s_hat_rule", self.s_hat_rule))
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One model and regime, swept over one parameter.
+
+    Construction resolves every sweep value into its cell's
+    ``(n, ModelSpec, EmConfig)``, kept in ``cells``, so a bad value fails
+    here, as a ConfigError naming the sweep value, before any cell runs.
+    """
+
     model: str
     regime: str
     sweep: SweepSpec
     fixed: FixedParams
     master_seed: int
+    cells: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.model not in ("gmm", "mor", "rmc"):
-            raise ConfigError(f"model must be one of gmm/mor/rmc, got {self.model!r}")
         if self.regime not in ("high_dim", "low_dim"):
             raise ConfigError(f"regime must be 'high_dim' or 'low_dim', got {self.regime!r}")
-        for name in SWEEPABLE:
-            if name == self.sweep.name:
-                continue
-            if getattr(self.fixed, name) is None:
-                raise ConfigError(f"fixed.{name} is required when sweeping {self.sweep.name}")
+        _check_seed(self.master_seed)
+        cells = {}
+        for value in self.sweep.values:
+            with _config_errors(f"sweep value {self.sweep.name}={value!r}: "):
+                cells[value] = self._resolve(value)
+        if len(cells) != len(self.sweep.values):
+            raise ConfigError(f"sweep.values must be distinct, got {list(self.sweep.values)}")
+        object.__setattr__(self, "cells", cells)
         # Per-cell seeds must be pairwise distinct, or repetitions would share noise.
         seeds = {
             derive_seed(self.master_seed, self.sweep.name, value, rep)
@@ -166,44 +193,40 @@ class ExperimentConfig:
         if len(seeds) != len(self.sweep.values) * self.fixed.reps:
             raise ConfigError("seed derivation collided; change master_seed")
 
-
-def _take_keys(mapping, allowed, context):
-    unknown = set(mapping) - set(allowed)
-    if unknown:
-        raise ConfigError(f"unknown key(s) in {context}: {sorted(unknown)}")
+    def _resolve(self, sweep_value):
+        fixed = self.fixed
+        values = {name: getattr(fixed, name) for name in SWEEPABLE}
+        values[self.sweep.name] = sweep_value
+        n, d, s_star = (whole(name, values[name]) for name in ("n", "d", "s_star"))
+        if s_star > d:
+            raise ValueError(f"s_star must not exceed d ({s_star} > {d})")
+        s_hat = s_star if fixed.s_hat_rule == "equal" else fixed.s_hat_rule
+        if s_hat > d:
+            raise ValueError(f"s_hat must not exceed d ({s_hat} > {d})")
+        N0 = max(5, math.ceil(fixed.N0_rule * math.log(n)))
+        if N0 > n:
+            raise ValueError(f"derived N0 = {N0} exceeds n = {n}")
+        spec = ModelSpec(self.model, d, fixed.sigma, default_beta_star(d, s_star), fixed.missing_prob)
+        T = fixed.T_rule * spec.sigma * math.sqrt(math.log(N0 * (n // N0)))
+        if math.isinf(T):
+            raise ValueError(f"derived T overflows (T_rule = {fixed.T_rule}, sigma = {spec.sigma})")
+        delta = 1.0 / (2.0 * n) if fixed.delta_rule == "half_n" else fixed.delta
+        em_config = EmConfig(fixed.eta, T, N0, s_hat if self.regime == "high_dim" else None,
+                             PrivacyBudget(values["epsilon"], delta))
+        return n, spec, em_config
 
 
 def parse_experiment_config(raw: dict) -> ExperimentConfig:
     """Build and validate an :class:`ExperimentConfig` from a plain dict."""
-    if not isinstance(raw, dict):
-        raise ConfigError("config must be a JSON object")
-    _take_keys(raw, ["model", "regime", "sweep", "fixed", "master_seed"], "config")
-    for key in ("model", "regime", "sweep", "fixed", "master_seed"):
-        if key not in raw:
-            raise ConfigError(f"missing required key {key!r}")
-    sweep_raw = raw["sweep"]
-    if not isinstance(sweep_raw, dict):
-        raise ConfigError("sweep must be an object with keys 'name' and 'values'")
-    _take_keys(sweep_raw, ["name", "values"], "sweep")
-    if "name" not in sweep_raw or "values" not in sweep_raw:
-        raise ConfigError("sweep requires keys 'name' and 'values'")
+    _keys(raw, "config", ("model", "regime", "sweep", "fixed", "master_seed"))
+    sweep_raw = _keys(raw["sweep"], "sweep", ("name", "values"))
     if not isinstance(sweep_raw["values"], list):
         raise ConfigError("sweep.values must be a list")
     sweep = SweepSpec(sweep_raw["name"], sweep_raw["values"])
-
-    fixed_raw = raw["fixed"]
-    if not isinstance(fixed_raw, dict):
-        raise ConfigError("fixed must be an object")
-    allowed = [
-        "n", "d", "s_star", "epsilon", "sigma", "eta", "reps",
-        "delta_rule", "delta", "T_rule", "N0_rule", "s_hat_rule", "missing_prob",
-    ]
-    _take_keys(fixed_raw, allowed, "fixed")
-    fixed = FixedParams(**fixed_raw)
-
-    if not isinstance(raw["master_seed"], int):
-        raise ConfigError("master_seed must be an integer")
-    return ExperimentConfig(raw["model"], raw["regime"], sweep, fixed, raw["master_seed"])
+    required = [name for name in SWEEPABLE if name != sweep.name]
+    fixed_raw = _keys(raw["fixed"], "fixed", required, [f.name for f in fields(FixedParams)])
+    return ExperimentConfig(raw["model"], raw["regime"], sweep, FixedParams(**fixed_raw),
+                            raw["master_seed"])
 
 
 def _load_json(path):
@@ -218,45 +241,6 @@ def _load_json(path):
 
 def load_experiment_config(path) -> ExperimentConfig:
     return parse_experiment_config(_load_json(path))
-
-
-@dataclass(frozen=True)
-class _RunParams:
-    n: int
-    d: int
-    s_star: int
-    epsilon: float
-    delta: float
-    sigma: float
-    eta: float
-    T: float
-    N0: int
-    n_used: int
-    s_hat: int
-
-
-def _resolve(config: ExperimentConfig, sweep_value) -> _RunParams:
-    values = {name: getattr(config.fixed, name) for name in SWEEPABLE}
-    values[config.sweep.name] = sweep_value
-    n = int(values["n"])
-    d = int(values["d"])
-    s_star = int(values["s_star"])
-    epsilon = float(values["epsilon"])
-    if s_star > d:
-        raise ConfigError(f"s_star must not exceed d ({s_star} > {d})")
-    if not epsilon > 0:
-        raise ConfigError(f"epsilon must be positive, got {epsilon}")
-    delta = 1.0 / (2.0 * n) if config.fixed.delta_rule == "half_n" else config.fixed.delta
-    N0 = max(5, math.ceil(config.fixed.N0_rule * math.log(n)))
-    if N0 > n:
-        raise ConfigError(f"derived N0 = {N0} exceeds n = {n}")
-    n_used = N0 * (n // N0)
-    T = config.fixed.T_rule * config.fixed.sigma * math.sqrt(math.log(n_used))
-    s_hat = s_star if config.fixed.s_hat_rule == "equal" else int(config.fixed.s_hat_rule)
-    if s_hat > d:
-        raise ConfigError(f"s_hat must not exceed d ({s_hat} > {d})")
-    return _RunParams(n, d, s_star, epsilon, delta, config.fixed.sigma,
-                      config.fixed.eta, T, N0, n_used, s_hat)
 
 
 def default_beta_star(d: int, s_star: int) -> np.ndarray:
@@ -332,7 +316,7 @@ class AggregateResult:
 
 
 def _run_cell(config: ExperimentConfig, sweep_value, rep: int, silent_noise: bool, engine: str):
-    params = _resolve(config, sweep_value)
+    n, spec, em_config = config.cells[sweep_value]
     cell_seed = derive_seed(config.master_seed, config.sweep.name, sweep_value, rep)
     data_oracle = NoiseOracle(derive_seed(cell_seed, "data"))
     init_oracle = NoiseOracle(derive_seed(cell_seed, "init"))
@@ -340,20 +324,13 @@ def _run_cell(config: ExperimentConfig, sweep_value, rep: int, silent_noise: boo
         derive_seed(cell_seed, "noise"), mode="silent" if silent_noise else "live"
     )
 
-    beta_star = default_beta_star(params.d, params.s_star)
-    spec = ModelSpec(config.model, params.d, params.sigma, beta_star, config.fixed.missing_prob)
-    batch = models.generate(spec, params.n, data_oracle)
-
-    s_hat = params.s_hat if config.regime == "high_dim" else None
-    beta0 = default_beta0(beta_star, s_hat, init_oracle)
+    batch = models.generate(spec, n, data_oracle)
+    beta0 = default_beta0(spec.true_beta, em_config.s_hat, init_oracle)
     if engine == "nonprivate":
-        em_config = EmConfig(eta=params.eta, T=math.inf, N0=params.N0, regime="low_dim")
-        return nonprivate_em(spec, batch, em_config, beta0, true_beta=beta_star)
+        return nonprivate_em(spec, batch, em_config, beta0, true_beta=spec.true_beta)
 
-    em_config = EmConfig(eta=params.eta, T=params.T, N0=params.N0, s_hat=s_hat,
-                         budget=PrivacyBudget(params.epsilon, params.delta), regime=config.regime)
     run = run_high_dim if config.regime == "high_dim" else run_low_dim
-    return run(spec, batch, em_config, beta0, noise_oracle, true_beta=beta_star)
+    return run(spec, batch, em_config, beta0, noise_oracle, true_beta=spec.true_beta)
 
 
 def _fan_out(fn, items, jobs: int) -> list:
@@ -386,8 +363,6 @@ def run_experiment(
         value, rep = cell
         try:
             return _run_cell(config, value, rep, silent_noise, engine)
-        except ConfigError:
-            raise
         except Exception as exc:
             raise RuntimeError(
                 f"run failed at {config.sweep.name}={value!r}, rep={rep}: {exc}"
@@ -432,16 +407,20 @@ class ClassificationParams:
     sigma_fit: float = 0.5
 
     def __post_init__(self):
-        object.__setattr__(self, "s_hat", _whole("s_hat", self.s_hat))
-        if not self.epsilon > 0:
-            raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
-        if self.delta is not None and not 0 < self.delta < 1:
-            raise ConfigError(f"delta must lie in (0, 1), got {self.delta}")
-        if not (self.eta >= 0 and math.isfinite(self.eta)):
-            raise ConfigError(f"eta must be finite and nonnegative, got {self.eta}")
-        object.__setattr__(self, "iters", _whole("iters", self.iters))
-        _positive_finite("T", self.T)
-        _positive_finite("sigma_fit", self.sigma_fit)
+        # epsilon, delta, eta and T > 0 are checked by the EmConfig built here,
+        # at a stand-in training size whose 1/(2 n_train) is a valid delta.
+        with _config_errors():
+            object.__setattr__(self, "s_hat", whole("s_hat", self.s_hat))
+            object.__setattr__(self, "iters", whole("iters", self.iters))
+            require("T", self.T, "a finite number", math.isfinite)
+            _positive_finite("sigma_fit", self.sigma_fit)
+            self.em_config(1)
+
+    def em_config(self, n_train: int) -> EmConfig:
+        """The private fit's config for a training set of ``n_train`` rows."""
+        delta = self.delta if self.delta is not None else 1.0 / (2.0 * n_train)
+        return EmConfig(eta=self.eta, T=self.T, N0=self.iters, s_hat=self.s_hat,
+                        budget=PrivacyBudget(self.epsilon, delta))
 
 
 @dataclass(frozen=True)
@@ -456,31 +435,14 @@ class ClassificationReport:
 
 
 def parse_classification_config(raw: dict) -> tuple[ClassificationParams, int, int]:
-    if not isinstance(raw, dict):
-        raise ConfigError("config must be a JSON object")
-    allowed = ["s_hat", "epsilon", "delta_rule", "delta", "eta", "iters", "T",
-               "sigma_fit", "reps", "master_seed"]
-    _take_keys(raw, allowed, "config")
-    for key in ("s_hat", "epsilon", "reps", "master_seed"):
-        if key not in raw:
-            raise ConfigError(f"missing required key {key!r}")
-    delta_rule = raw.get("delta_rule", "half_n")
-    if delta_rule not in ("half_n", "explicit"):
-        raise ConfigError(f"delta_rule must be 'half_n' or 'explicit', got {delta_rule!r}")
-    delta = raw.get("delta") if delta_rule == "explicit" else None
-    if delta_rule == "explicit" and delta is None:
-        raise ConfigError("delta_rule 'explicit' requires delta")
-    kwargs = {}
-    for key in ("eta", "iters", "T", "sigma_fit"):
-        if key in raw:
-            kwargs[key] = raw[key]
-    params = ClassificationParams(
-        s_hat=raw["s_hat"], epsilon=float(raw["epsilon"]), delta=delta, **kwargs
-    )
-    reps = _whole("reps", raw["reps"])
-    if not isinstance(raw["master_seed"], int):
-        raise ConfigError("master_seed must be an integer")
-    return params, reps, raw["master_seed"]
+    _keys(raw, "config", ("s_hat", "epsilon", "reps", "master_seed"),
+          ("delta_rule", "delta", "eta", "iters", "T", "sigma_fit"))
+    _check_delta_rule(raw.get("delta_rule", "half_n"), raw.get("delta"))
+    params = ClassificationParams(**{key: value for key, value in raw.items()
+                                     if key not in ("delta_rule", "reps", "master_seed")})
+    with _config_errors():
+        reps = whole("reps", raw["reps"])
+    return params, reps, _check_seed(raw["master_seed"])
 
 
 def load_classification_config(path) -> tuple[ClassificationParams, int, int]:
@@ -517,8 +479,8 @@ def load_classification_csv(path) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(features, dtype=float), np.asarray(labels)
 
 
-def _classify_once(X, z, params: ClassificationParams, rep: int, master_seed: int,
-                   silent_noise: bool) -> float:
+def _classify_once(X, z, params: ClassificationParams, config: EmConfig, rep: int,
+                   master_seed: int, silent_noise: bool) -> float:
     rng = np.random.default_rng(derive_seed(master_seed, "classify", rep))
     silent = silent_noise or math.isinf(params.epsilon)
     noise_oracle = NoiseOracle(derive_seed(master_seed, "classify-noise", rep),
@@ -546,10 +508,6 @@ def _classify_once(X, z, params: ClassificationParams, rep: int, master_seed: in
     train, test = perm[:n_train], perm[n_train:]
 
     d = Xb.shape[1]
-    delta = params.delta if params.delta is not None else 1.0 / (2.0 * n_train)
-    budget = PrivacyBudget(params.epsilon, delta)
-    config = EmConfig(eta=params.eta, T=params.T, N0=params.iters,
-                      s_hat=params.s_hat, budget=budget, regime="high_dim")
     spec = ModelSpec("gmm", d, sigma=params.sigma_fit)
     # The all-coordinates 1/sqrt(d) start, thresholded to s_hat nonzeros
     # (ties resolve to the lowest indices) to satisfy the engine's sparsity
@@ -594,22 +552,27 @@ def run_classification(
         raise ConfigError(f"expected exactly two classes, got {classes.size}")
     if reps < 1:
         raise ConfigError(f"reps must be at least 1, got {reps}")
+    if params.s_hat > X.shape[1]:
+        raise ConfigError(f"s_hat must not exceed the feature count ({params.s_hat} > {X.shape[1]})")
     z = np.where(labels == classes[0], 1.0, -1.0)
+    # Every repetition balances to 2 * (minority count) rows and trains on 70%.
+    n_train = int(0.7 * 2 * min(np.sum(z > 0), np.sum(z < 0)))
+    if params.iters > n_train:
+        raise ConfigError(f"iters must not exceed the training size ({params.iters} > {n_train})")
+    config = params.em_config(n_train)
 
     def one(rep):
-        return _classify_once(X, z, params, rep, master_seed, silent_noise)
+        return _classify_once(X, z, params, config, rep, master_seed, silent_noise)
 
     rates = _fan_out(one, range(reps), jobs)
 
     arr = np.asarray(rates)
     std_error = float(arr.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
-    n_train_hint = int(0.7 * 2 * min(np.sum(z > 0), np.sum(z < 0)))
-    delta = params.delta if params.delta is not None else 1.0 / (2.0 * n_train_hint)
     return ClassificationReport(
         misclassification_rate=float(arr.mean()),
         std_error=std_error,
         reps=reps,
-        params=(params.s_hat, params.epsilon, delta),
+        params=(params.s_hat, float(params.epsilon), config.budget.delta),
         per_rep_rates=tuple(arr.tolist()),
     )
 

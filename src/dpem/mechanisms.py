@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,8 @@ import numpy as np
 __all__ = [
     "PrivacyBudget",
     "NoiseOracle",
+    "require",
+    "whole",
     "SparseSelection",
     "derive_seed",
     "sample_laplace",
@@ -49,18 +52,37 @@ def derive_seed(*parts) -> int:
     return int.from_bytes(h.digest(), "big")
 
 
+def require(name: str, value, what: str, ok) -> None:
+    """Raise ``ValueError`` unless ``value`` is a real number with ``ok(value)`` true.
+
+    Bools and strings are never numbers here, and NaN fails every ordered
+    ``ok``.  The message reads "<name> must be <what>, got <value>".
+    """
+    if not (isinstance(value, numbers.Real) and not isinstance(value, bool) and ok(value)):
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+
+
+def whole(name: str, value) -> int:
+    """``value`` as an int if it is a whole number >= 1 (``2.0`` counts, ``True`` does not)."""
+    require(name, value, "a positive integer",
+            lambda v: math.isfinite(v) and v == int(v) and v >= 1)
+    return int(value)
+
+
 @dataclass(frozen=True)
 class PrivacyBudget:
-    """An (epsilon, delta) pair governing all noise calibration."""
+    """An (epsilon, delta) pair governing all noise calibration.
+
+    ``epsilon = inf`` is allowed: it is the non-private sentinel that callers
+    pair with a silent noise oracle.
+    """
 
     epsilon: float
     delta: float
 
     def __post_init__(self):
-        if not self.epsilon > 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
+        require("epsilon", self.epsilon, "a positive number", lambda e: e > 0)
+        require("delta", self.delta, "a number in (0, 1)", lambda d: 0 < d < 1)
 
 
 class NoiseOracle:

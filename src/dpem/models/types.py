@@ -12,6 +12,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from ..mechanisms import require, whole
+
 __all__ = ["ModelSpec", "GmmBatch", "MorBatch", "RmcBatch", "clamp"]
 
 MODEL_KINDS = ("gmm", "mor", "rmc")
@@ -39,13 +41,10 @@ class ModelSpec:
 
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
-            raise ValueError(f"kind must be one of {MODEL_KINDS}, got {self.kind!r}")
-        if self.d < 1:
-            raise ValueError(f"d must be a positive integer, got {self.d}")
-        if not self.sigma > 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
-        if not 0.0 <= self.missing_prob < 1.0:
-            raise ValueError(f"missing_prob must lie in [0, 1), got {self.missing_prob}")
+            raise ValueError(f"model kind must be one of {MODEL_KINDS}, got {self.kind!r}")
+        object.__setattr__(self, "d", whole("d", self.d))
+        require("sigma", self.sigma, "a positive finite number", lambda v: 0 < v < math.inf)
+        require("missing_prob", self.missing_prob, "a number in [0, 1)", lambda p: 0 <= p < 1)
         if self.true_beta is not None:
             beta = np.asarray(self.true_beta, dtype=float)
             if beta.shape != (self.d,):

@@ -134,7 +134,7 @@ def ht_gradient_em(
     Batching arithmetic and selection are coded here independently of the
     engine.
     """
-    if config.s_hat is None or config.s_hat < 1:
+    if config.s_hat is None:
         raise ValueError("ht_gradient_em requires s_hat >= 1")
     beta = _as_beta(beta0, spec.d)
     n = len(batch)

@@ -72,7 +72,6 @@ def random_instance(rng, kind):
         N0=int(rng.integers(2, 7)),
         s_hat=s_hat,
         budget=PrivacyBudget(0.5, 1e-3),
-        regime="high_dim",
     )
     return spec, data, config, beta0, beta_star
 
@@ -315,7 +314,7 @@ def test_criterion_08_statistical_recovery():
     threshold = 3 * math.sqrt(d / n)
     beta_star = np.ones(d) / math.sqrt(d)
     spec = ModelSpec("gmm", d, sigma, beta_star)
-    config = EmConfig(eta=0.5, T=math.inf, N0=9, regime="low_dim")
+    config = EmConfig(eta=0.5, T=math.inf, N0=9)
     passes, errors = 0, []
     for seed in range(20):
         data = generate(spec, n, NoiseOracle(derive_seed("acc8", "data", seed)))

@@ -213,6 +213,8 @@ class TestRejectedInput:
         ("d", 25.7), ("d", True), ("s_star", 4.5),
         ("sigma", float("inf")), ("T_rule", float("inf")), ("N0_rule", float("inf")),
         ("sigma", True), ("sigma", "0.5"), ("T_rule", True), ("N0_rule", True),
+        ("eta", "0.5"), ("eta", True), ("epsilon", "0.5"), ("epsilon", "abc"), ("epsilon", True),
+        ("missing_prob", "0.1"), ("delta", 0.1), ("master_seed", True), ("T_rule", 1.7e308),
     ])
     def test_bad_experiment_field_exits_2(self, tmp_path, capsys, key, value):
         cfg = write_config(tmp_path, experiment_config_dict(**{key: value}))
@@ -221,7 +223,10 @@ class TestRejectedInput:
         assert key in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("name, values", [("n", [400, 600.5]), ("s_star", [True])])
+    @pytest.mark.parametrize("name, values", [
+        ("n", [400, 600.5]), ("s_star", [True]),
+        ("epsilon", ["0.5"]), ("epsilon", ["abc"]), ("epsilon", [True]),
+    ])
     def test_bad_sweep_value_exits_2(self, tmp_path, capsys, name, values):
         raw = experiment_config_dict(sweep={"name": name, "values": values})
         cfg = write_config(tmp_path, raw)
@@ -230,10 +235,35 @@ class TestRejectedInput:
         assert "sweep value" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("values", [[], [400, 400], [400, 400.0]])
+    def test_empty_or_repeated_sweep_values_exit_2(self, tmp_path, capsys, values):
+        raw = experiment_config_dict(sweep={"name": "n", "values": values})
+        cfg = write_config(tmp_path, raw)
+        out = tmp_path / "o.csv"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "sweep.values" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "classify"])
+    def test_explicit_delta_not_a_number_exits_2(self, tmp_path, capsys, command):
+        argv = ["--out", str(tmp_path / "o.csv")]
+        if command == "run":
+            cfg = write_config(tmp_path, experiment_config_dict(delta_rule="explicit", delta="0.1"))
+        else:
+            X, labels = make_gmm_class_data(n=60)
+            write_class_csv(tmp_path / "data.csv", X, labels)
+            cfg = classify_config(tmp_path, delta_rule="explicit", delta="0.1")
+            argv += ["--data", str(tmp_path / "data.csv")]
+        assert main([command, "--config", str(cfg)] + argv) == 2
+        assert "delta" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
     @pytest.mark.parametrize("key, value", [
         ("s_hat", 2.5), ("s_hat", True), ("iters", 1.5), ("iters", True),
         ("reps", 2.5), ("reps", True), ("T", float("inf")), ("sigma_fit", float("inf")),
         ("T", True), ("sigma_fit", True), ("sigma_fit", "0.5"),
+        ("eta", "0.5"), ("eta", True), ("epsilon", "0.5"), ("epsilon", "abc"), ("epsilon", True),
+        ("delta", 0.1), ("master_seed", True), ("s_hat", 500),
     ])
     def test_bad_classification_field_exits_2(self, tmp_path, capsys, key, value):
         X, labels = make_gmm_class_data(n=60)

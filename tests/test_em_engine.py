@@ -50,8 +50,10 @@ class TestSplitBatches:
 
 class TestEmConfig:
     def test_high_dim_requires_s_hat(self):
-        with pytest.raises(ValueError):
-            EmConfig(eta=0.5, T=1.0, N0=3, regime="high_dim")
+        spec, data, beta_star = make_instance("gmm", 5)
+        config = EmConfig(eta=0.5, T=1.0, N0=3, budget=BUDGET)
+        with pytest.raises(ValueError, match="s_hat"):
+            run_high_dim(spec, data, config, beta_star, NoiseOracle(0))
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -59,7 +61,14 @@ class TestEmConfig:
             dict(eta=-0.1, T=1.0, N0=3, s_hat=1),
             dict(eta=0.5, T=0.0, N0=3, s_hat=1),
             dict(eta=0.5, T=1.0, N0=0, s_hat=1),
-            dict(eta=0.5, T=1.0, N0=3, s_hat=1, regime="mid_dim"),
+            dict(eta=True, T=1.0, N0=3, s_hat=1),
+            dict(eta="0.5", T=1.0, N0=3, s_hat=1),
+            dict(eta=0.5, T=True, N0=3, s_hat=1),
+            dict(eta=0.5, T="1.0", N0=3, s_hat=1),
+            dict(eta=0.5, T=1.0, N0=2.5, s_hat=1),
+            dict(eta=0.5, T=1.0, N0=True, s_hat=1),
+            dict(eta=0.5, T=1.0, N0=3, s_hat=True),
+            dict(eta=0.5, T=1.0, N0=3, s_hat="2"),
         ],
     )
     def test_invalid(self, kwargs):
@@ -218,7 +227,7 @@ def test_budget_rule_same_in_both_drivers(regime, T, oracle_mode, budget, ok):
     spec, data, beta_star = make_instance("gmm", 7)
     s_hat = 3 if regime == "high_dim" else None
     run = run_high_dim if regime == "high_dim" else run_low_dim
-    config = EmConfig(eta=0.5, T=T, N0=4, s_hat=s_hat, budget=budget, regime=regime)
+    config = EmConfig(eta=0.5, T=T, N0=4, s_hat=s_hat, budget=budget)
     args = (spec, data, config, sparse_beta(spec.d, 3), NoiseOracle(0, oracle_mode))
     if ok:
         assert run(*args).betas.shape == (5, spec.d)
@@ -237,39 +246,33 @@ class TestRunLowDim:
         # Frozen threshold 3 sqrt(d/n); validated over 20 seeds before
         # freezing (all passed, max observed error 0.098).
         spec, data, beta_star = self._instance(31)
-        config = EmConfig(eta=0.5, T=math.inf, N0=9, regime="low_dim")
+        config = EmConfig(eta=0.5, T=math.inf, N0=9)
         beta0 = beta_star + 0.1 * NoiseOracle(32).standard_normal(spec.d)
         traj = run_low_dim(spec, data, config, beta0, NoiseOracle(0, "silent"), true_beta=beta_star)
         assert traj.final_error <= 3 * math.sqrt(spec.d / len(data))
 
     def test_deterministic(self):
         spec, data, beta_star = self._instance(33, n=600)
-        config = EmConfig(eta=0.5, T=2.0, N0=5, budget=BUDGET, regime="low_dim")
+        config = EmConfig(eta=0.5, T=2.0, N0=5, budget=BUDGET)
         t1 = run_low_dim(spec, data, config, beta_star, NoiseOracle(3))
         t2 = run_low_dim(spec, data, config, beta_star, NoiseOracle(3))
         np.testing.assert_array_equal(t1.betas, t2.betas)
 
     def test_requires_budget_for_finite_T(self):
         spec, data, beta_star = self._instance(34, n=200)
-        config = EmConfig(eta=0.5, T=2.0, N0=5, regime="low_dim")
+        config = EmConfig(eta=0.5, T=2.0, N0=5)
         with pytest.raises(ValueError):
             run_low_dim(spec, data, config, beta_star, NoiseOracle(0))
 
     def test_inf_T_requires_silent(self):
         spec, data, beta_star = self._instance(34, n=200)
-        config = EmConfig(eta=0.5, T=math.inf, N0=5, budget=BUDGET, regime="low_dim")
-        with pytest.raises(ValueError):
-            run_low_dim(spec, data, config, beta_star, NoiseOracle(0))
-
-    def test_regime_guard(self):
-        spec, data, beta_star = self._instance(35, n=200)
-        config = EmConfig(eta=0.5, T=2.0, N0=5, s_hat=2, budget=BUDGET, regime="high_dim")
+        config = EmConfig(eta=0.5, T=math.inf, N0=5, budget=BUDGET)
         with pytest.raises(ValueError):
             run_low_dim(spec, data, config, beta_star, NoiseOracle(0))
 
     def test_trajectory_shape_and_errors(self):
         spec, data, beta_star = self._instance(36, n=400)
-        config = EmConfig(eta=0.5, T=2.0, N0=5, budget=BUDGET, regime="low_dim")
+        config = EmConfig(eta=0.5, T=2.0, N0=5, budget=BUDGET)
         traj = run_low_dim(spec, data, config, beta_star, NoiseOracle(4), true_beta=beta_star)
         assert traj.betas.shape == (6, spec.d)
         assert traj.errors.shape == (6,)

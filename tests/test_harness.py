@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +13,9 @@ from dpem.harness import (
     DataError,
     default_beta0,
     default_beta_star,
+    load_classification_config,
     load_classification_csv,
+    load_experiment_config,
     parse_classification_config,
     parse_experiment_config,
     read_results_csv,
@@ -20,7 +23,9 @@ from dpem.harness import (
     run_experiment,
     write_results,
 )
-from dpem.mechanisms import NoiseOracle, derive_seed
+from dpem.mechanisms import NoiseOracle, PrivacyBudget, derive_seed
+
+CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
 
 
 class TestConfigParsing:
@@ -77,6 +82,20 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="eta"):
             ClassificationParams(s_hat=2, epsilon=0.5, eta=eta)
 
+    def test_cells_resolved_at_load(self):
+        cfg = parse_experiment_config(experiment_config_dict())
+        assert list(cfg.cells) == [400, 600]
+        n, spec, em_config = cfg.cells[400]
+        assert (n, spec.kind, spec.d) == (400, "gmm", 25)
+        np.testing.assert_array_equal(spec.true_beta, default_beta_star(25, 4))
+        assert (em_config.N0, em_config.s_hat) == (6, 4)
+        assert em_config.budget == PrivacyBudget(0.5, 1.0 / 800)
+        assert em_config.T == 2.0 * 0.5 * math.sqrt(math.log(6 * (400 // 6)))
+
+    def test_low_dim_cells_have_no_s_hat(self):
+        cfg = parse_experiment_config(experiment_config_dict(regime="low_dim"))
+        assert all(em_config.s_hat is None for _, _, em_config in cfg.cells.values())
+
     def test_per_rep_seeds_distinct(self):
         cfg = parse_experiment_config(experiment_config_dict(reps=50))
         seeds = [
@@ -85,6 +104,18 @@ class TestConfigParsing:
             for r in range(cfg.fixed.reps)
         ]
         assert len(set(seeds)) == len(seeds)
+
+
+class TestShippedConfigs:
+    @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
+    def test_loads(self, path):
+        if path.name.startswith("classify"):
+            load_classification_config(path)
+        else:
+            load_experiment_config(path)
+
+    def test_all_found(self):
+        assert CONFIGS
 
 
 class TestDefaults:

@@ -85,7 +85,11 @@ class TestPrivacyBudget:
         PrivacyBudget(0.5, 1e-4)
         PrivacyBudget(math.inf, 0.5)
 
-    @pytest.mark.parametrize("eps, delta", [(0.0, 0.1), (-1.0, 0.1), (1.0, 0.0), (1.0, 1.0)])
+    @pytest.mark.parametrize("eps, delta", [
+        (0.0, 0.1), (-1.0, 0.1), (1.0, 0.0), (1.0, 1.0),
+        (True, 0.1), ("0.5", 0.1), ("abc", 0.1), (math.nan, 0.1),
+        (1.0, True), (1.0, "0.1"), (1.0, math.nan),
+    ])
     def test_invalid(self, eps, delta):
         with pytest.raises(ValueError):
             PrivacyBudget(eps, delta)

@@ -39,6 +39,10 @@ class TestModelSpec:
             dict(kind="gmm", d=2, sigma=0.0),
             dict(kind="rmc", d=2, sigma=1.0, missing_prob=1.0),
             dict(kind="gmm", d=2, sigma=1.0, true_beta=np.zeros(3)),
+            dict(kind="gmm", d=2.5, sigma=1.0),
+            dict(kind="gmm", d=2, sigma=math.inf),
+            dict(kind="gmm", d=2, sigma=True),
+            dict(kind="rmc", d=2, sigma=1.0, missing_prob="0.1"),
         ],
     )
     def test_invalid(self, kwargs):

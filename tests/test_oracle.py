@@ -118,7 +118,7 @@ class TestNonprivateEm:
 
     def test_zero_step_is_constant(self):
         spec, data, beta_star = self._spec_and_data()
-        config = EmConfig(eta=0.0, T=math.inf, N0=4, regime="low_dim")
+        config = EmConfig(eta=0.0, T=math.inf, N0=4)
         traj = nonprivate_em(spec, data, config, beta_star * 0.9, true_beta=beta_star)
         assert np.all(traj.betas == traj.betas[0])
 
@@ -126,7 +126,7 @@ class TestNonprivateEm:
         # From a start above the statistical floor the error decreases
         # monotonically toward it (empirical contraction at high SNR).
         spec, data, beta_star = self._spec_and_data(sigma=0.2)
-        config = EmConfig(eta=0.5, T=math.inf, N0=8, regime="low_dim")
+        config = EmConfig(eta=0.5, T=math.inf, N0=8)
         direction = NoiseOracle(9).standard_normal(10)
         beta0 = beta_star + 0.3 * direction / np.linalg.norm(direction)
         traj = nonprivate_em(spec, data, config, beta0, true_beta=beta_star)
@@ -137,7 +137,7 @@ class TestNonprivateEm:
 
     def test_statistical_recovery_single_seed(self):
         spec, data, beta_star = self._spec_and_data()
-        config = EmConfig(eta=0.5, T=math.inf, N0=9, regime="low_dim")
+        config = EmConfig(eta=0.5, T=math.inf, N0=9)
         beta0 = beta_star + 0.1 * NoiseOracle(5).standard_normal(10)
         traj = nonprivate_em(spec, data, config, beta0, true_beta=beta_star)
         assert traj.final_error <= 3 * math.sqrt(10 / 5000)
