@@ -21,6 +21,7 @@ from dpem import (
     nonprivate_em,
     run_low_dim,
 )
+from dpem.models import sensitivity
 
 d, sigma, epsilon = 10, 0.5, 0.5
 beta_star = np.ones(d) / math.sqrt(d)
@@ -32,7 +33,7 @@ for n in (5000, 10000, 20000):
     n_used = N0 * (n // N0)
     T = 2.0 * sigma * math.sqrt(math.log(n_used))
     budget = PrivacyBudget(epsilon, 1.0 / (2 * n))
-    noise_std = gaussian_noise_std("gmm", 0.5, T, N0, n_used, d, budget)
+    noise_std = gaussian_noise_std(sensitivity("gmm", T, 0.5, N0, n_used), d, budget)
 
     private_errs, baseline_errs = [], []
     for rep in range(10):

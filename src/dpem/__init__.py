@@ -10,11 +10,12 @@ rest lives in the submodules (``dpem.em_engine``, ``dpem.mechanisms``,
 ``dpem.models``, ``dpem.oracle``, ``dpem.harness``, ``dpem.cli``).
 """
 
-from .em_engine import EmConfig, gaussian_noise_std, run_high_dim, run_low_dim
+from .em_engine import EmConfig, run_high_dim, run_low_dim
 from .mechanisms import (
     NoiseOracle,
     PrivacyBudget,
     derive_seed,
+    gaussian_noise_std,
     noisy_hard_threshold,
     noisy_ht_scale,
     sample_gaussian,

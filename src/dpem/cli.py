@@ -8,7 +8,6 @@ Exit codes: 0 success, 1 runtime or I/O failure, 2 validation failure.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from dataclasses import replace
 
@@ -51,13 +50,11 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="override the config master_seed")
         p.add_argument("--jobs", type=_positive_int, default=1,
                        help="max concurrent repetitions")
-    run_p.add_argument("--silent-noise", action="store_true",
-                       help="zero mechanism noise; requires epsilon = Infinity")
     classify_p.add_argument("--data", required=True, help="input data CSV (label column + features)")
 
     run_p.set_defaults(func=cmd_run, engine="private")
     classify_p.set_defaults(func=cmd_classify)
-    baseline_p.set_defaults(func=cmd_run, engine="nonprivate", silent_noise=False)
+    baseline_p.set_defaults(func=cmd_run, engine="nonprivate")
     return parser
 
 
@@ -66,14 +63,7 @@ def cmd_run(args) -> int:
     config = load_experiment_config(args.config)
     if args.seed is not None:
         config = replace(config, master_seed=args.seed)
-    if args.silent_noise and not all(math.isinf(em_config.budget.epsilon)
-                                     for _, _, em_config in config.cells.values()):
-        raise ConfigError(
-            "--silent-noise requires epsilon to be the Infinity sentinel "
-            "(a silent run with finite epsilon would claim privacy it does not have)"
-        )
-    result = run_experiment(config, silent_noise=args.silent_noise, jobs=args.jobs,
-                            engine=args.engine)
+    result = run_experiment(config, jobs=args.jobs, engine=args.engine)
     write_results(result, args.out)
     print(_summary_line(config, result, label="baseline " if args.engine == "nonprivate" else ""))
     return 0

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import models
-from .mechanisms import NoiseOracle, PrivacyBudget, noisy_hard_threshold, require, whole
+from .mechanisms import (NoiseOracle, PrivacyBudget, gaussian_noise_std, noisy_hard_threshold,
+                         require, whole)
 
 __all__ = [
     "EmConfig",
@@ -24,9 +25,6 @@ __all__ = [
     "split_batches",
     "run_high_dim",
     "run_low_dim",
-    "gaussian_noise_variance",
-    "gaussian_noise_std",
-    "fit_geometric_decay",
 ]
 
 
@@ -34,8 +32,8 @@ __all__ = [
 class EmConfig:
     """Step size, truncation level, iteration count, sparsity, and budget.
 
-    ``T = inf`` is a sentinel meaning "no truncation"; privacy calibration
-    rejects it, so it is legal only with a silent noise oracle.  ``s_hat``
+    ``T = inf`` is a sentinel meaning "no truncation"; it has no certified
+    sensitivity, so it is legal only with a silent noise oracle.  ``s_hat``
     is read by :func:`run_high_dim` only, which requires it.  ``budget`` may
     be omitted only when ``T = inf``, for non-private reference runs.
     """
@@ -121,23 +119,22 @@ def _record(betas, true_beta, bounds):
     return Trajectory(betas, errs, errs_sf, bounds)
 
 
-def _run(regime, spec, batch, config, beta0, oracle, true_beta, privatizer) -> Trajectory:
-    # The one EM loop.  ``privatizer(n_used)`` returns the per-iteration
-    # step mapping beta + eta * f_T(grad) to the released iterate.
+def _run(spec, batch, config, beta0, oracle, true_beta, privatize) -> Trajectory:
+    # The one EM loop.  ``privatize(v, lam)`` maps v = beta + eta * f_T(grad)
+    # to the released iterate, where lam is the certified ell-infinity
+    # sensitivity of v; T = inf certifies nothing and runs noiseless (lam = 0).
     beta = _as_beta(beta0, spec.d)
-    if math.isinf(config.T):
-        if not oracle.silent:
-            raise ValueError("T = inf (no truncation) is legal only with a silent noise oracle")
-    elif config.budget is None:
-        raise ValueError(f"run_{regime} requires a privacy budget when T is finite")
+    if math.isinf(config.T) and not oracle.silent:
+        raise ValueError("T = inf (no truncation) is legal only with a silent noise oracle")
     n = len(batch)
     bounds = split_batches(n, config.N0)
-    step = privatizer(config.N0 * (n // config.N0))
+    lam = 0.0 if math.isinf(config.T) else models.sensitivity(
+        spec.kind, config.T, config.eta, config.N0, config.N0 * (n // config.N0))
 
     betas = [beta]
     for lo, hi in bounds:
         g = models.truncated_grad(spec, beta, batch[lo:hi], config.T)
-        beta = step(beta + config.eta * g)
+        beta = privatize(beta + config.eta * g, lam)
         betas.append(beta)
     return _record(betas, true_beta, bounds)
 
@@ -163,44 +160,8 @@ def run_high_dim(
     if nnz > config.s_hat:
         raise ValueError(f"beta0 must have at most s_hat = {config.s_hat} nonzeros, got {nnz}")
 
-    def privatizer(n_used):
-        lam = 0.0 if math.isinf(config.T) else models.sensitivity(
-            spec.kind, config.T, config.eta, config.N0, n_used)
-        return lambda v: noisy_hard_threshold(v, config.s_hat, lam, config.budget, oracle).values
-
-    return _run("high_dim", spec, batch, config, beta0, oracle, true_beta, privatizer)
-
-
-def gaussian_noise_variance(
-    kind: str,
-    eta: float,
-    T: float,
-    N0: int,
-    n_used: int,
-    d: int,
-    budget: PrivacyBudget,
-) -> float:
-    """Per-coordinate Gaussian variance for the low-dimensional engine.
-
-    2 eta^2 d Delta^2 N0^2 ln(1.25/delta) / (n_used^2 epsilon^2), with the
-    model's ell-2 sensitivity factor Delta in {2T, 4T^2, 6T^2}.
-    """
-    if not (T > 0 and math.isfinite(T)):
-        raise ValueError(f"T must be positive and finite, got {T}")
-    delta_f = models.noise_multiplier(kind, T)
-    return (
-        2.0
-        * eta**2
-        * d
-        * delta_f**2
-        * N0**2
-        * math.log(1.25 / budget.delta)
-        / (n_used**2 * budget.epsilon**2)
-    )
-
-
-def gaussian_noise_std(kind, eta, T, N0, n_used, d, budget) -> float:
-    return math.sqrt(gaussian_noise_variance(kind, eta, T, N0, n_used, d, budget))
+    return _run(spec, batch, config, beta0, oracle, true_beta, lambda v, lam:
+                noisy_hard_threshold(v, config.s_hat, lam, config.budget, oracle).values)
 
 
 def run_low_dim(
@@ -215,28 +176,8 @@ def run_low_dim(
 
     Per iteration t on batch t only:
         beta = beta + eta * f_T(grad) + W_t,  W_t ~ N(0, sigma_W^2 I_d)
-    with sigma_W^2 from :func:`gaussian_noise_variance`.
+    with sigma_W from :func:`~dpem.mechanisms.gaussian_noise_std` at the
+    certified sensitivity of the step.
     """
-
-    def privatizer(n_used):
-        std = 0.0 if math.isinf(config.T) else gaussian_noise_std(
-            spec.kind, config.eta, config.T, config.N0, n_used, spec.d, config.budget)
-        return lambda v: v + std * np.atleast_1d(oracle.standard_normal(spec.d))
-
-    return _run("low_dim", spec, batch, config, beta0, oracle, true_beta, privatizer)
-
-
-def fit_geometric_decay(errors) -> tuple[float, float]:
-    """Least-squares fit of error_t ~ kappa * error_{t-1} + floor, t >= 1.
-
-    Diagnostic for the geometric decay of the optimization error; returns
-    (kappa, floor).
-    """
-    errors = np.asarray(errors, dtype=float)
-    if errors.size < 3:
-        raise ValueError("need at least three recorded errors to fit a decay rate")
-    prev = errors[:-1]
-    curr = errors[1:]
-    design = np.column_stack([prev, np.ones_like(prev)])
-    (kappa, floor), *_ = np.linalg.lstsq(design, curr, rcond=None)
-    return float(kappa), float(floor)
+    return _run(spec, batch, config, beta0, oracle, true_beta, lambda v, lam:
+                v + gaussian_noise_std(lam, spec.d, config.budget) * oracle.standard_normal(spec.d))

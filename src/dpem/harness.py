@@ -45,7 +45,6 @@ __all__ = [
     "run_experiment",
     "run_classification",
     "write_results",
-    "read_results_csv",
     "default_beta_star",
     "default_beta0",
 ]
@@ -282,21 +281,6 @@ class AggregateResult:
     reps: int
     rows: list = field(default_factory=list)
 
-    def iteration_stats(self) -> dict:
-        """(sweep_value, iteration) -> (mean error, std, rep count).
-
-        Sample standard deviation (ddof = 1); zero for a single repetition.
-        """
-        cells: dict = {}
-        for value, _, iteration, err, _ in self.rows:
-            cells.setdefault((value, iteration), []).append(err)
-        out = {}
-        for key, errs in cells.items():
-            arr = np.asarray(errs)
-            std = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
-            out[key] = (float(arr.mean()), std, int(arr.size))
-        return out
-
     def per_rep_final(self) -> dict:
         """sweep_value -> final-iteration error of every repetition, rep order."""
         last_iter: dict = {}
@@ -315,22 +299,18 @@ class AggregateResult:
         return {value: float(errs.mean()) for value, errs in self.per_rep_final().items()}
 
 
-def _run_cell(config: ExperimentConfig, sweep_value, rep: int, silent_noise: bool, engine: str):
+def _run_cell(config: ExperimentConfig, sweep_value, rep: int, engine: str):
     n, spec, em_config = config.cells[sweep_value]
     cell_seed = derive_seed(config.master_seed, config.sweep.name, sweep_value, rep)
-    data_oracle = NoiseOracle(derive_seed(cell_seed, "data"))
+    batch = models.generate(spec, n, NoiseOracle(derive_seed(cell_seed, "data")))
     init_oracle = NoiseOracle(derive_seed(cell_seed, "init"))
-    noise_oracle = NoiseOracle(
-        derive_seed(cell_seed, "noise"), mode="silent" if silent_noise else "live"
-    )
-
-    batch = models.generate(spec, n, data_oracle)
     beta0 = default_beta0(spec.true_beta, em_config.s_hat, init_oracle)
     if engine == "nonprivate":
         return nonprivate_em(spec, batch, em_config, beta0, true_beta=spec.true_beta)
 
     run = run_high_dim if config.regime == "high_dim" else run_low_dim
-    return run(spec, batch, em_config, beta0, noise_oracle, true_beta=spec.true_beta)
+    return run(spec, batch, em_config, beta0, NoiseOracle(derive_seed(cell_seed, "noise")),
+               true_beta=spec.true_beta)
 
 
 def _fan_out(fn, items, jobs: int) -> list:
@@ -343,17 +323,15 @@ def _fan_out(fn, items, jobs: int) -> list:
 
 def run_experiment(
     config: ExperimentConfig,
-    silent_noise: bool = False,
     jobs: int = 1,
     engine: str = "private",
 ) -> AggregateResult:
     """Run the configured sweep and collect per-iteration errors.
 
     ``engine`` is 'private' (the DP EM drivers) or 'nonprivate' (the plain
-    gradient-EM baseline under the same data and seeds).  ``silent_noise``
-    swaps the mechanism noise stream for exact zeros; it does not touch the
-    data generators.  Repetitions may run concurrently (``jobs``); the output
-    is schedule-independent.
+    gradient-EM baseline under the same data and seeds).  An epsilon of
+    ``inf`` makes the mechanism noise exactly zero.  Repetitions may run
+    concurrently (``jobs``); the output is schedule-independent.
     """
     if engine not in ("private", "nonprivate"):
         raise ConfigError(f"engine must be 'private' or 'nonprivate', got {engine!r}")
@@ -362,7 +340,7 @@ def run_experiment(
     def one(cell):
         value, rep = cell
         try:
-            return _run_cell(config, value, rep, silent_noise, engine)
+            return _run_cell(config, value, rep, engine)
         except Exception as exc:
             raise RuntimeError(
                 f"run failed at {config.sweep.name}={value!r}, rep={rep}: {exc}"
@@ -479,20 +457,13 @@ def load_classification_csv(path) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(features, dtype=float), np.asarray(labels)
 
 
-def _classify_once(X, z, params: ClassificationParams, config: EmConfig, rep: int,
-                   master_seed: int, silent_noise: bool) -> float:
+def _classify_once(Xs, z, params: ClassificationParams, config: EmConfig, rep: int,
+                   master_seed: int) -> float:
     rng = np.random.default_rng(derive_seed(master_seed, "classify", rep))
-    silent = silent_noise or math.isinf(params.epsilon)
-    noise_oracle = NoiseOracle(derive_seed(master_seed, "classify-noise", rep),
-                               mode="silent" if silent else "live")
+    noise_oracle = NoiseOracle(derive_seed(master_seed, "classify-noise", rep))
 
-    # Standardize each attribute, balance the classes by random drop, then
-    # center the balanced set.
-    mu = X.mean(axis=0)
-    sd = X.std(axis=0)
-    sd = np.where(sd == 0.0, 1.0, sd)
-    Xs = (X - mu) / sd
-
+    # Balance the standardized classes by random drop, then center the
+    # balanced set.
     idx_pos = np.flatnonzero(z > 0)
     idx_neg = np.flatnonzero(z < 0)
     keep = min(idx_pos.size, idx_neg.size)
@@ -530,16 +501,15 @@ def run_classification(
     params: ClassificationParams,
     reps: int,
     master_seed: int,
-    silent_noise: bool = False,
     jobs: int = 1,
 ) -> ClassificationReport:
     """Repeated balanced-split classification with the private GMM estimator.
 
-    Per repetition: standardize attributes, balance the two classes by
-    random drop, subtract the overall mean, split 70/30, fit beta through
-    the high-dimensional private EM, and classify test points by l2
-    closeness to +/-beta.  ``epsilon = inf`` is the non-private sentinel and
-    routes mechanism noise through a silent oracle.
+    The attributes are standardized once, over all rows.  Per repetition:
+    balance the two classes by random drop, subtract the overall mean, split
+    70/30, fit beta through the high-dimensional private EM, and classify
+    test points by l2 closeness to +/-beta.  ``epsilon = inf`` is the
+    non-private sentinel: it makes the mechanism noise exactly zero.
     """
     X = np.asarray(features, dtype=float)
     if X.ndim != 2:
@@ -560,9 +530,11 @@ def run_classification(
     if params.iters > n_train:
         raise ConfigError(f"iters must not exceed the training size ({params.iters} > {n_train})")
     config = params.em_config(n_train)
+    sd = X.std(axis=0)
+    Xs = (X - X.mean(axis=0)) / np.where(sd == 0.0, 1.0, sd)
 
     def one(rep):
-        return _classify_once(X, z, params, config, rep, master_seed, silent_noise)
+        return _classify_once(Xs, z, params, config, rep, master_seed)
 
     rates = _fan_out(one, range(reps), jobs)
 
@@ -611,21 +583,3 @@ def write_results(result, path) -> None:
     except OSError as exc:
         raise OSError(f"failed to write results to {path}: {exc}") from exc
 
-
-def read_results_csv(path) -> tuple[list[str], list[list]]:
-    """Parse a results CSV back into (header, typed rows)."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = []
-        for row in reader:
-            typed = []
-            for name, value in zip(header, row):
-                if name in ("rep", "iteration", "s_hat"):
-                    typed.append(int(value))
-                elif name == "sweep_param":
-                    typed.append(value)
-                else:
-                    typed.append(float(value))
-            rows.append(typed)
-    return header, rows

@@ -26,6 +26,7 @@ __all__ = [
     "sample_laplace",
     "sample_gaussian",
     "noisy_ht_scale",
+    "gaussian_noise_std",
     "noisy_hard_threshold",
 ]
 
@@ -73,8 +74,8 @@ def whole(name: str, value) -> int:
 class PrivacyBudget:
     """An (epsilon, delta) pair governing all noise calibration.
 
-    ``epsilon = inf`` is allowed: it is the non-private sentinel that callers
-    pair with a silent noise oracle.
+    ``epsilon = inf`` is allowed: it is the non-private sentinel, under which
+    every noise scale is exactly zero, whatever the oracle.
     """
 
     epsilon: float
@@ -172,6 +173,18 @@ def sample_gaussian(std_dev: float, oracle: NoiseOracle, size=None):
     return std_dev * oracle.standard_normal(size)
 
 
+def _needs_noise(lam: float, budget: PrivacyBudget | None) -> bool:
+    # The one calibration guard: ``lam`` is finite and >= 0; lam = 0 needs no
+    # noise and no budget; lam > 0 needs a budget.
+    if lam < 0 or not math.isfinite(lam):
+        raise ValueError(f"lam must be a finite nonnegative real, got {lam}")
+    if lam == 0:
+        return False
+    if budget is None:
+        raise ValueError(f"lam = {lam} > 0 requires a privacy budget")
+    return True
+
+
 def noisy_ht_scale(lam: float, s: int, budget: PrivacyBudget | None) -> float:
     """Per-round Laplace scale used by :func:`noisy_hard_threshold`.
 
@@ -181,15 +194,26 @@ def noisy_ht_scale(lam: float, s: int, budget: PrivacyBudget | None) -> float:
     the budget, so a noiseless run may pass ``budget=None``; ``lam > 0``
     requires a budget.
     """
-    if lam < 0 or not math.isfinite(lam):
-        raise ValueError(f"lam must be a finite nonnegative real, got {lam}")
     if s < 1:
         raise ValueError(f"s must be a positive integer, got {s}")
-    if lam == 0:
+    if not _needs_noise(lam, budget):
         return 0.0
-    if budget is None:
-        raise ValueError("noisy_ht_scale requires a privacy budget when lam > 0")
     return lam * 2.0 * math.sqrt(3.0 * s * math.log(1.0 / budget.delta)) / budget.epsilon
+
+
+def gaussian_noise_std(lam: float, d: int, budget: PrivacyBudget | None) -> float:
+    """Per-coordinate Gaussian standard deviation sigma_W of the low-dimensional step.
+
+    Equals lam * sqrt(2 * d * ln(1.25/delta)) / epsilon: the Gaussian
+    mechanism (Dwork & Roth 2014, Thm A.1) at ell-2 sensitivity sqrt(d) * lam,
+    where ``lam`` is the caller-certified ell-infinity sensitivity of the
+    d-vector.  Same budget rule as :func:`noisy_ht_scale`.
+    """
+    if d < 1:
+        raise ValueError(f"d must be a positive integer, got {d}")
+    if not _needs_noise(lam, budget):
+        return 0.0
+    return lam * math.sqrt(2.0 * d * math.log(1.25 / budget.delta)) / budget.epsilon
 
 
 def noisy_hard_threshold(

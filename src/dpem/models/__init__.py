@@ -2,11 +2,11 @@
 
 Each model is one table entry: its data generator, its truncated gradient
 (``T = inf`` gives the raw sample gradient), and the constant pair
-``(c, p)``.  The pair yields both the certified ell-infinity sensitivity
-``c eta T^p N0 / n`` of the eta-scaled gradient step and the ell-2 factor
-``c T^p`` of the low-dimensional Gaussian noise.  The ``kind``-dispatching
-helpers below are what the engines call; the per-model functions remain
-directly importable.
+``(c, p)`` of the certified ell-infinity sensitivity ``c eta T^p N0 / n`` of
+the eta-scaled gradient step.  Both privatizers are calibrated from that one
+number (see :mod:`dpem.mechanisms`).  The ``kind``-dispatching helpers below
+are what the engines call; the per-model functions remain directly
+importable.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ __all__ = [
     "raw_grad",
     "truncated_grad",
     "sensitivity",
-    "noise_multiplier",
     "generate_gmm",
     "gmm_weight",
     "gmm_truncated_grad",
@@ -51,12 +50,6 @@ _MODELS = {
     "mor": _Model(generate_mor, mor_truncated_grad, 4.0, 2),
     "rmc": _Model(generate_rmc, rmc_truncated_grad, 6.0, 2),
 }
-
-
-def _model(kind: str) -> _Model:
-    if kind not in _MODELS:
-        raise ValueError(f"unknown model kind {kind!r}")
-    return _MODELS[kind]
 
 
 def generate(spec: ModelSpec, n: int, oracle: NoiseOracle):
@@ -79,7 +72,9 @@ def sensitivity(kind: str, T: float, eta: float, N0: int, n: int) -> float:
 
     2 eta T N0 / n for gmm, 4 eta T^2 N0 / n for mor, 6 eta T^2 N0 / n for rmc.
     """
-    model = _model(kind)
+    if kind not in _MODELS:
+        raise ValueError(f"unknown model kind {kind!r}")
+    model = _MODELS[kind]
     if not (T > 0 and math.isfinite(T)):
         raise ValueError(f"T must be positive and finite, got {T}")
     if eta < 0:
@@ -88,11 +83,3 @@ def sensitivity(kind: str, T: float, eta: float, N0: int, n: int) -> float:
         raise ValueError("N0 and n must be positive integers")
     return model.c * eta * T**model.p * N0 / n
 
-
-def noise_multiplier(kind: str, T: float) -> float:
-    """Per-model ell-2 sensitivity factor c T^p for the low-dimensional Gaussian noise.
-
-    2T for gmm, 4T^2 for mor, 6T^2 for rmc.
-    """
-    model = _model(kind)
-    return model.c * T**model.p

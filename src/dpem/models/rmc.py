@@ -92,7 +92,9 @@ def rmc_truncated_grad_clamped_part(beta, batch: RmcBatch, sigma: float, T: floa
     """The three clamped terms of the truncated gradient, diag(1-z) beta excluded.
 
     This is the portion whose one-record sensitivity the 6 eta T^2 N0 / n
-    constant certifies; the excluded term depends on the data only through z.
+    constant certifies.  The excluded term is not covered: z is data, and one
+    record's z moves it by up to |beta_j| N0 / n per coordinate, so the full
+    eta-scaled step changes by up to eta (6 T^2 + ||beta||_inf) N0 / n.
     """
     clamped_part, _ = _grad_terms(beta, batch, sigma, T)
     return np.mean(clamped_part, axis=0)

@@ -1,5 +1,6 @@
-"""Shared fixtures for the test suite: synthetic datasets and config dicts."""
+"""Shared fixtures for the test suite: synthetic datasets, config dicts, result readers."""
 
+import csv
 import math
 
 import numpy as np
@@ -57,3 +58,38 @@ def write_class_csv(path, features, labels, label_name="label"):
     for row, lab in zip(features, labels):
         lines.append(",".join(f"{v:.17g}" for v in row) + f",{lab}")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def read_results_csv(path) -> tuple[list[str], list[list]]:
+    """Parse a results CSV back into (header, typed rows)."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        rows = []
+        for row in reader:
+            typed = []
+            for name, value in zip(header, row):
+                if name in ("rep", "iteration", "s_hat"):
+                    typed.append(int(value))
+                elif name == "sweep_param":
+                    typed.append(value)
+                else:
+                    typed.append(float(value))
+            rows.append(typed)
+    return header, rows
+
+
+def fit_geometric_decay(errors) -> tuple[float, float]:
+    """Least-squares fit of error_t ~ kappa * error_{t-1} + floor, t >= 1.
+
+    Diagnostic for the geometric decay of the optimization error; returns
+    (kappa, floor).
+    """
+    errors = np.asarray(errors, dtype=float)
+    if errors.size < 3:
+        raise ValueError("need at least three recorded errors to fit a decay rate")
+    prev = errors[:-1]
+    curr = errors[1:]
+    design = np.column_stack([prev, np.ones_like(prev)])
+    (kappa, floor), *_ = np.linalg.lstsq(design, curr, rcond=None)
+    return float(kappa), float(floor)

@@ -3,10 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from helpers import experiment_config_dict, make_gmm_class_data, write_class_csv
+from helpers import experiment_config_dict, make_gmm_class_data, read_results_csv, write_class_csv
 
 from dpem.cli import main
-from dpem.harness import read_results_csv
 
 
 def write_config(tmp_path, cfg, name="config.json"):
@@ -37,18 +36,21 @@ class TestCmdRun:
         assert code == 2
         assert "sweep" in capsys.readouterr().err
 
-    def test_silent_noise_with_finite_epsilon_exits_2(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, experiment_config_dict())
-        code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o.csv"),
-                     "--silent-noise"])
-        assert code == 2
+    def test_silent_noise_flag_rejected_exits_2(self, tmp_path, capsys):
+        # epsilon = Infinity is the one way to switch the noise off.
+        cfg = write_config(tmp_path, experiment_config_dict(epsilon=float("inf")))
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", str(cfg), "--out", str(tmp_path / "o.csv"),
+                  "--silent-noise"])
+        assert exc.value.code == 2
         assert "silent-noise" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
 
-    def test_silent_noise_with_inf_epsilon_ok(self, tmp_path):
+    def test_inf_epsilon_ok(self, tmp_path):
         raw = experiment_config_dict(epsilon=float("inf"))
         cfg = write_config(tmp_path, raw)
         out = tmp_path / "o.csv"
-        assert main(["run", "--config", str(cfg), "--out", str(out), "--silent-noise"]) == 0
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
 
     def test_missing_config_exits_2(self, tmp_path):
         code = main(["run", "--config", str(tmp_path / "none.json"),

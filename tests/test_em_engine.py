@@ -3,17 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from dpem.em_engine import (
-    EmConfig,
-    fit_geometric_decay,
-    gaussian_noise_std,
-    gaussian_noise_variance,
-    run_high_dim,
-    run_low_dim,
-    split_batches,
-)
-from dpem.mechanisms import NoiseOracle, PrivacyBudget
-from dpem.models import ModelSpec, generate_gmm, generate_mor, generate_rmc
+from helpers import fit_geometric_decay
+
+from dpem.em_engine import EmConfig, run_high_dim, run_low_dim, split_batches
+from dpem.mechanisms import NoiseOracle, PrivacyBudget, gaussian_noise_std
+from dpem.models import ModelSpec, generate_gmm, generate_mor, generate_rmc, sensitivity
 from dpem.oracle import exact_top_k, ht_gradient_em
 
 BUDGET = PrivacyBudget(0.5, 1e-3)
@@ -191,7 +185,8 @@ class TestRunHighDim:
 
 class TestNoiseCalibration:
     def test_variance_frozen_example(self):
-        got = gaussian_noise_variance("gmm", 1.0, 2.0, 8, 4000, 5, PrivacyBudget(0.5, 1 / 8000))
+        got = gaussian_noise_std(sensitivity("gmm", 2.0, 1.0, 8, 4000), 5,
+                                 PrivacyBudget(0.5, 1 / 8000)) ** 2
         assert got == pytest.approx(0.02357847135225903, rel=1e-12)
 
     @pytest.mark.parametrize(
@@ -200,17 +195,18 @@ class TestNoiseCalibration:
     def test_variance_formula_by_model(self, kind, factor):
         eta, T, N0, n, d, eps, delta = 0.7, 1.3, 6, 3000, 9, 0.4, 1e-4
         expected = 2 * eta**2 * d * factor(T) ** 2 * N0**2 * math.log(1.25 / delta) / (n**2 * eps**2)
-        got = gaussian_noise_variance(kind, eta, T, N0, n, d, PrivacyBudget(eps, delta))
+        got = gaussian_noise_std(sensitivity(kind, T, eta, N0, n), d, PrivacyBudget(eps, delta)) ** 2
         assert got == pytest.approx(expected, rel=1e-12)
 
     def test_doubling_epsilon_halves_std(self):
-        lo = gaussian_noise_std("gmm", 1.0, 2.0, 8, 4000, 5, PrivacyBudget(0.5, 1e-4))
-        hi = gaussian_noise_std("gmm", 1.0, 2.0, 8, 4000, 5, PrivacyBudget(1.0, 1e-4))
+        lam = sensitivity("gmm", 2.0, 1.0, 8, 4000)
+        lo = gaussian_noise_std(lam, 5, PrivacyBudget(0.5, 1e-4))
+        hi = gaussian_noise_std(lam, 5, PrivacyBudget(1.0, 1e-4))
         assert lo == 2.0 * hi
 
     def test_rejects_inf_T(self):
         with pytest.raises(ValueError):
-            gaussian_noise_variance("gmm", 1.0, math.inf, 8, 4000, 5, BUDGET)
+            gaussian_noise_std(sensitivity("gmm", math.inf, 1.0, 8, 4000), 5, BUDGET)
 
 
 @pytest.mark.parametrize("regime", ["high_dim", "low_dim"])
@@ -234,6 +230,22 @@ def test_budget_rule_same_in_both_drivers(regime, T, oracle_mode, budget, ok):
     else:
         with pytest.raises(ValueError):
             run(*args)
+
+
+@pytest.mark.parametrize("regime", ["high_dim", "low_dim"])
+@pytest.mark.parametrize("kind", ["gmm", "mor", "rmc"])
+def test_inf_epsilon_live_equals_silent(regime, kind):
+    # At finite T the certified sensitivity is positive, and epsilon = inf
+    # makes both noise scales exactly 0: a live oracle releases bitwise what a
+    # silent one does.
+    spec, data, beta_star = make_instance(kind, 9)
+    s_hat = 3 if regime == "high_dim" else None
+    run = run_high_dim if regime == "high_dim" else run_low_dim
+    config = EmConfig(eta=0.5, T=1.5, N0=4, s_hat=s_hat, budget=PrivacyBudget(math.inf, 1e-3))
+    beta0 = sparse_beta(spec.d, 3)
+    live = run(spec, data, config, beta0, NoiseOracle(4))
+    silent = run(spec, data, config, beta0, NoiseOracle(4, "silent"))
+    assert live.betas.tobytes() == silent.betas.tobytes()
 
 
 class TestRunLowDim:

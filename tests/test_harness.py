@@ -4,8 +4,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import experiment_config_dict, make_gmm_class_data, write_class_csv
+from helpers import experiment_config_dict, make_gmm_class_data, read_results_csv, write_class_csv
 
+from dpem import harness
+from dpem.em_engine import run_high_dim
 from dpem.harness import (
     AggregateResult,
     ClassificationParams,
@@ -18,7 +20,6 @@ from dpem.harness import (
     load_experiment_config,
     parse_classification_config,
     parse_experiment_config,
-    read_results_csv,
     run_classification,
     run_experiment,
     write_results,
@@ -144,10 +145,10 @@ class TestRunExperiment:
         b = run_experiment(cfg, jobs=4)
         assert a.rows == b.rows
 
-    def test_silent_noise_single_rep_deterministic(self):
-        cfg = parse_experiment_config(experiment_config_dict(reps=1))
-        a = run_experiment(cfg, silent_noise=True)
-        b = run_experiment(cfg, silent_noise=True)
+    def test_inf_epsilon_single_rep_deterministic(self):
+        cfg = parse_experiment_config(experiment_config_dict(reps=1, epsilon=math.inf))
+        a = run_experiment(cfg)
+        b = run_experiment(cfg)
         assert a.rows == b.rows
 
     def test_row_count_contract(self):
@@ -160,16 +161,6 @@ class TestRunExperiment:
             for n in cfg.sweep.values
         )
         assert len(result.rows) == expected
-
-    def test_aggregation_matches_rows(self):
-        cfg = parse_experiment_config(experiment_config_dict(reps=3))
-        result = run_experiment(cfg)
-        stats = result.iteration_stats()
-        for (value, iteration), (mean, std, count) in stats.items():
-            errs = [r[3] for r in result.rows if r[0] == value and r[2] == iteration]
-            assert count == 3
-            assert mean == pytest.approx(float(np.mean(errs)), abs=1e-12)
-            assert std == pytest.approx(float(np.std(errs, ddof=1)), abs=1e-12)
 
     def test_nonprivate_beats_private(self):
         cfg = parse_experiment_config(experiment_config_dict(reps=3))
@@ -309,6 +300,30 @@ class TestRunClassification:
         labels[0] = "third"
         with pytest.raises(ConfigError, match="two classes"):
             run_classification(X, labels, ClassificationParams(s_hat=2, epsilon=0.5), 1, 0)
+
+    def test_inf_epsilon_live_equals_silent_oracle(self, monkeypatch):
+        # epsilon = inf zeroes a live oracle's noise exactly, so swapping in a
+        # silent oracle changes no fit and no rate.
+        X, labels = make_gmm_class_data(n=200)
+        params = ClassificationParams(s_hat=5, epsilon=math.inf, iters=3)
+
+        def run(mode):
+            fits = []
+
+            def recorded(spec, batch, config, beta0, oracle, true_beta=None):
+                oracle = NoiseOracle(oracle.seed, mode) if mode == "silent" else oracle
+                fits.append(run_high_dim(spec, batch, config, beta0, oracle, true_beta))
+                return fits[-1]
+
+            monkeypatch.setattr(harness, "run_high_dim", recorded)
+            report = run_classification(X, labels, params, reps=4, master_seed=5)
+            return report, [fit.betas.tobytes() for fit in fits]
+
+        live, live_betas = run("live")
+        silent, silent_betas = run("silent")
+        assert len(live_betas) == 4
+        assert live_betas == silent_betas
+        assert live.per_rep_rates == silent.per_rep_rates
 
     def test_deterministic(self):
         X, labels = make_gmm_class_data(n=100)

@@ -7,6 +7,7 @@ from dpem.mechanisms import (
     NoiseOracle,
     PrivacyBudget,
     derive_seed,
+    gaussian_noise_std,
     noisy_hard_threshold,
     noisy_ht_scale,
     sample_gaussian,
@@ -102,12 +103,18 @@ class TestNoisyHardThreshold:
         scale = noisy_ht_scale(lam, 10, PrivacyBudget(0.5, 1 / 8000))
         assert scale == pytest.approx(0.2627197586453747, rel=1e-12)
 
-    def test_scale_without_budget(self):
-        # Zero sensitivity needs no budget; a positive one cannot be
-        # calibrated without it.
-        assert noisy_ht_scale(0.0, 10, None) == 0.0
+    @pytest.mark.parametrize("scale_fn", [noisy_ht_scale, gaussian_noise_std])
+    def test_scale_without_budget(self, scale_fn):
+        # Both privatizers share one guard.  Zero sensitivity needs no
+        # budget; a positive one cannot be calibrated without it; a negative,
+        # NaN or infinite one is never a certified sensitivity.
+        assert scale_fn(0.0, 10, None) == 0.0
         with pytest.raises(ValueError, match="budget"):
-            noisy_ht_scale(0.004, 10, None)
+            scale_fn(0.004, 10, None)
+        for lam in (-0.004, math.nan, math.inf):
+            for budget in (None, BUDGET):
+                with pytest.raises(ValueError, match="lam"):
+                    scale_fn(lam, 10, budget)
 
     def test_scale_formula_audit(self):
         rng = np.random.default_rng(5)
