@@ -48,9 +48,9 @@ def gmm_weight(beta, y, sigma: float):
 def gmm_truncated_grad(beta, batch: GmmBatch, sigma: float, T: float) -> np.ndarray:
     """Truncated gradient (1/n) sum_i (2 w(y_i) - 1) clamp_T(y_i) - beta.
 
-    The weight is evaluated on the untruncated observation; only the y_i
-    factor is clamped.  T = inf is the raw sample gradient
-    (1/n) sum_i (2 w(y_i) - 1) y_i - beta, computed without clamping.
+    The weight uses the untruncated observation; only y_i is clamped.  The row
+    average is one transposed product, clamp_T(Y)^T (2 w - 1) / n.  T = inf is
+    the raw sample gradient (1/n) sum_i (2 w(y_i) - 1) y_i - beta, unclamped.
     """
     if len(batch) == 0:
         raise ValueError("batch must be nonempty")
@@ -58,4 +58,4 @@ def gmm_truncated_grad(beta, batch: GmmBatch, sigma: float, T: float) -> np.ndar
         raise ValueError(f"T must be positive, got {T}")
     beta = np.asarray(beta, dtype=float)
     w = gmm_weight(beta, batch.y, sigma)
-    return np.mean((2.0 * w - 1.0)[:, None] * clamp(batch.y, T), axis=0) - beta
+    return np.einsum("ij,i->j", clamp(batch.y, T), 2.0 * w - 1.0) / len(batch) - beta

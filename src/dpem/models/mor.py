@@ -42,8 +42,9 @@ def mor_truncated_grad(beta, batch: MorBatch, sigma: float, T: float) -> np.ndar
     """Truncated gradient with y_i, x_i, and x_i^T beta clamped separately.
 
     (1/n) sum_i [2 w_i clamp(y_i) clamp(x_i) - clamp(x_i) clamp(x_i^T beta)];
-    the weight w_i uses the untruncated (x_i, y_i).  T = inf is the raw
-    sample gradient (1/n) sum_i [2 w_i y_i x_i - x_i (x_i^T beta)].
+    the weight w_i uses the untruncated (x_i, y_i).  The row average is one
+    transposed product, clamp(X)^T (2 w clamp(y) - clamp(X beta)) / n.  T = inf
+    is the raw sample gradient (1/n) sum_i [2 w_i y_i x_i - x_i (x_i^T beta)].
     """
     if len(batch) == 0:
         raise ValueError("batch must be nonempty")
@@ -51,8 +52,5 @@ def mor_truncated_grad(beta, batch: MorBatch, sigma: float, T: float) -> np.ndar
         raise ValueError(f"T must be positive, got {T}")
     beta = np.asarray(beta, dtype=float)
     w = mor_weight(beta, batch.x, batch.y, sigma)
-    cy = clamp(batch.y, T)
-    cx = clamp(batch.x, T)
-    cproj = clamp(batch.x @ beta, T)
-    terms = (2.0 * w * cy)[:, None] * cx - cx * cproj[:, None]
-    return np.mean(terms, axis=0)
+    r = 2.0 * w * clamp(batch.y, T) - clamp(batch.x @ beta, T)
+    return np.einsum("ij,i->j", clamp(batch.x, T), r) / len(batch)

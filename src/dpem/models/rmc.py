@@ -31,9 +31,23 @@ def generate_rmc(spec: ModelSpec, n: int, oracle: NoiseOracle) -> RmcBatch:
     x = np.atleast_2d(oracle.standard_normal((n, spec.d)))
     e = spec.sigma * np.atleast_1d(oracle.standard_normal(n))
     y = x @ spec.true_beta + e
-    u = np.atleast_2d(oracle.uniform_centered((n, spec.d)))
-    z = (u + 0.5 >= spec.missing_prob).astype(float)
-    return RmcBatch(z * x, z, y)
+    z = np.atleast_2d(oracle.uniform_centered((n, spec.d)))
+    z += 0.5
+    np.greater_equal(z, spec.missing_prob, out=z)
+    x *= z
+    return RmcBatch(x, z, y)
+
+
+def _missing_and_mbeta(beta, batch: RmcBatch, sigma: float):
+    # 1 - z and the fill-in m, which is formed in the buffer of (1 - z) * beta.
+    if not sigma > 0:
+        raise ValueError(f"sigma must be positive, got {sigma}")
+    missing = 1.0 - batch.z
+    m = missing * beta
+    denom = sigma**2 + np.sum(m**2, axis=1)
+    m *= ((batch.y - batch.x_obs @ beta) / denom)[:, None]
+    m += batch.x_obs
+    return missing, m
 
 
 def rmc_mbeta(beta, batch: RmcBatch, sigma: float) -> np.ndarray:
@@ -42,36 +56,22 @@ def rmc_mbeta(beta, batch: RmcBatch, sigma: float) -> np.ndarray:
     m = x_obs + (y - <beta, x_obs>) / (sigma^2 + ||(1-z)*beta||^2) * (1-z)*beta.
     The denominator is at least sigma^2 > 0.
     """
-    if not sigma > 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    beta = np.asarray(beta, dtype=float)
-    missing = 1.0 - batch.z
-    masked_beta = missing * beta
-    denom = sigma**2 + np.sum(masked_beta**2, axis=1)
-    coef = (batch.y - batch.x_obs @ beta) / denom
-    return batch.x_obs + coef[:, None] * masked_beta
+    return _missing_and_mbeta(np.asarray(beta, dtype=float), batch, sigma)[1]
 
 
 def _grad_terms(beta, batch, sigma, T):
-    # Shared term assembly; T = inf means no clamping.  The four terms are
-    # y*m, diag(1-z)*beta, m*(m^T beta), and the missing-coordinate correction
-    # n*(n^T beta) with n = (1-z)*m.
+    # The gradient's clamped part and its unclamped term beta * mean(1 - z); n_i = (1-z_i) m_i.
     if len(batch) == 0:
         raise ValueError("batch must be nonempty")
     if not T > 0:
         raise ValueError(f"T must be positive, got {T}")
     beta = np.asarray(beta, dtype=float)
-    missing = 1.0 - batch.z
-    m = rmc_mbeta(beta, batch, sigma)
-    nn = missing * m
-    cy = clamp(batch.y, T)
-    cm = clamp(m, T)
-    cnn = clamp(nn, T)
-    cmb = clamp(m @ beta, T)
-    cnnb = clamp(nn @ beta, T)
-    clamped_part = cy[:, None] * cm - cm * cmb[:, None] + cnn * cnnb[:, None]
-    diag_part = missing * beta
-    return clamped_part, diag_part
+    missing, m = _missing_and_mbeta(beta, batch, sigma)
+    unclamped = beta * np.mean(missing, axis=0)
+    nn = np.multiply(missing, m, out=missing)
+    clamped = np.einsum("ij,i->j", clamp(m, T), clamp(batch.y, T) - clamp(m @ beta, T))
+    clamped += np.einsum("ij,i->j", clamp(nn, T), clamp(nn @ beta, T))
+    return clamped / len(batch), unclamped
 
 
 def rmc_truncated_grad(beta, batch: RmcBatch, sigma: float, T: float) -> np.ndarray:
@@ -79,13 +79,14 @@ def rmc_truncated_grad(beta, batch: RmcBatch, sigma: float, T: float) -> np.ndar
 
     (1/n) sum_i [clamp(y_i) clamp(m_i) - diag(1-z_i) beta
                  - clamp(m_i) clamp(m_i^T beta) + clamp(n_i) clamp(n_i^T beta)];
-    the diag(1-z) beta term is left unclamped.  T = inf is the raw sample
-    gradient (1/n) sum_i [y_i m_i - K_i beta] with
+    the diag(1-z) beta term is left unclamped.  The row average is two transposed
+    products, (clamp(M)^T (clamp(y) - clamp(M beta)) + clamp(N)^T clamp(N beta)) / n.
+    T = inf is the raw sample gradient (1/n) sum_i [y_i m_i - K_i beta] with
     K_i = diag(1-z_i) + m_i m_i^T - n_i n_i^T, which is never materialized;
     K_i beta is computed from its rank-structured form.
     """
-    clamped_part, diag_part = _grad_terms(beta, batch, sigma, T)
-    return np.mean(clamped_part - diag_part, axis=0)
+    clamped, unclamped = _grad_terms(beta, batch, sigma, T)
+    return clamped - unclamped
 
 
 def rmc_truncated_grad_clamped_part(beta, batch: RmcBatch, sigma: float, T: float) -> np.ndarray:
@@ -96,5 +97,4 @@ def rmc_truncated_grad_clamped_part(beta, batch: RmcBatch, sigma: float, T: floa
     record's z moves it by up to |beta_j| N0 / n per coordinate, so the full
     eta-scaled step changes by up to eta (6 T^2 + ||beta||_inf) N0 / n.
     """
-    clamped_part, _ = _grad_terms(beta, batch, sigma, T)
-    return np.mean(clamped_part, axis=0)
+    return _grad_terms(beta, batch, sigma, T)[0]

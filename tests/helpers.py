@@ -1,7 +1,8 @@
-"""Shared fixtures for the test suite: synthetic datasets, config dicts, result readers."""
+"""Shared test fixtures: synthetic data, config dicts, result readers, bit and memory probes."""
 
 import csv
 import math
+import tracemalloc
 
 import numpy as np
 
@@ -53,6 +54,16 @@ def experiment_config_dict(**overrides):
     return cfg
 
 
+def small_config_dict(model, regime):
+    """A small config for any model and regime: d = 8 = s_star in low_dim, rmc with missingness."""
+    cfg = experiment_config_dict(model=model, regime=regime)
+    if regime == "low_dim":
+        cfg["fixed"].update(d=8, s_star=8)
+    if model == "rmc":
+        cfg["fixed"]["missing_prob"] = 0.1
+    return cfg
+
+
 def write_class_csv(path, features, labels, label_name="label"):
     lines = [",".join([f"f{j}" for j in range(features.shape[1])] + [label_name])]
     for row, lab in zip(features, labels):
@@ -93,3 +104,24 @@ def fit_geometric_decay(errors) -> tuple[float, float]:
     design = np.column_stack([prev, np.ones_like(prev)])
     (kappa, floor), *_ = np.linalg.lstsq(design, curr, rcond=None)
     return float(kappa), float(floor)
+
+
+def bits(a):
+    """Raw IEEE-754 bit patterns, so that -0.0 and +0.0 compare unequal."""
+    return np.asarray(a, dtype=np.float64).view(np.uint64)
+
+
+def traced_peak_bytes(fn):
+    """Peak bytes allocated while ``fn`` runs (NumPy reports to tracemalloc)."""
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    return peak, result

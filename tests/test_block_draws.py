@@ -7,10 +7,11 @@ bit, consume the oracle identically, and stay within their memory bounds.
 """
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
+
+from helpers import bits, traced_peak_bytes
 
 from dpem.mechanisms import (
     _BLOCK_VALUES,
@@ -25,11 +26,6 @@ from dpem.mechanisms import (
 from dpem.models import ModelSpec, generate_gmm
 
 BUDGET = PrivacyBudget(0.5, 1e-3)
-
-
-def bits(a):
-    """Raw IEEE-754 bit patterns, so that -0.0 and +0.0 compare unequal."""
-    return np.asarray(a, dtype=np.float64).view(np.uint64)
 
 
 def reference_laplace(scale, u):
@@ -62,22 +58,6 @@ def reference_generate_gmm(spec, n, oracle):
     z = np.where(u >= 0.0, 1.0, -1.0)
     e = spec.sigma * np.atleast_2d(oracle.standard_normal((n, spec.d)))
     return z[:, None] * spec.true_beta + e
-
-
-def traced_peak_bytes(fn):
-    """Peak bytes allocated while ``fn`` runs (NumPy reports to tracemalloc)."""
-    was_tracing = tracemalloc.is_tracing()
-    if not was_tracing:
-        tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        result = fn()
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        if not was_tracing:
-            tracemalloc.stop()
-    return peak, result
 
 
 class TestNoisyHardThresholdBlocks:

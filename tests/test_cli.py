@@ -3,7 +3,13 @@ import json
 import numpy as np
 import pytest
 
-from helpers import experiment_config_dict, make_gmm_class_data, read_results_csv, write_class_csv
+from helpers import (
+    experiment_config_dict,
+    make_gmm_class_data,
+    read_results_csv,
+    small_config_dict,
+    write_class_csv,
+)
 
 from dpem.cli import main
 
@@ -72,11 +78,14 @@ class TestCmdRun:
         assert out1.read_bytes() != out2.read_bytes()
         assert out2.read_bytes() == out3.read_bytes()
 
-    def test_rerun_is_byte_identical(self, tmp_path):
-        cfg = write_config(tmp_path, experiment_config_dict())
+    @pytest.mark.parametrize("command", ["run", "baseline"])
+    @pytest.mark.parametrize("regime", ["high_dim", "low_dim"])
+    @pytest.mark.parametrize("model", ["gmm", "mor", "rmc"])
+    def test_rerun_is_byte_identical(self, tmp_path, model, regime, command):
+        cfg = write_config(tmp_path, small_config_dict(model, regime))
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        assert main(["run", "--config", str(cfg), "--out", str(out1), "--jobs", "3"]) == 0
-        assert main(["run", "--config", str(cfg), "--out", str(out2)]) == 0
+        assert main([command, "--config", str(cfg), "--out", str(out1), "--jobs", "3"]) == 0
+        assert main([command, "--config", str(cfg), "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
 

@@ -4,7 +4,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import experiment_config_dict, make_gmm_class_data, read_results_csv, write_class_csv
+from helpers import (
+    experiment_config_dict,
+    make_gmm_class_data,
+    read_results_csv,
+    small_config_dict,
+    write_class_csv,
+)
 
 from dpem import harness
 from dpem.em_engine import run_high_dim
@@ -139,10 +145,15 @@ class TestDefaults:
 
 
 class TestRunExperiment:
-    def test_deterministic_and_schedule_independent(self):
-        cfg = parse_experiment_config(experiment_config_dict())
-        a = run_experiment(cfg, jobs=1)
-        b = run_experiment(cfg, jobs=4)
+    @pytest.mark.parametrize("engine", ["private", "nonprivate"])
+    @pytest.mark.parametrize("regime", ["high_dim", "low_dim"])
+    @pytest.mark.parametrize("model", ["gmm", "mor", "rmc"])
+    def test_deterministic_and_schedule_independent(self, model, regime, engine):
+        # The rows must not depend on how many cells run at once, for any
+        # model, regime or engine.
+        cfg = parse_experiment_config(small_config_dict(model, regime))
+        a = run_experiment(cfg, jobs=1, engine=engine)
+        b = run_experiment(cfg, jobs=4, engine=engine)
         assert a.rows == b.rows
 
     def test_inf_epsilon_single_rep_deterministic(self):

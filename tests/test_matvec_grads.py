@@ -1,0 +1,185 @@
+"""The transposed-product gradients and the in-place rmc buffers against their references.
+
+Each truncated gradient is a per-row weight times clamp(X, T), averaged over
+rows.  The models compute that average as one transposed matrix-vector
+product over the clamped design instead of forming the (n, d) product and
+calling ``np.mean(..., axis=0)``.  mor and rmc now factor the row weight out
+of their terms, so the two agree to rounding, not bit for bit.
+``generate_rmc`` and ``rmc_mbeta`` build their arrays in place and must
+reproduce the formulations below bit for bit.  The references are the
+row-mean forms verbatim.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from helpers import bits, traced_peak_bytes
+
+from dpem.mechanisms import NoiseOracle
+from dpem.models import (
+    ModelSpec,
+    RmcBatch,
+    generate,
+    generate_rmc,
+    gmm_truncated_grad,
+    gmm_weight,
+    mor_truncated_grad,
+    mor_weight,
+    rmc_mbeta,
+    rmc_truncated_grad,
+    rmc_truncated_grad_clamped_part,
+)
+from dpem.models.types import clamp
+
+SIGMA = 0.5
+
+
+def reference_gmm_grad(beta, batch, sigma, T):
+    beta = np.asarray(beta, dtype=float)
+    w = gmm_weight(beta, batch.y, sigma)
+    return np.mean((2.0 * w - 1.0)[:, None] * clamp(batch.y, T), axis=0) - beta
+
+
+def reference_mor_grad(beta, batch, sigma, T):
+    beta = np.asarray(beta, dtype=float)
+    w = mor_weight(beta, batch.x, batch.y, sigma)
+    cy = clamp(batch.y, T)
+    cx = clamp(batch.x, T)
+    cproj = clamp(batch.x @ beta, T)
+    terms = (2.0 * w * cy)[:, None] * cx - cx * cproj[:, None]
+    return np.mean(terms, axis=0)
+
+
+def reference_rmc_mbeta(beta, batch, sigma):
+    beta = np.asarray(beta, dtype=float)
+    missing = 1.0 - batch.z
+    masked_beta = missing * beta
+    denom = sigma**2 + np.sum(masked_beta**2, axis=1)
+    coef = (batch.y - batch.x_obs @ beta) / denom
+    return batch.x_obs + coef[:, None] * masked_beta
+
+
+def reference_rmc_terms(beta, batch, sigma, T):
+    beta = np.asarray(beta, dtype=float)
+    missing = 1.0 - batch.z
+    m = reference_rmc_mbeta(beta, batch, sigma)
+    nn = missing * m
+    cy = clamp(batch.y, T)
+    cm = clamp(m, T)
+    cnn = clamp(nn, T)
+    cmb = clamp(m @ beta, T)
+    cnnb = clamp(nn @ beta, T)
+    clamped_part = cy[:, None] * cm - cm * cmb[:, None] + cnn * cnnb[:, None]
+    diag_part = missing * beta
+    return clamped_part, diag_part
+
+
+def reference_rmc_grad(beta, batch, sigma, T):
+    clamped_part, diag_part = reference_rmc_terms(beta, batch, sigma, T)
+    return np.mean(clamped_part - diag_part, axis=0)
+
+
+def reference_rmc_clamped_part(beta, batch, sigma, T):
+    return np.mean(reference_rmc_terms(beta, batch, sigma, T)[0], axis=0)
+
+
+def reference_generate_rmc(spec, n, oracle):
+    x = np.atleast_2d(oracle.standard_normal((n, spec.d)))
+    e = spec.sigma * np.atleast_1d(oracle.standard_normal(n))
+    y = x @ spec.true_beta + e
+    u = np.atleast_2d(oracle.uniform_centered((n, spec.d)))
+    z = (u + 0.5 >= spec.missing_prob).astype(float)
+    return RmcBatch(z * x, z, y)
+
+
+GRADIENTS = {
+    "gmm": [(gmm_truncated_grad, reference_gmm_grad)],
+    "mor": [(mor_truncated_grad, reference_mor_grad)],
+    "rmc": [(rmc_truncated_grad, reference_rmc_grad),
+            (rmc_truncated_grad_clamped_part, reference_rmc_clamped_part)],
+}
+
+
+def make_case(kind, n, d, seed):
+    """A batch drawn from the model and an estimate away from the truth."""
+    rng = np.random.default_rng(seed)
+    true_beta = rng.standard_normal(d)
+    spec = ModelSpec(kind, d, SIGMA, true_beta, missing_prob=0.3 if kind == "rmc" else 0.0)
+    batch = generate(spec, n, NoiseOracle(seed))
+    return true_beta + 0.5 * rng.standard_normal(d), batch
+
+
+class TestGradientsMatchRowMeans:
+    # n = 1 and d = 1 are the degenerate shapes of the transposed product.
+    @pytest.mark.parametrize("n, d", [(1, 1), (1, 6), (9, 1), (257, 33), (2000, 50)])
+    @pytest.mark.parametrize("T", [1.0, math.inf])
+    @pytest.mark.parametrize("kind", ["gmm", "mor", "rmc"])
+    def test_agree_to_rounding(self, kind, T, n, d):
+        beta, batch = make_case(kind, n, d, seed=100 * n + d)
+        for grad, reference in GRADIENTS[kind]:
+            expected = reference(beta, batch, SIGMA, T)
+            got = grad(beta, batch, SIGMA, T)
+            assert got.shape == (d,)
+            scale = np.max(np.abs(expected))
+            np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12 * scale)
+
+    @pytest.mark.parametrize("kind", ["gmm", "mor", "rmc"])
+    def test_clamping_is_exercised(self, kind):
+        # At T = 1 the largest case clamps some entries, so the finite-T
+        # comparison above is not the T = inf one in disguise.
+        beta, batch = make_case(kind, 2000, 50, seed=100 * 2000 + 50)
+        for grad, _ in GRADIENTS[kind]:
+            moved = grad(beta, batch, SIGMA, 1.0) - grad(beta, batch, SIGMA, math.inf)
+            assert np.max(np.abs(moved)) > 1e-3
+
+
+class TestRmcInPlace:
+    @pytest.mark.parametrize("n, d", [(1, 1), (7, 3), (300, 40)])
+    @pytest.mark.parametrize("p", [0.0, 0.1, 0.5])
+    @pytest.mark.parametrize("mode", ["live", "silent"])
+    def test_generate_bitwise_equal_to_mask_product(self, n, d, p, mode):
+        beta = np.linspace(-1.0, 1.0, d)
+        spec = ModelSpec("rmc", d, 0.7, beta, missing_prob=p)
+        fast_oracle, ref_oracle = NoiseOracle(31 + n, mode), NoiseOracle(31 + n, mode)
+        got = generate_rmc(spec, n, fast_oracle)
+        expected = reference_generate_rmc(spec, n, ref_oracle)
+        # Masked negative covariates are -0.0 in both forms.
+        for name in ("x_obs", "z", "y"):
+            np.testing.assert_array_equal(bits(getattr(got, name)), bits(getattr(expected, name)))
+        np.testing.assert_array_equal(bits(fast_oracle.uniform_centered(5)),
+                                      bits(ref_oracle.uniform_centered(5)))
+
+    @pytest.mark.parametrize("n, d", [(1, 1), (257, 33)])
+    def test_mbeta_bitwise_equal_to_reference(self, n, d):
+        beta, batch = make_case("rmc", n, d, seed=7 * n + d)
+        np.testing.assert_array_equal(bits(rmc_mbeta(beta, batch, SIGMA)),
+                                      bits(reference_rmc_mbeta(beta, batch, SIGMA)))
+
+
+class TestAllocationBounds:
+    N, D = 2000, 200
+
+    @pytest.mark.parametrize("kind, grad", [("gmm", gmm_truncated_grad),
+                                            ("mor", mor_truncated_grad)])
+    def test_gmm_and_mor_copy_only_the_clamped_design(self, kind, grad):
+        beta, batch = make_case(kind, self.N, self.D, seed=3)
+        peak, _ = traced_peak_bytes(lambda: grad(beta, batch, SIGMA, 1.0))
+        # One clamped (n, d) copy; the row-mean form held two.
+        assert peak < 1.5 * self.N * self.D * 8
+
+    @pytest.mark.parametrize("T", [1.0, math.inf])
+    def test_rmc_gradient(self, T):
+        beta, batch = make_case("rmc", self.N, self.D, seed=4)
+        peak, _ = traced_peak_bytes(lambda: rmc_truncated_grad(beta, batch, SIGMA, T))
+        # 1 - z, m (with its squares while the denominator forms) and one
+        # clamped copy at a time; the row-mean form peaked at 5x (T = inf)
+        # and 7x (finite T).
+        assert peak < 3.5 * batch.x_obs.nbytes
+
+    def test_generate_rmc(self):
+        spec = ModelSpec("rmc", self.D, SIGMA, np.ones(self.D), missing_prob=0.1)
+        peak, batch = traced_peak_bytes(lambda: generate_rmc(spec, self.N, NoiseOracle(5)))
+        # The returned x_obs and z; the mask-product form peaked at 4x.
+        assert peak < 2.5 * batch.x_obs.nbytes
