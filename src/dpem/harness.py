@@ -26,6 +26,7 @@ from . import models
 from .em_engine import EmConfig, run_high_dim, run_low_dim
 from .mechanisms import NoiseOracle, PrivacyBudget, derive_seed, require, whole
 from .models import GmmBatch, ModelSpec
+from .models.types import matvec
 from .oracle import exact_top_k, nonprivate_em
 
 __all__ = [
@@ -484,14 +485,14 @@ def _classify_once(Xs, z, params: ClassificationParams, config: EmConfig, rep: i
     # (ties resolve to the lowest indices) to satisfy the engine's sparsity
     # precondition.
     beta0 = exact_top_k(np.full(d, 1.0 / math.sqrt(d)), params.s_hat).values
-    traj = run_high_dim(spec, GmmBatch(Xb[train]), config, beta0, noise_oracle)
-    beta_hat = traj.final_beta
+    X_train = Xb[train]
+    beta_hat = run_high_dim(spec, GmmBatch(X_train), config, beta0, noise_oracle).final_beta
 
     # Classify by l2 closeness to +beta_hat vs -beta_hat, i.e. by the sign of
     # the inner product; orient the sign by training-set majority agreement.
-    pred_train = np.where(Xb[train] @ beta_hat >= 0.0, 1.0, -1.0)
+    pred_train = np.where(matvec(X_train, beta_hat) >= 0.0, 1.0, -1.0)
     orientation = 1.0 if np.mean(pred_train == zb[train]) >= 0.5 else -1.0
-    pred_test = orientation * np.where(Xb[test] @ beta_hat >= 0.0, 1.0, -1.0)
+    pred_test = orientation * np.where(matvec(Xb[test], beta_hat) >= 0.0, 1.0, -1.0)
     return float(np.mean(pred_test != zb[test]))
 
 

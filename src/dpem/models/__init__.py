@@ -4,11 +4,15 @@ Each model is one table entry: its data generator, its truncated gradient
 (``T = inf`` gives the raw sample gradient), and the constant pair
 ``(c, p)`` of the certified ell-infinity sensitivity ``c eta T^p N0 / n`` of
 the eta-scaled gradient step.  Both privatizers are calibrated from that one
-number (see :mod:`dpem.mechanisms`).  Each gradient averages its rows as one
-transposed product ``np.einsum("ij,i->j", X, r) / n``, a single-threaded pass:
-the threaded BLAS gemv behind ``X.T @ r`` cost milliseconds per call when
-cells ran concurrently.  The ``kind``-dispatching helpers below are what the
-engines call; the per-model functions remain directly importable.
+number (see :mod:`dpem.mechanisms`).  Both matrix-vector directions are
+single-threaded numpy passes: the row products ``X beta`` behind the weights,
+fill-ins and generators go through ``types.matvec``, and each gradient
+averages its rows as one transposed product ``np.einsum("ij,i->j", X, r) / n``.
+The threaded BLAS gemv behind ``X @ beta`` and ``X.T @ r`` stalled for
+milliseconds per call, and its summation order, hence the gradients' bytes,
+followed the BLAS thread count.  The ``kind``-dispatching
+helpers below are what the engines call; the per-model functions remain
+directly importable.
 """
 
 from __future__ import annotations

@@ -6,10 +6,9 @@ Model: y = z * beta + e with z = +/-1 equiprobable and e ~ N(0, sigma^2 I_d).
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import expit
 
 from ..mechanisms import NoiseOracle
-from .types import GmmBatch, ModelSpec, clamp
+from .types import GmmBatch, ModelSpec, clamp, expit, matvec
 
 __all__ = ["generate_gmm", "gmm_weight", "gmm_truncated_grad"]
 
@@ -41,7 +40,7 @@ def gmm_weight(beta, y, sigma: float):
     """
     if not sigma > 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
-    inner = np.asarray(y, dtype=float) @ np.asarray(beta, dtype=float)
+    inner = matvec(np.asarray(y, dtype=float), np.asarray(beta, dtype=float))
     return expit(inner / sigma**2)
 
 

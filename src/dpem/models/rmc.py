@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..mechanisms import NoiseOracle
-from .types import ModelSpec, RmcBatch, clamp
+from .types import ModelSpec, RmcBatch, clamp, matvec
 
 __all__ = [
     "generate_rmc",
@@ -18,6 +18,9 @@ __all__ = [
     "rmc_truncated_grad",
     "rmc_truncated_grad_clamped_part",
 ]
+
+# Values per row block of the fill-in's squares (1 MB of float64).
+_BLOCK_VALUES = 1 << 17
 
 
 def generate_rmc(spec: ModelSpec, n: int, oracle: NoiseOracle) -> RmcBatch:
@@ -30,7 +33,7 @@ def generate_rmc(spec: ModelSpec, n: int, oracle: NoiseOracle) -> RmcBatch:
         raise ValueError("spec.true_beta is required to generate data")
     x = np.atleast_2d(oracle.standard_normal((n, spec.d)))
     e = spec.sigma * np.atleast_1d(oracle.standard_normal(n))
-    y = x @ spec.true_beta + e
+    y = matvec(x, spec.true_beta) + e
     z = np.atleast_2d(oracle.uniform_centered((n, spec.d)))
     z += 0.5
     np.greater_equal(z, spec.missing_prob, out=z)
@@ -44,8 +47,14 @@ def _missing_and_mbeta(beta, batch: RmcBatch, sigma: float):
         raise ValueError(f"sigma must be positive, got {sigma}")
     missing = 1.0 - batch.z
     m = missing * beta
-    denom = sigma**2 + np.sum(m**2, axis=1)
-    m *= ((batch.y - batch.x_obs @ beta) / denom)[:, None]
+    # sigma^2 + ||m_i||^2 with the squares formed a row block at a time, not as
+    # one (n, d) temporary; each row's pairwise sum is the same in any block.
+    denom = np.empty(len(m))
+    step = max(1, _BLOCK_VALUES // m.shape[1])
+    for lo in range(0, len(m), step):
+        np.sum(m[lo:lo + step] ** 2, axis=1, out=denom[lo:lo + step])
+    denom += sigma**2
+    m *= ((batch.y - matvec(batch.x_obs, beta)) / denom)[:, None]
     m += batch.x_obs
     return missing, m
 
@@ -69,8 +78,8 @@ def _grad_terms(beta, batch, sigma, T):
     missing, m = _missing_and_mbeta(beta, batch, sigma)
     unclamped = beta * np.mean(missing, axis=0)
     nn = np.multiply(missing, m, out=missing)
-    clamped = np.einsum("ij,i->j", clamp(m, T), clamp(batch.y, T) - clamp(m @ beta, T))
-    clamped += np.einsum("ij,i->j", clamp(nn, T), clamp(nn @ beta, T))
+    clamped = np.einsum("ij,i->j", clamp(m, T), clamp(batch.y, T) - clamp(matvec(m, beta), T))
+    clamped += np.einsum("ij,i->j", clamp(nn, T), clamp(matvec(nn, beta), T))
     return clamped / len(batch), unclamped
 
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from ..mechanisms import require, whole
 
-__all__ = ["ModelSpec", "GmmBatch", "MorBatch", "RmcBatch", "clamp"]
+__all__ = ["ModelSpec", "GmmBatch", "MorBatch", "RmcBatch", "clamp", "expit", "matvec"]
 
 MODEL_KINDS = ("gmm", "mor", "rmc")
 
@@ -22,6 +22,20 @@ MODEL_KINDS = ("gmm", "mor", "rmc")
 def clamp(a, T: float):
     """Coordinate-wise projection onto [-T, T]; T = inf returns ``a`` itself, uncopied."""
     return a if math.isinf(T) else np.clip(a, -T, T)
+
+
+def expit(x):
+    """Logistic function 1 / (1 + exp(-x)); exp overflow far left of 0 gives exactly 0."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
+
+
+def matvec(a, b):
+    """``a @ b`` for a (d,) vector b and an (n, d) stack or one (d,) row, in one thread.
+
+    Unlike BLAS gemv, its summation order does not follow the BLAS thread count.
+    """
+    return np.einsum("...j,j->...", a, b)
 
 
 @dataclass(frozen=True)
