@@ -1,9 +1,12 @@
 """Noise primitives walkthrough: calibrated samplers and private top-k.
 
 Shows the Laplace/Gaussian samplers hitting their textbook moments, then
-runs noisy hard thresholding twice on the same vector: once with a silent
-oracle (exact top-k) and once live (private selection + noisy release).
+runs noisy hard thresholding on the same vector: once at epsilon = inf,
+where every noise scale is exactly zero (exact top-k), and then at a finite
+epsilon (private selection + noisy release).
 """
+
+import math
 
 import numpy as np
 
@@ -33,8 +36,8 @@ lam = 0.05  # caller-certified l-infinity sensitivity of v
 
 print(f"\nper-round Laplace scale: {noisy_ht_scale(lam, 3, budget):.4f}")
 
-silent = noisy_hard_threshold(v, 3, lam, budget, NoiseOracle(0, "silent"))
-print(f"silent selection : support {silent.support}, values {silent.values}")
+exact = noisy_hard_threshold(v, 3, lam, PrivacyBudget(math.inf, 1e-4), NoiseOracle(0))
+print(f"epsilon = inf    : support {exact.support}, values {exact.values}")
 print(f"exact top-k      : support {exact_top_k(v, 3).support}  (identical)")
 
 for seed in (1, 2, 3):

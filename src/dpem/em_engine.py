@@ -33,9 +33,10 @@ class EmConfig:
     """Step size, truncation level, iteration count, sparsity, and budget.
 
     ``T = inf`` is a sentinel meaning "no truncation"; it has no certified
-    sensitivity, so it is legal only with a silent noise oracle.  ``s_hat``
-    is read by :func:`run_high_dim` only, which requires it.  ``budget`` may
-    be omitted only when ``T = inf``, for non-private reference runs.
+    sensitivity, so it is legal only without privacy: with ``budget=None``
+    or ``budget.epsilon = inf``.  A finite T calibrates the noise from
+    ``budget``; a run whose sensitivity is positive fails without one.
+    ``s_hat`` is read by :func:`run_high_dim` only, which requires it.
     """
 
     eta: float
@@ -50,6 +51,8 @@ class EmConfig:
         object.__setattr__(self, "N0", whole("N0", self.N0))
         if self.s_hat is not None:
             object.__setattr__(self, "s_hat", whole("s_hat", self.s_hat))
+        if math.isinf(self.T) and self.budget is not None and math.isfinite(self.budget.epsilon):
+            raise ValueError("T = inf (no truncation) is legal only with no budget or epsilon = inf")
 
 
 @dataclass(frozen=True)
@@ -119,13 +122,11 @@ def _record(betas, true_beta, bounds):
     return Trajectory(betas, errs, errs_sf, bounds)
 
 
-def _run(spec, batch, config, beta0, oracle, true_beta, privatize) -> Trajectory:
+def _run(spec, batch, config, beta0, true_beta, privatize) -> Trajectory:
     # The one EM loop.  ``privatize(v, lam)`` maps v = beta + eta * f_T(grad)
     # to the released iterate, where lam is the certified ell-infinity
     # sensitivity of v; T = inf certifies nothing and runs noiseless (lam = 0).
     beta = _as_beta(beta0, spec.d)
-    if math.isinf(config.T) and not oracle.silent:
-        raise ValueError("T = inf (no truncation) is legal only with a silent noise oracle")
     n = len(batch)
     bounds = split_batches(n, config.N0)
     lam = 0.0 if math.isinf(config.T) else models.sensitivity(
@@ -160,7 +161,7 @@ def run_high_dim(
     if nnz > config.s_hat:
         raise ValueError(f"beta0 must have at most s_hat = {config.s_hat} nonzeros, got {nnz}")
 
-    return _run(spec, batch, config, beta0, oracle, true_beta, lambda v, lam:
+    return _run(spec, batch, config, beta0, true_beta, lambda v, lam:
                 noisy_hard_threshold(v, config.s_hat, lam, config.budget, oracle).values)
 
 
@@ -179,5 +180,5 @@ def run_low_dim(
     with sigma_W from :func:`~dpem.mechanisms.gaussian_noise_std` at the
     certified sensitivity of the step.
     """
-    return _run(spec, batch, config, beta0, oracle, true_beta, lambda v, lam:
+    return _run(spec, batch, config, beta0, true_beta, lambda v, lam:
                 v + gaussian_noise_std(lam, spec.d, config.budget) * oracle.standard_normal(spec.d))

@@ -254,16 +254,13 @@ def default_beta0(beta_star, s_hat: int | None, oracle: NoiseOracle) -> np.ndarr
     """True parameter plus a uniform-on-sphere perturbation of radius ||beta*||/8.
 
     Hard-thresholded to s_hat nonzeros when s_hat is given (high-dimensional
-    runs); left dense otherwise.
+    runs); left dense otherwise.  Reading beta* puts this start outside the
+    (epsilon, delta) guarantee: it is a simulation device, not a private one.
     """
     beta_star = np.asarray(beta_star, dtype=float)
     direction = np.atleast_1d(oracle.standard_normal(beta_star.size))
-    norm = np.linalg.norm(direction)
-    if norm == 0.0:  # silent oracle: no perturbation
-        beta0 = beta_star.copy()
-    else:
-        radius = np.linalg.norm(beta_star) / 8.0
-        beta0 = beta_star + radius * direction / norm
+    radius = np.linalg.norm(beta_star) / 8.0
+    beta0 = beta_star + radius * direction / np.linalg.norm(direction)
     if s_hat is not None:
         beta0 = exact_top_k(beta0, s_hat).values
     return beta0
@@ -431,7 +428,8 @@ def load_classification_config(path) -> tuple[ClassificationParams, int, int]:
 def load_classification_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Read a headered CSV with one ``label`` column and numeric features."""
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        # utf-8-sig drops the byte-order mark that spreadsheet exports put first.
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             reader = csv.reader(fh)
             try:
                 header = next(reader)
@@ -511,6 +509,10 @@ def run_classification(
     70/30, fit beta through the high-dimensional private EM, and classify
     test points by l2 closeness to +/-beta.  ``epsilon = inf`` is the
     non-private sentinel: it makes the mechanism noise exactly zero.
+
+    Only the private fit is under the (epsilon, delta) guarantee: not the
+    standardization (over all rows, test rows included), the centering of the
+    balanced set, or the sign orientation from the training labels.
     """
     X = np.asarray(features, dtype=float)
     if X.ndim != 2:

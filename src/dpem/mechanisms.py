@@ -3,8 +3,9 @@
 The noisy hard-thresholding (peeling) routine here is the privacy-critical
 primitive: it selects ``s`` coordinates of a vector by noisy magnitude and
 releases noisy values on the selected support.  All randomness flows through
-a :class:`NoiseOracle`, whose ``silent`` mode turns every draw into an exact
-zero so algorithms can be compared bit-for-bit against noiseless references.
+a seeded :class:`NoiseOracle`, which has no off switch: a run is noiseless
+only when its calibrated scale is exactly zero (``epsilon = inf``, or zero
+sensitivity), and it then runs the same code as a private one.
 """
 
 from __future__ import annotations
@@ -87,12 +88,9 @@ class PrivacyBudget:
 
 
 class NoiseOracle:
-    """Seeded random stream with a test-only silent mode.
+    """Seeded random stream.
 
-    Identical ``(seed, mode)`` and call sequence reproduce the identical
-    stream.  In ``silent`` mode every draw is exactly ``0.0``; the mode
-    exists so noiseless oracle-equivalence tests can run through the same
-    code path as production, and is never the default.
+    An identical seed and call sequence reproduce the identical stream.
 
     An oracle is single-owner: concurrent runs must each construct their own
     from a seed of :func:`derive_seed`.
@@ -103,31 +101,20 @@ class NoiseOracle:
     without changing any result.
     """
 
-    def __init__(self, seed: int, mode: str = "live"):
-        if mode not in ("live", "silent"):
-            raise ValueError(f"mode must be 'live' or 'silent', got {mode!r}")
+    def __init__(self, seed: int):
         self.seed = int(seed)
-        self.mode = mode
         self._rng = np.random.default_rng(self.seed)
 
-    @property
-    def silent(self) -> bool:
-        return self.mode == "silent"
-
     def standard_normal(self, size=None):
-        """One (or ``size``) standard normal draw; zeros when silent."""
-        if self.silent:
-            return 0.0 if size is None else np.zeros(size)
+        """One (or ``size``) standard normal draw."""
         return self._rng.standard_normal(size)
 
     def uniform_centered(self, size=None):
-        """Uniform draw on [-1/2, 1/2); zeros when silent."""
-        if self.silent:
-            return 0.0 if size is None else np.zeros(size)
+        """Uniform draw on [-1/2, 1/2)."""
         return self._rng.random(size) - 0.5
 
     def __repr__(self) -> str:
-        return f"NoiseOracle(seed={self.seed}, mode={self.mode!r})"
+        return f"NoiseOracle(seed={self.seed})"
 
 
 @dataclass(frozen=True)
@@ -159,7 +146,9 @@ def _laplace_from_uniform(scale: float, u, out=None):
 def sample_laplace(scale: float, oracle: NoiseOracle, size=None):
     """Zero-mean Laplace draw(s) with the given scale parameter b.
 
-    Density (1/2b) exp(-|x|/b).  Silent oracles yield exact zeros.
+    Density (1/2b) exp(-|x|/b).  An inverse CDF on floating-point values is
+    open to Mironov's low-order-bits attack (CCS 2012); snapping, its fix, is
+    not implemented, and adopting it is an open decision.
     """
     if not (scale > 0 and math.isfinite(scale)):
         raise ValueError(f"scale must be positive and finite, got {scale}")

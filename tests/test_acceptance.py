@@ -73,19 +73,19 @@ def random_instance(rng, kind):
         T=math.inf,
         N0=int(rng.integers(2, 7)),
         s_hat=s_hat,
-        budget=PrivacyBudget(0.5, 1e-3),
+        budget=PrivacyBudget(math.inf, 1e-3),
     )
     return spec, data, config, beta0, beta_star
 
 
 def test_criterion_01_oracle_equivalence():
-    """Silent noise + inactive truncation reproduces exact HT gradient EM."""
+    """epsilon = inf + inactive truncation reproduces exact HT gradient EM."""
     rng = np.random.default_rng(derive_seed("acceptance", 1))
     worst = 0.0
     for i in range(50):
         kind = KINDS[i % 3]
         spec, data, config, beta0, beta_star = random_instance(rng, kind)
-        traj = run_high_dim(spec, data, config, beta0, NoiseOracle(0, "silent"))
+        traj = run_high_dim(spec, data, config, beta0, NoiseOracle(i))
         ref = ht_gradient_em(spec, data, config, beta0)
         worst = max(worst, float(np.abs(traj.betas - ref.betas).max()))
     report(1, "oracle-equivalence", worst <= 1e-12, f"max coord diff {worst:.3e}")
@@ -230,9 +230,9 @@ def test_rmc_full_step_sound_bound():
 
 
 def test_criterion_04_noisy_ht_contract():
-    """Silent output equals exact top-k (d <= 12, all s); scale formula audit."""
-    budget = PrivacyBudget(0.7, 1e-4)
-    silent = NoiseOracle(0, "silent")
+    """Output at epsilon = inf equals exact top-k (d <= 12, all s); scale formula audit."""
+    nonprivate = PrivacyBudget(math.inf, 1e-4)
+    oracle = NoiseOracle(0)
     rng = np.random.default_rng(derive_seed("acceptance", 4))
     selection_ok = True
     for d in range(1, 13):
@@ -245,7 +245,7 @@ def test_criterion_04_noisy_ht_contract():
         ]
         for v in vectors:
             for s in range(1, d + 1):
-                sel = noisy_hard_threshold(v, s, 0.1, budget, silent)
+                sel = noisy_hard_threshold(v, s, 0.1, nonprivate, oracle)
                 ref = exact_top_k(v, s)
                 if not (np.array_equal(sel.support, ref.support)
                         and np.array_equal(sel.values, ref.values)):

@@ -1,15 +1,19 @@
 """Every demo script runs to completion against the public ``dpem`` surface.
 
 Each demo runs in a fresh working directory and must not write into the
-checkout.
+checkout.  The public surface is exactly what the demos and the README use.
 """
 
+import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+import dpem
 
 REPO = Path(__file__).resolve().parents[1]
 DEMOS = sorted((REPO / "demos").glob("0*.py"))
@@ -28,3 +32,20 @@ def test_demo_runs(script, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert set(script.parent.iterdir()) == before
+
+
+def _top_level_imports(source: str) -> set[str]:
+    return {alias.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and node.module == "dpem" and node.level == 0
+            for alias in node.names}
+
+
+def test_exports_are_what_demos_and_readme_import():
+    # The rule in dpem/__init__.py: the top-level package holds the names the
+    # README and the demos use, and no others.
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    sources = [d.read_text(encoding="utf-8") for d in DEMOS]
+    sources += re.findall(r"```python\n(.*?)```", readme, flags=re.S)
+    used = set().union(*map(_top_level_imports, sources))
+    assert used == set(dpem.__all__)
+    assert len(dpem.__all__) == len(set(dpem.__all__))

@@ -3,14 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from helpers import fit_geometric_decay
+from helpers import bits, fit_geometric_decay
 
 from dpem.em_engine import EmConfig, run_high_dim, run_low_dim, split_batches
 from dpem.mechanisms import NoiseOracle, PrivacyBudget, gaussian_noise_std
-from dpem.models import ModelSpec, generate_gmm, generate_mor, generate_rmc, sensitivity
+from dpem.models import (ModelSpec, generate_gmm, generate_mor, generate_rmc, sensitivity,
+                         truncated_grad)
 from dpem.oracle import exact_top_k, ht_gradient_em
 
 BUDGET = PrivacyBudget(0.5, 1e-3)
+# epsilon = inf: every noise scale is exactly 0, whatever the oracle draws.
+NONPRIVATE = PrivacyBudget(math.inf, 1e-3)
 
 
 def sparse_beta(d, s, value=None):
@@ -74,6 +77,13 @@ class TestEmConfig:
         with pytest.raises(ValueError, match="eta"):
             EmConfig(eta=eta, T=1.0, N0=3, s_hat=1)
 
+    @pytest.mark.parametrize("s_hat", [3, None], ids=["high_dim", "low_dim"])
+    def test_inf_T_rejects_finite_epsilon(self, s_hat):
+        # No truncation certifies no sensitivity, so it cannot carry a finite
+        # epsilon.  test_budget_rule_same_in_both_drivers runs the legal cases.
+        with pytest.raises(ValueError, match="T = inf"):
+            EmConfig(eta=0.5, T=math.inf, N0=4, s_hat=s_hat, budget=PrivacyBudget(0.5, 1e-3))
+
 
 def make_instance(kind, seed, d=12, n=240, s_star=3, sigma=0.5):
     beta_star = sparse_beta(d, s_star)
@@ -101,24 +111,12 @@ class TestRunHighDim:
         with pytest.raises(ValueError):
             run_high_dim(spec, data, config, sparse_beta(spec.d, 3), NoiseOracle(0))
 
-    def test_inf_T_requires_silent_oracle(self):
-        spec, data, beta_star = make_instance("gmm", 1)
-        config = EmConfig(eta=0.5, T=math.inf, N0=4, s_hat=3, budget=BUDGET)
-        with pytest.raises(ValueError):
-            run_high_dim(spec, data, config, sparse_beta(spec.d, 3), NoiseOracle(0))
-
-    def test_zero_step_silent_is_fixed_point(self):
-        spec, data, beta_star = make_instance("gmm", 2)
-        beta0 = sparse_beta(spec.d, 3)
-        config = EmConfig(eta=0.0, T=2.0, N0=4, s_hat=3, budget=BUDGET)
-        traj = run_high_dim(spec, data, config, beta0, NoiseOracle(0, "silent"))
-        assert np.all(traj.betas == beta0)
-
-    def test_zero_step_live_projects_beta0(self):
+    @pytest.mark.parametrize("budget", [BUDGET, NONPRIVATE], ids=["finite_eps", "inf_eps"])
+    def test_zero_step_is_fixed_point(self, budget):
         # With eta = 0 the sensitivity is 0, so even live noise vanishes.
         spec, data, beta_star = make_instance("gmm", 2)
         beta0 = sparse_beta(spec.d, 3)
-        config = EmConfig(eta=0.0, T=2.0, N0=4, s_hat=3, budget=BUDGET)
+        config = EmConfig(eta=0.0, T=2.0, N0=4, s_hat=3, budget=budget)
         traj = run_high_dim(spec, data, config, beta0, NoiseOracle(3))
         assert np.all(traj.betas == beta0)
 
@@ -149,15 +147,15 @@ class TestRunHighDim:
         assert seen == set(range(4 * (103 // 4)))
 
     @pytest.mark.parametrize("kind", ["gmm", "mor", "rmc"])
-    def test_matches_reference_with_silent_noise(self, kind):
+    def test_matches_reference_at_inf_epsilon(self, kind):
         spec, data, beta_star = make_instance(kind, 6)
         beta0 = exact_top_k(beta_star + 0.05 * NoiseOracle(8).standard_normal(spec.d), 4).values
-        config = EmConfig(eta=0.5, T=math.inf, N0=5, s_hat=4, budget=BUDGET)
-        traj = run_high_dim(spec, data, config, beta0, NoiseOracle(0, "silent"), true_beta=beta_star)
+        config = EmConfig(eta=0.5, T=math.inf, N0=5, s_hat=4, budget=NONPRIVATE)
+        traj = run_high_dim(spec, data, config, beta0, NoiseOracle(0), true_beta=beta_star)
         ref = ht_gradient_em(spec, data, config, beta0, true_beta=beta_star)
         assert np.abs(traj.betas - ref.betas).max() <= 1e-12
 
-    def test_statistical_recovery_silent(self):
+    def test_statistical_recovery_noiseless(self):
         # Frozen threshold 3 sqrt(s* ln d / n_used), validated over 20 seeds
         # before freezing (all passed, max observed error 0.083).
         d, n, s = 20, 2000, 5
@@ -165,8 +163,8 @@ class TestRunHighDim:
         spec = ModelSpec("gmm", d, 0.5, beta_star)
         data = generate_gmm(spec, n, NoiseOracle(55))
         beta0 = exact_top_k(beta_star + 0.05 * NoiseOracle(56).standard_normal(d), s).values
-        config = EmConfig(eta=0.5, T=math.inf, N0=8, s_hat=s, budget=BUDGET)
-        traj = run_high_dim(spec, data, config, beta0, NoiseOracle(0, "silent"), true_beta=beta_star)
+        config = EmConfig(eta=0.5, T=math.inf, N0=8, s_hat=s, budget=NONPRIVATE)
+        traj = run_high_dim(spec, data, config, beta0, NoiseOracle(0), true_beta=beta_star)
         assert traj.final_error <= 3 * math.sqrt(s * math.log(d) / 2000)
 
     def test_geometric_decay_diagnostic(self):
@@ -176,8 +174,8 @@ class TestRunHighDim:
         spec = ModelSpec("gmm", d, 0.5, beta_star)
         data = generate_gmm(spec, n, NoiseOracle(77))
         beta0 = exact_top_k(beta_star * 0.7, s).values
-        config = EmConfig(eta=0.5, T=math.inf, N0=8, s_hat=s, budget=BUDGET)
-        traj = run_high_dim(spec, data, config, beta0, NoiseOracle(0, "silent"), true_beta=beta_star)
+        config = EmConfig(eta=0.5, T=math.inf, N0=8, s_hat=s, budget=NONPRIVATE)
+        traj = run_high_dim(spec, data, config, beta0, NoiseOracle(0), true_beta=beta_star)
         kappa, floor = fit_geometric_decay(traj.errors)
         assert kappa < 1.0
         assert np.all(traj.errors[1:] <= kappa * traj.errors[:-1] + max(floor, 0.05) + 1e-9)
@@ -211,41 +209,53 @@ class TestNoiseCalibration:
 
 @pytest.mark.parametrize("regime", ["high_dim", "low_dim"])
 @pytest.mark.parametrize(
-    "T, oracle_mode, budget, ok",
+    "T, budget, ok",
     [
-        (math.inf, "live", BUDGET, False),  # no truncation needs silent noise
-        (2.0, "live", None, False),  # finite T is calibrated from a budget
-        (math.inf, "silent", None, True),  # noiseless reference run
+        (math.inf, BUDGET, False),  # no truncation certifies no sensitivity
+        (2.0, None, False),  # finite T is calibrated from a budget
+        (math.inf, None, True),  # noiseless reference run
+        (math.inf, NONPRIVATE, True),  # the same run, under the non-private sentinel
     ],
-    ids=["inf_T_live", "finite_T_no_budget", "inf_T_silent_no_budget"],
+    ids=["inf_T_finite_eps", "finite_T_no_budget", "inf_T_no_budget", "inf_T_inf_eps"],
 )
-def test_budget_rule_same_in_both_drivers(regime, T, oracle_mode, budget, ok):
+def test_budget_rule_same_in_both_drivers(regime, T, budget, ok):
     spec, data, beta_star = make_instance("gmm", 7)
     s_hat = 3 if regime == "high_dim" else None
     run = run_high_dim if regime == "high_dim" else run_low_dim
-    config = EmConfig(eta=0.5, T=T, N0=4, s_hat=s_hat, budget=budget)
-    args = (spec, data, config, sparse_beta(spec.d, 3), NoiseOracle(0, oracle_mode))
+
+    def fit():
+        config = EmConfig(eta=0.5, T=T, N0=4, s_hat=s_hat, budget=budget)
+        return run(spec, data, config, sparse_beta(spec.d, 3), NoiseOracle(0))
+
     if ok:
-        assert run(*args).betas.shape == (5, spec.d)
+        assert fit().betas.shape == (5, spec.d)
     else:
         with pytest.raises(ValueError):
-            run(*args)
+            fit()
 
 
 @pytest.mark.parametrize("regime", ["high_dim", "low_dim"])
 @pytest.mark.parametrize("kind", ["gmm", "mor", "rmc"])
-def test_inf_epsilon_live_equals_silent(regime, kind):
+def test_inf_epsilon_releases_the_noiseless_step(regime, kind):
     # At finite T the certified sensitivity is positive, and epsilon = inf
-    # makes both noise scales exactly 0: a live oracle releases bitwise what a
-    # silent one does.
+    # makes both noise scales exactly 0: the release does not depend on the
+    # oracle, and it is the plain truncated step (thresholded when high-dim).
     spec, data, beta_star = make_instance(kind, 9)
-    s_hat = 3 if regime == "high_dim" else None
-    run = run_high_dim if regime == "high_dim" else run_low_dim
-    config = EmConfig(eta=0.5, T=1.5, N0=4, s_hat=s_hat, budget=PrivacyBudget(math.inf, 1e-3))
+    high = regime == "high_dim"
+    run = run_high_dim if high else run_low_dim
+    config = EmConfig(eta=0.5, T=1.5, N0=4, s_hat=3 if high else None, budget=NONPRIVATE)
     beta0 = sparse_beta(spec.d, 3)
-    live = run(spec, data, config, beta0, NoiseOracle(4))
-    silent = run(spec, data, config, beta0, NoiseOracle(4, "silent"))
-    assert live.betas.tobytes() == silent.betas.tobytes()
+    traj = run(spec, data, config, beta0, NoiseOracle(4))
+    other = run(spec, data, config, beta0, NoiseOracle(5))
+    np.testing.assert_array_equal(bits(traj.betas), bits(other.betas))
+
+    beta, expected = beta0, [beta0]
+    for lo, hi in split_batches(len(data), config.N0):
+        beta = beta + config.eta * truncated_grad(spec, beta, data[lo:hi], config.T)
+        if high:
+            beta = exact_top_k(beta, config.s_hat).values
+        expected.append(beta)
+    np.testing.assert_array_equal(traj.betas, np.vstack(expected))
 
 
 class TestRunLowDim:
@@ -254,13 +264,13 @@ class TestRunLowDim:
         spec = ModelSpec("gmm", d, sigma, beta_star)
         return spec, generate_gmm(spec, n, NoiseOracle(seed)), beta_star
 
-    def test_silent_untruncated_recovery(self):
+    def test_untruncated_recovery(self):
         # Frozen threshold 3 sqrt(d/n); validated over 20 seeds before
         # freezing (all passed, max observed error 0.098).
         spec, data, beta_star = self._instance(31)
         config = EmConfig(eta=0.5, T=math.inf, N0=9)
         beta0 = beta_star + 0.1 * NoiseOracle(32).standard_normal(spec.d)
-        traj = run_low_dim(spec, data, config, beta0, NoiseOracle(0, "silent"), true_beta=beta_star)
+        traj = run_low_dim(spec, data, config, beta0, NoiseOracle(0), true_beta=beta_star)
         assert traj.final_error <= 3 * math.sqrt(spec.d / len(data))
 
     def test_deterministic(self):
@@ -273,12 +283,6 @@ class TestRunLowDim:
     def test_requires_budget_for_finite_T(self):
         spec, data, beta_star = self._instance(34, n=200)
         config = EmConfig(eta=0.5, T=2.0, N0=5)
-        with pytest.raises(ValueError):
-            run_low_dim(spec, data, config, beta_star, NoiseOracle(0))
-
-    def test_inf_T_requires_silent(self):
-        spec, data, beta_star = self._instance(34, n=200)
-        config = EmConfig(eta=0.5, T=math.inf, N0=5, budget=BUDGET)
         with pytest.raises(ValueError):
             run_low_dim(spec, data, config, beta_star, NoiseOracle(0))
 

@@ -16,14 +16,11 @@ from dpem.mechanisms import (
 from dpem.oracle import exact_top_k
 
 BUDGET = PrivacyBudget(0.5, 1e-3)
+# epsilon = inf: every noise scale is exactly 0, whatever the oracle draws.
+NONPRIVATE = PrivacyBudget(math.inf, 1e-3)
 
 
 class TestSamplers:
-    def test_laplace_silent_is_zero(self):
-        oracle = NoiseOracle(3, "silent")
-        assert sample_laplace(2.7, oracle) == 0.0
-        assert np.all(sample_laplace(2.7, oracle, size=10) == 0.0)
-
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
     def test_laplace_rejects_bad_scale(self, bad):
         with pytest.raises(ValueError):
@@ -41,10 +38,6 @@ class TestSamplers:
         draws = sample_laplace(b, NoiseOracle(102), size=1_000_000)
         frac = np.mean(np.abs(draws) > b * math.log(2))
         assert abs(frac - 0.5) < 0.01
-
-    def test_gaussian_silent_is_zero(self):
-        oracle = NoiseOracle(3, "silent")
-        assert sample_gaussian(1.3, oracle) == 0.0
 
     @pytest.mark.parametrize("bad", [0.0, -0.5, math.inf])
     def test_gaussian_rejects_bad_std(self, bad):
@@ -71,10 +64,6 @@ class TestNoiseOracle:
     def test_uniform_range(self):
         u = NoiseOracle(7).uniform_centered(100_000)
         assert u.min() >= -0.5 and u.max() < 0.5
-
-    def test_rejects_bad_mode(self):
-        with pytest.raises(ValueError):
-            NoiseOracle(0, "loud")
 
     def test_derive_seed_distinct(self):
         seeds = {derive_seed(5, "n", v, r) for v in (4000, 5000) for r in range(1000)}
@@ -127,19 +116,19 @@ class TestNoisyHardThreshold:
             got = noisy_ht_scale(lam, s, PrivacyBudget(eps, delta))
             assert got == pytest.approx(expected, rel=1e-12)
 
-    def test_silent_examples(self):
-        silent = NoiseOracle(0, "silent")
-        sel = noisy_hard_threshold(np.array([5.0, 1.0, 3.0, 2.0]), 2, 0.01, BUDGET, silent)
+    def test_inf_epsilon_examples(self):
+        oracle = NoiseOracle(0)
+        sel = noisy_hard_threshold(np.array([5.0, 1.0, 3.0, 2.0]), 2, 0.01, NONPRIVATE, oracle)
         np.testing.assert_array_equal(sel.support, [0, 2])
         np.testing.assert_array_equal(sel.values, [5.0, 0.0, 3.0, 0.0])
 
-        sel = noisy_hard_threshold(np.array([-7.0, 0.0, 0.0]), 1, 0.01, BUDGET, silent)
+        sel = noisy_hard_threshold(np.array([-7.0, 0.0, 0.0]), 1, 0.01, NONPRIVATE, oracle)
         np.testing.assert_array_equal(sel.support, [0])
         np.testing.assert_array_equal(sel.values, [-7.0, 0.0, 0.0])
 
     def test_select_all_returns_input(self):
         v = np.array([0.3, -2.0, 1.1, 0.0])
-        sel = noisy_hard_threshold(v, 4, 0.01, BUDGET, NoiseOracle(0, "silent"))
+        sel = noisy_hard_threshold(v, 4, 0.01, NONPRIVATE, NoiseOracle(0))
         np.testing.assert_array_equal(sel.values, v)
         assert sorted(sel.support) == [0, 1, 2, 3]
 
@@ -171,14 +160,14 @@ class TestNoisyHardThreshold:
         np.testing.assert_array_equal(a.support, b.support)
         np.testing.assert_array_equal(a.values, b.values)
 
-    def test_silent_matches_exact_top_k(self):
+    def test_inf_epsilon_matches_exact_top_k(self):
         rng = np.random.default_rng(21)
-        silent = NoiseOracle(0, "silent")
+        oracle = NoiseOracle(0)
         for d in range(1, 13):
             vs = [rng.standard_normal(d), rng.integers(-2, 3, size=d).astype(float), np.ones(d)]
             for v in vs:
                 for s in range(1, d + 1):
-                    sel = noisy_hard_threshold(v, s, 0.1, BUDGET, silent)
+                    sel = noisy_hard_threshold(v, s, 0.1, NONPRIVATE, oracle)
                     ref = exact_top_k(v, s)
                     np.testing.assert_array_equal(sel.support, ref.support)
                     np.testing.assert_array_equal(sel.values, ref.values)
@@ -189,12 +178,12 @@ class TestNoisyHardThreshold:
         from itertools import combinations
 
         rng = np.random.default_rng(33)
-        silent = NoiseOracle(0, "silent")
+        oracle = NoiseOracle(0)
         for _ in range(20):
             d = int(rng.integers(4, 9))
             s = int(rng.integers(2, d))
             v = np.round(rng.standard_normal(d), 1)  # rounding induces ties
-            sel = noisy_hard_threshold(v, s, 0.1, BUDGET, silent)
+            sel = noisy_hard_threshold(v, s, 0.1, NONPRIVATE, oracle)
             inside = list(sel.support)
             outside = [j for j in range(d) if j not in inside]
             for r in range(1, min(len(inside), len(outside), 3) + 1):
@@ -214,5 +203,5 @@ class TestNoisyHardThreshold:
 
     def test_infinite_epsilon_means_no_noise(self):
         v = np.array([1.0, -3.0, 0.5, 0.2])
-        sel = noisy_hard_threshold(v, 2, 0.3, PrivacyBudget(math.inf, 1e-3), NoiseOracle(5))
+        sel = noisy_hard_threshold(v, 2, 0.3, NONPRIVATE, NoiseOracle(5))
         np.testing.assert_array_equal(sel.values, exact_top_k(v, 2).values)

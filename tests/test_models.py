@@ -51,12 +51,6 @@ class TestModelSpec:
 
 
 class TestGenerators:
-    def test_gmm_silent_returns_centers(self):
-        # Silent oracle: z is forced to +1 and the noise vanishes.
-        spec = gmm_spec()
-        batch = generate_gmm(spec, 4, NoiseOracle(0, "silent"))
-        np.testing.assert_array_equal(batch.y, np.tile(spec.true_beta, (4, 1)))
-
     def test_gmm_moments(self):
         spec = gmm_spec()
         batch = generate_gmm(spec, 100_000, NoiseOracle(11))
@@ -70,12 +64,6 @@ class TestGenerators:
     def test_gmm_rejects_empty(self):
         with pytest.raises(ValueError):
             generate_gmm(gmm_spec(), 0, NoiseOracle(0))
-
-    def test_mor_silent_degenerate(self):
-        spec = ModelSpec("mor", 3, 0.5, np.array([1.0, 0.0, 0.0]))
-        batch = generate_mor(spec, 5, NoiseOracle(0, "silent"))
-        np.testing.assert_array_equal(batch.x, np.zeros((5, 3)))
-        np.testing.assert_array_equal(batch.y, np.zeros(5))
 
     def test_mor_variance_and_symmetry(self):
         beta = np.array([0.6, -0.8])  # unit norm
