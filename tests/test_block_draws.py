@@ -26,6 +26,7 @@ from dpem.mechanisms import (
 from dpem.models import ModelSpec, generate_gmm
 
 BUDGET = PrivacyBudget(0.5, 1e-3)
+NONPRIVATE = PrivacyBudget(math.inf, 1e-3)
 
 
 def reference_laplace(scale, u):
@@ -63,16 +64,19 @@ def reference_generate_gmm(spec, n, oracle):
 class TestNoisyHardThresholdBlocks:
     # (1, 1) and (7, 7): s == d; (200, 10): one block; (5000, 400): 13-row
     # blocks, the last one short; (70000, 3): d > B, one row per block.
+    # Scale 0 two ways: lam = 0 never reads the budget, while epsilon = inf
+    # calibrates a positive lam down to 0.  The oracle is consumed either way.
     @pytest.mark.parametrize("d, s", [(1, 1), (200, 10), (5000, 400), (7, 7), (70000, 3)])
-    @pytest.mark.parametrize("lam", [0.0, 0.05])
-    def test_bitwise_equal_to_round_by_round(self, d, s, lam):
+    @pytest.mark.parametrize("lam, budget", [(0.0, BUDGET), (0.05, BUDGET), (0.05, NONPRIVATE)],
+                             ids=["0.0", "0.05", "0.05-inf_eps"])
+    def test_bitwise_equal_to_round_by_round(self, d, s, lam, budget):
         seed = 1000 * d + s
         # Rounding makes ties, so lowest-index tie-breaking is exercised too.
         v = np.round(np.random.default_rng(seed).standard_normal(d), 1)
         fast_oracle, ref_oracle = NoiseOracle(seed), NoiseOracle(seed)
 
-        sel = noisy_hard_threshold(v, s, lam, BUDGET, fast_oracle)
-        ref_support, ref_values = reference_noisy_hard_threshold(v, s, lam, BUDGET, ref_oracle)
+        sel = noisy_hard_threshold(v, s, lam, budget, fast_oracle)
+        ref_support, ref_values = reference_noisy_hard_threshold(v, s, lam, budget, ref_oracle)
 
         np.testing.assert_array_equal(sel.support, ref_support)
         np.testing.assert_array_equal(bits(sel.values), bits(ref_values))

@@ -84,6 +84,20 @@ class TestEmConfig:
         with pytest.raises(ValueError, match="T = inf"):
             EmConfig(eta=0.5, T=math.inf, N0=4, s_hat=s_hat, budget=PrivacyBudget(0.5, 1e-3))
 
+    @pytest.mark.parametrize("budget", [None, NONPRIVATE], ids=["no_budget", "inf_eps"])
+    @pytest.mark.parametrize("s_hat", [3, None], ids=["high_dim", "low_dim"])
+    def test_inf_T_accepts_no_privacy(self, s_hat, budget):
+        config = EmConfig(eta=0.5, T=math.inf, N0=4, s_hat=s_hat, budget=budget)
+        assert config.budget is budget
+
+    @pytest.mark.parametrize("budget", [None, BUDGET, NONPRIVATE],
+                             ids=["no_budget", "finite_eps", "inf_eps"])
+    def test_finite_T_accepts_any_budget(self, budget):
+        # The T = inf rule is the only budget check at construction; a finite
+        # T without a budget fails later, in the driver, if lam > 0.
+        config = EmConfig(eta=0.5, T=2.0, N0=4, s_hat=3, budget=budget)
+        assert config.budget is budget
+
 
 def make_instance(kind, seed, d=12, n=240, s_star=3, sigma=0.5):
     beta_star = sparse_beta(d, s_star)

@@ -278,6 +278,20 @@ class TestClassificationIO:
         np.testing.assert_array_equal(got_X, plain_X)
         np.testing.assert_array_equal(got_labels, plain_labels)
 
+    def test_spreadsheet_export_loads(self, tmp_path):
+        # Spreadsheet "CSV UTF-8" exports pair the byte-order mark with CRLF
+        # line ends.
+        X, labels = make_gmm_class_data(n=40)
+        path = tmp_path / "data.csv"
+        write_class_csv(path, X, labels)
+        plain_X, plain_labels = load_classification_csv(path)
+        text = path.read_text(encoding="utf-8")
+        path.write_bytes(text.replace("\n", "\r\n").encode("utf-8-sig"))
+        assert path.read_bytes().startswith(b"\xef\xbb\xbf") and b"\r\n" in path.read_bytes()
+        got_X, got_labels = load_classification_csv(path)
+        np.testing.assert_array_equal(got_X, plain_X)
+        np.testing.assert_array_equal(got_labels, plain_labels)
+
     def test_missing_label_column(self, tmp_path):
         X, labels = make_gmm_class_data(n=10)
         path = tmp_path / "data.csv"

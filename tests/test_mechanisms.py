@@ -44,6 +44,11 @@ class TestSamplers:
         with pytest.raises(ValueError):
             sample_gaussian(bad, NoiseOracle(0))
 
+    def test_gaussian_scalar_draw(self):
+        x = sample_gaussian(1.3, NoiseOracle(3))
+        assert np.ndim(x) == 0
+        assert x == 1.3 * NoiseOracle(3).standard_normal()
+
     def test_gaussian_moments(self):
         sigma = 2.3
         draws = sample_gaussian(sigma, NoiseOracle(103), size=1_000_000)
@@ -64,6 +69,15 @@ class TestNoiseOracle:
     def test_uniform_range(self):
         u = NoiseOracle(7).uniform_centered(100_000)
         assert u.min() >= -0.5 and u.max() < 0.5
+
+    def test_takes_only_a_seed(self):
+        # The stream is the oracle's whole state; there is no noise-off mode.
+        with pytest.raises(TypeError):
+            NoiseOracle(0, "silent")
+        assert not hasattr(NoiseOracle(0), "silent")
+
+    def test_repr_names_the_seed(self):
+        assert repr(NoiseOracle(42)) == "NoiseOracle(seed=42)"
 
     def test_derive_seed_distinct(self):
         seeds = {derive_seed(5, "n", v, r) for v in (4000, 5000) for r in range(1000)}
@@ -104,6 +118,14 @@ class TestNoisyHardThreshold:
             for budget in (None, BUDGET):
                 with pytest.raises(ValueError, match="lam"):
                     scale_fn(lam, 10, budget)
+
+    @pytest.mark.parametrize("scale_fn", [noisy_ht_scale, gaussian_noise_std])
+    @pytest.mark.parametrize("lam", [1e-12, 0.004, 50.0])
+    def test_scale_is_zero_at_inf_epsilon(self, scale_fn, lam):
+        # epsilon = inf is the one way to switch noise off: a positive
+        # certified sensitivity is calibrated to exactly +0.0.
+        got = scale_fn(lam, 10, NONPRIVATE)
+        assert got == 0.0 and math.copysign(1.0, got) == 1.0
 
     def test_scale_formula_audit(self):
         rng = np.random.default_rng(5)
