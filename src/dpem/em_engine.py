@@ -17,7 +17,7 @@ import numpy as np
 
 from . import models
 from .mechanisms import (NoiseOracle, PrivacyBudget, gaussian_noise_std, noisy_hard_threshold,
-                         require, whole)
+                         require, sample_gaussian, whole)
 
 __all__ = [
     "EmConfig",
@@ -30,29 +30,31 @@ __all__ = [
 
 @dataclass(frozen=True)
 class EmConfig:
-    """Step size, truncation level, iteration count, sparsity, and budget.
+    """Step size, truncation level, iteration count, budget, and sparsity.
 
-    ``T = inf`` is a sentinel meaning "no truncation"; it has no certified
-    sensitivity, so it is legal only without privacy: with ``budget=None``
-    or ``budget.epsilon = inf``.  A finite T calibrates the noise from
-    ``budget``; a run whose sensitivity is positive fails without one.
-    ``s_hat`` is read by :func:`run_high_dim` only, which requires it.
+    Every run carries a :class:`~dpem.mechanisms.PrivacyBudget`; noise is
+    off only at ``budget.epsilon = inf``.  ``T = inf`` is a sentinel meaning
+    "no truncation"; it has no certified sensitivity, so it is legal only at
+    ``epsilon = inf``.  ``s_hat`` is read by :func:`run_high_dim` only, which
+    requires it.
     """
 
     eta: float
     T: float
     N0: int
+    budget: PrivacyBudget
     s_hat: int | None = None
-    budget: PrivacyBudget | None = None
 
     def __post_init__(self):
         require("eta", self.eta, "a finite nonnegative number", lambda v: 0 <= v < math.inf)
         require("T", self.T, "a positive number", lambda v: v > 0)
         object.__setattr__(self, "N0", whole("N0", self.N0))
+        if not isinstance(self.budget, PrivacyBudget):
+            raise ValueError(f"budget must be a PrivacyBudget, got {self.budget!r}")
         if self.s_hat is not None:
             object.__setattr__(self, "s_hat", whole("s_hat", self.s_hat))
-        if math.isinf(self.T) and self.budget is not None and math.isfinite(self.budget.epsilon):
-            raise ValueError("T = inf (no truncation) is legal only with no budget or epsilon = inf")
+        if math.isinf(self.T) and math.isfinite(self.budget.epsilon):
+            raise ValueError("T = inf (no truncation) is legal only with epsilon = inf")
 
 
 @dataclass(frozen=True)
@@ -181,4 +183,4 @@ def run_low_dim(
     certified sensitivity of the step.
     """
     return _run(spec, batch, config, beta0, true_beta, lambda v, lam:
-                v + gaussian_noise_std(lam, spec.d, config.budget) * oracle.standard_normal(spec.d))
+                v + sample_gaussian(gaussian_noise_std(lam, spec.d, config.budget), oracle, spec.d))

@@ -211,8 +211,8 @@ class ExperimentConfig:
         if math.isinf(T):
             raise ValueError(f"derived T overflows (T_rule = {fixed.T_rule}, sigma = {spec.sigma})")
         delta = 1.0 / (2.0 * n) if fixed.delta_rule == "half_n" else fixed.delta
-        em_config = EmConfig(fixed.eta, T, N0, s_hat if self.regime == "high_dim" else None,
-                             PrivacyBudget(values["epsilon"], delta))
+        em_config = EmConfig(fixed.eta, T, N0, PrivacyBudget(values["epsilon"], delta),
+                             s_hat if self.regime == "high_dim" else None)
         return n, spec, em_config
 
 
@@ -327,7 +327,7 @@ def run_experiment(
     """Run the configured sweep and collect per-iteration errors.
 
     ``engine`` is 'private' (the DP EM drivers) or 'nonprivate' (the plain
-    gradient-EM baseline under the same data and seeds).  An epsilon of
+    gradient-EM baseline under the same data and seeds).  Only an epsilon of
     ``inf`` makes the mechanism noise exactly zero.  Repetitions may run
     concurrently (``jobs``); the output is schedule-independent.
     """
@@ -456,8 +456,8 @@ def load_classification_csv(path) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(features, dtype=float), np.asarray(labels)
 
 
-def _classify_once(Xs, z, params: ClassificationParams, config: EmConfig, rep: int,
-                   master_seed: int) -> float:
+def _classify_once(Xs, z, params: ClassificationParams, config: EmConfig, n_train: int,
+                   rep: int, master_seed: int) -> float:
     rng = np.random.default_rng(derive_seed(master_seed, "classify", rep))
     noise_oracle = NoiseOracle(derive_seed(master_seed, "classify-noise", rep))
 
@@ -474,7 +474,6 @@ def _classify_once(Xs, z, params: ClassificationParams, config: EmConfig, rep: i
     Xb = Xb - Xb.mean(axis=0)
 
     perm = rng.permutation(idx.size)
-    n_train = int(0.7 * idx.size)
     train, test = perm[:n_train], perm[n_train:]
 
     d = Xb.shape[1]
@@ -507,8 +506,9 @@ def run_classification(
     The attributes are standardized once, over all rows.  Per repetition:
     balance the two classes by random drop, subtract the overall mean, split
     70/30, fit beta through the high-dimensional private EM, and classify
-    test points by l2 closeness to +/-beta.  ``epsilon = inf`` is the
-    non-private sentinel: it makes the mechanism noise exactly zero.
+    test points by l2 closeness to +/-beta.  The split and the 1/(2 n_train)
+    delta rule share one training size.  ``epsilon = inf`` is the only
+    setting that makes the mechanism noise exactly zero.
 
     Only the private fit is under the (epsilon, delta) guarantee: not the
     standardization (over all rows, test rows included), the centering of the
@@ -537,7 +537,7 @@ def run_classification(
     Xs = (X - X.mean(axis=0)) / np.where(sd == 0.0, 1.0, sd)
 
     def one(rep):
-        return _classify_once(Xs, z, params, config, rep, master_seed)
+        return _classify_once(Xs, z, params, config, n_train, rep, master_seed)
 
     rates = _fan_out(one, range(reps), jobs)
 

@@ -75,8 +75,8 @@ def whole(name: str, value) -> int:
 class PrivacyBudget:
     """An (epsilon, delta) pair governing all noise calibration.
 
-    ``epsilon = inf`` is allowed: it is the non-private sentinel, under which
-    every noise scale is exactly zero, whatever the oracle.
+    ``epsilon = inf`` is the one noiseless budget: under it every noise
+    scale is exactly zero, whatever the oracle.
     """
 
     epsilon: float
@@ -144,64 +144,47 @@ def _laplace_from_uniform(scale: float, u, out=None):
 
 
 def sample_laplace(scale: float, oracle: NoiseOracle, size=None):
-    """Zero-mean Laplace draw(s) with the given scale parameter b.
+    """Zero-mean Laplace draw(s) with scale b >= 0 (b = 0 gives exact zeros).
 
     Density (1/2b) exp(-|x|/b).  An inverse CDF on floating-point values is
     open to Mironov's low-order-bits attack (CCS 2012); snapping, its fix, is
     not implemented, and adopting it is an open decision.
     """
-    if not (scale > 0 and math.isfinite(scale)):
-        raise ValueError(f"scale must be positive and finite, got {scale}")
+    require("scale", scale, "a finite nonnegative number", lambda v: 0 <= v < math.inf)
     return _laplace_from_uniform(scale, oracle.uniform_centered(size))
 
 
 def sample_gaussian(std_dev: float, oracle: NoiseOracle, size=None):
-    """Zero-mean Gaussian draw(s) with the given standard deviation."""
-    if not (std_dev > 0 and math.isfinite(std_dev)):
-        raise ValueError(f"std_dev must be positive and finite, got {std_dev}")
+    """Zero-mean Gaussian draw(s) with std_dev >= 0 (0 gives exact zeros)."""
+    require("std_dev", std_dev, "a finite nonnegative number", lambda v: 0 <= v < math.inf)
     return std_dev * oracle.standard_normal(size)
 
 
-def _needs_noise(lam: float, budget: PrivacyBudget | None) -> bool:
-    # The one calibration guard: ``lam`` is finite and >= 0; lam = 0 needs no
-    # noise and no budget; lam > 0 needs a budget.
-    if lam < 0 or not math.isfinite(lam):
-        raise ValueError(f"lam must be a finite nonnegative real, got {lam}")
-    if lam == 0:
-        return False
-    if budget is None:
-        raise ValueError(f"lam = {lam} > 0 requires a privacy budget")
-    return True
-
-
-def noisy_ht_scale(lam: float, s: int, budget: PrivacyBudget | None) -> float:
+def noisy_ht_scale(lam: float, s: int, budget: PrivacyBudget) -> float:
     """Per-round Laplace scale used by :func:`noisy_hard_threshold`.
 
     Equals lam * 2 * sqrt(3 * s * ln(1/delta)) / epsilon, where ``lam`` is
     the caller-certified ell-infinity sensitivity of the input vector.
-    Natural logarithm throughout.  ``lam = 0`` gives scale 0 without reading
-    the budget, so a noiseless run may pass ``budget=None``; ``lam > 0``
-    requires a budget.
+    Natural logarithm throughout.  The scale is exactly +0.0 at ``lam = 0``
+    or ``epsilon = inf``.
     """
     if s < 1:
         raise ValueError(f"s must be a positive integer, got {s}")
-    if not _needs_noise(lam, budget):
-        return 0.0
+    require("lam", lam, "a finite nonnegative number", lambda v: 0 <= v < math.inf)
     return lam * 2.0 * math.sqrt(3.0 * s * math.log(1.0 / budget.delta)) / budget.epsilon
 
 
-def gaussian_noise_std(lam: float, d: int, budget: PrivacyBudget | None) -> float:
+def gaussian_noise_std(lam: float, d: int, budget: PrivacyBudget) -> float:
     """Per-coordinate Gaussian standard deviation sigma_W of the low-dimensional step.
 
     Equals lam * sqrt(2 * d * ln(1.25/delta)) / epsilon: the Gaussian
     mechanism (Dwork & Roth 2014, Thm A.1) at ell-2 sensitivity sqrt(d) * lam,
     where ``lam`` is the caller-certified ell-infinity sensitivity of the
-    d-vector.  Same budget rule as :func:`noisy_ht_scale`.
+    d-vector.  Exactly +0.0 at ``lam = 0`` or ``epsilon = inf``.
     """
     if d < 1:
         raise ValueError(f"d must be a positive integer, got {d}")
-    if not _needs_noise(lam, budget):
-        return 0.0
+    require("lam", lam, "a finite nonnegative number", lambda v: 0 <= v < math.inf)
     return lam * math.sqrt(2.0 * d * math.log(1.25 / budget.delta)) / budget.epsilon
 
 
@@ -209,7 +192,7 @@ def noisy_hard_threshold(
     v,
     s: int,
     lam: float,
-    budget: PrivacyBudget | None,
+    budget: PrivacyBudget,
     oracle: NoiseOracle,
 ) -> SparseSelection:
     """Private sparse selection by noisy peeling.

@@ -1,11 +1,12 @@
-"""Independent brute-force references used by tests and baseline comparisons.
+"""Brute-force references for the tests, and the non-private baseline.
 
-Everything here is deliberately coded without reusing the mechanisms or
-engine internals: top-k selection is a full sort instead of peeling, the
-surrogate objectives are evaluated explicitly so gradients can be checked by
-finite differences, and the reference EM loops are written out on their own.
-These live in the library (not the test tree) so the command line can run
-non-private baselines.
+Shared with the engine: the ``beta0`` input check, the trajectory record and
+the :class:`SparseSelection` result type.  Coded independently: top-k
+selection by full sort instead of peeling, the reference EM loops with their
+own batching arithmetic, and explicit surrogate objectives whose gradients
+are checked by finite differences.  Outside the tests, the harness uses
+``nonprivate_em`` (the command line's baseline) and ``exact_top_k`` (sparse
+starting points).
 """
 
 from __future__ import annotations
@@ -117,7 +118,7 @@ def nonprivate_em(
     for _ in range(config.N0):
         beta = beta + config.eta * models.raw_grad(spec, beta, batch)
         betas.append(beta)
-    return _record(betas, true_beta, [(0, len(batch))])
+    return _record(betas, true_beta, [(0, len(batch))] * config.N0)
 
 
 def ht_gradient_em(

@@ -355,7 +355,7 @@ def test_criterion_08_statistical_recovery():
     threshold = 3 * math.sqrt(d / n)
     beta_star = np.ones(d) / math.sqrt(d)
     spec = ModelSpec("gmm", d, sigma, beta_star)
-    config = EmConfig(eta=0.5, T=math.inf, N0=9)
+    config = EmConfig(eta=0.5, T=math.inf, N0=9, budget=PrivacyBudget(math.inf, 1e-3))
     passes, errors = 0, []
     for seed in range(20):
         data = generate(spec, n, NoiseOracle(derive_seed("acc8", "data", seed)))

@@ -1,7 +1,8 @@
-"""Every demo script runs to completion against the public ``dpem`` surface.
+"""Every demo script and the README's python block run against the public ``dpem`` surface.
 
-Each demo runs in a fresh working directory and must not write into the
-checkout.  The public surface is exactly what the demos and the README use.
+Each runs in a fresh working directory with ``src`` on PYTHONPATH; a demo
+must not write into the checkout.  The public surface is exactly what the
+demos and the README use.
 """
 
 import ast
@@ -19,19 +20,37 @@ REPO = Path(__file__).resolve().parents[1]
 DEMOS = sorted((REPO / "demos").glob("0*.py"))
 
 
-@pytest.mark.parametrize("script", DEMOS, ids=[d.stem for d in DEMOS])
-def test_demo_runs(script, tmp_path):
-    before = set(script.parent.iterdir())
+def _run_with_src(args, cwd):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p
     )
-    proc = subprocess.run(
-        [sys.executable, str(script)], cwd=tmp_path, env=env,
+    return subprocess.run(
+        [sys.executable, *args], cwd=cwd, env=env,
         capture_output=True, text=True, timeout=300,
     )
+
+
+def _readme_python_blocks() -> list[str]:
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    return re.findall(r"```python\n(.*?)```", readme, flags=re.S)
+
+
+@pytest.mark.parametrize("script", DEMOS, ids=[d.stem for d in DEMOS])
+def test_demo_runs(script, tmp_path):
+    before = set(script.parent.iterdir())
+    proc = _run_with_src([str(script)], tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert set(script.parent.iterdir()) == before
+
+
+def test_readme_snippet_runs(tmp_path):
+    # The library tour must keep running against the current API.
+    blocks = _readme_python_blocks()
+    assert blocks
+    for block in blocks:
+        proc = _run_with_src(["-c", block], tmp_path)
+        assert proc.returncode == 0, proc.stderr
 
 
 def _top_level_imports(source: str) -> set[str]:
@@ -43,9 +62,8 @@ def _top_level_imports(source: str) -> set[str]:
 def test_exports_are_what_demos_and_readme_import():
     # The rule in dpem/__init__.py: the top-level package holds the names the
     # README and the demos use, and no others.
-    readme = (REPO / "README.md").read_text(encoding="utf-8")
     sources = [d.read_text(encoding="utf-8") for d in DEMOS]
-    sources += re.findall(r"```python\n(.*?)```", readme, flags=re.S)
+    sources += _readme_python_blocks()
     used = set().union(*map(_top_level_imports, sources))
     assert used == set(dpem.__all__)
     assert len(dpem.__all__) == len(set(dpem.__all__))

@@ -6,7 +6,7 @@ import pytest
 from helpers import bits, fit_geometric_decay
 
 from dpem.em_engine import EmConfig, run_high_dim, run_low_dim, split_batches
-from dpem.mechanisms import NoiseOracle, PrivacyBudget, gaussian_noise_std
+from dpem.mechanisms import NoiseOracle, PrivacyBudget, gaussian_noise_std, sample_gaussian
 from dpem.models import (ModelSpec, generate_gmm, generate_mor, generate_rmc, sensitivity,
                          truncated_grad)
 from dpem.oracle import exact_top_k, ht_gradient_em
@@ -55,17 +55,17 @@ class TestEmConfig:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            dict(eta=-0.1, T=1.0, N0=3, s_hat=1),
-            dict(eta=0.5, T=0.0, N0=3, s_hat=1),
-            dict(eta=0.5, T=1.0, N0=0, s_hat=1),
-            dict(eta=True, T=1.0, N0=3, s_hat=1),
-            dict(eta="0.5", T=1.0, N0=3, s_hat=1),
-            dict(eta=0.5, T=True, N0=3, s_hat=1),
-            dict(eta=0.5, T="1.0", N0=3, s_hat=1),
-            dict(eta=0.5, T=1.0, N0=2.5, s_hat=1),
-            dict(eta=0.5, T=1.0, N0=True, s_hat=1),
-            dict(eta=0.5, T=1.0, N0=3, s_hat=True),
-            dict(eta=0.5, T=1.0, N0=3, s_hat="2"),
+            dict(eta=-0.1, T=1.0, N0=3, s_hat=1, budget=BUDGET),
+            dict(eta=0.5, T=0.0, N0=3, s_hat=1, budget=BUDGET),
+            dict(eta=0.5, T=1.0, N0=0, s_hat=1, budget=BUDGET),
+            dict(eta=True, T=1.0, N0=3, s_hat=1, budget=BUDGET),
+            dict(eta="0.5", T=1.0, N0=3, s_hat=1, budget=BUDGET),
+            dict(eta=0.5, T=True, N0=3, s_hat=1, budget=BUDGET),
+            dict(eta=0.5, T="1.0", N0=3, s_hat=1, budget=BUDGET),
+            dict(eta=0.5, T=1.0, N0=2.5, s_hat=1, budget=BUDGET),
+            dict(eta=0.5, T=1.0, N0=True, s_hat=1, budget=BUDGET),
+            dict(eta=0.5, T=1.0, N0=3, s_hat=True, budget=BUDGET),
+            dict(eta=0.5, T=1.0, N0=3, s_hat="2", budget=BUDGET),
         ],
     )
     def test_invalid(self, kwargs):
@@ -75,7 +75,7 @@ class TestEmConfig:
     @pytest.mark.parametrize("eta", [math.nan, math.inf])
     def test_rejects_non_finite_eta(self, eta):
         with pytest.raises(ValueError, match="eta"):
-            EmConfig(eta=eta, T=1.0, N0=3, s_hat=1)
+            EmConfig(eta=eta, T=1.0, N0=3, budget=BUDGET, s_hat=1)
 
     @pytest.mark.parametrize("s_hat", [3, None], ids=["high_dim", "low_dim"])
     def test_inf_T_rejects_finite_epsilon(self, s_hat):
@@ -84,19 +84,24 @@ class TestEmConfig:
         with pytest.raises(ValueError, match="T = inf"):
             EmConfig(eta=0.5, T=math.inf, N0=4, s_hat=s_hat, budget=PrivacyBudget(0.5, 1e-3))
 
-    @pytest.mark.parametrize("budget", [None, NONPRIVATE], ids=["no_budget", "inf_eps"])
+    @pytest.mark.parametrize("budget", [NONPRIVATE], ids=["inf_eps"])
     @pytest.mark.parametrize("s_hat", [3, None], ids=["high_dim", "low_dim"])
     def test_inf_T_accepts_no_privacy(self, s_hat, budget):
         config = EmConfig(eta=0.5, T=math.inf, N0=4, s_hat=s_hat, budget=budget)
         assert config.budget is budget
 
-    @pytest.mark.parametrize("budget", [None, BUDGET, NONPRIVATE],
-                             ids=["no_budget", "finite_eps", "inf_eps"])
+    @pytest.mark.parametrize("budget", [BUDGET, NONPRIVATE], ids=["finite_eps", "inf_eps"])
     def test_finite_T_accepts_any_budget(self, budget):
-        # The T = inf rule is the only budget check at construction; a finite
-        # T without a budget fails later, in the driver, if lam > 0.
         config = EmConfig(eta=0.5, T=2.0, N0=4, s_hat=3, budget=budget)
         assert config.budget is budget
+
+    @pytest.mark.parametrize("budget", [None, (0.5, 1e-3), 0.5], ids=["none", "tuple", "float"])
+    @pytest.mark.parametrize("T", [math.inf, 2.0], ids=["inf_T", "finite_T"])
+    def test_budget_is_required(self, T, budget):
+        # Every run carries a PrivacyBudget; a missing one is not a noiseless
+        # run, epsilon = inf is.
+        with pytest.raises(ValueError, match="budget"):
+            EmConfig(eta=0.5, T=T, N0=4, s_hat=3, budget=budget)
 
 
 def make_instance(kind, seed, d=12, n=240, s_star=3, sigma=0.5):
@@ -226,9 +231,9 @@ class TestNoiseCalibration:
     "T, budget, ok",
     [
         (math.inf, BUDGET, False),  # no truncation certifies no sensitivity
-        (2.0, None, False),  # finite T is calibrated from a budget
-        (math.inf, None, True),  # noiseless reference run
-        (math.inf, NONPRIVATE, True),  # the same run, under the non-private sentinel
+        (2.0, None, False),  # every run carries a budget
+        (math.inf, None, False),  # even a noiseless one
+        (math.inf, NONPRIVATE, True),  # the noiseless reference run
     ],
     ids=["inf_T_finite_eps", "finite_T_no_budget", "inf_T_no_budget", "inf_T_inf_eps"],
 )
@@ -272,6 +277,21 @@ def test_inf_epsilon_releases_the_noiseless_step(regime, kind):
     np.testing.assert_array_equal(traj.betas, np.vstack(expected))
 
 
+@pytest.mark.parametrize("kind", ["gmm", "mor", "rmc"])
+def test_low_dim_noise_is_the_samplers_draw(kind):
+    # The released first iterate is its epsilon = inf twin plus exactly the
+    # sample_gaussian draw that criterion 05 audits, at the run's certified
+    # sensitivity, so the audited sampler is the one the driver releases.
+    spec, data, beta_star = make_instance(kind, 10, n=243)
+    eta, T, N0, seed = 0.5, 1.5, 4, 11
+    private = run_low_dim(spec, data, EmConfig(eta, T, N0, BUDGET), beta_star, NoiseOracle(seed))
+    twin = run_low_dim(spec, data, EmConfig(eta, T, N0, NONPRIVATE), beta_star, NoiseOracle(seed))
+    lam = sensitivity(kind, T, eta, N0, N0 * (len(data) // N0))
+    noise = sample_gaussian(gaussian_noise_std(lam, spec.d, BUDGET), NoiseOracle(seed), spec.d)
+    assert np.all(noise != 0.0)
+    np.testing.assert_array_equal(bits(private.betas[1]), bits(twin.betas[1] + noise))
+
+
 class TestRunLowDim:
     def _instance(self, seed, d=10, n=5000, sigma=0.5):
         beta_star = np.ones(d) / math.sqrt(d)
@@ -282,7 +302,7 @@ class TestRunLowDim:
         # Frozen threshold 3 sqrt(d/n); validated over 20 seeds before
         # freezing (all passed, max observed error 0.098).
         spec, data, beta_star = self._instance(31)
-        config = EmConfig(eta=0.5, T=math.inf, N0=9)
+        config = EmConfig(eta=0.5, T=math.inf, N0=9, budget=NONPRIVATE)
         beta0 = beta_star + 0.1 * NoiseOracle(32).standard_normal(spec.d)
         traj = run_low_dim(spec, data, config, beta0, NoiseOracle(0), true_beta=beta_star)
         assert traj.final_error <= 3 * math.sqrt(spec.d / len(data))
@@ -295,10 +315,9 @@ class TestRunLowDim:
         np.testing.assert_array_equal(t1.betas, t2.betas)
 
     def test_requires_budget_for_finite_T(self):
-        spec, data, beta_star = self._instance(34, n=200)
-        config = EmConfig(eta=0.5, T=2.0, N0=5)
-        with pytest.raises(ValueError):
-            run_low_dim(spec, data, config, beta_star, NoiseOracle(0))
+        # The config refuses a missing budget before any run can start.
+        with pytest.raises(ValueError, match="budget"):
+            EmConfig(eta=0.5, T=2.0, N0=5, budget=None)
 
     def test_trajectory_shape_and_errors(self):
         spec, data, beta_star = self._instance(36, n=400)

@@ -21,7 +21,7 @@ NONPRIVATE = PrivacyBudget(math.inf, 1e-3)
 
 
 class TestSamplers:
-    @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
+    @pytest.mark.parametrize("bad", [-1.0, math.inf, math.nan, True])
     def test_laplace_rejects_bad_scale(self, bad):
         with pytest.raises(ValueError):
             sample_laplace(bad, NoiseOracle(0))
@@ -39,10 +39,19 @@ class TestSamplers:
         frac = np.mean(np.abs(draws) > b * math.log(2))
         assert abs(frac - 0.5) < 0.01
 
-    @pytest.mark.parametrize("bad", [0.0, -0.5, math.inf])
+    @pytest.mark.parametrize("bad", [-0.5, math.inf, math.nan, True])
     def test_gaussian_rejects_bad_std(self, bad):
         with pytest.raises(ValueError):
             sample_gaussian(bad, NoiseOracle(0))
+
+    @pytest.mark.parametrize("sampler", [sample_laplace, sample_gaussian])
+    def test_zero_scale_draws_exact_zeros(self, sampler):
+        # Scale 0 is the epsilon = inf release: exact zeros, drawn from the
+        # stream as a positive scale would, so later draws do not shift.
+        zero, live = NoiseOracle(6), NoiseOracle(6)
+        assert np.all(sampler(0.0, zero, size=1000) == 0.0)
+        sampler(1.0, live, size=1000)
+        np.testing.assert_array_equal(zero.standard_normal(5), live.standard_normal(5))
 
     def test_gaussian_scalar_draw(self):
         x = sample_gaussian(1.3, NoiseOracle(3))
@@ -107,15 +116,14 @@ class TestNoisyHardThreshold:
         assert scale == pytest.approx(0.2627197586453747, rel=1e-12)
 
     @pytest.mark.parametrize("scale_fn", [noisy_ht_scale, gaussian_noise_std])
-    def test_scale_without_budget(self, scale_fn):
-        # Both privatizers share one guard.  Zero sensitivity needs no
-        # budget; a positive one cannot be calibrated without it; a negative,
-        # NaN or infinite one is never a certified sensitivity.
-        assert scale_fn(0.0, 10, None) == 0.0
-        with pytest.raises(ValueError, match="budget"):
-            scale_fn(0.004, 10, None)
-        for lam in (-0.004, math.nan, math.inf):
-            for budget in (None, BUDGET):
+    def test_scale_rejects_uncertified_lam(self, scale_fn):
+        # Zero sensitivity calibrates to exactly +0.0 under a finite budget;
+        # a negative, NaN, infinite or bool one is never a certified
+        # sensitivity, whatever the budget.
+        got = scale_fn(0.0, 10, BUDGET)
+        assert got == 0.0 and math.copysign(1.0, got) == 1.0
+        for lam in (-0.004, math.nan, math.inf, True):
+            for budget in (BUDGET, NONPRIVATE):
                 with pytest.raises(ValueError, match="lam"):
                     scale_fn(lam, 10, budget)
 

@@ -5,9 +5,12 @@ import numpy as np
 import pytest
 
 from dpem.em_engine import EmConfig
-from dpem.mechanisms import NoiseOracle
+from dpem.mechanisms import NoiseOracle, PrivacyBudget
 from dpem.models import GmmBatch, ModelSpec, RmcBatch, generate_gmm
 from dpem.oracle import exact_top_k, finite_diff_grad, nonprivate_em, q_value
+
+# epsilon = inf: the budget that T = inf requires.
+NONPRIVATE = PrivacyBudget(math.inf, 1e-3)
 
 
 class TestExactTopK:
@@ -118,15 +121,22 @@ class TestNonprivateEm:
 
     def test_zero_step_is_constant(self):
         spec, data, beta_star = self._spec_and_data()
-        config = EmConfig(eta=0.0, T=math.inf, N0=4)
+        config = EmConfig(eta=0.0, T=math.inf, N0=4, budget=NONPRIVATE)
         traj = nonprivate_em(spec, data, config, beta_star * 0.9, true_beta=beta_star)
         assert np.all(traj.betas == traj.betas[0])
+
+    def test_batch_bounds_one_full_batch_per_iteration(self):
+        spec, data, beta_star = self._spec_and_data(n=300)
+        config = EmConfig(eta=0.5, T=math.inf, N0=4, budget=NONPRIVATE)
+        traj = nonprivate_em(spec, data, config, beta_star, true_beta=beta_star)
+        assert traj.batch_bounds == [(0, 300)] * 4
+        assert len(traj.batch_bounds) == traj.betas.shape[0] - 1
 
     def test_error_contracts_from_perturbed_start_at_high_snr(self):
         # From a start above the statistical floor the error decreases
         # monotonically toward it (empirical contraction at high SNR).
         spec, data, beta_star = self._spec_and_data(sigma=0.2)
-        config = EmConfig(eta=0.5, T=math.inf, N0=8)
+        config = EmConfig(eta=0.5, T=math.inf, N0=8, budget=NONPRIVATE)
         direction = NoiseOracle(9).standard_normal(10)
         beta0 = beta_star + 0.3 * direction / np.linalg.norm(direction)
         traj = nonprivate_em(spec, data, config, beta0, true_beta=beta_star)
@@ -137,7 +147,7 @@ class TestNonprivateEm:
 
     def test_statistical_recovery_single_seed(self):
         spec, data, beta_star = self._spec_and_data()
-        config = EmConfig(eta=0.5, T=math.inf, N0=9)
+        config = EmConfig(eta=0.5, T=math.inf, N0=9, budget=NONPRIVATE)
         beta0 = beta_star + 0.1 * NoiseOracle(5).standard_normal(10)
         traj = nonprivate_em(spec, data, config, beta0, true_beta=beta_star)
         assert traj.final_error <= 3 * math.sqrt(10 / 5000)
