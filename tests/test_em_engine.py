@@ -84,6 +84,13 @@ class TestEmConfig:
         with pytest.raises(ValueError, match="T = inf"):
             EmConfig(eta=0.5, T=math.inf, N0=4, s_hat=s_hat, budget=PrivacyBudget(0.5, 1e-3))
 
+    @pytest.mark.parametrize("s_hat", [3, None], ids=["high_dim", "low_dim"])
+    def test_inf_T_rejects_missing_budget(self, s_hat):
+        # A missing budget is not a noiseless run in either regime; T = inf
+        # needs PrivacyBudget(inf, delta).
+        with pytest.raises(ValueError, match="budget"):
+            EmConfig(eta=0.5, T=math.inf, N0=4, s_hat=s_hat, budget=None)
+
     @pytest.mark.parametrize("budget", [NONPRIVATE], ids=["inf_eps"])
     @pytest.mark.parametrize("s_hat", [3, None], ids=["high_dim", "low_dim"])
     def test_inf_T_accepts_no_privacy(self, s_hat, budget):
