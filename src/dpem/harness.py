@@ -312,7 +312,9 @@ def _run_cell(config: ExperimentConfig, sweep_value, rep: int, engine: str):
 
 
 def _fan_out(fn, items, jobs: int) -> list:
-    """``[fn(item) for item in items]``, on up to ``jobs`` threads when jobs > 1."""
+    """``[fn(item) for item in items]``, on up to ``jobs`` (a positive integer) threads."""
+    with _config_errors():
+        jobs = whole("jobs", jobs)
     if jobs > 1 and len(items) > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(fn, items))
@@ -329,7 +331,8 @@ def run_experiment(
     ``engine`` is 'private' (the DP EM drivers) or 'nonprivate' (the plain
     gradient-EM baseline under the same data and seeds).  Only an epsilon of
     ``inf`` makes the mechanism noise exactly zero.  Repetitions may run
-    concurrently (``jobs``); the output is schedule-independent.
+    concurrently on ``jobs`` threads (a positive integer, as for the CLI's
+    ``--jobs``); the output is schedule-independent.
     """
     if engine not in ("private", "nonprivate"):
         raise ConfigError(f"engine must be 'private' or 'nonprivate', got {engine!r}")
@@ -508,7 +511,8 @@ def run_classification(
     70/30, fit beta through the high-dimensional private EM, and classify
     test points by l2 closeness to +/-beta.  The split and the 1/(2 n_train)
     delta rule share one training size.  ``epsilon = inf`` is the only
-    setting that makes the mechanism noise exactly zero.
+    setting that makes the mechanism noise exactly zero.  ``reps`` and
+    ``jobs`` (threads) must be positive integers, as in the CLI.
 
     Only the private fit is under the (epsilon, delta) guarantee: not the
     standardization (over all rows, test rows included), the centering of the
@@ -523,8 +527,8 @@ def run_classification(
     classes = np.unique(labels)
     if classes.size != 2:
         raise ConfigError(f"expected exactly two classes, got {classes.size}")
-    if reps < 1:
-        raise ConfigError(f"reps must be at least 1, got {reps}")
+    with _config_errors():
+        reps = whole("reps", reps)
     if params.s_hat > X.shape[1]:
         raise ConfigError(f"s_hat must not exceed the feature count ({params.s_hat} > {X.shape[1]})")
     z = np.where(labels == classes[0], 1.0, -1.0)

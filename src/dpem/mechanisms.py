@@ -168,8 +168,7 @@ def noisy_ht_scale(lam: float, s: int, budget: PrivacyBudget) -> float:
     Natural logarithm throughout.  The scale is exactly +0.0 at ``lam = 0``
     or ``epsilon = inf``.
     """
-    if s < 1:
-        raise ValueError(f"s must be a positive integer, got {s}")
+    s = whole("s", s)
     require("lam", lam, "a finite nonnegative number", lambda v: 0 <= v < math.inf)
     return lam * 2.0 * math.sqrt(3.0 * s * math.log(1.0 / budget.delta)) / budget.epsilon
 
@@ -182,8 +181,7 @@ def gaussian_noise_std(lam: float, d: int, budget: PrivacyBudget) -> float:
     where ``lam`` is the caller-certified ell-infinity sensitivity of the
     d-vector.  Exactly +0.0 at ``lam = 0`` or ``epsilon = inf``.
     """
-    if d < 1:
-        raise ValueError(f"d must be a positive integer, got {d}")
+    d = whole("d", d)
     require("lam", lam, "a finite nonnegative number", lambda v: 0 <= v < math.inf)
     return lam * math.sqrt(2.0 * d * math.log(1.25 / budget.delta)) / budget.epsilon
 
@@ -220,8 +218,7 @@ def noisy_hard_threshold(
     if v.ndim != 1:
         raise ValueError(f"v must be one-dimensional, got shape {v.shape}")
     d = v.size
-    if not 1 <= s:
-        raise ValueError(f"s must be at least 1, got {s}")
+    s = whole("s", s)
     if s > d:
         raise ValueError(f"s must not exceed the dimension d ({s} > {d})")
     scale = noisy_ht_scale(lam, s, budget)

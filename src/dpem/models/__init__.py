@@ -6,8 +6,11 @@ Each model is one table entry: its data generator, its truncated gradient
 the eta-scaled gradient step.  Both privatizers are calibrated from that one
 number (see :mod:`dpem.mechanisms`).  Both matrix-vector directions are
 single-threaded numpy passes: the row products ``X beta`` behind the weights,
-fill-ins and generators go through ``types.matvec``, and each gradient
-averages its rows as one transposed product ``np.einsum("ij,i->j", X, r) / n``.
+fill-ins and generators go through ``types.matvec``, and the gmm and mor
+gradients average their rows as one transposed product
+``np.einsum("ij,i->j", X, r) / n``.  The rmc gradient sums the same kind of
+products over row blocks of its closed form, which never forms the (n, d)
+fill-in and holds because ``x_obs = z * x`` (see :mod:`dpem.models.rmc`).
 The threaded BLAS gemv behind ``X @ beta`` and ``X.T @ r`` stalled for
 milliseconds per call, and its summation order, hence the gradients' bytes,
 followed the BLAS thread count.  The ``kind``-dispatching

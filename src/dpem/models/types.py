@@ -19,9 +19,13 @@ __all__ = ["ModelSpec", "GmmBatch", "MorBatch", "RmcBatch", "clamp", "expit", "m
 MODEL_KINDS = ("gmm", "mor", "rmc")
 
 
-def clamp(a, T: float):
-    """Coordinate-wise projection onto [-T, T]; T = inf returns ``a`` itself, uncopied."""
-    return a if math.isinf(T) else np.clip(a, -T, T)
+def clamp(a, T: float, out=None):
+    """Coordinate-wise projection onto [-T, T]; T = inf returns ``a`` itself, uncopied.
+
+    A finite T writes into ``out`` when given; T = inf leaves ``out`` untouched,
+    so callers use the return value.
+    """
+    return a if math.isinf(T) else np.clip(a, -T, T, out=out)
 
 
 def expit(x):

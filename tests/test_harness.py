@@ -156,6 +156,13 @@ class TestRunExperiment:
         b = run_experiment(cfg, jobs=4, engine=engine)
         assert a.rows == b.rows
 
+    @pytest.mark.parametrize("jobs", [0, -3, 2.5, True])
+    def test_jobs_must_be_a_positive_integer(self, jobs):
+        # The library rejects what the CLI's --jobs rejects, before a cell runs.
+        cfg = parse_experiment_config(experiment_config_dict())
+        with pytest.raises(ConfigError, match="^jobs must be a positive integer"):
+            run_experiment(cfg, jobs=jobs)
+
     def test_inf_epsilon_single_rep_deterministic(self):
         cfg = parse_experiment_config(experiment_config_dict(reps=1, epsilon=math.inf))
         a = run_experiment(cfg)
@@ -341,6 +348,17 @@ class TestRunClassification:
         labels[0] = "third"
         with pytest.raises(ConfigError, match="two classes"):
             run_classification(X, labels, ClassificationParams(s_hat=2, epsilon=0.5), 1, 0)
+
+    @pytest.mark.parametrize("name, value", [
+        ("jobs", 0), ("jobs", -3), ("jobs", 2.5), ("jobs", True),
+        ("reps", 0), ("reps", 2.5), ("reps", True),
+    ])
+    def test_jobs_and_reps_must_be_positive_integers(self, name, value):
+        X, labels = make_gmm_class_data(n=100)
+        counts = {"reps": 2, "jobs": 1, name: value}
+        with pytest.raises(ConfigError, match=f"^{name} must be a positive integer"):
+            run_classification(X, labels, ClassificationParams(s_hat=5, epsilon=0.5),
+                               master_seed=7, **counts)
 
     def test_inf_epsilon_fit_does_not_depend_on_the_oracle(self, monkeypatch):
         # epsilon = inf zeroes a live oracle's noise exactly, so swapping in an

@@ -1,10 +1,13 @@
 """The transposed-product gradients and the in-place rmc buffers against their references.
 
 Each truncated gradient is a per-row weight times clamp(X, T), averaged over
-rows.  The models compute that average as one transposed matrix-vector
+rows.  gmm and mor compute that average as one transposed matrix-vector
 product over the clamped design instead of forming the (n, d) product and
-calling ``np.mean(..., axis=0)``.  mor and rmc now factor the row weight out
-of their terms, so the two agree to rounding, not bit for bit.
+calling ``np.mean(..., axis=0)``.  rmc sums a closed form over row blocks: it
+never forms the fill-ins m and n, and it relies on ``x_obs = z * x`` (x_obs
+is zero wherever z is zero), which every batch here is drawn to satisfy.
+mor and rmc factor the row weight out of their terms, so the model and its
+reference agree to rounding, not bit for bit.
 ``generate_rmc`` and ``rmc_mbeta`` build their arrays in place and must
 reproduce the formulations below bit for bit.  The references are the
 row-mean forms verbatim; their row products X beta go through the models'
@@ -33,9 +36,12 @@ from dpem.models import (
     rmc_truncated_grad,
     rmc_truncated_grad_clamped_part,
 )
+from dpem.models.rmc import _BLOCK_VALUES as RMC_BLOCK_VALUES
 from dpem.models.types import clamp, matvec
 
 SIGMA = 0.5
+# Three of rmc's row blocks at d = 200 plus a one-row tail.
+TAIL_N = 3 * (RMC_BLOCK_VALUES // 200) + 1
 
 
 def reference_gmm_grad(beta, batch, sigma, T):
@@ -104,22 +110,35 @@ GRADIENTS = {
 }
 
 
-def make_case(kind, n, d, seed):
-    """A batch drawn from the model and an estimate away from the truth."""
+def make_case(kind, n, d, seed, missing_prob=0.3):
+    """A batch drawn from the model and an estimate away from the truth.
+
+    ``missing_prob`` applies to rmc only.
+    """
     rng = np.random.default_rng(seed)
     true_beta = rng.standard_normal(d)
-    spec = ModelSpec(kind, d, SIGMA, true_beta, missing_prob=0.3 if kind == "rmc" else 0.0)
+    spec = ModelSpec(kind, d, SIGMA, true_beta,
+                     missing_prob=missing_prob if kind == "rmc" else 0.0)
     batch = generate(spec, n, NoiseOracle(seed))
     return true_beta + 0.5 * rng.standard_normal(d), batch
 
 
 class TestGradientsMatchRowMeans:
-    # n = 1 and d = 1 are the degenerate shapes of the transposed product.
-    @pytest.mark.parametrize("n, d", [(1, 1), (1, 6), (9, 1), (257, 33), (2000, 50)])
+    # n = 1 and d = 1 are the degenerate shapes of the transposed product;
+    # TAIL_N rows end rmc's blocked sum on a one-row block.  rmc also runs with
+    # every coordinate observed and with 90% missing.
+    @pytest.mark.parametrize("n, d", [(1, 1), (1, 6), (9, 1), (257, 33), (2000, 50),
+                                      (TAIL_N, 200)])
     @pytest.mark.parametrize("T", [1.0, math.inf])
-    @pytest.mark.parametrize("kind", ["gmm", "mor", "rmc"])
-    def test_agree_to_rounding(self, kind, T, n, d):
-        beta, batch = make_case(kind, n, d, seed=100 * n + d)
+    @pytest.mark.parametrize("kind, missing_prob", [
+        pytest.param("gmm", None, id="gmm"),
+        pytest.param("mor", None, id="mor"),
+        pytest.param("rmc", 0.3, id="rmc"),
+        pytest.param("rmc", 0.0, id="rmc_p0"),
+        pytest.param("rmc", 0.9, id="rmc_p0.9"),
+    ])
+    def test_agree_to_rounding(self, kind, missing_prob, T, n, d):
+        beta, batch = make_case(kind, n, d, seed=100 * n + d, missing_prob=missing_prob)
         for grad, reference in GRADIENTS[kind]:
             expected = reference(beta, batch, SIGMA, T)
             got = grad(beta, batch, SIGMA, T)
@@ -152,7 +171,7 @@ class TestRmcInPlace:
         np.testing.assert_array_equal(bits(fast_oracle.uniform_centered(5)),
                                       bits(ref_oracle.uniform_centered(5)))
 
-    # 2000 x 200 spans four row blocks of the denominator's squares.
+    # 2000 x 200 spans several row blocks of the denominator's squares.
     @pytest.mark.parametrize("n, d", [(1, 1), (257, 33), (2000, 200)])
     def test_mbeta_bitwise_equal_to_reference(self, n, d):
         beta, batch = make_case("rmc", n, d, seed=7 * n + d)
@@ -173,12 +192,11 @@ class TestAllocationBounds:
 
     @pytest.mark.parametrize("T", [1.0, math.inf])
     def test_rmc_gradient(self, T):
-        beta, batch = make_case("rmc", self.N, self.D, seed=4)
+        beta, batch = make_case("rmc", 20000, self.D, seed=4)
         peak, _ = traced_peak_bytes(lambda: rmc_truncated_grad(beta, batch, SIGMA, T))
-        # 1 - z, m and, at finite T, one clamped copy at a time; the squares
-        # behind the denominator are formed a row block at a time.  The
-        # row-mean form peaked at 5x (T = inf) and 7x (finite T).
-        assert peak < (2.5 if math.isinf(T) else 3.5) * batch.x_obs.nbytes
+        # Two reused row-block buffers and the per-row vectors; no (n, d)
+        # temporary at any T.
+        assert peak < 0.1 * batch.x_obs.nbytes
 
     def test_generate_rmc(self):
         spec = ModelSpec("rmc", self.D, SIGMA, np.ones(self.D), missing_prob=0.1)

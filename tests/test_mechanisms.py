@@ -127,6 +127,18 @@ class TestNoisyHardThreshold:
                 with pytest.raises(ValueError, match="lam"):
                     scale_fn(lam, 10, budget)
 
+    @pytest.mark.parametrize("bad", [2.5, True, 0, -3])
+    @pytest.mark.parametrize("fn, name", [
+        (lambda k: noisy_ht_scale(0.1, k, BUDGET), "s"),
+        (lambda k: gaussian_noise_std(0.1, k, BUDGET), "d"),
+        (lambda k: noisy_hard_threshold(np.zeros(5), k, 0.1, BUDGET, NoiseOracle(0)), "s"),
+    ], ids=["noisy_ht_scale", "gaussian_noise_std", "noisy_hard_threshold"])
+    def test_count_must_be_a_whole_number(self, fn, name, bad):
+        # A bool or fractional s (or d) is not a count: a ValueError naming
+        # it, not a scale at a fractional count or numpy's TypeError.
+        with pytest.raises(ValueError, match=f"^{name} must be a positive integer"):
+            fn(bad)
+
     @pytest.mark.parametrize("scale_fn", [noisy_ht_scale, gaussian_noise_std])
     @pytest.mark.parametrize("lam", [1e-12, 0.004, 50.0])
     def test_scale_is_zero_at_inf_epsilon(self, scale_fn, lam):
