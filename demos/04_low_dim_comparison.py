@@ -33,7 +33,8 @@ for n in (5000, 10000, 20000):
     n_used = N0 * (n // N0)
     T = 2.0 * sigma * math.sqrt(math.log(n_used))
     budget = PrivacyBudget(epsilon, 1.0 / (2 * n))
-    noise_std = gaussian_noise_std(sensitivity("gmm", T, 0.5, N0, n_used), d, budget)
+    # gmm's sensitivity does not depend on the iterate it is taken at.
+    noise_std = gaussian_noise_std(sensitivity("gmm", T, 0.5, N0, n_used, np.zeros(d)), d, budget)
 
     private_errs, baseline_errs = [], []
     for rep in range(10):

@@ -128,14 +128,17 @@ def _run(spec, batch, config, beta0, true_beta, privatize) -> Trajectory:
     # The one EM loop.  ``privatize(v, lam)`` maps v = beta + eta * f_T(grad)
     # to the released iterate, where lam is the certified ell-infinity
     # sensitivity of v; T = inf certifies nothing and runs noiseless (lam = 0).
+    # lam is taken at the iterate entering the step, which only earlier,
+    # disjoint batches produced, so reading it costs no privacy.
     beta = _as_beta(beta0, spec.d)
     n = len(batch)
     bounds = split_batches(n, config.N0)
-    lam = 0.0 if math.isinf(config.T) else models.sensitivity(
-        spec.kind, config.T, config.eta, config.N0, config.N0 * (n // config.N0))
+    n_used = config.N0 * (n // config.N0)
 
     betas = [beta]
     for lo, hi in bounds:
+        lam = 0.0 if math.isinf(config.T) else models.sensitivity(
+            spec.kind, config.T, config.eta, config.N0, n_used, beta)
         g = models.truncated_grad(spec, beta, batch[lo:hi], config.T)
         beta = privatize(beta + config.eta * g, lam)
         betas.append(beta)

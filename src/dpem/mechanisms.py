@@ -35,9 +35,10 @@ __all__ = [
 # inverse CDF would hit log(0).
 _UNIFORM_CAP = float(np.nextafter(0.5, 0.0))
 
-# Values per block of selection noise in noisy_hard_threshold (512 KiB of
-# float64): enough rows to amortize the per-call NumPy overhead at moderate d,
-# small enough that a block stays cache-sized.
+# Values per row block (512 KiB of float64) of the selection noise in
+# noisy_hard_threshold and of the rmc gradient's closed form: enough rows to
+# amortize the per-call NumPy overhead at moderate d, small enough that a
+# block stays cache-sized.
 _BLOCK_VALUES = 1 << 16
 
 

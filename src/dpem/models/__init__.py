@@ -1,10 +1,12 @@
 """Model-specific ingredients for the private EM engines.
 
 Each model is one table entry: its data generator, its truncated gradient
-(``T = inf`` gives the raw sample gradient), and the constant pair
-``(c, p)`` of the certified ell-infinity sensitivity ``c eta T^p N0 / n`` of
-the eta-scaled gradient step.  Both privatizers are calibrated from that one
-number (see :mod:`dpem.mechanisms`).  Both matrix-vector directions are
+(``T = inf`` gives the raw sample gradient), and the constants ``(c, p, b)``
+of the certified ell-infinity sensitivity ``eta (c T^p + b ||beta||_inf) N0 / n``
+of the eta-scaled gradient step taken from the iterate ``beta``.  Both
+privatizers are calibrated from that one number (see :mod:`dpem.mechanisms`).
+Only rmc has ``b = 1``: its unclamped ``-(1 - z) * beta`` term moves with one
+record's missingness mask.  Both matrix-vector directions are
 single-threaded numpy passes: the row products ``X beta`` behind the weights,
 fill-ins and generators go through ``types.matvec``, and the gmm and mor
 gradients average their rows as one transposed product
@@ -15,7 +17,8 @@ The threaded BLAS gemv behind ``X @ beta`` and ``X.T @ r`` stalled for
 milliseconds per call, and its summation order, hence the gradients' bytes,
 followed the BLAS thread count.  The ``kind``-dispatching
 helpers below are what the engines call; the per-model functions remain
-directly importable.
+directly importable.  The generators' and the gradients' input checks are
+written once, in :mod:`dpem.models.types`.
 """
 
 from __future__ import annotations
@@ -27,8 +30,8 @@ import numpy as np
 
 from ..mechanisms import NoiseOracle
 from .gmm import generate_gmm, gmm_truncated_grad, gmm_weight
-from .mor import generate_mor, mor_truncated_grad, mor_weight
-from .rmc import generate_rmc, rmc_mbeta, rmc_truncated_grad, rmc_truncated_grad_clamped_part
+from .mor import generate_mor, mor_truncated_grad
+from .rmc import generate_rmc, rmc_truncated_grad
 from .types import GmmBatch, ModelSpec, MorBatch, RmcBatch
 
 __all__ = [
@@ -44,20 +47,17 @@ __all__ = [
     "gmm_weight",
     "gmm_truncated_grad",
     "generate_mor",
-    "mor_weight",
     "mor_truncated_grad",
     "generate_rmc",
-    "rmc_mbeta",
     "rmc_truncated_grad",
-    "rmc_truncated_grad_clamped_part",
 ]
 
 
-_Model = namedtuple("_Model", ["generate", "truncated_grad", "c", "p"])
+_Model = namedtuple("_Model", ["generate", "truncated_grad", "c", "p", "b"])
 _MODELS = {
-    "gmm": _Model(generate_gmm, gmm_truncated_grad, 2.0, 1),
-    "mor": _Model(generate_mor, mor_truncated_grad, 4.0, 2),
-    "rmc": _Model(generate_rmc, rmc_truncated_grad, 6.0, 2),
+    "gmm": _Model(generate_gmm, gmm_truncated_grad, 2.0, 1, 0.0),
+    "mor": _Model(generate_mor, mor_truncated_grad, 4.0, 2, 0.0),
+    "rmc": _Model(generate_rmc, rmc_truncated_grad, 6.0, 2, 1.0),
 }
 
 
@@ -76,10 +76,13 @@ def truncated_grad(spec: ModelSpec, beta, batch, T: float) -> np.ndarray:
     return _MODELS[spec.kind].truncated_grad(beta, batch, spec.sigma, T)
 
 
-def sensitivity(kind: str, T: float, eta: float, N0: int, n: int) -> float:
-    """Certified ell-infinity sensitivity c eta T^p N0 / n of the eta-scaled truncated step.
+def sensitivity(kind: str, T: float, eta: float, N0: int, n: int, beta) -> float:
+    """Certified ell-infinity sensitivity eta (c T^p + b ||beta||_inf) N0 / n of one step.
 
-    2 eta T N0 / n for gmm, 4 eta T^2 N0 / n for mor, 6 eta T^2 N0 / n for rmc.
+    The step is the eta-scaled truncated gradient taken from the iterate
+    ``beta``: 2 eta T N0 / n for gmm, 4 eta T^2 N0 / n for mor and
+    eta (6 T^2 + ||beta||_inf) N0 / n for rmc.  gmm and mor have b = 0, so
+    their value does not depend on ``beta``.
     """
     if kind not in _MODELS:
         raise ValueError(f"unknown model kind {kind!r}")
@@ -90,5 +93,5 @@ def sensitivity(kind: str, T: float, eta: float, N0: int, n: int) -> float:
         raise ValueError(f"eta must be nonnegative, got {eta}")
     if N0 < 1 or n < 1:
         raise ValueError("N0 and n must be positive integers")
-    return model.c * eta * T**model.p * N0 / n
-
+    beta_inf = float(np.max(np.abs(beta)))
+    return (model.c * eta * T**model.p + model.b * eta * beta_inf) * N0 / n

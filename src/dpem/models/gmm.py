@@ -8,19 +8,14 @@ from __future__ import annotations
 import numpy as np
 
 from ..mechanisms import NoiseOracle
-from .types import GmmBatch, ModelSpec, clamp, expit, matvec
+from .types import GmmBatch, ModelSpec, check_generate, check_grad, clamp, expit, matvec
 
 __all__ = ["generate_gmm", "gmm_weight", "gmm_truncated_grad"]
 
 
 def generate_gmm(spec: ModelSpec, n: int, oracle: NoiseOracle) -> GmmBatch:
     """Draw n i.i.d. observations y_i = z_i * beta + e_i."""
-    if spec.kind != "gmm":
-        raise ValueError(f"spec.kind must be 'gmm', got {spec.kind!r}")
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
-    if spec.true_beta is None:
-        raise ValueError("spec.true_beta is required to generate data")
+    n = check_generate(spec, "gmm", n)
     u = np.atleast_1d(oracle.uniform_centered(n))
     positive = (u >= 0.0)[:, None]  # z_i = +1
     # Built in place in the one (n, d) output: e + beta equals beta + e and
@@ -33,13 +28,11 @@ def generate_gmm(spec: ModelSpec, n: int, oracle: NoiseOracle) -> GmmBatch:
 
 
 def gmm_weight(beta, y, sigma: float):
-    """Mixing weight 1 / (1 + exp(-<beta, y> / sigma^2)).
+    """Mixing weight 1 / (1 + exp(-<beta, y> / sigma^2)), for sigma > 0.
 
     Accepts a single observation (d,) or a stack (n, d); returns a scalar or
     an (n,) array accordingly.
     """
-    if not sigma > 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
     inner = matvec(np.asarray(y, dtype=float), np.asarray(beta, dtype=float))
     return expit(inner / sigma**2)
 
@@ -51,10 +44,7 @@ def gmm_truncated_grad(beta, batch: GmmBatch, sigma: float, T: float) -> np.ndar
     average is one transposed product, clamp_T(Y)^T (2 w - 1) / n.  T = inf is
     the raw sample gradient (1/n) sum_i (2 w(y_i) - 1) y_i - beta, unclamped.
     """
-    if len(batch) == 0:
-        raise ValueError("batch must be nonempty")
-    if not T > 0:
-        raise ValueError(f"T must be positive, got {T}")
+    check_grad(batch, sigma, T)
     beta = np.asarray(beta, dtype=float)
     w = gmm_weight(beta, batch.y, sigma)
     return np.einsum("ij,i->j", clamp(batch.y, T), 2.0 * w - 1.0) / len(batch) - beta

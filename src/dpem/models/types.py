@@ -42,6 +42,25 @@ def matvec(a, b):
     return np.einsum("...j,j->...", a, b)
 
 
+def check_generate(spec, kind: str, n) -> int:
+    """The generators' preconditions: a ``kind`` spec with a ``true_beta``; returns n as an int >= 1."""
+    if spec.kind != kind:
+        raise ValueError(f"spec.kind must be {kind!r}, got {spec.kind!r}")
+    if spec.true_beta is None:
+        raise ValueError("spec.true_beta is required to generate data")
+    return whole("n", n)
+
+
+def check_grad(batch, sigma: float, T: float) -> None:
+    """The truncated gradients' preconditions: a nonempty batch, sigma > 0 and T > 0."""
+    if len(batch) == 0:
+        raise ValueError("batch must be nonempty")
+    if not sigma > 0:
+        raise ValueError(f"sigma must be positive, got {sigma}")
+    if not T > 0:
+        raise ValueError(f"T must be positive, got {T}")
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """Which latent-variable model, its dimension, and its noise level.

@@ -9,8 +9,10 @@ import json
 import math
 
 import numpy as np
+import pytest
 
 from helpers import experiment_config_dict, make_gmm_class_data
+from references import finite_diff_grad, ht_gradient_em
 
 from dpem.cli import main
 from dpem.em_engine import EmConfig, run_high_dim
@@ -39,10 +41,9 @@ from dpem.models import (
     mor_truncated_grad,
     raw_grad,
     rmc_truncated_grad,
-    rmc_truncated_grad_clamped_part,
     sensitivity,
 )
-from dpem.oracle import exact_top_k, finite_diff_grad, ht_gradient_em, nonprivate_em
+from dpem.oracle import exact_top_k, nonprivate_em
 
 KINDS = ("gmm", "mor", "rmc")
 
@@ -133,7 +134,11 @@ def _adversarial_replacement(rng, kind, d, T):
 
 
 def test_criterion_03_sensitivity_certification():
-    """1000 adversarial adjacent pairs per model never exceed the constant."""
+    """1000 adversarial adjacent pairs per model never exceed the certified lambda.
+
+    Each pair takes one full step from the same iterate beta, so the bound is
+    lambda_t = eta (c T^p + b ||beta||_inf) N0 / n at that iterate.
+    """
     rng = np.random.default_rng(derive_seed("acceptance", 3))
     n0, N0 = 25, 4
     n = n0 * N0
@@ -148,8 +153,8 @@ def test_criterion_03_sensitivity_certification():
             sigma = float(rng.uniform(0.4, 1.5))
             beta = rng.standard_normal(d) * rng.uniform(0.2, 2.0)
             i = int(rng.integers(n0))
+            bound = sensitivity(kind, T, eta, N0, n, beta)
             if kind == "gmm":
-                bound = sensitivity("gmm", T, eta, N0, n)
                 y = rng.standard_normal((n0, d)) * rng.uniform(0.5, 3.0)
                 y2 = y.copy()
                 y2[i] = _adversarial_replacement(rng, "gmm", d, T)
@@ -157,7 +162,6 @@ def test_criterion_03_sensitivity_certification():
                 g2 = gmm_truncated_grad(beta, GmmBatch(y2), sigma, T)
                 pair = (y[i], y2[i])
             elif kind == "mor":
-                bound = sensitivity("mor", T, eta, N0, n)
                 x = rng.standard_normal((n0, d))
                 y = rng.standard_normal(n0)
                 x2, y2 = x.copy(), y.copy()
@@ -166,16 +170,14 @@ def test_criterion_03_sensitivity_certification():
                 g2 = mor_truncated_grad(beta, MorBatch(x2, y2), sigma, T)
                 pair = ((x[i], y[i]), (x2[i], y2[i]))
             else:
-                # The certified constant covers the clamped terms; the
-                # diag(1-z) beta term depends on the data only through z.
-                bound = sensitivity("rmc", T, eta, N0, n)
+                # The full step, its unclamped diag(1-z) beta term included.
                 x = rng.standard_normal((n0, d))
                 z = (rng.random((n0, d)) > 0.3).astype(float)
                 y = rng.standard_normal(n0)
                 xo2, z2, y2 = (z * x).copy(), z.copy(), y.copy()
                 xo2[i], z2[i], y2[i] = _adversarial_replacement(rng, "rmc", d, T)
-                g1 = rmc_truncated_grad_clamped_part(beta, RmcBatch(z * x, z, y), sigma, T)
-                g2 = rmc_truncated_grad_clamped_part(beta, RmcBatch(xo2, z2, y2), sigma, T)
+                g1 = rmc_truncated_grad(beta, RmcBatch(z * x, z, y), sigma, T)
+                g2 = rmc_truncated_grad(beta, RmcBatch(xo2, z2, y2), sigma, T)
                 pair = ((z[i] * x[i], z[i], y[i]), (xo2[i], z2[i], y2[i]))
             dist = eta * float(np.abs(g1 - g2).max())
             ratio = dist / bound
@@ -191,18 +193,17 @@ def test_criterion_03_sensitivity_certification():
 
 
 def test_rmc_full_step_sound_bound():
-    """The full rmc step obeys eta (6T^2 + ||beta||_inf) N0 / n, z flips included.
+    """The full rmc step obeys lambda_t = eta (6T^2 + ||beta||_inf) N0 / n, z flips included.
 
-    Criterion 03 certifies 6 eta T^2 N0 / n for the clamped terms only.  One
-    record's z also moves the unclamped -(1 - z) * beta term by up to
-    |beta_j| N0 / n, so the full step can exceed the certified constant; that
-    gap is open (ROADMAP item 4).  This test gates the sound bound and prints
-    the worst ratio to the certified constant.
+    One record's z moves the unclamped -(1 - z) * beta term by up to
+    |beta_j| N0 / n, so the 6 eta T^2 N0 / n that covers the clamped terms
+    alone is not enough; this test flips whole z rows at ||beta||_inf up to
+    20, gates lambda_t, and prints the worst ratio to 6 eta T^2 N0 / n too.
     """
     rng = np.random.default_rng(derive_seed("acceptance", "3-rmc-full-step"))
     n0, N0 = 25, 4
     n = n0 * N0
-    worst_sound, worst_certified = 0.0, 0.0
+    worst_certified, worst_clamped_only = 0.0, 0.0
     for trial in range(1000):
         d = int(rng.integers(2, 9))
         T = float(rng.uniform(0.5, 2.0))
@@ -221,12 +222,34 @@ def test_rmc_full_step_sound_bound():
         g1 = rmc_truncated_grad(beta, RmcBatch(z * x, z, y), sigma, T)
         g2 = rmc_truncated_grad(beta, RmcBatch(xo2, z2, y2), sigma, T)
         dist = eta * float(np.abs(g1 - g2).max())
-        sound = eta * (6.0 * T**2 + float(np.abs(beta).max())) * N0 / n
-        worst_sound = max(worst_sound, dist / sound)
-        worst_certified = max(worst_certified, dist / sensitivity("rmc", T, eta, N0, n))
-    print(f"\nrmc full step: worst ratio {worst_sound:.4f} to the sound bound, "
-          f"{worst_certified:.4f} to the certified constant")
-    assert worst_sound <= 1.0 + 1e-9
+        worst_certified = max(worst_certified, dist / sensitivity("rmc", T, eta, N0, n, beta))
+        worst_clamped_only = max(worst_clamped_only, dist / (6.0 * eta * T**2 * N0 / n))
+    print(f"\nrmc full step: worst ratio {worst_certified:.4f} to lambda_t, "
+          f"{worst_clamped_only:.4f} to 6 eta T^2 N0 / n")
+    assert worst_certified <= 1.0 + 1e-9
+
+
+def test_rmc_full_step_readme_witness():
+    """README's witness: one z flip moves the full step by 10/3 of 6 eta T^2 N0 / n, within lambda_t.
+
+    All-zero, fully observed records, beta = (20, 0), T = eta = sigma = 1,
+    n0 = 25, N0 = 4; the neighbour hides the first coordinate of one record.
+    The clamped terms do not move, and the unclamped term moves by 20 / 25.
+    """
+    n0, N0, T, eta, sigma = 25, 4, 1.0, 1.0, 1.0
+    beta = np.array([20.0, 0.0])
+    z = np.ones((n0, 2))
+    z2 = z.copy()
+    z2[0, 0] = 0.0
+    zeros = np.zeros((n0, 2))
+    g1 = rmc_truncated_grad(beta, RmcBatch(zeros, z, np.zeros(n0)), sigma, T)
+    g2 = rmc_truncated_grad(beta, RmcBatch(zeros, z2, np.zeros(n0)), sigma, T)
+    dist = eta * float(np.abs(g1 - g2).max())
+    lam = sensitivity("rmc", T, eta, N0, n0 * N0, beta)
+    assert dist == pytest.approx(0.8, rel=1e-12)
+    assert dist / (6.0 * eta * T**2 * N0 / (n0 * N0)) == pytest.approx(10 / 3, rel=1e-12)
+    assert lam == pytest.approx(1.04, rel=1e-12)
+    assert dist <= lam
 
 
 def test_criterion_04_noisy_ht_contract():
@@ -272,16 +295,17 @@ def test_criterion_05_noise_calibration():
     """Low-dim Gaussian variance: formula audit plus Monte-Carlo match."""
     eta, T, N0, n_used, d = 0.5, 1.8, 7, 3500, 12
     budget = PrivacyBudget(0.6, 1e-4)
-    factors = {"gmm": 2 * T, "mor": 4 * T**2, "rmc": 6 * T**2}
+    beta = np.linspace(-0.7, 0.3, d)  # ||beta||_inf = 0.7 enters rmc's factor only
+    factors = {"gmm": 2 * T, "mor": 4 * T**2, "rmc": 6 * T**2 + 0.7}
     audit_ok = True
     for kind, factor in factors.items():
         expected = (2.0 * eta**2 * d * N0**2 / (n_used**2 * budget.epsilon**2)
                     * factor**2 * math.log(1.25 / budget.delta))
-        got = gaussian_noise_std(sensitivity(kind, T, eta, N0, n_used), d, budget) ** 2
+        got = gaussian_noise_std(sensitivity(kind, T, eta, N0, n_used, beta), d, budget) ** 2
         if abs(got - expected) / expected > 1e-12:
             audit_ok = False
 
-    std = gaussian_noise_std(sensitivity("mor", T, eta, N0, n_used), d, budget)
+    std = gaussian_noise_std(sensitivity("mor", T, eta, N0, n_used, beta), d, budget)
     draws = sample_gaussian(std, NoiseOracle(505), size=100_000)
     mc_err = abs(draws.var() / std**2 - 1.0)
     report(5, "noise-calibration", audit_ok and mc_err < 0.05,

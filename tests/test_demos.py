@@ -15,6 +15,8 @@ from pathlib import Path
 import pytest
 
 import dpem
+import dpem.models
+import dpem.oracle
 
 REPO = Path(__file__).resolve().parents[1]
 DEMOS = sorted((REPO / "demos").glob("0*.py"))
@@ -67,3 +69,16 @@ def test_exports_are_what_demos_and_readme_import():
     used = set().union(*map(_top_level_imports, sources))
     assert used == set(dpem.__all__)
     assert len(dpem.__all__) == len(set(dpem.__all__))
+
+
+def test_submodule_exports_are_pinned():
+    # The models keep only the code that runs: a generator, a truncated
+    # gradient and the kind dispatch; the test references live in tests/.
+    assert dpem.models.__all__ == [
+        "ModelSpec", "GmmBatch", "MorBatch", "RmcBatch",
+        "generate", "raw_grad", "truncated_grad", "sensitivity",
+        "generate_gmm", "gmm_weight", "gmm_truncated_grad",
+        "generate_mor", "mor_truncated_grad",
+        "generate_rmc", "rmc_truncated_grad",
+    ]
+    assert dpem.oracle.__all__ == ["exact_top_k", "nonprivate_em"]

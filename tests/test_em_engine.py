@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from helpers import bits, fit_geometric_decay
+from references import ht_gradient_em
 
+from dpem import em_engine
 from dpem.em_engine import EmConfig, run_high_dim, run_low_dim, split_batches
 from dpem.mechanisms import NoiseOracle, PrivacyBudget, gaussian_noise_std, sample_gaussian
 from dpem.models import (ModelSpec, generate_gmm, generate_mor, generate_rmc, sensitivity,
                          truncated_grad)
-from dpem.oracle import exact_top_k, ht_gradient_em
+from dpem.oracle import exact_top_k
 
 BUDGET = PrivacyBudget(0.5, 1e-3)
 # epsilon = inf: every noise scale is exactly 0, whatever the oracle draws.
@@ -209,28 +211,31 @@ class TestRunHighDim:
 
 class TestNoiseCalibration:
     def test_variance_frozen_example(self):
-        got = gaussian_noise_std(sensitivity("gmm", 2.0, 1.0, 8, 4000), 5,
+        got = gaussian_noise_std(sensitivity("gmm", 2.0, 1.0, 8, 4000, np.ones(5)), 5,
                                  PrivacyBudget(0.5, 1 / 8000)) ** 2
         assert got == pytest.approx(0.02357847135225903, rel=1e-12)
 
     @pytest.mark.parametrize(
-        "kind, factor", [("gmm", lambda T: 2 * T), ("mor", lambda T: 4 * T**2), ("rmc", lambda T: 6 * T**2)]
+        "kind, factor",
+        [("gmm", lambda T: 2 * T), ("mor", lambda T: 4 * T**2), ("rmc", lambda T: 6 * T**2 + 1.5)],
     )
     def test_variance_formula_by_model(self, kind, factor):
         eta, T, N0, n, d, eps, delta = 0.7, 1.3, 6, 3000, 9, 0.4, 1e-4
+        beta = np.linspace(-1.5, 1.0, d)  # ||beta||_inf = 1.5 enters rmc's factor only
         expected = 2 * eta**2 * d * factor(T) ** 2 * N0**2 * math.log(1.25 / delta) / (n**2 * eps**2)
-        got = gaussian_noise_std(sensitivity(kind, T, eta, N0, n), d, PrivacyBudget(eps, delta)) ** 2
+        got = gaussian_noise_std(sensitivity(kind, T, eta, N0, n, beta), d,
+                                 PrivacyBudget(eps, delta)) ** 2
         assert got == pytest.approx(expected, rel=1e-12)
 
     def test_doubling_epsilon_halves_std(self):
-        lam = sensitivity("gmm", 2.0, 1.0, 8, 4000)
+        lam = sensitivity("gmm", 2.0, 1.0, 8, 4000, np.ones(5))
         lo = gaussian_noise_std(lam, 5, PrivacyBudget(0.5, 1e-4))
         hi = gaussian_noise_std(lam, 5, PrivacyBudget(1.0, 1e-4))
         assert lo == 2.0 * hi
 
     def test_rejects_inf_T(self):
         with pytest.raises(ValueError):
-            gaussian_noise_std(sensitivity("gmm", math.inf, 1.0, 8, 4000), 5, BUDGET)
+            gaussian_noise_std(sensitivity("gmm", math.inf, 1.0, 8, 4000, np.ones(5)), 5, BUDGET)
 
 
 @pytest.mark.parametrize("regime", ["high_dim", "low_dim"])
@@ -286,17 +291,46 @@ def test_inf_epsilon_releases_the_noiseless_step(regime, kind):
 
 @pytest.mark.parametrize("kind", ["gmm", "mor", "rmc"])
 def test_low_dim_noise_is_the_samplers_draw(kind):
-    # The released first iterate is its epsilon = inf twin plus exactly the
-    # sample_gaussian draw that criterion 05 audits, at the run's certified
-    # sensitivity, so the audited sampler is the one the driver releases.
+    # Each released iterate is the truncated step from the previous one plus
+    # exactly the sample_gaussian draw that criterion 05 audits, at the
+    # sensitivity certified for the iterate entering the step, so the audited
+    # sampler is the one the driver releases.
     spec, data, beta_star = make_instance(kind, 10, n=243)
     eta, T, N0, seed = 0.5, 1.5, 4, 11
     private = run_low_dim(spec, data, EmConfig(eta, T, N0, BUDGET), beta_star, NoiseOracle(seed))
-    twin = run_low_dim(spec, data, EmConfig(eta, T, N0, NONPRIVATE), beta_star, NoiseOracle(seed))
-    lam = sensitivity(kind, T, eta, N0, N0 * (len(data) // N0))
-    noise = sample_gaussian(gaussian_noise_std(lam, spec.d, BUDGET), NoiseOracle(seed), spec.d)
-    assert np.all(noise != 0.0)
-    np.testing.assert_array_equal(bits(private.betas[1]), bits(twin.betas[1] + noise))
+    oracle = NoiseOracle(seed)
+    for t, (lo, hi) in enumerate(split_batches(len(data), N0)):
+        beta = private.betas[t]
+        lam = sensitivity(kind, T, eta, N0, N0 * (len(data) // N0), beta)
+        noise = sample_gaussian(gaussian_noise_std(lam, spec.d, BUDGET), oracle, spec.d)
+        assert np.all(noise != 0.0)
+        step = beta + eta * truncated_grad(spec, beta, data[lo:hi], T)
+        np.testing.assert_array_equal(bits(private.betas[t + 1]), bits(step + noise))
+
+
+@pytest.mark.parametrize("regime", ["high_dim", "low_dim"])
+@pytest.mark.parametrize("kind", ["gmm", "mor", "rmc"])
+def test_lambda_is_certified_at_each_iterate(monkeypatch, regime, kind):
+    # Both drivers hand their privatizer the sensitivity of the iterate that
+    # enters each step: constant for gmm and mor, moving with ||beta||_inf for rmc.
+    spec, data, beta_star = make_instance(kind, 12)
+    eta, T, N0 = 0.5, 1.5, 4
+    seen = []
+    high = regime == "high_dim"
+    name = "noisy_hard_threshold" if high else "gaussian_noise_std"
+    real = getattr(em_engine, name)
+
+    def record(*args):
+        seen.append(args[2] if high else args[0])
+        return real(*args)
+
+    monkeypatch.setattr(em_engine, name, record)
+    run = run_high_dim if high else run_low_dim
+    config = EmConfig(eta, T, N0, BUDGET, s_hat=3 if high else None)
+    traj = run(spec, data, config, beta_star, NoiseOracle(6))
+    n_used = N0 * (len(data) // N0)
+    assert seen == [sensitivity(kind, T, eta, N0, n_used, b) for b in traj.betas[:-1]]
+    assert (len(set(seen)) > 1) == (kind == "rmc")
 
 
 class TestRunLowDim:

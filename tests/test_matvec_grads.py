@@ -1,17 +1,18 @@
-"""The transposed-product gradients and the in-place rmc buffers against their references.
+"""The transposed-product gradients and the in-place rmc generator against their references.
 
 Each truncated gradient is a per-row weight times clamp(X, T), averaged over
 rows.  gmm and mor compute that average as one transposed matrix-vector
 product over the clamped design instead of forming the (n, d) product and
-calling ``np.mean(..., axis=0)``.  rmc sums a closed form over row blocks: it
-never forms the fill-ins m and n, and it relies on ``x_obs = z * x`` (x_obs
-is zero wherever z is zero), which every batch here is drawn to satisfy.
-mor and rmc factor the row weight out of their terms, so the model and its
-reference agree to rounding, not bit for bit.
-``generate_rmc`` and ``rmc_mbeta`` build their arrays in place and must
-reproduce the formulations below bit for bit.  The references are the
-row-mean forms verbatim; their row products X beta go through the models'
-single-threaded ``matvec``, so the bitwise checks compare the in-place
+calling ``np.mean(..., axis=0)``.  rmc sums a closed form over row blocks of
+``mechanisms._BLOCK_VALUES`` values: it never forms the fill-ins m and n,
+and it relies on ``x_obs = z * x`` (x_obs is zero wherever z is zero), which
+every batch here is drawn to satisfy.  The gradient references are the
+row-mean forms verbatim, with the models' own mixing weights and the rmc
+fill-in m from ``references``; mor and rmc factor the row weight out of their terms, so the
+model and its reference agree to rounding, not bit for bit.
+``generate_rmc`` builds its arrays in place and must reproduce the mask
+product below bit for bit; that reference forms y through the models'
+single-threaded ``matvec``, so the bitwise check compares the in-place
 buffers, not two matrix-vector kernels.
 """
 
@@ -21,8 +22,9 @@ import numpy as np
 import pytest
 
 from helpers import bits, traced_peak_bytes
+from references import rmc_fill_in
 
-from dpem.mechanisms import NoiseOracle
+from dpem.mechanisms import _BLOCK_VALUES, NoiseOracle
 from dpem.models import (
     ModelSpec,
     RmcBatch,
@@ -31,17 +33,13 @@ from dpem.models import (
     gmm_truncated_grad,
     gmm_weight,
     mor_truncated_grad,
-    mor_weight,
-    rmc_mbeta,
     rmc_truncated_grad,
-    rmc_truncated_grad_clamped_part,
 )
-from dpem.models.rmc import _BLOCK_VALUES as RMC_BLOCK_VALUES
-from dpem.models.types import clamp, matvec
+from dpem.models.types import clamp, expit, matvec
 
 SIGMA = 0.5
 # Three of rmc's row blocks at d = 200 plus a one-row tail.
-TAIL_N = 3 * (RMC_BLOCK_VALUES // 200) + 1
+TAIL_N = 3 * (_BLOCK_VALUES // 200) + 1
 
 
 def reference_gmm_grad(beta, batch, sigma, T):
@@ -52,7 +50,7 @@ def reference_gmm_grad(beta, batch, sigma, T):
 
 def reference_mor_grad(beta, batch, sigma, T):
     beta = np.asarray(beta, dtype=float)
-    w = mor_weight(beta, batch.x, batch.y, sigma)
+    w = expit(batch.y * matvec(batch.x, beta) / sigma**2)
     cy = clamp(batch.y, T)
     cx = clamp(batch.x, T)
     cproj = clamp(batch.x @ beta, T)
@@ -60,37 +58,18 @@ def reference_mor_grad(beta, batch, sigma, T):
     return np.mean(terms, axis=0)
 
 
-def reference_rmc_mbeta(beta, batch, sigma):
+def reference_rmc_grad(beta, batch, sigma, T):
     beta = np.asarray(beta, dtype=float)
     missing = 1.0 - batch.z
-    masked_beta = missing * beta
-    denom = sigma**2 + np.sum(masked_beta**2, axis=1)
-    coef = (batch.y - matvec(batch.x_obs, beta)) / denom
-    return batch.x_obs + coef[:, None] * masked_beta
-
-
-def reference_rmc_terms(beta, batch, sigma, T):
-    beta = np.asarray(beta, dtype=float)
-    missing = 1.0 - batch.z
-    m = reference_rmc_mbeta(beta, batch, sigma)
+    m = rmc_fill_in(beta, batch, sigma)
     nn = missing * m
     cy = clamp(batch.y, T)
     cm = clamp(m, T)
     cnn = clamp(nn, T)
     cmb = clamp(m @ beta, T)
     cnnb = clamp(nn @ beta, T)
-    clamped_part = cy[:, None] * cm - cm * cmb[:, None] + cnn * cnnb[:, None]
-    diag_part = missing * beta
-    return clamped_part, diag_part
-
-
-def reference_rmc_grad(beta, batch, sigma, T):
-    clamped_part, diag_part = reference_rmc_terms(beta, batch, sigma, T)
-    return np.mean(clamped_part - diag_part, axis=0)
-
-
-def reference_rmc_clamped_part(beta, batch, sigma, T):
-    return np.mean(reference_rmc_terms(beta, batch, sigma, T)[0], axis=0)
+    terms = cy[:, None] * cm - cm * cmb[:, None] + cnn * cnnb[:, None] - missing * beta
+    return np.mean(terms, axis=0)
 
 
 def reference_generate_rmc(spec, n, oracle):
@@ -103,10 +82,9 @@ def reference_generate_rmc(spec, n, oracle):
 
 
 GRADIENTS = {
-    "gmm": [(gmm_truncated_grad, reference_gmm_grad)],
-    "mor": [(mor_truncated_grad, reference_mor_grad)],
-    "rmc": [(rmc_truncated_grad, reference_rmc_grad),
-            (rmc_truncated_grad_clamped_part, reference_rmc_clamped_part)],
+    "gmm": (gmm_truncated_grad, reference_gmm_grad),
+    "mor": (mor_truncated_grad, reference_mor_grad),
+    "rmc": (rmc_truncated_grad, reference_rmc_grad),
 }
 
 
@@ -139,21 +117,21 @@ class TestGradientsMatchRowMeans:
     ])
     def test_agree_to_rounding(self, kind, missing_prob, T, n, d):
         beta, batch = make_case(kind, n, d, seed=100 * n + d, missing_prob=missing_prob)
-        for grad, reference in GRADIENTS[kind]:
-            expected = reference(beta, batch, SIGMA, T)
-            got = grad(beta, batch, SIGMA, T)
-            assert got.shape == (d,)
-            scale = np.max(np.abs(expected))
-            np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12 * scale)
+        grad, reference = GRADIENTS[kind]
+        expected = reference(beta, batch, SIGMA, T)
+        got = grad(beta, batch, SIGMA, T)
+        assert got.shape == (d,)
+        scale = np.max(np.abs(expected))
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12 * scale)
 
     @pytest.mark.parametrize("kind", ["gmm", "mor", "rmc"])
     def test_clamping_is_exercised(self, kind):
         # At T = 1 the largest case clamps some entries, so the finite-T
         # comparison above is not the T = inf one in disguise.
         beta, batch = make_case(kind, 2000, 50, seed=100 * 2000 + 50)
-        for grad, _ in GRADIENTS[kind]:
-            moved = grad(beta, batch, SIGMA, 1.0) - grad(beta, batch, SIGMA, math.inf)
-            assert np.max(np.abs(moved)) > 1e-3
+        grad, _ = GRADIENTS[kind]
+        moved = grad(beta, batch, SIGMA, 1.0) - grad(beta, batch, SIGMA, math.inf)
+        assert np.max(np.abs(moved)) > 1e-3
 
 
 class TestRmcInPlace:
@@ -170,13 +148,6 @@ class TestRmcInPlace:
             np.testing.assert_array_equal(bits(getattr(got, name)), bits(getattr(expected, name)))
         np.testing.assert_array_equal(bits(fast_oracle.uniform_centered(5)),
                                       bits(ref_oracle.uniform_centered(5)))
-
-    # 2000 x 200 spans several row blocks of the denominator's squares.
-    @pytest.mark.parametrize("n, d", [(1, 1), (257, 33), (2000, 200)])
-    def test_mbeta_bitwise_equal_to_reference(self, n, d):
-        beta, batch = make_case("rmc", n, d, seed=7 * n + d)
-        np.testing.assert_array_equal(bits(rmc_mbeta(beta, batch, SIGMA)),
-                                      bits(reference_rmc_mbeta(beta, batch, SIGMA)))
 
 
 class TestAllocationBounds:

@@ -132,10 +132,12 @@ class TestNoisyHardThreshold:
         (lambda k: noisy_ht_scale(0.1, k, BUDGET), "s"),
         (lambda k: gaussian_noise_std(0.1, k, BUDGET), "d"),
         (lambda k: noisy_hard_threshold(np.zeros(5), k, 0.1, BUDGET, NoiseOracle(0)), "s"),
-    ], ids=["noisy_ht_scale", "gaussian_noise_std", "noisy_hard_threshold"])
+        (lambda k: exact_top_k(np.zeros(5), k), "s"),
+    ], ids=["noisy_ht_scale", "gaussian_noise_std", "noisy_hard_threshold", "exact_top_k"])
     def test_count_must_be_a_whole_number(self, fn, name, bad):
         # A bool or fractional s (or d) is not a count: a ValueError naming
-        # it, not a scale at a fractional count or numpy's TypeError.
+        # it, not a scale at a fractional count, a one-coordinate selection
+        # or numpy's TypeError.
         with pytest.raises(ValueError, match=f"^{name} must be a positive integer"):
             fn(bad)
 

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from references import rmc_fill_in
+
 from dpem.mechanisms import NoiseOracle
 from dpem.models import (
     GmmBatch,
@@ -15,7 +17,6 @@ from dpem.models import (
     gmm_truncated_grad,
     gmm_weight,
     mor_truncated_grad,
-    rmc_mbeta,
     rmc_truncated_grad,
     sensitivity,
 )
@@ -62,8 +63,15 @@ class TestGenerators:
         assert abs(second / 1.25 - 1.0) < 0.02
 
     def test_gmm_rejects_empty(self):
-        with pytest.raises(ValueError):
-            generate_gmm(gmm_spec(), 0, NoiseOracle(0))
+        # Every generator takes n as a whole number >= 1: 2.0 counts, a
+        # bool or a fraction does not.
+        for kind, generate_kind in (("gmm", generate_gmm), ("mor", generate_mor),
+                                    ("rmc", generate_rmc)):
+            spec = ModelSpec(kind, 2, 0.5, np.array([1.0, 0.0]), missing_prob=0.0)
+            for bad in (0, 2.5, True):
+                with pytest.raises(ValueError, match="^n must be a positive integer"):
+                    generate_kind(spec, bad, NoiseOracle(0))
+            assert len(generate_kind(spec, 2.0, NoiseOracle(0))) == 2
 
     def test_mor_variance_and_symmetry(self):
         beta = np.array([0.6, -0.8])  # unit norm
@@ -133,18 +141,20 @@ class TestGmmOps:
 
     def test_sensitivity(self):
         # 2 * 0.5 * 2 * 8 / 4000; this is also the lambda used by the noisy
-        # hard-threshold scale example in test_mechanisms.
-        assert sensitivity("gmm", 2.0, 0.5, 8, 4000) == pytest.approx(0.004, rel=1e-12)
-        assert sensitivity("gmm", 2.0, 0.0, 8, 4000) == 0.0
+        # hard-threshold scale example in test_mechanisms.  gmm's value does
+        # not depend on the iterate.
+        for beta in (np.zeros(2), np.array([20.0, -3.0])):
+            assert sensitivity("gmm", 2.0, 0.5, 8, 4000, beta) == pytest.approx(0.004, rel=1e-12)
+            assert sensitivity("gmm", 2.0, 0.0, 8, 4000, beta) == 0.0
         with pytest.raises(ValueError):
-            sensitivity("gmm", math.inf, 0.5, 8, 4000)
+            sensitivity("gmm", math.inf, 0.5, 8, 4000, np.zeros(2))
 
     def test_sensitivity_bounds_adjacent_steps(self):
         rng = np.random.default_rng(5)
         eta, T, N0, n0 = 0.5, 1.2, 4, 30
-        bound = sensitivity("gmm", T, eta, N0, N0 * n0)
         for trial in range(50):
             beta = rng.standard_normal(3)
+            bound = sensitivity("gmm", T, eta, N0, N0 * n0, beta)
             y = rng.standard_normal((n0, 3)) * rng.uniform(0.5, 4)
             y2 = y.copy()
             y2[rng.integers(n0)] = rng.standard_normal(3) * 10.0 ** rng.integers(0, 6)
@@ -184,15 +194,16 @@ class TestMorOps:
         assert got[0] == pytest.approx(0.9950547536867307, rel=1e-12)
 
     def test_sensitivity(self):
-        assert sensitivity("mor", 2.0, 0.5, 8, 4000) == pytest.approx(0.016, rel=1e-12)
-        assert sensitivity("mor", 2.0, 0.0, 8, 4000) == 0.0
+        for beta in (np.zeros(2), np.array([20.0, -3.0])):
+            assert sensitivity("mor", 2.0, 0.5, 8, 4000, beta) == pytest.approx(0.016, rel=1e-12)
+            assert sensitivity("mor", 2.0, 0.0, 8, 4000, beta) == 0.0
 
     def test_sensitivity_bounds_adjacent_steps(self):
         rng = np.random.default_rng(7)
         eta, T, N0, n0 = 0.5, 0.9, 4, 25
-        bound = sensitivity("mor", T, eta, N0, N0 * n0)
         for trial in range(50):
             beta = rng.standard_normal(3)
+            bound = sensitivity("mor", T, eta, N0, N0 * n0, beta)
             x = rng.standard_normal((n0, 3))
             y = rng.standard_normal(n0)
             x2, y2 = x.copy(), y.copy()
@@ -207,17 +218,19 @@ class TestMorOps:
 
 
 class TestRmcOps:
+    # The fill-in m is checked on the test reference that the curvature test
+    # below and criterion 02 build on; the gradient itself never forms m.
     def test_mbeta_fully_observed(self):
         rng = np.random.default_rng(8)
         x = rng.standard_normal((10, 4))
         batch = RmcBatch(x, np.ones((10, 4)), rng.standard_normal(10))
         for _ in range(3):
             beta = rng.standard_normal(4)
-            np.testing.assert_array_equal(rmc_mbeta(beta, batch, 0.7), x)
+            np.testing.assert_array_equal(rmc_fill_in(beta, batch, 0.7), x)
 
     def test_mbeta_fully_missing_frozen(self):
         batch = RmcBatch(np.array([[0.0]]), np.array([[0.0]]), np.array([5.0]))
-        got = rmc_mbeta(np.array([2.0]), batch, 1.0)
+        got = rmc_fill_in(np.array([2.0]), batch, 1.0)
         assert got[0, 0] == pytest.approx(2.0, rel=1e-15)
 
     def test_mbeta_zero_beta(self):
@@ -225,7 +238,7 @@ class TestRmcOps:
         x = rng.standard_normal((6, 3))
         z = (rng.random((6, 3)) > 0.4).astype(float)
         batch = RmcBatch(z * x, z, rng.standard_normal(6))
-        np.testing.assert_array_equal(rmc_mbeta(np.zeros(3), batch, 1.0), batch.x_obs)
+        np.testing.assert_array_equal(rmc_fill_in(np.zeros(3), batch, 1.0), batch.x_obs)
 
     def test_grad_fully_observed_is_least_squares(self):
         rng = np.random.default_rng(10)
@@ -280,7 +293,7 @@ class TestRmcOps:
             y = rng.standard_normal(n)
             beta = rng.standard_normal(d)
             batch = RmcBatch(z * x, z, y)
-            m = rmc_mbeta(beta, batch, 1.1)
+            m = rmc_fill_in(beta, batch, 1.1)
             total = np.zeros(d)
             for i in range(n):
                 miss = 1.0 - z[i]
@@ -292,8 +305,11 @@ class TestRmcOps:
             )
 
     def test_sensitivity(self):
-        assert sensitivity("rmc", 2.0, 0.5, 8, 4000) == pytest.approx(0.024, rel=1e-12)
-        assert sensitivity("rmc", 2.0, 0.0, 8, 4000) == 0.0
+        assert sensitivity("rmc", 2.0, 0.5, 8, 4000, np.zeros(2)) == pytest.approx(0.024, rel=1e-12)
+        assert sensitivity("rmc", 2.0, 0.0, 8, 4000, np.array([20.0, -3.0])) == 0.0
+        # 0.5 * (6 * 2^2 + 20) * 8 / 4000: the iterate's largest |beta_j| joins 6 T^2.
+        got = sensitivity("rmc", 2.0, 0.5, 8, 4000, np.array([-20.0, 3.0]))
+        assert got == pytest.approx(0.044, rel=1e-12)
 
 
 class TestSharedProperties:

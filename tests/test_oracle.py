@@ -4,10 +4,12 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from references import finite_diff_grad, q_value
+
 from dpem.em_engine import EmConfig
 from dpem.mechanisms import NoiseOracle, PrivacyBudget
 from dpem.models import GmmBatch, ModelSpec, RmcBatch, generate_gmm
-from dpem.oracle import exact_top_k, finite_diff_grad, nonprivate_em, q_value
+from dpem.oracle import exact_top_k, nonprivate_em
 
 # epsilon = inf: the budget that T = inf requires.
 NONPRIVATE = PrivacyBudget(math.inf, 1e-3)
@@ -24,6 +26,8 @@ class TestExactTopK:
 
         v = np.array([0.1, -0.4, 0.0])
         np.testing.assert_array_equal(exact_top_k(v, 3).values, v)
+        # A whole-number float is a count.
+        np.testing.assert_array_equal(exact_top_k(v, 2.0).support, [1, 0])
 
     def test_errors(self):
         with pytest.raises(ValueError):
@@ -118,6 +122,12 @@ class TestNonprivateEm:
         beta_star = np.ones(d) / math.sqrt(d)
         spec = ModelSpec("gmm", d, sigma, beta_star)
         return spec, generate_gmm(spec, n, NoiseOracle(seed)), beta_star
+
+    def test_rejects_empty_batch(self):
+        spec, data, beta_star = self._spec_and_data(n=10)
+        config = EmConfig(eta=0.5, T=math.inf, N0=2, budget=NONPRIVATE)
+        with pytest.raises(ValueError, match="batch must be nonempty"):
+            nonprivate_em(spec, data[10:], config, beta_star)
 
     def test_zero_step_is_constant(self):
         spec, data, beta_star = self._spec_and_data()
