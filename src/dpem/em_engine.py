@@ -90,8 +90,7 @@ def split_batches(n: int, N0: int) -> list[tuple[int, int]]:
     The trailing n mod N0 samples are left unused so every batch has the
     size the sensitivity constants assume.
     """
-    if n < 1 or N0 < 1:
-        raise ValueError("n and N0 must be positive integers")
+    n, N0 = whole("n", n), whole("N0", N0)
     if N0 > n:
         raise ValueError(f"N0 must not exceed n ({N0} > {n})")
     size = n // N0

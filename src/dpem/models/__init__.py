@@ -28,7 +28,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from ..mechanisms import NoiseOracle
+from ..mechanisms import NoiseOracle, require, whole
 from .gmm import generate_gmm, gmm_truncated_grad, gmm_weight
 from .mor import generate_mor, mor_truncated_grad
 from .rmc import generate_rmc, rmc_truncated_grad
@@ -89,9 +89,7 @@ def sensitivity(kind: str, T: float, eta: float, N0: int, n: int, beta) -> float
     model = _MODELS[kind]
     if not (T > 0 and math.isfinite(T)):
         raise ValueError(f"T must be positive and finite, got {T}")
-    if eta < 0:
-        raise ValueError(f"eta must be nonnegative, got {eta}")
-    if N0 < 1 or n < 1:
-        raise ValueError("N0 and n must be positive integers")
+    require("eta", eta, "a finite number >= 0", lambda v: 0 <= v < math.inf)
+    N0, n = whole("N0", N0), whole("n", n)
     beta_inf = float(np.max(np.abs(beta)))
     return (model.c * eta * T**model.p + model.b * eta * beta_inf) * N0 / n

@@ -2,7 +2,10 @@
 
 Model: y = <x, beta> + e with x ~ N(0, I_d), e ~ N(0, sigma^2); each
 coordinate of x is observed independently with probability 1 - p
-(z_ij = 1 when observed) and x_obs = z * x.
+(z_ij = 1 when observed) and x_obs = z * x.  The mask z is a boolean array,
+one byte per entry; ``generate_rmc`` draws its uniforms a row block of about
+``_BLOCK_VALUES`` values at a time, which consumes the oracle exactly as one
+(n, d) draw does, so no (n, d) float temporary backs the mask.
 
 The gradient relies on that last identity, the ``RmcBatch`` contract that
 x_obs is zero wherever z is zero; it is not checked at run time, and
@@ -33,10 +36,14 @@ def generate_rmc(spec: ModelSpec, n: int, oracle: NoiseOracle) -> RmcBatch:
     x = np.atleast_2d(oracle.standard_normal((n, spec.d)))
     e = spec.sigma * np.atleast_1d(oracle.standard_normal(n))
     y = matvec(x, spec.true_beta) + e
-    z = np.atleast_2d(oracle.uniform_centered((n, spec.d)))
-    z += 0.5
-    np.greater_equal(z, spec.missing_prob, out=z)
-    x *= z
+    z = np.empty((n, spec.d), dtype=bool)
+    step = max(1, _BLOCK_VALUES // spec.d)
+    for lo in range(0, n, step):
+        hi = min(n, lo + step)
+        u = oracle.uniform_centered((hi - lo, spec.d))
+        u += 0.5
+        mask = np.greater_equal(u, spec.missing_prob, out=z[lo:hi])
+        x[lo:hi] *= mask
     return RmcBatch(x, z, y)
 
 
@@ -52,7 +59,8 @@ def rmc_truncated_grad(beta, batch: RmcBatch, sigma: float, T: float) -> np.ndar
     m and n are formed: in the module docstring's notation, with
     r_i = clamp(y_i) - clamp(x_obs_i^T beta + c_i q_i), the clamped terms sum
     to sum_i [clamp(x_obs_i) r_i + (r_i + clamp(c_i q_i)) u_i * clamp(c_i beta)],
-    accumulated a row block at a time with sum_i u_i.
+    accumulated a row block at a time with sum_i u_i.  ``z`` may be the
+    boolean mask ``generate_rmc`` returns or the same mask as 0/1 floats.
     """
     check_grad(batch, sigma, T)
     beta = np.asarray(beta, dtype=float)
@@ -67,7 +75,7 @@ def rmc_truncated_grad(beta, batch: RmcBatch, sigma: float, T: float) -> np.ndar
     fill_buf = np.empty_like(missing_buf)
     for lo in range(0, n, step):
         block = batch[lo:lo + step]
-        missing = np.subtract(1.0, block.z, out=missing_buf[:len(block)])
+        missing = np.logical_not(block.z, out=missing_buf[:len(block)])
         fill = fill_buf[:len(block)]
         missing_count += missing.sum(axis=0)
         x_beta = matvec(block.x_obs, beta)

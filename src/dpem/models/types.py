@@ -122,8 +122,8 @@ class MorBatch(_Batch):
 class RmcBatch(_Batch):
     """Missing-covariate triples: x_obs is zero wherever z is zero.
 
-    ``x_obs`` (n, d) holds the observed covariates, ``z`` (n, d) the 0/1
-    observation mask, ``y`` (n,) the responses.
+    ``x_obs`` (n, d) holds the observed covariates, ``z`` (n, d) the boolean
+    observation mask (True where observed), ``y`` (n,) the responses.
     """
 
     x_obs: np.ndarray

@@ -40,6 +40,14 @@ class TestSplitBatches:
         with pytest.raises(ValueError):
             split_batches(0, 1)
 
+    @pytest.mark.parametrize("n, N0, name", [(2.5, 2, "n"), (5, True, "N0"),
+                                             (True, 1, "n"), (5, 2.5, "N0")])
+    def test_counts_must_be_whole_numbers(self, n, N0, name):
+        # 2.5 used to give the float bounds [(0.0, 1.0), (1.0, 2.0)], and
+        # N0 = True ran as N0 = 1.
+        with pytest.raises(ValueError, match=f"^{name} must be a positive integer"):
+            split_batches(n, N0)
+
     def test_disjoint_cover(self):
         for n, N0 in [(100, 7), (53, 9), (12, 12)]:
             bounds = split_batches(n, N0)

@@ -10,8 +10,9 @@ every batch here is drawn to satisfy.  The gradient references are the
 row-mean forms verbatim, with the models' own mixing weights and the rmc
 fill-in m from ``references``; mor and rmc factor the row weight out of their terms, so the
 model and its reference agree to rounding, not bit for bit.
-``generate_rmc`` builds its arrays in place and must reproduce the mask
-product below bit for bit; that reference forms y through the models'
+``generate_rmc`` builds its arrays in place, drawing the mask a row block
+at a time into a boolean array, and must reproduce the one-draw mask product
+below bit for bit; that reference forms y through the models'
 single-threaded ``matvec``, so the bitwise check compares the in-place
 buffers, not two matrix-vector kernels.
 """
@@ -77,7 +78,7 @@ def reference_generate_rmc(spec, n, oracle):
     e = spec.sigma * np.atleast_1d(oracle.standard_normal(n))
     y = matvec(x, spec.true_beta) + e
     u = np.atleast_2d(oracle.uniform_centered((n, spec.d)))
-    z = (u + 0.5 >= spec.missing_prob).astype(float)
+    z = u + 0.5 >= spec.missing_prob
     return RmcBatch(z * x, z, y)
 
 
@@ -135,14 +136,18 @@ class TestGradientsMatchRowMeans:
 
 
 class TestRmcInPlace:
-    @pytest.mark.parametrize("n, d", [(1, 1), (7, 3), (300, 40)])
-    @pytest.mark.parametrize("p", [0.0, 0.1, 0.5])
-    def test_generate_bitwise_equal_to_mask_product(self, n, d, p):
+    # TAIL_N rows end the blocked mask draw on a one-row block.
+    @pytest.mark.parametrize("p, n, d", [
+        *[(p, n, d) for p in (0.0, 0.1, 0.5) for n, d in [(1, 1), (7, 3), (300, 40)]],
+        (0.0, TAIL_N, 200), (0.9, TAIL_N, 200),
+    ])
+    def test_generate_bitwise_equal_to_mask_product(self, p, n, d):
         beta = np.linspace(-1.0, 1.0, d)
         spec = ModelSpec("rmc", d, 0.7, beta, missing_prob=p)
         fast_oracle, ref_oracle = NoiseOracle(31 + n), NoiseOracle(31 + n)
         got = generate_rmc(spec, n, fast_oracle)
         expected = reference_generate_rmc(spec, n, ref_oracle)
+        assert got.z.dtype == bool
         # Masked negative covariates are -0.0 in both forms.
         for name in ("x_obs", "z", "y"):
             np.testing.assert_array_equal(bits(getattr(got, name)), bits(getattr(expected, name)))
@@ -171,6 +176,16 @@ class TestAllocationBounds:
 
     def test_generate_rmc(self):
         spec = ModelSpec("rmc", self.D, SIGMA, np.ones(self.D), missing_prob=0.1)
-        peak, batch = traced_peak_bytes(lambda: generate_rmc(spec, self.N, NoiseOracle(5)))
-        # The returned x_obs and z; the mask-product form peaked at 4x.
-        assert peak < 2.5 * batch.x_obs.nbytes
+        peak, batch = traced_peak_bytes(lambda: generate_rmc(spec, 20000, NoiseOracle(5)))
+        # The returned x_obs, its one-byte mask z and a row block of uniforms;
+        # a float mask drawn in one (n, d) piece peaked at 2x.
+        assert peak < 1.25 * batch.x_obs.nbytes
+
+
+@pytest.mark.parametrize("T", [1.0, 3.0, math.inf])
+def test_rmc_gradient_same_for_bool_and_float_mask(T):
+    beta, batch = make_case("rmc", TAIL_N, 200, seed=6)
+    as_float = RmcBatch(batch.x_obs, batch.z.astype(float), batch.y)
+    assert batch.z.dtype == bool
+    np.testing.assert_array_equal(bits(rmc_truncated_grad(beta, batch, SIGMA, T)),
+                                  bits(rmc_truncated_grad(beta, as_float, SIGMA, T)))

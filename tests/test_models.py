@@ -312,6 +312,17 @@ class TestRmcOps:
         assert got == pytest.approx(0.044, rel=1e-12)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("eta", math.nan), ("eta", math.inf), ("eta", -0.5), ("eta", True),
+    ("N0", True), ("N0", 2.5), ("N0", 0),
+    ("n", 2.5), ("n", True), ("n", 0),
+])
+def test_sensitivity_rejects_bad_eta_N0_n(name, value):
+    args = {"eta": 0.5, "N0": 2, "n": 4000, name: value}
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        sensitivity("rmc", 2.0, args["eta"], args["N0"], args["n"], np.ones(2))
+
+
 class TestSharedProperties:
     def test_gradients_permutation_invariant(self):
         rng = np.random.default_rng(14)
