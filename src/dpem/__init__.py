@@ -6,15 +6,17 @@ mechanism.  Three models are built in: the symmetric two-component Gaussian
 mixture, mixture of regression, and regression with missing covariates.
 
 The top-level package holds the names the README and the demos use; the
-rest lives in the submodules (``dpem.em_engine``, ``dpem.mechanisms``,
-``dpem.models``, ``dpem.oracle``, ``dpem.harness``, ``dpem.cli``).
+rest lives in the submodules (``dpem.em_engine``, the drivers and the
+non-private baseline; ``dpem.mechanisms``, the noise and the sparse
+selections; ``dpem.models``, ``dpem.harness`` and ``dpem.cli``).
 """
 
-from .em_engine import EmConfig, run_high_dim, run_low_dim
+from .em_engine import EmConfig, nonprivate_em, run_high_dim, run_low_dim
 from .mechanisms import (
     NoiseOracle,
     PrivacyBudget,
     derive_seed,
+    exact_top_k,
     gaussian_noise_std,
     noisy_hard_threshold,
     noisy_ht_scale,
@@ -22,7 +24,6 @@ from .mechanisms import (
     sample_laplace,
 )
 from .models import ModelSpec, generate_gmm
-from .oracle import exact_top_k, nonprivate_em
 
 __all__ = [
     "EmConfig",

@@ -1,6 +1,6 @@
-"""The two private EM drivers, one loop.
+"""The two private EM drivers, one loop, and the non-private baseline.
 
-Both drivers split the sample into one batch per iteration and take a
+Both private drivers split the sample into one batch per iteration and take a
 truncated gradient step on it; they differ only in how the step is
 privatized.  The high-dimensional driver re-sparsifies it through noisy hard
 thresholding; the low-dimensional driver perturbs it with calibrated
@@ -25,6 +25,7 @@ __all__ = [
     "split_batches",
     "run_high_dim",
     "run_low_dim",
+    "nonprivate_em",
 ]
 
 
@@ -106,21 +107,14 @@ def _as_beta(beta0, d: int) -> np.ndarray:
     return beta0.copy()
 
 
-def _distances(beta, true_beta):
-    plain = float(np.linalg.norm(beta - true_beta))
-    flipped = float(np.linalg.norm(beta + true_beta))
-    return plain, min(plain, flipped)
-
-
 def _record(betas, true_beta, bounds):
     betas = np.vstack(betas)
     if true_beta is None:
         return Trajectory(betas, None, None, bounds)
     true_beta = np.asarray(true_beta, dtype=float)
-    pairs = [_distances(b, true_beta) for b in betas]
-    errs = np.array([p[0] for p in pairs])
-    errs_sf = np.array([p[1] for p in pairs])
-    return Trajectory(betas, errs, errs_sf, bounds)
+    errs = np.array([np.linalg.norm(b - true_beta) for b in betas])
+    flipped = np.array([np.linalg.norm(b + true_beta) for b in betas])
+    return Trajectory(betas, errs, np.minimum(errs, flipped), bounds)
 
 
 def _run(spec, batch, config, beta0, true_beta, privatize) -> Trajectory:
@@ -142,6 +136,26 @@ def _run(spec, batch, config, beta0, true_beta, privatize) -> Trajectory:
         beta = privatize(beta + config.eta * g, lam)
         betas.append(beta)
     return _record(betas, true_beta, bounds)
+
+
+def nonprivate_em(
+    spec: models.ModelSpec,
+    batch,
+    config: EmConfig,
+    beta0,
+    true_beta=None,
+) -> Trajectory:
+    """Standard non-private gradient EM: full data, no truncation, no noise.
+
+    beta <- beta + eta * grad, repeated N0 times on the whole batch.  This is
+    the baseline the private runs are compared against.
+    """
+    beta = _as_beta(beta0, spec.d)
+    betas = [beta]
+    for _ in range(config.N0):
+        beta = beta + config.eta * models.raw_grad(spec, beta, batch)
+        betas.append(beta)
+    return _record(betas, true_beta, [(0, len(batch))] * config.N0)
 
 
 def run_high_dim(

@@ -23,11 +23,10 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import models
-from .em_engine import EmConfig, run_high_dim, run_low_dim
-from .mechanisms import NoiseOracle, PrivacyBudget, derive_seed, require, whole
+from .em_engine import EmConfig, nonprivate_em, run_high_dim, run_low_dim
+from .mechanisms import NoiseOracle, PrivacyBudget, derive_seed, exact_top_k, require, whole
 from .models import GmmBatch, ModelSpec
 from .models.types import matvec
-from .oracle import exact_top_k, nonprivate_em
 
 __all__ = [
     "ConfigError",

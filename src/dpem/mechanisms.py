@@ -1,10 +1,11 @@
-"""Noise samplers and private sparse selection.
+"""Noise samplers and sparse selection, private and exact.
 
 The noisy hard-thresholding (peeling) routine here is the privacy-critical
 primitive: it selects ``s`` coordinates of a vector by noisy magnitude and
-releases noisy values on the selected support.  All randomness flows through
-a seeded :class:`NoiseOracle`, which has no off switch: a run is noiseless
-only when its calibrated scale is exactly zero (``epsilon = inf``, or zero
+releases noisy values on the selected support; exact top-k is its noiseless
+reference, with the same input contract.  All randomness flows through a
+seeded :class:`NoiseOracle`, which has no off switch: a run is noiseless only
+when its calibrated scale is exactly zero (``epsilon = inf``, or zero
 sensitivity), and it then runs the same code as a private one.
 """
 
@@ -29,6 +30,7 @@ __all__ = [
     "noisy_ht_scale",
     "gaussian_noise_std",
     "noisy_hard_threshold",
+    "exact_top_k",
 ]
 
 # Largest magnitude a centered-uniform draw may take before the Laplace
@@ -39,7 +41,7 @@ _UNIFORM_CAP = float(np.nextafter(0.5, 0.0))
 # noisy_hard_threshold and of the rmc gradient's closed form: enough rows to
 # amortize the per-call NumPy overhead at moderate d, small enough that a
 # block stays cache-sized.
-_BLOCK_VALUES = 1 << 16
+BLOCK_VALUES = 1 << 16
 
 
 def derive_seed(*parts) -> int:
@@ -187,6 +189,16 @@ def gaussian_noise_std(lam: float, d: int, budget: PrivacyBudget) -> float:
     return lam * math.sqrt(2.0 * d * math.log(1.25 / budget.delta)) / budget.epsilon
 
 
+def _selection_input(v, s):
+    v = np.asarray(v, dtype=float)
+    if v.ndim != 1:
+        raise ValueError(f"v must be one-dimensional, got shape {v.shape}")
+    s = whole("s", s)
+    if s > v.size:
+        raise ValueError(f"s must not exceed the dimension d ({s} > {v.size})")
+    return v, s
+
+
 def noisy_hard_threshold(
     v,
     s: int,
@@ -203,10 +215,11 @@ def noisy_hard_threshold(
 
     The output support has cardinality exactly ``s``; off-support
     coordinates are exactly zero.  ``s > d`` is rejected; ``s == d`` selects
-    every coordinate.
+    every coordinate.  A scale that overflows to inf (a tiny epsilon) is
+    rejected, as the samplers reject it.
 
     The rounds' noise is drawn ``max(1, min(s, B // d))`` rows at a time
-    (``B`` = ``_BLOCK_VALUES``), one oracle draw per block, and transformed
+    (``B`` = ``BLOCK_VALUES``), one oracle draw per block, and transformed
     into a score buffer allocated once per call, so memory stays
     O(max(B, d)) rather than O(s * d).  Because a ``(k, d)``
     draw is the same stream as ``k`` draws of size ``d``, the oracle is
@@ -215,18 +228,14 @@ def noisy_hard_threshold(
     are transformed.  Output and the oracle's later draws are bitwise those
     of the round-by-round loop.
     """
-    v = np.asarray(v, dtype=float)
-    if v.ndim != 1:
-        raise ValueError(f"v must be one-dimensional, got shape {v.shape}")
+    v, s = _selection_input(v, s)
     d = v.size
-    s = whole("s", s)
-    if s > d:
-        raise ValueError(f"s must not exceed the dimension d ({s} > {d})")
     scale = noisy_ht_scale(lam, s, budget)
+    require("scale", scale, "a finite nonnegative number", lambda b: 0 <= b < math.inf)
 
     magnitudes = np.abs(v)
     support = np.empty(s, dtype=int)
-    k = max(1, min(s, _BLOCK_VALUES // d))
+    k = max(1, min(s, BLOCK_VALUES // d))
     scores = np.empty((k, d))
     for start in range(0, s, k):
         rows = min(k, s - start)
@@ -243,3 +252,19 @@ def noisy_hard_threshold(
     values = np.zeros(d)
     values[support] = v[support] + _laplace_from_uniform(scale, u_final[support])
     return SparseSelection(support=support, values=values)
+
+
+def exact_top_k(v, s: int) -> SparseSelection:
+    """The s coordinates of largest magnitude, by full stable sort.
+
+    Ties go to the lowest index.  Values are kept on the selected support
+    and zeroed elsewhere.  It shares no selection code with the peeling in
+    :func:`noisy_hard_threshold`, so the tests use it as the reference for
+    noisy hard thresholding at ``epsilon = inf``; the harness uses it for
+    sparse starting points.
+    """
+    v, s = _selection_input(v, s)
+    order = np.argsort(-np.abs(v), kind="stable")[:s]
+    values = np.zeros_like(v)
+    values[order] = v[order]
+    return SparseSelection(support=order, values=values)

@@ -4,7 +4,7 @@ Model: y = <x, beta> + e with x ~ N(0, I_d), e ~ N(0, sigma^2); each
 coordinate of x is observed independently with probability 1 - p
 (z_ij = 1 when observed) and x_obs = z * x.  The mask z is a boolean array,
 one byte per entry; ``generate_rmc`` draws its uniforms a row block of about
-``_BLOCK_VALUES`` values at a time, which consumes the oracle exactly as one
+``BLOCK_VALUES`` values at a time, which consumes the oracle exactly as one
 (n, d) draw does, so no (n, d) float temporary backs the mask.
 
 The gradient relies on that last identity, the ``RmcBatch`` contract that
@@ -16,7 +16,7 @@ of the missing covariates is m_i = x_obs_i + c_i u_i * beta, and
 n_i = u_i * m_i = c_i u_i * beta.  The two terms of m_i have disjoint
 supports, so clamp(m_i) = clamp(x_obs_i) + u_i * clamp(c_i beta),
 m_i^T beta = x_obs_i^T beta + c_i q_i and n_i^T beta = c_i q_i.  The
-gradient sums that closed form over row blocks of about ``_BLOCK_VALUES``
+gradient sums that closed form over row blocks of about ``BLOCK_VALUES``
 values and never forms an (n, d) temporary.
 """
 
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..mechanisms import _BLOCK_VALUES, NoiseOracle
+from ..mechanisms import BLOCK_VALUES, NoiseOracle
 from .types import ModelSpec, RmcBatch, check_generate, check_grad, clamp, matvec
 
 __all__ = ["generate_rmc", "rmc_truncated_grad"]
@@ -37,7 +37,7 @@ def generate_rmc(spec: ModelSpec, n: int, oracle: NoiseOracle) -> RmcBatch:
     e = spec.sigma * np.atleast_1d(oracle.standard_normal(n))
     y = matvec(x, spec.true_beta) + e
     z = np.empty((n, spec.d), dtype=bool)
-    step = max(1, _BLOCK_VALUES // spec.d)
+    step = max(1, BLOCK_VALUES // spec.d)
     for lo in range(0, n, step):
         hi = min(n, lo + step)
         u = oracle.uniform_centered((hi - lo, spec.d))
@@ -68,7 +68,7 @@ def rmc_truncated_grad(beta, batch: RmcBatch, sigma: float, T: float) -> np.ndar
     beta_sq = beta * beta
     clamped = np.zeros(d)
     missing_count = np.zeros(d)
-    step = max(1, _BLOCK_VALUES // d)
+    step = max(1, BLOCK_VALUES // d)
     # Two block buffers, reused: a fresh (step, d) array per block costs more
     # in page faults than the arithmetic on it.
     missing_buf = np.empty((min(step, n), d))

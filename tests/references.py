@@ -12,7 +12,7 @@ import numpy as np
 
 from dpem import models
 from dpem.em_engine import _as_beta, _record
-from dpem.oracle import exact_top_k
+from dpem.mechanisms import exact_top_k
 
 
 def logistic(t):

@@ -15,7 +15,7 @@ from helpers import experiment_config_dict, make_gmm_class_data
 from references import finite_diff_grad, ht_gradient_em
 
 from dpem.cli import main
-from dpem.em_engine import EmConfig, run_high_dim
+from dpem.em_engine import EmConfig, nonprivate_em, run_high_dim
 from dpem.harness import (
     ClassificationParams,
     parse_experiment_config,
@@ -26,6 +26,7 @@ from dpem.mechanisms import (
     NoiseOracle,
     PrivacyBudget,
     derive_seed,
+    exact_top_k,
     gaussian_noise_std,
     noisy_hard_threshold,
     noisy_ht_scale,
@@ -43,7 +44,6 @@ from dpem.models import (
     rmc_truncated_grad,
     sensitivity,
 )
-from dpem.oracle import exact_top_k, nonprivate_em
 
 KINDS = ("gmm", "mor", "rmc")
 

@@ -14,7 +14,7 @@ import pytest
 from helpers import bits, traced_peak_bytes
 
 from dpem.mechanisms import (
-    _BLOCK_VALUES,
+    BLOCK_VALUES,
     _UNIFORM_CAP,
     NoiseOracle,
     PrivacyBudget,
@@ -130,7 +130,7 @@ class TestAllocationBounds:
         # The score buffer and one block draw (with its temporary) of at most
         # B values each, plus a few d-vectors; drawing all (s + 1) * d values
         # at once would take 16 MB.
-        assert peak < 3 * _BLOCK_VALUES * 8 + 8 * d * 8
+        assert peak < 3 * BLOCK_VALUES * 8 + 8 * d * 8
 
     def test_generate_gmm_memory_is_one_batch(self):
         n, d = 500, 5000

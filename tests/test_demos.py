@@ -2,7 +2,8 @@
 
 Each runs in a fresh working directory with ``src`` on PYTHONPATH; a demo
 must not write into the checkout.  The public surface is exactly what the
-demos and the README use.
+demos and the README use, and no module under ``src/dpem`` imports another's
+private names.
 """
 
 import ast
@@ -15,10 +16,12 @@ from pathlib import Path
 import pytest
 
 import dpem
+import dpem.em_engine
+import dpem.mechanisms
 import dpem.models
-import dpem.oracle
 
 REPO = Path(__file__).resolve().parents[1]
+SRC = REPO / "src" / "dpem"
 DEMOS = sorted((REPO / "demos").glob("0*.py"))
 
 
@@ -74,6 +77,8 @@ def test_exports_are_what_demos_and_readme_import():
 def test_submodule_exports_are_pinned():
     # The models keep only the code that runs: a generator, a truncated
     # gradient and the kind dispatch; the test references live in tests/.
+    # The drivers' module also holds the baseline, and the mechanisms both
+    # sparse selections, private and exact.
     assert dpem.models.__all__ == [
         "ModelSpec", "GmmBatch", "MorBatch", "RmcBatch",
         "generate", "raw_grad", "truncated_grad", "sensitivity",
@@ -81,4 +86,28 @@ def test_submodule_exports_are_pinned():
         "generate_mor", "mor_truncated_grad",
         "generate_rmc", "rmc_truncated_grad",
     ]
-    assert dpem.oracle.__all__ == ["exact_top_k", "nonprivate_em"]
+    assert dpem.em_engine.__all__ == [
+        "EmConfig", "Trajectory", "split_batches",
+        "run_high_dim", "run_low_dim", "nonprivate_em",
+    ]
+    assert dpem.mechanisms.__all__ == [
+        "PrivacyBudget", "NoiseOracle", "require", "whole", "SparseSelection",
+        "derive_seed", "sample_laplace", "sample_gaussian",
+        "noisy_ht_scale", "gaussian_noise_std", "noisy_hard_threshold", "exact_top_k",
+    ]
+
+
+def test_no_module_imports_a_private_name_from_another():
+    # Each decision (how a trajectory is recorded, what a valid selection
+    # input is) lives behind the one module that owns it.
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            module = "." * node.level + (node.module or "")
+            if node.level == 0 and module.split(".")[0] != "dpem":
+                continue
+            offenders += [f"{path.relative_to(SRC)}: {alias.name} from {module}"
+                          for alias in node.names if alias.name.startswith("_")]
+    assert offenders == []

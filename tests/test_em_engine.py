@@ -8,10 +8,10 @@ from references import ht_gradient_em
 
 from dpem import em_engine
 from dpem.em_engine import EmConfig, run_high_dim, run_low_dim, split_batches
-from dpem.mechanisms import NoiseOracle, PrivacyBudget, gaussian_noise_std, sample_gaussian
+from dpem.mechanisms import (NoiseOracle, PrivacyBudget, exact_top_k, gaussian_noise_std,
+                             sample_gaussian)
 from dpem.models import (ModelSpec, generate_gmm, generate_mor, generate_rmc, sensitivity,
                          truncated_grad)
-from dpem.oracle import exact_top_k
 
 BUDGET = PrivacyBudget(0.5, 1e-3)
 # epsilon = inf: every noise scale is exactly 0, whatever the oracle draws.

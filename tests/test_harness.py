@@ -360,6 +360,14 @@ class TestRunClassification:
             run_classification(X, labels, ClassificationParams(s_hat=5, epsilon=0.5),
                                master_seed=7, **counts)
 
+    def test_overflowing_noise_scale_is_refused(self):
+        # epsilon = 1e-310 overflows the one iteration's Laplace scale to inf;
+        # the fit must fail, not score a release of +-inf values.
+        X, labels = make_gmm_class_data(n=100)
+        with pytest.raises(ValueError, match="scale"):
+            run_classification(X, labels, ClassificationParams(s_hat=5, epsilon=1e-310),
+                               reps=1, master_seed=7)
+
     def test_inf_epsilon_fit_does_not_depend_on_the_oracle(self, monkeypatch):
         # epsilon = inf zeroes a live oracle's noise exactly, so swapping in an
         # oracle with another seed changes no fit and no rate.

@@ -4,7 +4,7 @@ Each truncated gradient is a per-row weight times clamp(X, T), averaged over
 rows.  gmm and mor compute that average as one transposed matrix-vector
 product over the clamped design instead of forming the (n, d) product and
 calling ``np.mean(..., axis=0)``.  rmc sums a closed form over row blocks of
-``mechanisms._BLOCK_VALUES`` values: it never forms the fill-ins m and n,
+``mechanisms.BLOCK_VALUES`` values: it never forms the fill-ins m and n,
 and it relies on ``x_obs = z * x`` (x_obs is zero wherever z is zero), which
 every batch here is drawn to satisfy.  The gradient references are the
 row-mean forms verbatim, with the models' own mixing weights and the rmc
@@ -25,7 +25,7 @@ import pytest
 from helpers import bits, traced_peak_bytes
 from references import rmc_fill_in
 
-from dpem.mechanisms import _BLOCK_VALUES, NoiseOracle
+from dpem.mechanisms import BLOCK_VALUES, NoiseOracle
 from dpem.models import (
     ModelSpec,
     RmcBatch,
@@ -40,7 +40,7 @@ from dpem.models.types import clamp, expit, matvec
 
 SIGMA = 0.5
 # Three of rmc's row blocks at d = 200 plus a one-row tail.
-TAIL_N = 3 * (_BLOCK_VALUES // 200) + 1
+TAIL_N = 3 * (BLOCK_VALUES // 200) + 1
 
 
 def reference_gmm_grad(beta, batch, sigma, T):

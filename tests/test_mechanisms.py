@@ -7,13 +7,13 @@ from dpem.mechanisms import (
     NoiseOracle,
     PrivacyBudget,
     derive_seed,
+    exact_top_k,
     gaussian_noise_std,
     noisy_hard_threshold,
     noisy_ht_scale,
     sample_gaussian,
     sample_laplace,
 )
-from dpem.oracle import exact_top_k
 
 BUDGET = PrivacyBudget(0.5, 1e-3)
 # epsilon = inf: every noise scale is exactly 0, whatever the oracle draws.
@@ -140,6 +140,24 @@ class TestNoisyHardThreshold:
         # or numpy's TypeError.
         with pytest.raises(ValueError, match=f"^{name} must be a positive integer"):
             fn(bad)
+
+    @pytest.mark.parametrize("select", [
+        lambda v, s: exact_top_k(v, s),
+        lambda v, s: noisy_hard_threshold(v, s, 0.1, BUDGET, NoiseOracle(0)),
+    ], ids=["exact_top_k", "noisy_hard_threshold"])
+    def test_selection_input_contract(self, select):
+        # Both sparse selections take a 1-D v and at most d coordinates.
+        with pytest.raises(ValueError, match=r"^v must be one-dimensional, got shape \(2, 3\)"):
+            select(np.zeros((2, 3)), 1)
+        with pytest.raises(ValueError, match=r"^s must not exceed the dimension d \(6 > 5\)"):
+            select(np.zeros(5), 6)
+
+    def test_overflowing_scale_is_refused(self):
+        # epsilon = 1e-310 calibrates lam = 1 to an infinite Laplace scale;
+        # peeling must refuse it rather than release +-inf values.
+        with pytest.raises(ValueError, match="^scale must be a finite nonnegative number"):
+            noisy_hard_threshold(np.arange(6.0), 3, 1.0, PrivacyBudget(1e-310, 1e-5),
+                                 NoiseOracle(1))
 
     @pytest.mark.parametrize("scale_fn", [noisy_ht_scale, gaussian_noise_std])
     @pytest.mark.parametrize("lam", [1e-12, 0.004, 50.0])

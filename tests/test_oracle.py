@@ -6,10 +6,9 @@ import pytest
 
 from references import finite_diff_grad, q_value
 
-from dpem.em_engine import EmConfig
-from dpem.mechanisms import NoiseOracle, PrivacyBudget
+from dpem.em_engine import EmConfig, nonprivate_em
+from dpem.mechanisms import NoiseOracle, PrivacyBudget, exact_top_k
 from dpem.models import GmmBatch, ModelSpec, RmcBatch, generate_gmm
-from dpem.oracle import exact_top_k, nonprivate_em
 
 # epsilon = inf: the budget that T = inf requires.
 NONPRIVATE = PrivacyBudget(math.inf, 1e-3)
