@@ -1,10 +1,11 @@
 """The two private EM drivers, one loop, and the non-private baseline.
 
 Both private drivers split the sample into one batch per iteration and take a
-truncated gradient step on it; they differ only in how the step is
-privatized.  The high-dimensional driver re-sparsifies it through noisy hard
-thresholding; the low-dimensional driver perturbs it with calibrated
-Gaussian noise.  Disjoint batches mean each record influences exactly one
+truncated gradient step on it; they read each batch once, in order, so the
+sample may be a :class:`~dpem.models.LazySample` that draws each batch only
+then.  They differ only in how the step is privatized.  The
+high-dimensional driver re-sparsifies it through noisy hard thresholding;
+the low-dimensional driver perturbs it with calibrated Gaussian noise.  Disjoint batches mean each record influences exactly one
 iteration, so the whole run inherits the per-iteration privacy guarantee.
 """
 
@@ -148,8 +149,12 @@ def nonprivate_em(
     """Standard non-private gradient EM: full data, no truncation, no noise.
 
     beta <- beta + eta * grad, repeated N0 times on the whole batch.  This is
-    the baseline the private runs are compared against.
+    the baseline the private runs are compared against.  It reads the whole
+    batch every iteration, so a :class:`~dpem.models.LazySample` is refused.
     """
+    if isinstance(batch, models.LazySample):
+        raise ValueError("nonprivate_em reads the whole sample every iteration; "
+                         "pass a generated batch, not a LazySample")
     beta = _as_beta(beta0, spec.d)
     betas = [beta]
     for _ in range(config.N0):

@@ -24,7 +24,8 @@ import numpy as np
 
 from . import models
 from .em_engine import EmConfig, nonprivate_em, run_high_dim, run_low_dim
-from .mechanisms import NoiseOracle, PrivacyBudget, derive_seed, exact_top_k, require, whole
+from .mechanisms import (NoiseOracle, PrivacyBudget, derive_seed, exact_top_k, gaussian_noise_std,
+                         noisy_ht_scale, require, whole)
 from .models import GmmBatch, ModelSpec
 from .models.types import matvec
 
@@ -92,6 +93,24 @@ def _keys(raw, where: str, required, optional=()) -> dict:
         if key not in raw:
             raise ConfigError(f"{where}.{key} is required")
     return raw
+
+
+def _check_noise_scale(kind: str, d: int, n: int, config: EmConfig) -> None:
+    """Refuse a budget whose smallest noise scale overflows a draw, before any run.
+
+    That scale is the one at lambda for beta = 0: every lambda for gmm and
+    mor, a lower bound for rmc.
+    """
+    n_used = config.N0 * (n // config.N0)
+    lam = models.sensitivity(kind, config.T, config.eta, config.N0, n_used, np.zeros(d))
+    try:
+        if config.s_hat is not None:
+            noisy_ht_scale(lam, config.s_hat, config.budget)
+        else:
+            gaussian_noise_std(lam, d, config.budget)
+    except ValueError as exc:
+        raise ValueError(
+            f"the noise at epsilon = {config.budget.epsilon!r} overflows: {exc}") from exc
 
 
 def _check_delta_rule(rule, delta) -> None:
@@ -212,6 +231,7 @@ class ExperimentConfig:
         delta = 1.0 / (2.0 * n) if fixed.delta_rule == "half_n" else fixed.delta
         em_config = EmConfig(fixed.eta, T, N0, PrivacyBudget(values["epsilon"], delta),
                              s_hat if self.regime == "high_dim" else None)
+        _check_noise_scale(self.model, d, n, em_config)
         return n, spec, em_config
 
 
@@ -299,14 +319,18 @@ class AggregateResult:
 def _run_cell(config: ExperimentConfig, sweep_value, rep: int, engine: str):
     n, spec, em_config = config.cells[sweep_value]
     cell_seed = derive_seed(config.master_seed, config.sweep.name, sweep_value, rep)
-    batch = models.generate(spec, n, NoiseOracle(derive_seed(cell_seed, "data")))
+    data_oracle = NoiseOracle(derive_seed(cell_seed, "data"))
     init_oracle = NoiseOracle(derive_seed(cell_seed, "init"))
     beta0 = default_beta0(spec.true_beta, em_config.s_hat, init_oracle)
     if engine == "nonprivate":
+        batch = models.generate(spec, n, data_oracle)
         return nonprivate_em(spec, batch, em_config, beta0, true_beta=spec.true_beta)
 
+    # The private drivers read each of their N0 batches once, in order: draw
+    # each just before its iteration, into one reused batch.
+    sample = models.LazySample(spec, n, n // em_config.N0, data_oracle)
     run = run_high_dim if config.regime == "high_dim" else run_low_dim
-    return run(spec, batch, em_config, beta0, NoiseOracle(derive_seed(cell_seed, "noise")),
+    return run(spec, sample, em_config, beta0, NoiseOracle(derive_seed(cell_seed, "noise")),
                true_beta=spec.true_beta)
 
 
@@ -328,7 +352,10 @@ def run_experiment(
     """Run the configured sweep and collect per-iteration errors.
 
     ``engine`` is 'private' (the DP EM drivers) or 'nonprivate' (the plain
-    gradient-EM baseline under the same data and seeds).  Only an epsilon of
+    gradient-EM baseline, from the same cell seeds).  The baseline draws one
+    full n-sample batch; a private run draws its sample one batch of
+    n // N0 rows at a time, just before each iteration, so the same cell
+    seed gives the two engines different rows.  Only an epsilon of
     ``inf`` makes the mechanism noise exactly zero.  Repetitions may run
     concurrently on ``jobs`` threads (a positive integer, as for the CLI's
     ``--jobs``); the output is schedule-independent.
@@ -536,6 +563,8 @@ def run_classification(
     if params.iters > n_train:
         raise ConfigError(f"iters must not exceed the training size ({params.iters} > {n_train})")
     config = params.em_config(n_train)
+    with _config_errors():
+        _check_noise_scale("gmm", X.shape[1], n_train, config)
     sd = X.std(axis=0)
     Xs = (X - X.mean(axis=0)) / np.where(sd == 0.0, 1.0, sd)
 

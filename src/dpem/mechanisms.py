@@ -37,6 +37,10 @@ __all__ = [
 # inverse CDF would hit log(0).
 _UNIFORM_CAP = float(np.nextafter(0.5, 0.0))
 
+# Largest magnitude of a unit Laplace draw: -log1p(-2 * _UNIFORM_CAP) = 53 ln 2,
+# about 36.7.
+_LAPLACE_UNIT_MAX = -math.log1p(-2.0 * _UNIFORM_CAP)
+
 # Values per row block (512 KiB of float64) of the selection noise in
 # noisy_hard_threshold and of the rmc gradient's closed form: enough rows to
 # amortize the per-call NumPy overhead at moderate d, small enough that a
@@ -108,13 +112,15 @@ class NoiseOracle:
         self.seed = int(seed)
         self._rng = np.random.default_rng(self.seed)
 
-    def standard_normal(self, size=None):
-        """One (or ``size``) standard normal draw."""
-        return self._rng.standard_normal(size)
+    def standard_normal(self, size=None, out=None):
+        """One (or ``size``) standard normal draw, written into ``out`` when given."""
+        return self._rng.standard_normal(size, out=out)
 
-    def uniform_centered(self, size=None):
-        """Uniform draw on [-1/2, 1/2)."""
-        return self._rng.random(size) - 0.5
+    def uniform_centered(self, size=None, out=None):
+        """Uniform draw on [-1/2, 1/2), written into ``out`` when given."""
+        u = self._rng.random(size, out=out)
+        u -= 0.5
+        return u
 
     def __repr__(self) -> str:
         return f"NoiseOracle(seed={self.seed})"
@@ -146,21 +152,38 @@ def _laplace_from_uniform(scale: float, u, out=None):
     return np.copysign(r, u, out=out)
 
 
+def _noise_scale(name: str, scale: float) -> float:
+    # Every unit Laplace draw is at most _LAPLACE_UNIT_MAX in magnitude, so a
+    # scale whose product with it is finite releases only finite values.  For
+    # a Gaussian std_dev the same bound is about 36.7 standard deviations.
+    require(name, scale, "a finite nonnegative number whose product with 53 ln 2 is finite",
+            lambda b: 0 <= b and math.isfinite(float(b) * _LAPLACE_UNIT_MAX))
+    return scale
+
+
 def sample_laplace(scale: float, oracle: NoiseOracle, size=None):
     """Zero-mean Laplace draw(s) with scale b >= 0 (b = 0 gives exact zeros).
 
-    Density (1/2b) exp(-|x|/b).  An inverse CDF on floating-point values is
+    Density (1/2b) exp(-|x|/b).  A scale so large that a draw could overflow
+    to +-inf is refused.  An inverse CDF on floating-point values is
     open to Mironov's low-order-bits attack (CCS 2012); snapping, its fix, is
     not implemented, and adopting it is an open decision.
     """
-    require("scale", scale, "a finite nonnegative number", lambda v: 0 <= v < math.inf)
+    _noise_scale("scale", scale)
     return _laplace_from_uniform(scale, oracle.uniform_centered(size))
 
 
 def sample_gaussian(std_dev: float, oracle: NoiseOracle, size=None):
-    """Zero-mean Gaussian draw(s) with std_dev >= 0 (0 gives exact zeros)."""
+    """Zero-mean Gaussian draw(s) with std_dev >= 0 (0 gives exact zeros).
+
+    Raises ``ValueError`` rather than return a draw that overflowed to +-inf.
+    """
     require("std_dev", std_dev, "a finite nonnegative number", lambda v: 0 <= v < math.inf)
-    return std_dev * oracle.standard_normal(size)
+    with np.errstate(over="ignore"):
+        draw = std_dev * oracle.standard_normal(size)
+    if not np.all(np.isfinite(draw)):
+        raise ValueError(f"std_dev = {std_dev!r} gave a Gaussian draw that overflows to +-inf")
+    return draw
 
 
 def noisy_ht_scale(lam: float, s: int, budget: PrivacyBudget) -> float:
@@ -169,11 +192,13 @@ def noisy_ht_scale(lam: float, s: int, budget: PrivacyBudget) -> float:
     Equals lam * 2 * sqrt(3 * s * ln(1/delta)) / epsilon, where ``lam`` is
     the caller-certified ell-infinity sensitivity of the input vector.
     Natural logarithm throughout.  The scale is exactly +0.0 at ``lam = 0``
-    or ``epsilon = inf``.
+    or ``epsilon = inf``.  A scale whose Laplace draws could overflow (a tiny
+    epsilon) is refused, as :func:`sample_laplace` refuses it.
     """
     s = whole("s", s)
     require("lam", lam, "a finite nonnegative number", lambda v: 0 <= v < math.inf)
-    return lam * 2.0 * math.sqrt(3.0 * s * math.log(1.0 / budget.delta)) / budget.epsilon
+    return _noise_scale(
+        "scale", lam * 2.0 * math.sqrt(3.0 * s * math.log(1.0 / budget.delta)) / budget.epsilon)
 
 
 def gaussian_noise_std(lam: float, d: int, budget: PrivacyBudget) -> float:
@@ -182,11 +207,14 @@ def gaussian_noise_std(lam: float, d: int, budget: PrivacyBudget) -> float:
     Equals lam * sqrt(2 * d * ln(1.25/delta)) / epsilon: the Gaussian
     mechanism (Dwork & Roth 2014, Thm A.1) at ell-2 sensitivity sqrt(d) * lam,
     where ``lam`` is the caller-certified ell-infinity sensitivity of the
-    d-vector.  Exactly +0.0 at ``lam = 0`` or ``epsilon = inf``.
+    d-vector.  Exactly +0.0 at ``lam = 0`` or ``epsilon = inf``.  A tiny
+    epsilon's standard deviation is refused by the check on the Laplace
+    scales: its product with 53 ln 2 must be finite.
     """
     d = whole("d", d)
     require("lam", lam, "a finite nonnegative number", lambda v: 0 <= v < math.inf)
-    return lam * math.sqrt(2.0 * d * math.log(1.25 / budget.delta)) / budget.epsilon
+    return _noise_scale(
+        "std_dev", lam * math.sqrt(2.0 * d * math.log(1.25 / budget.delta)) / budget.epsilon)
 
 
 def _selection_input(v, s):
@@ -215,8 +243,8 @@ def noisy_hard_threshold(
 
     The output support has cardinality exactly ``s``; off-support
     coordinates are exactly zero.  ``s > d`` is rejected; ``s == d`` selects
-    every coordinate.  A scale that overflows to inf (a tiny epsilon) is
-    rejected, as the samplers reject it.
+    every coordinate.  A scale whose draws could overflow (a tiny epsilon) is
+    rejected by :func:`noisy_ht_scale`, as :func:`sample_laplace` rejects it.
 
     The rounds' noise is drawn ``max(1, min(s, B // d))`` rows at a time
     (``B`` = ``BLOCK_VALUES``), one oracle draw per block, and transformed
@@ -231,7 +259,6 @@ def noisy_hard_threshold(
     v, s = _selection_input(v, s)
     d = v.size
     scale = noisy_ht_scale(lam, s, budget)
-    require("scale", scale, "a finite nonnegative number", lambda b: 0 <= b < math.inf)
 
     magnitudes = np.abs(v)
     support = np.empty(s, dtype=int)

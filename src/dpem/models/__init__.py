@@ -17,8 +17,9 @@ The threaded BLAS gemv behind ``X @ beta`` and ``X.T @ r`` stalled for
 milliseconds per call, and its summation order, hence the gradients' bytes,
 followed the BLAS thread count.  The ``kind``-dispatching
 helpers below are what the engines call; the per-model functions remain
-directly importable.  The generators' and the gradients' input checks are
-written once, in :mod:`dpem.models.types`.
+directly importable.  A :class:`LazySample` hands the private drivers their
+sample one batch at a time, drawn into one reused batch.  The generators'
+and the gradients' input checks are written once, in :mod:`dpem.models.types`.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ __all__ = [
     "MorBatch",
     "RmcBatch",
     "generate",
+    "LazySample",
     "raw_grad",
     "truncated_grad",
     "sensitivity",
@@ -61,9 +63,46 @@ _MODELS = {
 }
 
 
-def generate(spec: ModelSpec, n: int, oracle: NoiseOracle):
-    """Draw an n-sample batch from ``spec``'s generative model."""
-    return _MODELS[spec.kind].generate(spec, n, oracle)
+def generate(spec: ModelSpec, n: int, oracle: NoiseOracle, out=None):
+    """Draw an n-sample batch from ``spec``'s model, into ``out``'s arrays when given."""
+    return _MODELS[spec.kind].generate(spec, n, oracle, out)
+
+
+class LazySample:
+    """An n-sample draw that generates each batch only when it is read.
+
+    ``len()`` is n, and the only legal slices are ``[0:b]``, ``[b:2b]``, ...
+    (b = ``batch_size``), each read once, in order, as the private drivers
+    read their batches; any other slice raises ``ValueError``.  Each read
+    draws b rows from ``oracle`` through :func:`generate` into one batch,
+    allocated at the first read and overwritten by every later one.  The
+    n mod b trailing rows are never drawn.  Successive b-row draws order the
+    stream differently from one n-row draw, so the rows differ from it.
+    """
+
+    def __init__(self, spec: ModelSpec, n: int, batch_size: int, oracle: NoiseOracle):
+        self.spec = spec
+        self._n = whole("n", n)
+        self._size = whole("batch_size", batch_size)
+        if self._size > self._n:
+            raise ValueError(f"batch_size must not exceed n ({self._size} > {self._n})")
+        self._oracle = oracle
+        self._next = 0
+        self._batch = None
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, key):
+        if not isinstance(key, slice):
+            raise TypeError("a LazySample supports slice indexing only")
+        lo, hi, step = key.indices(self._n)
+        if (lo, hi, step) != (self._next, self._next + self._size, 1):
+            raise ValueError(f"a LazySample is read once, in order, {self._size} rows at a time: "
+                             f"expected [{self._next}:{self._next + self._size}], got [{lo}:{hi}]")
+        self._batch = generate(self.spec, self._size, self._oracle, out=self._batch)
+        self._next = hi
+        return self._batch
 
 
 def raw_grad(spec: ModelSpec, beta, batch) -> np.ndarray:

@@ -13,14 +13,18 @@ from .types import GmmBatch, ModelSpec, check_generate, check_grad, clamp, expit
 __all__ = ["generate_gmm", "gmm_weight", "gmm_truncated_grad"]
 
 
-def generate_gmm(spec: ModelSpec, n: int, oracle: NoiseOracle) -> GmmBatch:
-    """Draw n i.i.d. observations y_i = z_i * beta + e_i."""
-    n = check_generate(spec, "gmm", n)
+def generate_gmm(spec: ModelSpec, n: int, oracle: NoiseOracle,
+                 out: GmmBatch | None = None) -> GmmBatch:
+    """Draw n i.i.d. observations y_i = z_i * beta + e_i.
+
+    Written into ``out``'s arrays when given.
+    """
+    n = check_generate(spec, "gmm", n, out)
     u = np.atleast_1d(oracle.uniform_centered(n))
     positive = (u >= 0.0)[:, None]  # z_i = +1
     # Built in place in the one (n, d) output: e + beta equals beta + e and
     # e - beta equals (-beta) + e bitwise, so this is z * beta + e exactly.
-    y = oracle.standard_normal((n, spec.d))
+    y = oracle.standard_normal((n, spec.d), out=None if out is None else out.y)
     y *= spec.sigma
     np.add(y, spec.true_beta, out=y, where=positive)
     np.subtract(y, spec.true_beta, out=y, where=~positive)

@@ -14,14 +14,20 @@ from .types import ModelSpec, MorBatch, check_generate, check_grad, clamp, expit
 __all__ = ["generate_mor", "mor_truncated_grad"]
 
 
-def generate_mor(spec: ModelSpec, n: int, oracle: NoiseOracle) -> MorBatch:
-    """Draw n i.i.d. pairs (x_i, y_i) with y_i = z_i <x_i, beta> + e_i."""
-    n = check_generate(spec, "mor", n)
-    x = np.atleast_2d(oracle.standard_normal((n, spec.d)))
+def generate_mor(spec: ModelSpec, n: int, oracle: NoiseOracle,
+                 out: MorBatch | None = None) -> MorBatch:
+    """Draw n i.i.d. pairs (x_i, y_i) with y_i = z_i <x_i, beta> + e_i.
+
+    Written into ``out``'s arrays when given.
+    """
+    n = check_generate(spec, "mor", n, out)
+    x = oracle.standard_normal((n, spec.d), out=None if out is None else out.x)
     u = np.atleast_1d(oracle.uniform_centered(n))
     z = np.where(u >= 0.0, 1.0, -1.0)
     e = spec.sigma * np.atleast_1d(oracle.standard_normal(n))
-    return MorBatch(x, z * matvec(x, spec.true_beta) + e)
+    y = np.multiply(z, matvec(x, spec.true_beta), out=None if out is None else out.y)
+    y += e
+    return MorBatch(x, y)
 
 
 def mor_truncated_grad(beta, batch: MorBatch, sigma: float, T: float) -> np.ndarray:

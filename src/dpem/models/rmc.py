@@ -30,17 +30,22 @@ from .types import ModelSpec, RmcBatch, check_generate, check_grad, clamp, matve
 __all__ = ["generate_rmc", "rmc_truncated_grad"]
 
 
-def generate_rmc(spec: ModelSpec, n: int, oracle: NoiseOracle) -> RmcBatch:
-    """Draw n i.i.d. triples (x_obs, z, y) under coordinate-wise missingness."""
-    n = check_generate(spec, "rmc", n)
-    x = np.atleast_2d(oracle.standard_normal((n, spec.d)))
+def generate_rmc(spec: ModelSpec, n: int, oracle: NoiseOracle,
+                 out: RmcBatch | None = None) -> RmcBatch:
+    """Draw n i.i.d. triples (x_obs, z, y) under coordinate-wise missingness.
+
+    Written into ``out``'s arrays when given.
+    """
+    n = check_generate(spec, "rmc", n, out)
+    x = oracle.standard_normal((n, spec.d), out=None if out is None else out.x_obs)
     e = spec.sigma * np.atleast_1d(oracle.standard_normal(n))
-    y = matvec(x, spec.true_beta) + e
-    z = np.empty((n, spec.d), dtype=bool)
+    y = np.add(matvec(x, spec.true_beta), e, out=None if out is None else out.y)
+    z = np.empty((n, spec.d), dtype=bool) if out is None else out.z
     step = max(1, BLOCK_VALUES // spec.d)
+    u_buf = np.empty((min(step, n), spec.d))
     for lo in range(0, n, step):
         hi = min(n, lo + step)
-        u = oracle.uniform_centered((hi - lo, spec.d))
+        u = oracle.uniform_centered((hi - lo, spec.d), out=u_buf[:hi - lo])
         u += 0.5
         mask = np.greater_equal(u, spec.missing_prob, out=z[lo:hi])
         x[lo:hi] *= mask

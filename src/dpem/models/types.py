@@ -42,13 +42,20 @@ def matvec(a, b):
     return np.einsum("...j,j->...", a, b)
 
 
-def check_generate(spec, kind: str, n) -> int:
-    """The generators' preconditions: a ``kind`` spec with a ``true_beta``; returns n as an int >= 1."""
+def check_generate(spec, kind: str, n, out=None) -> int:
+    """The generators' preconditions: a ``kind`` spec with a ``true_beta``; returns n as an int >= 1.
+
+    ``out``, when given, must be an n-sample batch of the spec's kind, whose
+    arrays the generator overwrites (numpy refuses arrays of another shape).
+    """
     if spec.kind != kind:
         raise ValueError(f"spec.kind must be {kind!r}, got {spec.kind!r}")
     if spec.true_beta is None:
         raise ValueError("spec.true_beta is required to generate data")
-    return whole("n", n)
+    n = whole("n", n)
+    if out is not None and (type(out) is not BATCH_TYPES[kind] or len(out) != n):
+        raise ValueError(f"out must be a {BATCH_TYPES[kind].__name__} of {n} samples")
+    return n
 
 
 def check_grad(batch, sigma: float, T: float) -> None:
@@ -129,3 +136,6 @@ class RmcBatch(_Batch):
     x_obs: np.ndarray
     z: np.ndarray
     y: np.ndarray
+
+
+BATCH_TYPES = {"gmm": GmmBatch, "mor": MorBatch, "rmc": RmcBatch}

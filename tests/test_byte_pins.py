@@ -1,0 +1,57 @@
+"""Pinned sha256 digests of small ``dpem run``, ``baseline`` and ``classify`` outputs.
+
+Any change to the bytes a command writes for a fixed config and seed fails
+here, so a change that moves them has to re-pin the digest and say why.  The
+private ``run`` digests are those of the sample drawn one batch at a time;
+the ``baseline`` and ``classify`` digests date from before that change, which
+touched neither path.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from helpers import make_gmm_class_data, small_config_dict, write_class_csv
+
+from dpem.cli import main
+
+CASES = {
+    "run-gmm-high_dim": ("run", "gmm", "high_dim"),
+    "run-mor-low_dim": ("run", "mor", "low_dim"),
+    "run-rmc-high_dim": ("run", "rmc", "high_dim"),
+    "baseline-gmm-high_dim": ("baseline", "gmm", "high_dim"),
+    "baseline-rmc-low_dim": ("baseline", "rmc", "low_dim"),
+    "classify": ("classify", None, None),
+}
+
+DIGESTS = {
+    "run-gmm-high_dim": "cf7c942a34d8a04742e34100eb57b771410ffe301802bbf8133c71d584c2e3f8",
+    "run-mor-low_dim": "2dc3d9c3ec0a466447d21a585f426a5b7d7a1fe1b53997cffdb91a8682939f2f",
+    "run-rmc-high_dim": "976edff805a72a0c4145495d994377f939d6d35ead706be09f45efd1ef62c376",
+    "baseline-gmm-high_dim": "ed547c9c960400e764d7765a3760a1be0c43d9bd042eed72dc8603efcf25bc46",
+    "baseline-rmc-low_dim": "4ff19b46224b78591e447b318809bc796ae95ae7ee5f24d3721676f315411f79",
+    "classify": "82a1c3097e200b7feb3a1f35cbedff7a031bfcc5ee5a95a77ae8c474504cc5ad",
+}
+
+
+def output_bytes(case, tmp_path) -> bytes:
+    """The CSV that ``case``'s command writes, run with ``--jobs 2``."""
+    command, model, regime = CASES[case]
+    cfg_path, out = tmp_path / "config.json", tmp_path / "out.csv"
+    argv = [command, "--config", str(cfg_path), "--out", str(out), "--jobs", "2"]
+    if command == "classify":
+        cfg = {"s_hat": 10, "epsilon": 0.5, "reps": 4, "master_seed": 11}
+        data = tmp_path / "data.csv"
+        write_class_csv(data, *make_gmm_class_data(seed=5, n=600))
+        argv += ["--data", str(data)]
+    else:
+        cfg = small_config_dict(model, regime)
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    assert main(argv) == 0
+    return out.read_bytes()
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_output_bytes_are_pinned(tmp_path, case):
+    assert hashlib.sha256(output_bytes(case, tmp_path)).hexdigest() == DIGESTS[case]

@@ -286,3 +286,22 @@ class TestRejectedInput:
                      "--out", str(out)]) == 2
         assert key in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, regime", [
+        ("run", "high_dim"), ("run", "low_dim"), ("baseline", "high_dim"), ("classify", None)])
+    def test_overflowing_noise_scale_exits_2(self, tmp_path, capsys, command, regime):
+        # At epsilon = 1e-310 even the smallest certified lambda (at beta = 0)
+        # calibrates to a noise scale whose draws overflow: a config error
+        # before any cell runs, for the baseline too, as the config is shared.
+        argv = ["--out", str(tmp_path / "o.csv")]
+        if command == "classify":
+            X, labels = make_gmm_class_data(n=600)
+            write_class_csv(tmp_path / "data.csv", X, labels)
+            cfg = classify_config(tmp_path, epsilon=1e-310)
+            argv += ["--data", str(tmp_path / "data.csv")]
+        else:
+            cfg = write_config(tmp_path, experiment_config_dict(regime=regime, epsilon=1e-310))
+        assert main([command, "--config", str(cfg)] + argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "epsilon = 1e-310" in err
+        assert not (tmp_path / "o.csv").exists()

@@ -76,12 +76,13 @@ def test_exports_are_what_demos_and_readme_import():
 
 def test_submodule_exports_are_pinned():
     # The models keep only the code that runs: a generator, a truncated
-    # gradient and the kind dispatch; the test references live in tests/.
+    # gradient, the kind dispatch and the lazy sample the private runs read;
+    # the test references live in tests/.
     # The drivers' module also holds the baseline, and the mechanisms both
     # sparse selections, private and exact.
     assert dpem.models.__all__ == [
         "ModelSpec", "GmmBatch", "MorBatch", "RmcBatch",
-        "generate", "raw_grad", "truncated_grad", "sensitivity",
+        "generate", "LazySample", "raw_grad", "truncated_grad", "sensitivity",
         "generate_gmm", "gmm_weight", "gmm_truncated_grad",
         "generate_mor", "mor_truncated_grad",
         "generate_rmc", "rmc_truncated_grad",

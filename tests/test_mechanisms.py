@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from dpem.mechanisms import (
+    _UNIFORM_CAP,
     NoiseOracle,
+    _laplace_from_uniform,
     PrivacyBudget,
     derive_seed,
     exact_top_k,
@@ -52,6 +54,27 @@ class TestSamplers:
         assert np.all(sampler(0.0, zero, size=1000) == 0.0)
         sampler(1.0, live, size=1000)
         np.testing.assert_array_equal(zero.standard_normal(5), live.standard_normal(5))
+
+    def test_laplace_refuses_a_scale_whose_draws_overflow(self):
+        # The largest unit draw is -log1p(-2 * cap) = 53 ln 2; a scale whose
+        # product with it is finite keeps even that draw finite.
+        with pytest.raises(ValueError, match="^scale must be a finite nonnegative number"):
+            sample_laplace(1e308, NoiseOracle(1), 5)
+        largest = np.nextafter(np.finfo(float).max / (53 * math.log(2)), 0.0)
+        extremes = _laplace_from_uniform(largest, np.array([_UNIFORM_CAP, -_UNIFORM_CAP]))
+        assert np.all(np.isfinite(extremes))
+        assert np.all(np.isfinite(sample_laplace(largest, NoiseOracle(1), 1000)))
+        with pytest.raises(ValueError, match="^scale must be"):
+            sample_laplace(np.nextafter(largest * 1.0000001, np.inf), NoiseOracle(1))
+
+    @pytest.mark.parametrize("scale_fn", [noisy_ht_scale, gaussian_noise_std])
+    def test_scale_functions_refuse_a_scale_whose_draws_overflow(self, scale_fn):
+        with pytest.raises(ValueError, match="must be a finite nonnegative number whose product"):
+            scale_fn(1e-3, 10, PrivacyBudget(1e-310, 1e-5))
+
+    def test_gaussian_raises_rather_than_return_inf(self):
+        with pytest.raises(ValueError, match="overflows to"):
+            sample_gaussian(1.7e308, NoiseOracle(1), 100)
 
     def test_gaussian_scalar_draw(self):
         x = sample_gaussian(1.3, NoiseOracle(3))
@@ -158,6 +181,15 @@ class TestNoisyHardThreshold:
         with pytest.raises(ValueError, match="^scale must be a finite nonnegative number"):
             noisy_hard_threshold(np.arange(6.0), 3, 1.0, PrivacyBudget(1e-310, 1e-5),
                                  NoiseOracle(1))
+
+    def test_finite_scale_that_overflows_a_draw_is_refused(self):
+        # A finite scale of 1e307 would release values past the largest float
+        # on the draws nearest to |u| = 1/2: refused by the same check as the
+        # sampler's, not released as +-inf.
+        budget = PrivacyBudget(1.0, 1e-5)
+        lam = 1e307 / noisy_ht_scale(1.0, 3, budget)
+        with pytest.raises(ValueError, match="^scale must be a finite nonnegative number"):
+            noisy_hard_threshold(np.arange(6.0), 3, lam, budget, NoiseOracle(1))
 
     @pytest.mark.parametrize("scale_fn", [noisy_ht_scale, gaussian_noise_std])
     @pytest.mark.parametrize("lam", [1e-12, 0.004, 50.0])
