@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from array import array
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
@@ -455,7 +456,11 @@ def load_classification_config(path) -> tuple[ClassificationParams, int, int]:
 
 
 def load_classification_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    """Read a headered CSV with one ``label`` column and numeric features."""
+    """Read a headered CSV with one ``label`` column and numeric features.
+
+    The features are parsed into one flat float64 buffer, which the returned
+    (rows, columns - 1) matrix views without a copy.
+    """
     try:
         # utf-8-sig drops the byte-order mark that spreadsheet exports put first.
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
@@ -467,22 +472,23 @@ def load_classification_csv(path) -> tuple[np.ndarray, np.ndarray]:
             if "label" not in header:
                 raise DataError(f"{path}: missing required column 'label'")
             label_idx = header.index("label")
-            features, labels = [], []
+            values, labels = array("d"), []
             for lineno, row in enumerate(reader, start=2):
                 if not row:
                     continue
                 if len(row) != len(header):
                     raise DataError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
-                labels.append(row[label_idx])
+                labels.append(row.pop(label_idx))
                 try:
-                    features.append([float(v) for i, v in enumerate(row) if i != label_idx])
+                    values.extend(map(float, row))
                 except ValueError as exc:
                     raise DataError(f"{path}:{lineno}: non-numeric feature value ({exc})") from None
     except OSError as exc:
         raise DataError(f"cannot read data file {path}: {exc}") from exc
-    if not features:
+    if not labels:
         raise DataError(f"{path}: no data rows")
-    return np.asarray(features, dtype=float), np.asarray(labels)
+    features = np.frombuffer(values, dtype=float).reshape(len(labels), len(header) - 1)
+    return features, np.asarray(labels)
 
 
 def _classify_once(Xs, z, params: ClassificationParams, config: EmConfig, n_train: int,
@@ -491,7 +497,7 @@ def _classify_once(Xs, z, params: ClassificationParams, config: EmConfig, n_trai
     noise_oracle = NoiseOracle(derive_seed(master_seed, "classify-noise", rep))
 
     # Balance the standardized classes by random drop, then center the
-    # balanced set.
+    # balanced set in place: fancy indexing already made it a copy.
     idx_pos = np.flatnonzero(z > 0)
     idx_neg = np.flatnonzero(z < 0)
     keep = min(idx_pos.size, idx_neg.size)
@@ -500,7 +506,7 @@ def _classify_once(Xs, z, params: ClassificationParams, config: EmConfig, n_trai
     idx = np.concatenate([idx_pos, idx_neg])
     Xb = Xs[idx]
     zb = z[idx]
-    Xb = Xb - Xb.mean(axis=0)
+    Xb -= Xb.mean(axis=0)
 
     perm = rng.permutation(idx.size)
     train, test = perm[:n_train], perm[n_train:]
@@ -566,7 +572,8 @@ def run_classification(
     with _config_errors():
         _check_noise_scale("gmm", X.shape[1], n_train, config)
     sd = X.std(axis=0)
-    Xs = (X - X.mean(axis=0)) / np.where(sd == 0.0, 1.0, sd)
+    Xs = X - X.mean(axis=0)
+    Xs /= np.where(sd == 0.0, 1.0, sd)
 
     def one(rep):
         return _classify_once(Xs, z, params, config, n_train, rep, master_seed)

@@ -42,8 +42,9 @@ _UNIFORM_CAP = float(np.nextafter(0.5, 0.0))
 _LAPLACE_UNIT_MAX = -math.log1p(-2.0 * _UNIFORM_CAP)
 
 # Values per row block (512 KiB of float64) of the selection noise in
-# noisy_hard_threshold and of the rmc gradient's closed form: enough rows to
-# amortize the per-call NumPy overhead at moderate d, small enough that a
+# noisy_hard_threshold, of the rmc mask draw and gradient's closed form, and
+# of the gmm and mor clamp-and-sum (models.types.clamped_rowsum): enough rows
+# to amortize the per-call NumPy overhead at moderate d, small enough that a
 # block stays cache-sized.
 BLOCK_VALUES = 1 << 16
 

@@ -9,10 +9,12 @@ Only rmc has ``b = 1``: its unclamped ``-(1 - z) * beta`` term moves with one
 record's missingness mask.  Both matrix-vector directions are
 single-threaded numpy passes: the row products ``X beta`` behind the weights,
 fill-ins and generators go through ``types.matvec``, and the gmm and mor
-gradients average their rows as one transposed product
-``np.einsum("ij,i->j", X, r) / n``.  The rmc gradient sums the same kind of
-products over row blocks of its closed form, which never forms the (n, d)
-fill-in and holds because ``x_obs = z * x`` (see :mod:`dpem.models.rmc`).
+gradients average their rows as the transposed product
+``np.einsum("ij,i->j", clamp(X, T), r) / n``, which ``types.clamped_rowsum``
+sums one clamped row block at a time, bit for bit, never copying the whole
+batch.  The rmc gradient sums the same kind of products over row blocks of
+its closed form, which never forms the (n, d) fill-in and holds because
+``x_obs = z * x`` (see :mod:`dpem.models.rmc`).
 The threaded BLAS gemv behind ``X @ beta`` and ``X.T @ r`` stalled for
 milliseconds per call, and its summation order, hence the gradients' bytes,
 followed the BLAS thread count.  The ``kind``-dispatching

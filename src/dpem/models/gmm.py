@@ -8,7 +8,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..mechanisms import NoiseOracle
-from .types import GmmBatch, ModelSpec, check_generate, check_grad, clamp, expit, matvec
+from .types import (GmmBatch, ModelSpec, check_generate, check_grad, clamped_rowsum, expit,
+                    matvec)
 
 __all__ = ["generate_gmm", "gmm_weight", "gmm_truncated_grad"]
 
@@ -45,10 +46,11 @@ def gmm_truncated_grad(beta, batch: GmmBatch, sigma: float, T: float) -> np.ndar
     """Truncated gradient (1/n) sum_i (2 w(y_i) - 1) clamp_T(y_i) - beta.
 
     The weight uses the untruncated observation; only y_i is clamped.  The row
-    average is one transposed product, clamp_T(Y)^T (2 w - 1) / n.  T = inf is
-    the raw sample gradient (1/n) sum_i (2 w(y_i) - 1) y_i - beta, unclamped.
+    average is clamp_T(Y)^T (2 w - 1) / n, summed by ``clamped_rowsum`` one row
+    block of clamp_T(Y) at a time.  T = inf is the raw sample gradient
+    (1/n) sum_i (2 w(y_i) - 1) y_i - beta, unclamped and uncopied.
     """
     check_grad(batch, sigma, T)
     beta = np.asarray(beta, dtype=float)
     w = gmm_weight(beta, batch.y, sigma)
-    return np.einsum("ij,i->j", clamp(batch.y, T), 2.0 * w - 1.0) / len(batch) - beta
+    return clamped_rowsum(batch.y, T, 2.0 * w - 1.0) / len(batch) - beta

@@ -9,7 +9,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..mechanisms import NoiseOracle
-from .types import ModelSpec, MorBatch, check_generate, check_grad, clamp, expit, matvec
+from .types import (ModelSpec, MorBatch, check_generate, check_grad, clamp, clamped_rowsum,
+                    expit, matvec)
 
 __all__ = ["generate_mor", "mor_truncated_grad"]
 
@@ -36,13 +37,14 @@ def mor_truncated_grad(beta, batch: MorBatch, sigma: float, T: float) -> np.ndar
     (1/n) sum_i [2 w_i clamp(y_i) clamp(x_i) - clamp(x_i) clamp(x_i^T beta)]
     with the mixing weight w_i = 1 / (1 + exp(-y_i <x_i, beta> / sigma^2)) of
     the untruncated (x_i, y_i); X beta is formed once for both.  The row
-    average is one transposed product,
-    clamp(X)^T (2 w clamp(y) - clamp(X beta)) / n.  T = inf is the raw sample
-    gradient (1/n) sum_i [2 w_i y_i x_i - x_i (x_i^T beta)].
+    average is clamp(X)^T (2 w clamp(y) - clamp(X beta)) / n, summed by
+    ``clamped_rowsum`` one row block of clamp(X) at a time.  T = inf is the raw
+    sample gradient (1/n) sum_i [2 w_i y_i x_i - x_i (x_i^T beta)], with X
+    uncopied.
     """
     check_grad(batch, sigma, T)
     beta = np.asarray(beta, dtype=float)
     xb = matvec(batch.x, beta)
     w = expit(batch.y * xb / sigma**2)
     r = 2.0 * w * clamp(batch.y, T) - clamp(xb, T)
-    return np.einsum("ij,i->j", clamp(batch.x, T), r) / len(batch)
+    return clamped_rowsum(batch.x, T, r) / len(batch)

@@ -12,9 +12,10 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from ..mechanisms import require, whole
+from ..mechanisms import BLOCK_VALUES, require, whole
 
-__all__ = ["ModelSpec", "GmmBatch", "MorBatch", "RmcBatch", "clamp", "expit", "matvec"]
+__all__ = ["ModelSpec", "GmmBatch", "MorBatch", "RmcBatch", "clamp", "clamped_rowsum", "expit",
+           "matvec"]
 
 MODEL_KINDS = ("gmm", "mor", "rmc")
 
@@ -26,6 +27,38 @@ def clamp(a, T: float, out=None):
     so callers use the return value.
     """
     return a if math.isinf(T) else np.clip(a, -T, T, out=out)
+
+
+def clamped_rowsum(a, T: float, r):
+    """``np.einsum("ij,i->j", clamp(a, T), r)`` bitwise, holding one row block of ``clamp(a, T)``.
+
+    For a finite T and a C-ordered (n, d) ``a`` of more than ``BLOCK_VALUES``
+    values with d > 1, the rows are split into even blocks of at most
+    ``BLOCK_VALUES`` values (one row when d is larger).  Each block is clipped
+    into rows 1..k of one reused buffer whose row 0 carries the running sum
+    with weight 1.0, and one einsum over the buffer gives the next running
+    sum.  numpy's ``"ij,i->j"`` einsum adds the rows of such an array strictly
+    in order, so the carried sum is the whole-batch sum to the last bit;
+    adding per-block sums would round differently.  Otherwise it is the
+    whole-batch einsum itself: at T = inf nothing is copied, a batch of one
+    block is copied whole, and the layouts whose einsum does not add in row
+    order (d = 1 or not C-ordered) keep their own summation order.
+    """
+    n, d = a.shape
+    if math.isinf(T) or n * d <= BLOCK_VALUES or d == 1 or not a.flags.c_contiguous:
+        return np.einsum("ij,i->j", clamp(a, T), r)
+    blocks = -(-n // max(1, BLOCK_VALUES // d))
+    step = -(-n // blocks)
+    buf = np.empty((step + 1, d))
+    weights = np.empty(step + 1)
+    buf[0], weights[0] = 0.0, 1.0
+    for lo in range(0, n, step):
+        k = min(step, n - lo)
+        clamp(a[lo:lo + k], T, out=buf[1:k + 1])
+        weights[1:k + 1] = r[lo:lo + k]
+        total = np.einsum("ij,i->j", buf[:k + 1], weights[:k + 1])
+        buf[0] = total
+    return total
 
 
 def expit(x):

@@ -1,3 +1,4 @@
+import csv
 import math
 from pathlib import Path
 
@@ -9,6 +10,7 @@ from helpers import (
     make_gmm_class_data,
     read_results_csv,
     small_config_dict,
+    traced_peak_bytes,
     write_class_csv,
 )
 
@@ -311,6 +313,55 @@ class TestClassificationIO:
         path.write_text("f0,label\nx,pos\n", encoding="utf-8")
         with pytest.raises(DataError, match="non-numeric"):
             load_classification_csv(path)
+
+    @staticmethod
+    def list_of_floats(path):
+        # The loader's former parse: one list of Python floats per row.
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+            reader = csv.reader(fh)
+            label_idx = next(reader).index("label")
+            return np.asarray([[float(v) for i, v in enumerate(row) if i != label_idx]
+                               for row in reader if row], dtype=float)
+
+    def test_values_bitwise_equal_to_list_of_floats(self, tmp_path):
+        values = ["-0.0", "0.0", "1e-3", "2.5E+10", "-7.25e-300", "5e-324", "2.2250738585072009e-308",
+                  "1.7976931348623157e308", "  3.5", "-.5", "1_000.5"]
+        rows = [f"{values[(i + j) % len(values)]},{values[(i * j) % len(values)]},{'ab'[i % 2]}"
+                for i, j in zip(range(22), range(3, 25))]
+        path = tmp_path / "data.csv"
+        path.write_bytes(("f0,f1,label\r\n" + "\r\n".join(rows) + "\r\n").encode("utf-8-sig"))
+        got_X, got_labels = load_classification_csv(path)
+        expected = self.list_of_floats(path)
+        assert got_X.shape == (22, 2)
+        np.testing.assert_array_equal(got_X.view(np.uint64), expected.view(np.uint64))
+        assert list(got_labels) == ["ab"[i % 2] for i in range(22)]
+
+    def test_label_only_file_has_no_feature_columns(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("label\npos\nneg\npos\n", encoding="utf-8")
+        got_X, got_labels = load_classification_csv(path)
+        assert got_X.shape == (3, 0) and got_X.dtype == np.float64
+        assert list(got_labels) == ["pos", "neg", "pos"]
+
+    @pytest.mark.parametrize("body, message", [
+        ("1,2,pos\n3,neg\n", r"data\.csv:3: expected 3 fields, got 2"),
+        ("1,2,pos\n\n3,x,neg\n", r"data\.csv:4: non-numeric feature value \(could not convert"),
+    ])
+    def test_row_errors_carry_line_numbers(self, tmp_path, body, message):
+        path = tmp_path / "data.csv"
+        path.write_text("f0,f1,label\n" + body, encoding="utf-8")
+        with pytest.raises(DataError, match=message):
+            load_classification_csv(path)
+
+    def test_load_peak_memory_is_near_the_matrix(self, tmp_path):
+        X, labels = make_gmm_class_data(n=2000, d=50)
+        path = tmp_path / "data.csv"
+        write_class_csv(path, X, labels)
+        peak, (got_X, _) = traced_peak_bytes(lambda: load_classification_csv(path))
+        # One flat float64 buffer grown in place; lists of Python floats
+        # peaked at 5.5x the matrix.
+        assert peak < 2 * got_X.nbytes
+        np.testing.assert_array_equal(got_X, X)
 
     def test_parse_config_defaults(self):
         params, reps, seed = parse_classification_config(

@@ -21,7 +21,9 @@ from dpem.models.types import expit, matvec
 REPO = Path(__file__).resolve().parents[1]
 
 # Draws one 2500 x 200 batch per model and prints the sha256 of its arrays
-# and of its truncated gradients at T = 1 and T = inf.
+# and of its truncated gradients at T = 1 and T = inf.  Each batch holds
+# 500000 values, about eight row blocks of ``mechanisms.BLOCK_VALUES``, so the
+# pinned digest covers the gmm and mor blocked clamp-and-sum over many blocks.
 HASH_GRADIENTS = """
 import hashlib, math
 import numpy as np
@@ -41,6 +43,9 @@ for kind in ("gmm", "mor", "rmc"):
         h.update(truncated_grad(spec, beta, batch, T).tobytes())
 print(h.hexdigest())
 """
+# Printed by HASH_GRADIENTS while the gmm and mor gradients still clamped the
+# whole batch into one copy; summing one row block at a time must not move it.
+GRADIENTS_DIGEST = "4f04e57eb45de8a75b5aba9425b5d19d2236bcf91125f0293495c41be35eac81"
 
 
 def run_python(code, **env_overrides):
@@ -62,6 +67,10 @@ def test_gradient_bytes_independent_of_blas_threads():
     one = run_python(HASH_GRADIENTS, OPENBLAS_NUM_THREADS="1")
     two = run_python(HASH_GRADIENTS, OPENBLAS_NUM_THREADS="2")
     assert one == two
+
+
+def test_multi_block_gradient_bytes_are_pinned():
+    assert run_python(HASH_GRADIENTS) == GRADIENTS_DIGEST
 
 
 class TestExpit:

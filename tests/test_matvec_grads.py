@@ -1,9 +1,11 @@
 """The transposed-product gradients and the in-place rmc generator against their references.
 
 Each truncated gradient is a per-row weight times clamp(X, T), averaged over
-rows.  gmm and mor compute that average as one transposed matrix-vector
-product over the clamped design instead of forming the (n, d) product and
-calling ``np.mean(..., axis=0)``.  rmc sums a closed form over row blocks of
+rows.  gmm and mor compute that average as the transposed matrix-vector
+product clamp(X, T)^T r instead of forming the (n, d) product and calling
+``np.mean(..., axis=0)``; ``types.clamped_rowsum`` forms it one clamped row
+block at a time, bit for bit equal to the einsum over the whole clamped
+design.  rmc sums a closed form over row blocks of
 ``mechanisms.BLOCK_VALUES`` values: it never forms the fill-ins m and n,
 and it relies on ``x_obs = z * x`` (x_obs is zero wherever z is zero), which
 every batch here is drawn to satisfy.  The gradient references are the
@@ -36,7 +38,7 @@ from dpem.models import (
     mor_truncated_grad,
     rmc_truncated_grad,
 )
-from dpem.models.types import clamp, expit, matvec
+from dpem.models.types import clamp, clamped_rowsum, expit, matvec
 
 SIGMA = 0.5
 # Three of rmc's row blocks at d = 200 plus a one-row tail.
@@ -155,16 +157,79 @@ class TestRmcInPlace:
                                       bits(ref_oracle.uniform_centered(5)))
 
 
+def clamped_rowsum_reference(a, T, r):
+    return np.einsum("ij,i->j", clamp(a, T), r)
+
+
+def wide_range_case(n, d, seed):
+    """Rows whose entries span many magnitudes, so any change of summation order shows."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, d)) * np.exp(3.0 * rng.standard_normal((n, d)))
+    return a, rng.standard_normal(n) * np.exp(rng.standard_normal(n))
+
+
+class TestClampedRowsum:
+    STEP = BLOCK_VALUES // 200  # rows per block at d = 200
+
+    @pytest.mark.parametrize("n, d, order", [
+        pytest.param(100, 50, "C", id="one_block"),
+        pytest.param(3 * STEP, 200, "C", id="exact_multiple"),
+        pytest.param(TAIL_N, 200, "C", id="ragged_tail"),
+        pytest.param(3, BLOCK_VALUES + 5, "C", id="row_per_block"),
+        pytest.param(1, 200, "C", id="one_row"),
+        pytest.param(7000, 100, "C", id="many_blocks"),
+        pytest.param(70000, 1, "C", id="one_column"),
+        pytest.param(3 * STEP, 200, "F", id="column_major"),
+    ])
+    @pytest.mark.parametrize("T", [0.5, 1.0, math.inf])
+    def test_bitwise_equal_to_whole_batch_einsum(self, n, d, order, T):
+        a, r = wide_range_case(n, d, seed=n + d)
+        a = np.asarray(a, order=order)
+        got = clamped_rowsum(a, T, r)
+        assert got.shape == (d,)
+        np.testing.assert_array_equal(bits(got), bits(clamped_rowsum_reference(a, T, r)))
+
+    def test_adding_block_sums_would_not_be_exact(self):
+        # The carried running sum is what makes the blocked form exact: adding
+        # one einsum per block rounds differently on this case.
+        a, r = wide_range_case(7000, 100, seed=7100)
+        whole = clamped_rowsum_reference(a, 1.0, r)
+        step = BLOCK_VALUES // 100
+        blockwise = sum(clamped_rowsum_reference(a[lo:lo + step], 1.0, r[lo:lo + step])
+                        for lo in range(0, 7000, step))
+        assert not np.array_equal(bits(blockwise), bits(whole))
+        np.testing.assert_array_equal(bits(clamped_rowsum(a, 1.0, r)), bits(whole))
+
+    @pytest.mark.parametrize("n, d", [(1000, 2), (1000, 7), (TAIL_N, 200), (3, BLOCK_VALUES + 5)])
+    def test_einsum_adds_rows_in_order(self, n, d):
+        a, r = wide_range_case(n, d, seed=3 * n + d)
+        in_order = np.zeros(d)
+        for i in range(n):
+            in_order = in_order + a[i] * r[i]
+        assert np.array_equal(bits(np.einsum("ij,i->j", a, r)), bits(in_order)), (
+            "numpy's einsum no longer adds the rows of a C-ordered (n, d) array in order; "
+            "models.types.clamped_rowsum relies on that to equal the whole-batch einsum bitwise")
+
+    def test_infinite_T_copies_nothing(self):
+        a, r = wide_range_case(20000, 50, seed=11)
+        peak, got = traced_peak_bytes(lambda: clamped_rowsum(a, math.inf, r))
+        assert peak < 0.01 * a.nbytes
+        np.testing.assert_array_equal(bits(got), bits(np.einsum("ij,i->j", a, r)))
+
+
 class TestAllocationBounds:
-    N, D = 2000, 200
+    D = 200
 
     @pytest.mark.parametrize("kind, grad", [("gmm", gmm_truncated_grad),
                                             ("mor", mor_truncated_grad)])
-    def test_gmm_and_mor_copy_only_the_clamped_design(self, kind, grad):
-        beta, batch = make_case(kind, self.N, self.D, seed=3)
-        peak, _ = traced_peak_bytes(lambda: grad(beta, batch, SIGMA, 1.0))
-        # One clamped (n, d) copy; the row-mean form held two.
-        assert peak < 1.5 * self.N * self.D * 8
+    @pytest.mark.parametrize("T", [1.0, math.inf])
+    def test_gmm_and_mor_gradient(self, kind, grad, T):
+        beta, batch = make_case(kind, 20000, self.D, seed=3)
+        peak, _ = traced_peak_bytes(lambda: grad(beta, batch, SIGMA, T))
+        # One reused row block of the clamped design and the per-row vectors;
+        # no (n, d) temporary at any T.
+        design = batch.y if kind == "gmm" else batch.x
+        assert peak < 0.1 * design.nbytes
 
     @pytest.mark.parametrize("T", [1.0, math.inf])
     def test_rmc_gradient(self, T):
