@@ -34,13 +34,17 @@ v = np.array([0.1, -2.4, 0.3, 1.9, -0.2, 0.05, 0.7, -0.6])
 budget = PrivacyBudget(epsilon=1.0, delta=1e-4)
 lam = 0.05  # caller-certified l-infinity sensitivity of v
 
-print(f"\nper-round Laplace scale: {noisy_ht_scale(lam, 3, budget):.4f}")
+# Peeling draws at the per-round Laplace scale it is handed; noisy_ht_scale
+# calibrates that scale from lam and the budget.
+exact_scale = noisy_ht_scale(lam, 3, PrivacyBudget(math.inf, 1e-4))
+scale = noisy_ht_scale(lam, 3, budget)
+print(f"\nper-round Laplace scale: {exact_scale} at epsilon = inf, {scale:.4f} at epsilon = 1")
 
-exact = noisy_hard_threshold(v, 3, lam, PrivacyBudget(math.inf, 1e-4), NoiseOracle(0))
+exact = noisy_hard_threshold(v, 3, exact_scale, NoiseOracle(0))
 print(f"epsilon = inf    : support {exact.support}, values {exact.values}")
 print(f"exact top-k      : support {exact_top_k(v, 3).support}  (identical)")
 
 for seed in (1, 2, 3):
-    live = noisy_hard_threshold(v, 3, lam, budget, NoiseOracle(seed))
+    live = noisy_hard_threshold(v, 3, scale, NoiseOracle(seed))
     print(f"live (seed {seed})    : support {live.support}, "
           f"values {np.round(live.values, 3)}")

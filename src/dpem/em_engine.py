@@ -3,10 +3,10 @@
 Both private drivers split the sample into one batch per iteration and take a
 truncated gradient step on it; they read each batch once, in order, so the
 sample may be a :class:`~dpem.models.LazySample` that draws each batch only
-then.  They differ only in how the step is privatized.  The
-high-dimensional driver re-sparsifies it through noisy hard thresholding;
-the low-dimensional driver perturbs it with calibrated Gaussian noise.  Disjoint batches mean each record influences exactly one
-iteration, so the whole run inherits the per-iteration privacy guarantee.
+then.  The loop calibrates each step once, by :meth:`EmConfig.step_scale`;
+the drivers differ only in the release drawing at that scale (noisy hard
+thresholding or Gaussian noise).  Disjoint batches mean each record influences
+exactly one iteration, so the whole run inherits the per-iteration guarantee.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 
 from . import models
 from .mechanisms import (NoiseOracle, PrivacyBudget, gaussian_noise_std, noisy_hard_threshold,
-                         require, sample_gaussian, whole)
+                         noisy_ht_scale, require, sample_gaussian, whole)
 
 __all__ = [
     "EmConfig",
@@ -37,8 +37,8 @@ class EmConfig:
     Every run carries a :class:`~dpem.mechanisms.PrivacyBudget`; noise is
     off only at ``budget.epsilon = inf``.  ``T = inf`` is a sentinel meaning
     "no truncation"; it has no certified sensitivity, so it is legal only at
-    ``epsilon = inf``.  ``s_hat`` is read by :func:`run_high_dim` only, which
-    requires it.
+    ``epsilon = inf``.  ``s_hat`` selects the regime and its calibration:
+    :func:`run_high_dim` requires it, :func:`run_low_dim` refuses it.
     """
 
     eta: float
@@ -57,6 +57,21 @@ class EmConfig:
             object.__setattr__(self, "s_hat", whole("s_hat", self.s_hat))
         if math.isinf(self.T) and math.isfinite(self.budget.epsilon):
             raise ValueError("T = inf (no truncation) is legal only with epsilon = inf")
+
+    def step_scale(self, spec: models.ModelSpec, n: int, beta) -> float:
+        """Noise scale of the step from ``beta`` in a run on n samples; 0.0 at T = inf.
+
+        :func:`noisy_ht_scale` if ``s_hat`` is set, else :func:`gaussian_noise_std`,
+        of lam = :func:`models.sensitivity` at ``N0 * (n // N0)`` samples.  As
+        b >= 0 for every model, lam never falls below its value at ``beta = 0``.
+        """
+        if math.isinf(self.T):
+            return 0.0
+        lam = models.sensitivity(spec.kind, self.T, self.eta, self.N0,
+                                 self.N0 * (n // self.N0), beta)
+        if self.s_hat is not None:
+            return noisy_ht_scale(lam, self.s_hat, self.budget)
+        return gaussian_noise_std(lam, spec.d, self.budget)
 
 
 @dataclass(frozen=True)
@@ -118,23 +133,20 @@ def _record(betas, true_beta, bounds):
     return Trajectory(betas, errs, np.minimum(errs, flipped), bounds)
 
 
-def _run(spec, batch, config, beta0, true_beta, privatize) -> Trajectory:
-    # The one EM loop.  ``privatize(v, lam)`` maps v = beta + eta * f_T(grad)
-    # to the released iterate, where lam is the certified ell-infinity
-    # sensitivity of v; T = inf certifies nothing and runs noiseless (lam = 0).
-    # lam is taken at the iterate entering the step, which only earlier,
-    # disjoint batches produced, so reading it costs no privacy.
+def _run(spec, batch, config, beta0, true_beta, release) -> Trajectory:
+    # The one EM loop.  ``release(v, scale)`` maps v = beta + eta * f_T(grad)
+    # to the released iterate, drawing at config.step_scale of the iterate
+    # entering the step.  Only earlier, disjoint batches produced that
+    # iterate, so reading it costs no privacy.
     beta = _as_beta(beta0, spec.d)
     n = len(batch)
     bounds = split_batches(n, config.N0)
-    n_used = config.N0 * (n // config.N0)
 
     betas = [beta]
     for lo, hi in bounds:
-        lam = 0.0 if math.isinf(config.T) else models.sensitivity(
-            spec.kind, config.T, config.eta, config.N0, n_used, beta)
+        scale = config.step_scale(spec, n, beta)
         g = models.truncated_grad(spec, beta, batch[lo:hi], config.T)
-        beta = privatize(beta + config.eta * g, lam)
+        beta = release(beta + config.eta * g, scale)
         betas.append(beta)
     return _record(betas, true_beta, bounds)
 
@@ -175,7 +187,7 @@ def run_high_dim(
 
     Per iteration t on batch t only:
         beta_half = beta + eta * f_T(grad)        (truncated gradient step)
-        beta      = NoisyHT(beta_half, s_hat, sensitivity, budget)
+        beta      = NoisyHT(beta_half, s_hat, EmConfig.step_scale)
     Every iterate from t = 1 on satisfies ||beta||_0 <= s_hat.
     """
     if config.s_hat is None:
@@ -184,8 +196,8 @@ def run_high_dim(
     if nnz > config.s_hat:
         raise ValueError(f"beta0 must have at most s_hat = {config.s_hat} nonzeros, got {nnz}")
 
-    return _run(spec, batch, config, beta0, true_beta, lambda v, lam:
-                noisy_hard_threshold(v, config.s_hat, lam, config.budget, oracle).values)
+    return _run(spec, batch, config, beta0, true_beta, lambda v, scale:
+                noisy_hard_threshold(v, config.s_hat, scale, oracle).values)
 
 
 def run_low_dim(
@@ -200,8 +212,9 @@ def run_low_dim(
 
     Per iteration t on batch t only:
         beta = beta + eta * f_T(grad) + W_t,  W_t ~ N(0, sigma_W^2 I_d)
-    with sigma_W from :func:`~dpem.mechanisms.gaussian_noise_std` at the
-    certified sensitivity of the step.
+    with sigma_W from :meth:`EmConfig.step_scale`, so ``s_hat`` is refused.
     """
-    return _run(spec, batch, config, beta0, true_beta, lambda v, lam:
-                v + sample_gaussian(gaussian_noise_std(lam, spec.d, config.budget), oracle, spec.d))
+    if config.s_hat is not None:
+        raise ValueError(f"run_low_dim takes no s_hat (got {config.s_hat}): it selects peeling")
+    return _run(spec, batch, config, beta0, true_beta, lambda v, scale:
+                v + sample_gaussian(scale, oracle, spec.d))

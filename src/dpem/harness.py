@@ -25,8 +25,7 @@ import numpy as np
 
 from . import models
 from .em_engine import EmConfig, nonprivate_em, run_high_dim, run_low_dim
-from .mechanisms import (NoiseOracle, PrivacyBudget, derive_seed, exact_top_k, gaussian_noise_std,
-                         noisy_ht_scale, require, whole)
+from .mechanisms import NoiseOracle, PrivacyBudget, derive_seed, exact_top_k, require, whole
 from .models import GmmBatch, ModelSpec
 from .models.types import matvec
 
@@ -96,19 +95,10 @@ def _keys(raw, where: str, required, optional=()) -> dict:
     return raw
 
 
-def _check_noise_scale(kind: str, d: int, n: int, config: EmConfig) -> None:
-    """Refuse a budget whose smallest noise scale overflows a draw, before any run.
-
-    That scale is the one at lambda for beta = 0: every lambda for gmm and
-    mor, a lower bound for rmc.
-    """
-    n_used = config.N0 * (n // config.N0)
-    lam = models.sensitivity(kind, config.T, config.eta, config.N0, n_used, np.zeros(d))
+def _check_noise_scale(spec: ModelSpec, n: int, config: EmConfig) -> None:
+    """Refuse, before any run, a budget whose smallest step scale (at beta = 0) overflows a draw."""
     try:
-        if config.s_hat is not None:
-            noisy_ht_scale(lam, config.s_hat, config.budget)
-        else:
-            gaussian_noise_std(lam, d, config.budget)
+        config.step_scale(spec, n, np.zeros(spec.d))
     except ValueError as exc:
         raise ValueError(
             f"the noise at epsilon = {config.budget.epsilon!r} overflows: {exc}") from exc
@@ -232,7 +222,7 @@ class ExperimentConfig:
         delta = 1.0 / (2.0 * n) if fixed.delta_rule == "half_n" else fixed.delta
         em_config = EmConfig(fixed.eta, T, N0, PrivacyBudget(values["epsilon"], delta),
                              s_hat if self.regime == "high_dim" else None)
-        _check_noise_scale(self.model, d, n, em_config)
+        _check_noise_scale(spec, n, em_config)
         return n, spec, em_config
 
 
@@ -570,7 +560,7 @@ def run_classification(
         raise ConfigError(f"iters must not exceed the training size ({params.iters} > {n_train})")
     config = params.em_config(n_train)
     with _config_errors():
-        _check_noise_scale("gmm", X.shape[1], n_train, config)
+        _check_noise_scale(ModelSpec("gmm", X.shape[1], params.sigma_fit), n_train, config)
     sd = X.std(axis=0)
     Xs = X - X.mean(axis=0)
     Xs /= np.where(sd == 0.0, 1.0, sd)

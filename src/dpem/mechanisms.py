@@ -177,9 +177,10 @@ def sample_laplace(scale: float, oracle: NoiseOracle, size=None):
 def sample_gaussian(std_dev: float, oracle: NoiseOracle, size=None):
     """Zero-mean Gaussian draw(s) with std_dev >= 0 (0 gives exact zeros).
 
-    Raises ``ValueError`` rather than return a draw that overflowed to +-inf.
+    std_dev is refused as :func:`sample_laplace` refuses a scale, whatever the
+    draw, and a draw that still overflowed to +-inf raises ``ValueError``.
     """
-    require("std_dev", std_dev, "a finite nonnegative number", lambda v: 0 <= v < math.inf)
+    _noise_scale("std_dev", std_dev)
     with np.errstate(over="ignore"):
         draw = std_dev * oracle.standard_normal(size)
     if not np.all(np.isfinite(draw)):
@@ -188,7 +189,7 @@ def sample_gaussian(std_dev: float, oracle: NoiseOracle, size=None):
 
 
 def noisy_ht_scale(lam: float, s: int, budget: PrivacyBudget) -> float:
-    """Per-round Laplace scale used by :func:`noisy_hard_threshold`.
+    """Per-round Laplace scale of :func:`noisy_hard_threshold` at an (epsilon, delta) budget.
 
     Equals lam * 2 * sqrt(3 * s * ln(1/delta)) / epsilon, where ``lam`` is
     the caller-certified ell-infinity sensitivity of the input vector.
@@ -228,24 +229,19 @@ def _selection_input(v, s):
     return v, s
 
 
-def noisy_hard_threshold(
-    v,
-    s: int,
-    lam: float,
-    budget: PrivacyBudget,
-    oracle: NoiseOracle,
-) -> SparseSelection:
-    """Private sparse selection by noisy peeling.
+def noisy_hard_threshold(v, s: int, scale: float, oracle: NoiseOracle) -> SparseSelection:
+    """Private sparse selection by noisy peeling, at the Laplace scale it is handed.
 
     Runs ``s`` rounds; round ``i`` draws a fresh d-vector of i.i.d. Laplace
-    noise at scale :func:`noisy_ht_scale` and appends the unselected index
-    maximizing ``|v_j| + w_ij`` to the support (ties: lowest index).  A final
-    Laplace d-vector is added to ``v`` before restricting to the support.
+    noise at ``scale`` and appends the unselected index maximizing
+    ``|v_j| + w_ij`` to the support (ties: lowest index).  A final Laplace
+    d-vector is added to ``v`` before restricting to the support.
+    :func:`noisy_ht_scale` calibrates ``scale``; 0.0 gives exact top-s.
 
     The output support has cardinality exactly ``s``; off-support
     coordinates are exactly zero.  ``s > d`` is rejected; ``s == d`` selects
-    every coordinate.  A scale whose draws could overflow (a tiny epsilon) is
-    rejected by :func:`noisy_ht_scale`, as :func:`sample_laplace` rejects it.
+    every coordinate.  A scale whose draws could overflow is rejected, as
+    :func:`sample_laplace` rejects it.
 
     The rounds' noise is drawn ``max(1, min(s, B // d))`` rows at a time
     (``B`` = ``BLOCK_VALUES``), one oracle draw per block, and transformed
@@ -259,7 +255,7 @@ def noisy_hard_threshold(
     """
     v, s = _selection_input(v, s)
     d = v.size
-    scale = noisy_ht_scale(lam, s, budget)
+    _noise_scale("scale", scale)
 
     magnitudes = np.abs(v)
     support = np.empty(s, dtype=int)

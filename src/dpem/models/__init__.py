@@ -4,7 +4,7 @@ Each model is one table entry: its data generator, its truncated gradient
 (``T = inf`` gives the raw sample gradient), and the constants ``(c, p, b)``
 of the certified ell-infinity sensitivity ``eta (c T^p + b ||beta||_inf) N0 / n``
 of the eta-scaled gradient step taken from the iterate ``beta``.  Both
-privatizers are calibrated from that one number (see :mod:`dpem.mechanisms`).
+privatizers are calibrated from that one number (:meth:`dpem.em_engine.EmConfig.step_scale`).
 Only rmc has ``b = 1``: its unclamped ``-(1 - z) * beta`` term moves with one
 record's missingness mask.  Both matrix-vector directions are
 single-threaded numpy passes: the row products ``X beta`` behind the weights,

@@ -32,20 +32,19 @@ def clamp(a, T: float, out=None):
 def clamped_rowsum(a, T: float, r):
     """``np.einsum("ij,i->j", clamp(a, T), r)`` bitwise, holding one row block of ``clamp(a, T)``.
 
-    For a finite T and a C-ordered (n, d) ``a`` of more than ``BLOCK_VALUES``
-    values with d > 1, the rows are split into even blocks of at most
-    ``BLOCK_VALUES`` values (one row when d is larger).  Each block is clipped
-    into rows 1..k of one reused buffer whose row 0 carries the running sum
-    with weight 1.0, and one einsum over the buffer gives the next running
-    sum.  numpy's ``"ij,i->j"`` einsum adds the rows of such an array strictly
-    in order, so the carried sum is the whole-batch sum to the last bit;
-    adding per-block sums would round differently.  Otherwise it is the
-    whole-batch einsum itself: at T = inf nothing is copied, a batch of one
-    block is copied whole, and the layouts whose einsum does not add in row
-    order (d = 1 or not C-ordered) keep their own summation order.
+    For a finite T and a C-ordered (n, d) ``a`` with d > 1, the rows are
+    split into even blocks of at most ``BLOCK_VALUES`` values (one row when d
+    is larger), each clipped into rows 1..k of one reused buffer whose row 0
+    carries the running sum with weight 1.0; one einsum over the buffer gives
+    the next running sum.  numpy's ``"ij,i->j"`` einsum adds the rows of such
+    an array strictly in order, so the carried sum is the whole-batch sum to
+    the last bit, for one block too; adding per-block sums would round
+    differently.  Otherwise it is the whole-batch einsum itself: at T = inf
+    nothing is copied, and layouts whose einsum does not add in row order
+    (d = 1 or not C-ordered) keep their own summation order.
     """
     n, d = a.shape
-    if math.isinf(T) or n * d <= BLOCK_VALUES or d == 1 or not a.flags.c_contiguous:
+    if math.isinf(T) or d == 1 or not a.flags.c_contiguous:
         return np.einsum("ij,i->j", clamp(a, T), r)
     blocks = -(-n // max(1, BLOCK_VALUES // d))
     step = -(-n // blocks)

@@ -268,7 +268,7 @@ def test_criterion_04_noisy_ht_contract():
         ]
         for v in vectors:
             for s in range(1, d + 1):
-                sel = noisy_hard_threshold(v, s, 0.1, nonprivate, oracle)
+                sel = noisy_hard_threshold(v, s, noisy_ht_scale(0.1, s, nonprivate), oracle)
                 ref = exact_top_k(v, s)
                 if not (np.array_equal(sel.support, ref.support)
                         and np.array_equal(sel.values, ref.values)):

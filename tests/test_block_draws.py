@@ -34,11 +34,10 @@ def reference_laplace(scale, u):
     return -scale * np.sign(u) * np.log1p(-2.0 * a)
 
 
-def reference_noisy_hard_threshold(v, s, lam, budget, oracle):
+def reference_noisy_hard_threshold(v, s, scale, oracle):
     """One fresh d-vector of Laplace noise per round, then one for the release."""
     v = np.asarray(v, dtype=float)
     d = v.size
-    scale = noisy_ht_scale(lam, s, budget)
     magnitudes = np.abs(v)
     support = np.empty(s, dtype=int)
     available = np.ones(d, dtype=bool)
@@ -74,9 +73,10 @@ class TestNoisyHardThresholdBlocks:
         # Rounding makes ties, so lowest-index tie-breaking is exercised too.
         v = np.round(np.random.default_rng(seed).standard_normal(d), 1)
         fast_oracle, ref_oracle = NoiseOracle(seed), NoiseOracle(seed)
+        scale = noisy_ht_scale(lam, s, budget)
 
-        sel = noisy_hard_threshold(v, s, lam, budget, fast_oracle)
-        ref_support, ref_values = reference_noisy_hard_threshold(v, s, lam, budget, ref_oracle)
+        sel = noisy_hard_threshold(v, s, scale, fast_oracle)
+        ref_support, ref_values = reference_noisy_hard_threshold(v, s, scale, ref_oracle)
 
         np.testing.assert_array_equal(sel.support, ref_support)
         np.testing.assert_array_equal(bits(sel.values), bits(ref_values))
@@ -125,7 +125,8 @@ class TestAllocationBounds:
         d, s = 5000, 400
         v = np.random.default_rng(0).standard_normal(d)
         oracle = NoiseOracle(1)
-        peak, sel = traced_peak_bytes(lambda: noisy_hard_threshold(v, s, 0.05, BUDGET, oracle))
+        scale = noisy_ht_scale(0.05, s, BUDGET)
+        peak, sel = traced_peak_bytes(lambda: noisy_hard_threshold(v, s, scale, oracle))
         assert sel.support.size == s
         # The score buffer and one block draw (with its temporary) of at most
         # B values each, plus a few d-vectors; drawing all (s + 1) * d values

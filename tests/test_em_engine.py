@@ -9,7 +9,7 @@ from references import ht_gradient_em
 from dpem import em_engine
 from dpem.em_engine import EmConfig, run_high_dim, run_low_dim, split_batches
 from dpem.mechanisms import (NoiseOracle, PrivacyBudget, exact_top_k, gaussian_noise_std,
-                             sample_gaussian)
+                             noisy_ht_scale, sample_gaussian)
 from dpem.models import (ModelSpec, generate_gmm, generate_mor, generate_rmc, sensitivity,
                          truncated_grad)
 
@@ -61,6 +61,14 @@ class TestEmConfig:
         config = EmConfig(eta=0.5, T=1.0, N0=3, budget=BUDGET)
         with pytest.raises(ValueError, match="s_hat"):
             run_high_dim(spec, data, config, beta_star, NoiseOracle(0))
+
+    def test_low_dim_refuses_s_hat(self):
+        # s_hat selects peeling's Laplace calibration, which the Gaussian
+        # release must not draw at.
+        spec, data, beta_star = make_instance("gmm", 5)
+        config = EmConfig(eta=0.5, T=1.0, N0=3, budget=BUDGET, s_hat=3)
+        with pytest.raises(ValueError, match="s_hat"):
+            run_low_dim(spec, data, config, beta_star, NoiseOracle(0))
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -319,13 +327,14 @@ def test_low_dim_noise_is_the_samplers_draw(kind):
 @pytest.mark.parametrize("regime", ["high_dim", "low_dim"])
 @pytest.mark.parametrize("kind", ["gmm", "mor", "rmc"])
 def test_lambda_is_certified_at_each_iterate(monkeypatch, regime, kind):
-    # Both drivers hand their privatizer the sensitivity of the iterate that
-    # enters each step: constant for gmm and mor, moving with ||beta||_inf for rmc.
+    # Both drivers hand their release the scale calibrated at the sensitivity
+    # of the iterate that enters each step: constant for gmm and mor, moving
+    # with ||beta||_inf for rmc.
     spec, data, beta_star = make_instance(kind, 12)
     eta, T, N0 = 0.5, 1.5, 4
     seen = []
     high = regime == "high_dim"
-    name = "noisy_hard_threshold" if high else "gaussian_noise_std"
+    name = "noisy_hard_threshold" if high else "sample_gaussian"
     real = getattr(em_engine, name)
 
     def record(*args):
@@ -337,8 +346,49 @@ def test_lambda_is_certified_at_each_iterate(monkeypatch, regime, kind):
     config = EmConfig(eta, T, N0, BUDGET, s_hat=3 if high else None)
     traj = run(spec, data, config, beta_star, NoiseOracle(6))
     n_used = N0 * (len(data) // N0)
-    assert seen == [sensitivity(kind, T, eta, N0, n_used, b) for b in traj.betas[:-1]]
+    lams = [sensitivity(kind, T, eta, N0, n_used, b) for b in traj.betas[:-1]]
+    assert seen == [noisy_ht_scale(lam, 3, BUDGET) if high
+                    else gaussian_noise_std(lam, spec.d, BUDGET) for lam in lams]
     assert (len(set(seen)) > 1) == (kind == "rmc")
+
+
+class TestStepScale:
+    # The one calibration of a private step, read by the loop and by the
+    # harness's pre-run check.
+    @pytest.mark.parametrize("s_hat", [4, None], ids=["high_dim", "low_dim"])
+    @pytest.mark.parametrize("kind", ["gmm", "mor", "rmc"])
+    def test_regime_scale_at_the_certified_sensitivity(self, kind, s_hat):
+        eta, T, N0, n, d = 0.7, 1.3, 6, 3001, 9  # n_used = 3000
+        config = EmConfig(eta, T, N0, BUDGET, s_hat)
+        spec = ModelSpec(kind, d, 0.5)
+        for beta in (np.zeros(d), np.linspace(-1.5, 1.0, d)):
+            lam = sensitivity(kind, T, eta, N0, 3000, beta)
+            expected = (noisy_ht_scale(lam, s_hat, BUDGET) if s_hat is not None
+                        else gaussian_noise_std(lam, d, BUDGET))
+            assert config.step_scale(spec, n, beta) == expected > 0.0
+
+    @pytest.mark.parametrize("s_hat", [3, None], ids=["high_dim", "low_dim"])
+    @pytest.mark.parametrize("kind", ["gmm", "mor", "rmc"])
+    @pytest.mark.parametrize("T", [math.inf, 1.5], ids=["inf_T", "finite_T"])
+    def test_exactly_zero_at_inf_T_or_inf_epsilon(self, kind, s_hat, T):
+        got = EmConfig(0.5, T, 4, NONPRIVATE, s_hat).step_scale(
+            ModelSpec(kind, 5, 0.5), 400, np.full(5, 2.0))
+        assert got == 0.0 and math.copysign(1.0, got) == 1.0
+
+    @pytest.mark.parametrize("s_hat", [3, None], ids=["high_dim", "low_dim"])
+    def test_rmc_moves_with_beta_inf_and_never_falls_below_beta_zero(self, s_hat):
+        config = EmConfig(0.5, 1.5, 4, BUDGET, s_hat)
+        rng = np.random.default_rng(9)
+        for kind in ("gmm", "mor", "rmc"):
+            spec = ModelSpec(kind, 5, 0.5)
+            floor = config.step_scale(spec, 400, np.zeros(5))
+            scales = [config.step_scale(spec, 400, c * rng.standard_normal(5))
+                      for c in (0.1, 1.0, 10.0)]
+            assert min(scales) >= floor
+            assert (len(set(scales)) == 3) == (kind == "rmc")
+        rmc = ModelSpec("rmc", 5, 0.5)
+        assert (config.step_scale(rmc, 400, np.array([0.0, -2.0, 0.5, 0.0, 1.0]))
+                == config.step_scale(rmc, 400, np.full(5, 2.0)))
 
 
 class TestRunLowDim:

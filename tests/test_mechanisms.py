@@ -73,8 +73,19 @@ class TestSamplers:
             scale_fn(1e-3, 10, PrivacyBudget(1e-310, 1e-5))
 
     def test_gaussian_raises_rather_than_return_inf(self):
-        with pytest.raises(ValueError, match="overflows to"):
+        with pytest.raises(ValueError, match="^std_dev must be a finite nonnegative number whose"):
             sample_gaussian(1.7e308, NoiseOracle(1), 100)
+
+    def test_gaussian_refusal_does_not_depend_on_the_draw(self):
+        # 1e308 is finite, yet only some seeds' draws overflow at it; the
+        # refusal is the Laplace scales' bound, so every seed refuses, and
+        # the largest std_dev under that bound draws finite values.
+        for seed in range(10):
+            with pytest.raises(ValueError, match="^std_dev must be a finite nonnegative number"):
+                sample_gaussian(1e308, NoiseOracle(seed), 10)
+        largest = np.nextafter(np.finfo(float).max / (53 * math.log(2)), 0.0)
+        for seed in range(10):
+            assert np.all(np.isfinite(sample_gaussian(largest, NoiseOracle(seed), 10)))
 
     def test_gaussian_scalar_draw(self):
         x = sample_gaussian(1.3, NoiseOracle(3))
@@ -154,7 +165,7 @@ class TestNoisyHardThreshold:
     @pytest.mark.parametrize("fn, name", [
         (lambda k: noisy_ht_scale(0.1, k, BUDGET), "s"),
         (lambda k: gaussian_noise_std(0.1, k, BUDGET), "d"),
-        (lambda k: noisy_hard_threshold(np.zeros(5), k, 0.1, BUDGET, NoiseOracle(0)), "s"),
+        (lambda k: noisy_hard_threshold(np.zeros(5), k, 0.1, NoiseOracle(0)), "s"),
         (lambda k: exact_top_k(np.zeros(5), k), "s"),
     ], ids=["noisy_ht_scale", "gaussian_noise_std", "noisy_hard_threshold", "exact_top_k"])
     def test_count_must_be_a_whole_number(self, fn, name, bad):
@@ -166,7 +177,7 @@ class TestNoisyHardThreshold:
 
     @pytest.mark.parametrize("select", [
         lambda v, s: exact_top_k(v, s),
-        lambda v, s: noisy_hard_threshold(v, s, 0.1, BUDGET, NoiseOracle(0)),
+        lambda v, s: noisy_hard_threshold(v, s, 0.1, NoiseOracle(0)),
     ], ids=["exact_top_k", "noisy_hard_threshold"])
     def test_selection_input_contract(self, select):
         # Both sparse selections take a 1-D v and at most d coordinates.
@@ -176,20 +187,23 @@ class TestNoisyHardThreshold:
             select(np.zeros(5), 6)
 
     def test_overflowing_scale_is_refused(self):
-        # epsilon = 1e-310 calibrates lam = 1 to an infinite Laplace scale;
-        # peeling must refuse it rather than release +-inf values.
+        # An infinite Laplace scale, what epsilon = 1e-310 would calibrate
+        # lam = 1 to: peeling must refuse it rather than release +-inf values.
         with pytest.raises(ValueError, match="^scale must be a finite nonnegative number"):
-            noisy_hard_threshold(np.arange(6.0), 3, 1.0, PrivacyBudget(1e-310, 1e-5),
-                                 NoiseOracle(1))
+            noisy_hard_threshold(np.arange(6.0), 3, math.inf, NoiseOracle(1))
 
     def test_finite_scale_that_overflows_a_draw_is_refused(self):
         # A finite scale of 1e307 would release values past the largest float
         # on the draws nearest to |u| = 1/2: refused by the same check as the
         # sampler's, not released as +-inf.
-        budget = PrivacyBudget(1.0, 1e-5)
-        lam = 1e307 / noisy_ht_scale(1.0, 3, budget)
         with pytest.raises(ValueError, match="^scale must be a finite nonnegative number"):
-            noisy_hard_threshold(np.arange(6.0), 3, lam, budget, NoiseOracle(1))
+            noisy_hard_threshold(np.arange(6.0), 3, 1e307, NoiseOracle(1))
+
+    @pytest.mark.parametrize("bad", [-0.01, math.nan, True])
+    def test_rejects_bad_scale(self, bad):
+        # The scale it is handed passes the check sample_laplace applies.
+        with pytest.raises(ValueError, match="^scale must be a finite nonnegative number"):
+            noisy_hard_threshold(np.arange(6.0), 3, bad, NoiseOracle(1))
 
     @pytest.mark.parametrize("scale_fn", [noisy_ht_scale, gaussian_noise_std])
     @pytest.mark.parametrize("lam", [1e-12, 0.004, 50.0])
@@ -212,28 +226,30 @@ class TestNoisyHardThreshold:
 
     def test_inf_epsilon_examples(self):
         oracle = NoiseOracle(0)
-        sel = noisy_hard_threshold(np.array([5.0, 1.0, 3.0, 2.0]), 2, 0.01, NONPRIVATE, oracle)
+        scale = noisy_ht_scale(0.01, 2, NONPRIVATE)
+        sel = noisy_hard_threshold(np.array([5.0, 1.0, 3.0, 2.0]), 2, scale, oracle)
         np.testing.assert_array_equal(sel.support, [0, 2])
         np.testing.assert_array_equal(sel.values, [5.0, 0.0, 3.0, 0.0])
 
-        sel = noisy_hard_threshold(np.array([-7.0, 0.0, 0.0]), 1, 0.01, NONPRIVATE, oracle)
+        scale = noisy_ht_scale(0.01, 1, NONPRIVATE)
+        sel = noisy_hard_threshold(np.array([-7.0, 0.0, 0.0]), 1, scale, oracle)
         np.testing.assert_array_equal(sel.support, [0])
         np.testing.assert_array_equal(sel.values, [-7.0, 0.0, 0.0])
 
     def test_select_all_returns_input(self):
         v = np.array([0.3, -2.0, 1.1, 0.0])
-        sel = noisy_hard_threshold(v, 4, 0.01, NONPRIVATE, NoiseOracle(0))
+        sel = noisy_hard_threshold(v, 4, noisy_ht_scale(0.01, 4, NONPRIVATE), NoiseOracle(0))
         np.testing.assert_array_equal(sel.values, v)
         assert sorted(sel.support) == [0, 1, 2, 3]
 
     def test_errors(self):
         v = np.zeros(3)
         with pytest.raises(ValueError):
-            noisy_hard_threshold(v, 4, 0.01, BUDGET, NoiseOracle(0))
+            noisy_hard_threshold(v, 4, 0.01, NoiseOracle(0))
         with pytest.raises(ValueError):
-            noisy_hard_threshold(v, 0, 0.01, BUDGET, NoiseOracle(0))
+            noisy_hard_threshold(v, 0, 0.01, NoiseOracle(0))
         with pytest.raises(ValueError):
-            noisy_hard_threshold(v, 2, -0.01, BUDGET, NoiseOracle(0))
+            noisy_hard_threshold(v, 2, -0.01, NoiseOracle(0))
 
     def test_support_size_and_off_support_zero_live(self):
         rng = np.random.default_rng(11)
@@ -241,7 +257,8 @@ class TestNoisyHardThreshold:
             d = int(rng.integers(1, 15))
             s = int(rng.integers(1, d + 1))
             v = rng.standard_normal(d)
-            sel = noisy_hard_threshold(v, s, 0.05, BUDGET, NoiseOracle(int(rng.integers(1 << 30))))
+            scale = noisy_ht_scale(0.05, s, BUDGET)
+            sel = noisy_hard_threshold(v, s, scale, NoiseOracle(int(rng.integers(1 << 30))))
             assert sel.support.size == s
             assert np.unique(sel.support).size == s
             off = np.setdiff1d(np.arange(d), sel.support)
@@ -249,8 +266,9 @@ class TestNoisyHardThreshold:
 
     def test_deterministic(self):
         v = np.array([0.5, -1.0, 2.0, 0.1, 0.0])
-        a = noisy_hard_threshold(v, 3, 0.2, BUDGET, NoiseOracle(77))
-        b = noisy_hard_threshold(v, 3, 0.2, BUDGET, NoiseOracle(77))
+        scale = noisy_ht_scale(0.2, 3, BUDGET)
+        a = noisy_hard_threshold(v, 3, scale, NoiseOracle(77))
+        b = noisy_hard_threshold(v, 3, scale, NoiseOracle(77))
         np.testing.assert_array_equal(a.support, b.support)
         np.testing.assert_array_equal(a.values, b.values)
 
@@ -261,7 +279,7 @@ class TestNoisyHardThreshold:
             vs = [rng.standard_normal(d), rng.integers(-2, 3, size=d).astype(float), np.ones(d)]
             for v in vs:
                 for s in range(1, d + 1):
-                    sel = noisy_hard_threshold(v, s, 0.1, NONPRIVATE, oracle)
+                    sel = noisy_hard_threshold(v, s, noisy_ht_scale(0.1, s, NONPRIVATE), oracle)
                     ref = exact_top_k(v, s)
                     np.testing.assert_array_equal(sel.support, ref.support)
                     np.testing.assert_array_equal(sel.values, ref.values)
@@ -277,7 +295,7 @@ class TestNoisyHardThreshold:
             d = int(rng.integers(4, 9))
             s = int(rng.integers(2, d))
             v = np.round(rng.standard_normal(d), 1)  # rounding induces ties
-            sel = noisy_hard_threshold(v, s, 0.1, NONPRIVATE, oracle)
+            sel = noisy_hard_threshold(v, s, noisy_ht_scale(0.1, s, NONPRIVATE), oracle)
             inside = list(sel.support)
             outside = [j for j in range(d) if j not in inside]
             for r in range(1, min(len(inside), len(outside), 3) + 1):
@@ -291,11 +309,11 @@ class TestNoisyHardThreshold:
 
     def test_zero_sensitivity_means_no_noise(self):
         v = np.array([1.0, -3.0, 0.5])
-        sel = noisy_hard_threshold(v, 2, 0.0, BUDGET, NoiseOracle(5))
+        sel = noisy_hard_threshold(v, 2, noisy_ht_scale(0.0, 2, BUDGET), NoiseOracle(5))
         ref = exact_top_k(v, 2)
         np.testing.assert_array_equal(sel.values, ref.values)
 
     def test_infinite_epsilon_means_no_noise(self):
         v = np.array([1.0, -3.0, 0.5, 0.2])
-        sel = noisy_hard_threshold(v, 2, 0.3, NONPRIVATE, NoiseOracle(5))
+        sel = noisy_hard_threshold(v, 2, noisy_ht_scale(0.3, 2, NONPRIVATE), NoiseOracle(5))
         np.testing.assert_array_equal(sel.values, exact_top_k(v, 2).values)
