@@ -17,7 +17,6 @@ from .mechanisms import (
     PrivacyBudget,
     derive_seed,
     exact_top_k,
-    gaussian_noise_std,
     noisy_hard_threshold,
     noisy_ht_scale,
     sample_gaussian,
@@ -32,7 +31,6 @@ __all__ = [
     "PrivacyBudget",
     "derive_seed",
     "exact_top_k",
-    "gaussian_noise_std",
     "generate_gmm",
     "noisy_hard_threshold",
     "noisy_ht_scale",

@@ -19,7 +19,7 @@ import math
 from array import array
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,7 +33,6 @@ __all__ = [
     "ConfigError",
     "DataError",
     "SweepSpec",
-    "FixedParams",
     "ExperimentConfig",
     "AggregateResult",
     "ClassificationParams",
@@ -122,121 +121,97 @@ class SweepSpec:
     name: str
     values: tuple
 
-    def __post_init__(self):
-        if self.name not in SWEEPABLE:
-            raise ConfigError(f"sweep.name must be one of {SWEEPABLE}, got {self.name!r}")
-        object.__setattr__(self, "values", tuple(self.values))
-        if not self.values:
-            raise ConfigError("sweep.values must not be empty")
 
-
-@dataclass(frozen=True)
-class FixedParams:
-    """Non-swept experiment parameters and the rules deriving the rest.
-
-    delta_rule 'half_n' sets delta = 1/(2n); 'explicit' takes ``delta`` as
-    given.  T_rule is the multiplier c_T in T = c_T * sigma * sqrt(ln n_used)
-    and N0_rule the multiplier c_N in N0 = max(5, ceil(c_N * ln n)).
-    s_hat_rule is either 'equal' (s_hat = s_star) or an integer.  Only
-    ``reps`` and the rules are checked here; the other values are checked
-    when :class:`ExperimentConfig` resolves its cells.
-    """
-
-    n: int | None = None
-    d: int | None = None
-    s_star: int | None = None
-    epsilon: float | None = None
-    sigma: float = 0.5
-    eta: float = 0.5
-    reps: int = 1
-    delta_rule: str = "half_n"
-    delta: float | None = None
-    T_rule: float = 2.0
-    N0_rule: float = 1.0
-    s_hat_rule: object = "equal"
-    missing_prob: float = 0.1
-
-    def __post_init__(self):
-        _check_delta_rule(self.delta_rule, self.delta)
-        with _config_errors():
-            object.__setattr__(self, "reps", whole("reps", self.reps))
-            _positive_finite("T_rule", self.T_rule)
-            _positive_finite("N0_rule", self.N0_rule)
-            if self.s_hat_rule != "equal":
-                object.__setattr__(self, "s_hat_rule", whole("s_hat_rule", self.s_hat_rule))
+# The optional ``fixed`` keys.  Rules: delta = 1/(2n) ('half_n') or ``delta`` ('explicit'),
+# N0 = max(5, ceil(N0_rule ln n)), T = T_rule sigma sqrt(ln n_used), and s_hat = s_star
+# ('equal') or s_hat_rule.
+_DEFAULTS = {"sigma": 0.5, "eta": 0.5, "reps": 1, "delta_rule": "half_n", "delta": None,
+             "T_rule": 2.0, "N0_rule": 1.0, "s_hat_rule": "equal", "missing_prob": 0.1}
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One model and regime, swept over one parameter.
+    """One sweep, resolved: ``cells`` maps each sweep value to its ``(n, ModelSpec, EmConfig)``.
 
-    Construction resolves every sweep value into its cell's
-    ``(n, ModelSpec, EmConfig)``, kept in ``cells``, so a bad value fails
-    here, as a ConfigError naming the sweep value, before any cell runs.
+    :func:`parse_experiment_config` builds it.  The cells do not depend on
+    the seed, so ``dataclasses.replace(config, master_seed=...)`` reuses
+    them and checks only the new seed.
     """
 
-    model: str
-    regime: str
     sweep: SweepSpec
-    fixed: FixedParams
+    reps: int
     master_seed: int
-    cells: dict = field(init=False, repr=False, compare=False)
+    cells: dict = field(repr=False, compare=False)
 
     def __post_init__(self):
-        if self.regime not in ("high_dim", "low_dim"):
-            raise ConfigError(f"regime must be 'high_dim' or 'low_dim', got {self.regime!r}")
         _check_seed(self.master_seed)
-        cells = {}
-        for value in self.sweep.values:
-            with _config_errors(f"sweep value {self.sweep.name}={value!r}: "):
-                cells[value] = self._resolve(value)
-        if len(cells) != len(self.sweep.values):
-            raise ConfigError(f"sweep.values must be distinct, got {list(self.sweep.values)}")
-        object.__setattr__(self, "cells", cells)
         # Per-cell seeds must be pairwise distinct, or repetitions would share noise.
         seeds = {
             derive_seed(self.master_seed, self.sweep.name, value, rep)
             for value in self.sweep.values
-            for rep in range(self.fixed.reps)
+            for rep in range(self.reps)
         }
-        if len(seeds) != len(self.sweep.values) * self.fixed.reps:
+        if len(seeds) != len(self.sweep.values) * self.reps:
             raise ConfigError("seed derivation collided; change master_seed")
 
-    def _resolve(self, sweep_value):
-        fixed = self.fixed
-        values = {name: getattr(fixed, name) for name in SWEEPABLE}
-        values[self.sweep.name] = sweep_value
-        n, d, s_star = (whole(name, values[name]) for name in ("n", "d", "s_star"))
-        if s_star > d:
-            raise ValueError(f"s_star must not exceed d ({s_star} > {d})")
-        s_hat = s_star if fixed.s_hat_rule == "equal" else fixed.s_hat_rule
-        if s_hat > d:
-            raise ValueError(f"s_hat must not exceed d ({s_hat} > {d})")
-        N0 = max(5, math.ceil(fixed.N0_rule * math.log(n)))
-        if N0 > n:
-            raise ValueError(f"derived N0 = {N0} exceeds n = {n}")
-        spec = ModelSpec(self.model, d, fixed.sigma, default_beta_star(d, s_star), fixed.missing_prob)
-        T = fixed.T_rule * spec.sigma * math.sqrt(math.log(N0 * (n // N0)))
-        if math.isinf(T):
-            raise ValueError(f"derived T overflows (T_rule = {fixed.T_rule}, sigma = {spec.sigma})")
-        delta = 1.0 / (2.0 * n) if fixed.delta_rule == "half_n" else fixed.delta
-        em_config = EmConfig(fixed.eta, T, N0, PrivacyBudget(values["epsilon"], delta),
-                             s_hat if self.regime == "high_dim" else None)
-        _check_noise_scale(spec, n, em_config)
-        return n, spec, em_config
+
+def _resolve_cell(model: str, high_dim: bool, p: dict):
+    """One cell's ``(n, ModelSpec, EmConfig)`` from its ``fixed`` values, the swept one included."""
+    n, d, s_star = (whole(name, p[name]) for name in ("n", "d", "s_star"))
+    if s_star > d:
+        raise ValueError(f"s_star must not exceed d ({s_star} > {d})")
+    s_hat = s_star if p["s_hat_rule"] == "equal" else p["s_hat_rule"]
+    if s_hat > d:
+        raise ValueError(f"s_hat must not exceed d ({s_hat} > {d})")
+    N0 = max(5, math.ceil(p["N0_rule"] * math.log(n)))
+    if N0 > n:
+        raise ValueError(f"derived N0 = {N0} exceeds n = {n}")
+    spec = ModelSpec(model, d, p["sigma"], default_beta_star(d, s_star), p["missing_prob"])
+    T = p["T_rule"] * spec.sigma * math.sqrt(math.log(N0 * (n // N0)))
+    if math.isinf(T):
+        raise ValueError(f"derived T overflows (T_rule = {p['T_rule']}, sigma = {spec.sigma})")
+    delta = 1.0 / (2.0 * n) if p["delta_rule"] == "half_n" else p["delta"]
+    em_config = EmConfig(p["eta"], T, N0, PrivacyBudget(p["epsilon"], delta),
+                         s_hat if high_dim else None)
+    _check_noise_scale(spec, n, em_config)
+    return n, spec, em_config
 
 
 def parse_experiment_config(raw: dict) -> ExperimentConfig:
-    """Build and validate an :class:`ExperimentConfig` from a plain dict."""
+    """Check a plain-dict config and resolve every sweep value into its cell, once.
+
+    A bad value fails here, before any cell runs, as a ConfigError; one
+    found in a cell names its sweep value.
+    """
     _keys(raw, "config", ("model", "regime", "sweep", "fixed", "master_seed"))
     sweep_raw = _keys(raw["sweep"], "sweep", ("name", "values"))
-    if not isinstance(sweep_raw["values"], list):
+    name, values = sweep_raw["name"], sweep_raw["values"]
+    if not isinstance(values, list):
         raise ConfigError("sweep.values must be a list")
-    sweep = SweepSpec(sweep_raw["name"], sweep_raw["values"])
-    required = [name for name in SWEEPABLE if name != sweep.name]
-    fixed_raw = _keys(raw["fixed"], "fixed", required, [f.name for f in fields(FixedParams)])
-    return ExperimentConfig(raw["model"], raw["regime"], sweep, FixedParams(**fixed_raw),
-                            raw["master_seed"])
+    if name not in SWEEPABLE:
+        raise ConfigError(f"sweep.name must be one of {SWEEPABLE}, got {name!r}")
+    if not values:
+        raise ConfigError("sweep.values must not be empty")
+    required = [key for key in SWEEPABLE if key != name]
+    p = {**_DEFAULTS, **_keys(raw["fixed"], "fixed", required, [*SWEEPABLE, *_DEFAULTS])}
+    _check_delta_rule(p["delta_rule"], p["delta"])
+    with _config_errors():
+        reps = whole("reps", p["reps"])
+        _positive_finite("T_rule", p["T_rule"])
+        _positive_finite("N0_rule", p["N0_rule"])
+        if p["s_hat_rule"] != "equal":
+            p["s_hat_rule"] = whole("s_hat_rule", p["s_hat_rule"])
+    if raw["regime"] not in ("high_dim", "low_dim"):
+        raise ConfigError(f"regime must be 'high_dim' or 'low_dim', got {raw['regime']!r}")
+    _check_seed(raw["master_seed"])
+    cells = {}
+    for value in values:
+        with _config_errors(f"sweep value {name}={value!r}: "):
+            cells[value] = _resolve_cell(raw["model"], raw["regime"] == "high_dim",
+                                         {**p, name: value})
+    if len(cells) != len(values):
+        raise ConfigError(f"sweep.values must be distinct, got {values}")
+    return ExperimentConfig(SweepSpec(name, tuple(values)), reps, raw["master_seed"], cells)
 
 
 def _load_json(path):
@@ -291,17 +266,10 @@ class AggregateResult:
 
     def per_rep_final(self) -> dict:
         """sweep_value -> final-iteration error of every repetition, rep order."""
-        last_iter: dict = {}
-        for value, rep, iteration, err, _ in self.rows:
-            key = (value, rep)
-            if key not in last_iter or iteration > last_iter[key][0]:
-                last_iter[key] = (iteration, err)
-        out: dict = {}
-        for value in self.sweep_values:
-            out[float(value)] = np.array(
-                [last_iter[(float(value), rep)][1] for rep in range(self.reps)]
-            )
-        return out
+        # Each cell's rows run in iteration order, so its last row is its final one.
+        final = {(value, rep): err for value, rep, _, err, _ in self.rows}
+        return {float(value): np.array([final[(float(value), rep)] for rep in range(self.reps)])
+                for value in self.sweep_values}
 
     def mean_final_error(self) -> dict:
         return {value: float(errs.mean()) for value, errs in self.per_rep_final().items()}
@@ -320,7 +288,7 @@ def _run_cell(config: ExperimentConfig, sweep_value, rep: int, engine: str):
     # The private drivers read each of their N0 batches once, in order: draw
     # each just before its iteration, into one reused batch.
     sample = models.LazySample(spec, n, n // em_config.N0, data_oracle)
-    run = run_high_dim if config.regime == "high_dim" else run_low_dim
+    run = run_low_dim if em_config.s_hat is None else run_high_dim
     return run(spec, sample, em_config, beta0, NoiseOracle(derive_seed(cell_seed, "noise")),
                true_beta=spec.true_beta)
 
@@ -353,7 +321,7 @@ def run_experiment(
     """
     if engine not in ("private", "nonprivate"):
         raise ConfigError(f"engine must be 'private' or 'nonprivate', got {engine!r}")
-    cells = [(value, rep) for value in config.sweep.values for rep in range(config.fixed.reps)]
+    cells = [(value, rep) for value in config.sweep.values for rep in range(config.reps)]
 
     def one(cell):
         value, rep = cell
@@ -366,7 +334,7 @@ def run_experiment(
 
     trajectories = _fan_out(one, cells, jobs)
 
-    result = AggregateResult(config.sweep.name, tuple(config.sweep.values), config.fixed.reps)
+    result = AggregateResult(config.sweep.name, tuple(config.sweep.values), config.reps)
     for (value, rep), traj in zip(cells, trajectories):
         for t in range(traj.betas.shape[0]):
             result.rows.append(
@@ -481,7 +449,7 @@ def load_classification_csv(path) -> tuple[np.ndarray, np.ndarray]:
     return features, np.asarray(labels)
 
 
-def _classify_once(Xs, z, params: ClassificationParams, config: EmConfig, n_train: int,
+def _classify_once(Xs, z, spec: ModelSpec, config: EmConfig, beta0, n_train: int,
                    rep: int, master_seed: int) -> float:
     rng = np.random.default_rng(derive_seed(master_seed, "classify", rep))
     noise_oracle = NoiseOracle(derive_seed(master_seed, "classify-noise", rep))
@@ -501,12 +469,6 @@ def _classify_once(Xs, z, params: ClassificationParams, config: EmConfig, n_trai
     perm = rng.permutation(idx.size)
     train, test = perm[:n_train], perm[n_train:]
 
-    d = Xb.shape[1]
-    spec = ModelSpec("gmm", d, sigma=params.sigma_fit)
-    # The all-coordinates 1/sqrt(d) start, thresholded to s_hat nonzeros
-    # (ties resolve to the lowest indices) to satisfy the engine's sparsity
-    # precondition.
-    beta0 = exact_top_k(np.full(d, 1.0 / math.sqrt(d)), params.s_hat).values
     X_train = Xb[train]
     beta_hat = run_high_dim(spec, GmmBatch(X_train), config, beta0, noise_oracle).final_beta
 
@@ -559,14 +521,20 @@ def run_classification(
     if params.iters > n_train:
         raise ConfigError(f"iters must not exceed the training size ({params.iters} > {n_train})")
     config = params.em_config(n_train)
+    d = X.shape[1]
+    spec = ModelSpec("gmm", d, params.sigma_fit)
     with _config_errors():
-        _check_noise_scale(ModelSpec("gmm", X.shape[1], params.sigma_fit), n_train, config)
+        _check_noise_scale(spec, n_train, config)
+    # The all-coordinates 1/sqrt(d) start, thresholded to s_hat nonzeros
+    # (ties resolve to the lowest indices) to satisfy the engine's sparsity
+    # precondition.
+    beta0 = exact_top_k(np.full(d, 1.0 / math.sqrt(d)), params.s_hat).values
     sd = X.std(axis=0)
     Xs = X - X.mean(axis=0)
     Xs /= np.where(sd == 0.0, 1.0, sd)
 
     def one(rep):
-        return _classify_once(Xs, z, params, config, n_train, rep, master_seed)
+        return _classify_once(Xs, z, spec, config, beta0, n_train, rep, master_seed)
 
     rates = _fan_out(one, range(reps), jobs)
 

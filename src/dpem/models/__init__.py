@@ -128,8 +128,7 @@ def sensitivity(kind: str, T: float, eta: float, N0: int, n: int, beta) -> float
     if kind not in _MODELS:
         raise ValueError(f"unknown model kind {kind!r}")
     model = _MODELS[kind]
-    if not (T > 0 and math.isfinite(T)):
-        raise ValueError(f"T must be positive and finite, got {T}")
+    require("T", T, "a positive finite number", lambda v: 0 < v < math.inf)
     require("eta", eta, "a finite number >= 0", lambda v: 0 <= v < math.inf)
     N0, n = whole("N0", N0), whole("n", n)
     beta_inf = float(np.max(np.abs(beta)))

@@ -94,10 +94,8 @@ def check_grad(batch, sigma: float, T: float) -> None:
     """The truncated gradients' preconditions: a nonempty batch, sigma > 0 and T > 0."""
     if len(batch) == 0:
         raise ValueError("batch must be nonempty")
-    if not sigma > 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    if not T > 0:
-        raise ValueError(f"T must be positive, got {T}")
+    require("sigma", sigma, "a positive number", lambda v: v > 0)
+    require("T", T, "a positive number", lambda v: v > 0)
 
 
 @dataclass(frozen=True)

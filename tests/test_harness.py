@@ -1,5 +1,8 @@
 import csv
+import json
 import math
+import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -35,14 +38,14 @@ from dpem.harness import (
 from dpem.mechanisms import NoiseOracle, PrivacyBudget, derive_seed
 
 CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 class TestConfigParsing:
     def test_valid_round_trip(self):
         cfg = parse_experiment_config(experiment_config_dict())
         assert cfg.sweep.name == "n"
-        assert cfg.fixed.reps == 2
-        assert cfg.fixed.delta_rule == "half_n"
+        assert cfg.reps == 2
 
     def test_unknown_top_level_key(self):
         raw = experiment_config_dict()
@@ -110,9 +113,30 @@ class TestConfigParsing:
         seeds = [
             derive_seed(cfg.master_seed, cfg.sweep.name, v, r)
             for v in cfg.sweep.values
-            for r in range(cfg.fixed.reps)
+            for r in range(cfg.reps)
         ]
         assert len(set(seeds)) == len(seeds)
+
+    def test_seed_override_reuses_the_cells(self):
+        # The CLI's --seed replaces master_seed on the parsed config; the
+        # cells do not depend on the seed, so they are kept, not re-resolved.
+        raw = experiment_config_dict()
+        cfg = parse_experiment_config(raw)
+        overridden = replace(cfg, master_seed=77)
+        assert overridden.cells is cfg.cells
+        rows = run_experiment(overridden).rows
+        assert rows == run_experiment(parse_experiment_config({**raw, "master_seed": 77})).rows
+        assert rows != run_experiment(cfg).rows
+        with pytest.raises(ConfigError, match="^master_seed must be an integer"):
+            replace(cfg, master_seed=True)
+
+    def test_readme_schema_example(self):
+        # README's schema block, comments stripped, loads and names every key
+        # the parser accepts in ``fixed`` (``delta`` goes with delta_rule 'explicit').
+        block = re.search(r"```jsonc\n(.*?)```", README.read_text(encoding="utf-8"), flags=re.S).group(1)
+        raw = json.loads(re.sub(r"//[^\n]*", "", block))
+        assert list(parse_experiment_config(raw).cells) == [4000, 5000, 6000]
+        assert set(raw["fixed"]) | {"delta"} == set(harness.SWEEPABLE) | set(harness._DEFAULTS)
 
 
 class TestShippedConfigs:
@@ -146,6 +170,23 @@ class TestDefaults:
         assert np.count_nonzero(beta0) <= 5
 
 
+class TestAggregateResult:
+    def test_per_rep_final_reads_each_cells_last_row(self):
+        # 2 values x 2 reps x 3 iterations; each cell's final error (iteration
+        # 2) differs from every other row's.
+        result = AggregateResult("n", (400, 600), 2)
+        for i, value in enumerate((400, 600)):
+            for rep in range(2):
+                for t in range(3):
+                    err = 100.0 * i + 10.0 * rep + t
+                    result.rows.append((float(value), rep, t, err, -err))
+        finals = result.per_rep_final()
+        assert list(finals) == [400.0, 600.0]
+        np.testing.assert_array_equal(finals[400.0], [2.0, 12.0])
+        np.testing.assert_array_equal(finals[600.0], [102.0, 112.0])
+        assert result.mean_final_error() == {400.0: 7.0, 600.0: 107.0}
+
+
 class TestRunExperiment:
     @pytest.mark.parametrize("engine", ["private", "nonprivate"])
     @pytest.mark.parametrize("regime", ["high_dim", "low_dim"])
@@ -177,7 +218,7 @@ class TestRunExperiment:
         # One row per iterate: reps * (N0 + 1) rows per sweep value, with
         # N0 = max(5, ceil(ln n)).
         expected = sum(
-            cfg.fixed.reps * (max(5, math.ceil(math.log(n))) + 1)
+            cfg.reps * (max(5, math.ceil(math.log(n))) + 1)
             for n in cfg.sweep.values
         )
         assert len(result.rows) == expected

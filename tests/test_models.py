@@ -323,6 +323,34 @@ def test_sensitivity_rejects_bad_eta_N0_n(name, value):
         sensitivity("rmc", 2.0, args["eta"], args["N0"], args["n"], np.ones(2))
 
 
+BAD_NUMBERS = pytest.mark.parametrize("value", [True, "2", math.nan], ids=["bool", "str", "nan"])
+
+
+@BAD_NUMBERS
+def test_sensitivity_rejects_a_T_that_is_not_a_number(value):
+    with pytest.raises(ValueError, match="^T must be a positive finite number"):
+        sensitivity("gmm", value, 0.5, 5, 100, np.ones(2))
+
+
+def _grad_calls():
+    rng = np.random.default_rng(16)
+    x, y, z = rng.standard_normal((6, 2)), rng.standard_normal(6), rng.random((6, 2)) > 0.3
+    return {
+        "gmm": lambda sigma, T: gmm_truncated_grad(np.ones(2), GmmBatch(x), sigma, T),
+        "mor": lambda sigma, T: mor_truncated_grad(np.ones(2), MorBatch(x, y), sigma, T),
+        "rmc": lambda sigma, T: rmc_truncated_grad(np.ones(2), RmcBatch(z * x, z, y), sigma, T),
+    }
+
+
+@BAD_NUMBERS
+@pytest.mark.parametrize("name", ["sigma", "T"])
+@pytest.mark.parametrize("kind", ["gmm", "mor", "rmc"])
+def test_gradients_reject_a_sigma_or_T_that_is_not_a_number(kind, name, value):
+    args = {"sigma": 0.5, "T": 1.0, name: value}
+    with pytest.raises(ValueError, match=f"^{name} must be a positive number"):
+        _grad_calls()[kind](args["sigma"], args["T"])
+
+
 class TestSharedProperties:
     def test_gradients_permutation_invariant(self):
         rng = np.random.default_rng(14)
