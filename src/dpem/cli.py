@@ -79,7 +79,7 @@ def cmd_classify(args) -> int:
     print(
         f"misclassification: mean={report.misclassification_rate:.4f} "
         f"se={report.std_error:.4f} over {report.reps} reps "
-        f"(s_hat={report.params[0]}, epsilon={report.params[1]})"
+        f"(s_hat={report.s_hat}, epsilon={report.epsilon})"
     )
     return 0
 

@@ -7,6 +7,9 @@ then.  The loop calibrates each step once, by :meth:`EmConfig.step_scale`;
 the drivers differ only in the release drawing at that scale (noisy hard
 thresholding or Gaussian noise).  Disjoint batches mean each record influences
 exactly one iteration, so the whole run inherits the per-iteration guarantee.
+Every driver returns its (N0 + 1, d) array of iterates, row t the iterate
+after t iterations; none reads the true parameter, which only the harness's
+:func:`~dpem.harness.estimation_errors` scores them against.
 """
 
 from __future__ import annotations
@@ -22,8 +25,6 @@ from .mechanisms import (NoiseOracle, PrivacyBudget, gaussian_noise_std, noisy_h
 
 __all__ = [
     "EmConfig",
-    "Trajectory",
-    "split_batches",
     "run_high_dim",
     "run_low_dim",
     "nonprivate_em",
@@ -74,81 +75,38 @@ class EmConfig:
         return gaussian_noise_std(lam, spec.d, self.budget)
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """Recorded iterates of one EM run.
-
-    ``betas`` has shape (N0 + 1, d), row t being the iterate after t
-    iterations.  ``errors`` and ``errors_signfree`` hold the plain and
-    sign-ambiguity-corrected ell-2 distances to the true parameter and are
-    None when no true parameter was supplied.  ``batch_bounds`` lists the
-    half-open index ranges consumed per iteration.
-    """
-
-    betas: np.ndarray
-    errors: np.ndarray | None
-    errors_signfree: np.ndarray | None
-    batch_bounds: list[tuple[int, int]]
-
-    @property
-    def final_beta(self) -> np.ndarray:
-        return self.betas[-1]
-
-    @property
-    def final_error(self) -> float:
-        if self.errors is None:
-            raise ValueError("trajectory was recorded without a true parameter")
-        return float(self.errors[-1])
-
-
-def split_batches(n: int, N0: int) -> list[tuple[int, int]]:
-    """N0 disjoint contiguous ranges of equal size floor(n / N0), in order.
-
-    The trailing n mod N0 samples are left unused so every batch has the
-    size the sensitivity constants assume.
-    """
-    n, N0 = whole("n", n), whole("N0", N0)
-    if N0 > n:
-        raise ValueError(f"N0 must not exceed n ({N0} > {n})")
-    size = n // N0
-    return [(i * size, (i + 1) * size) for i in range(N0)]
-
-
-def _as_beta(beta0, d: int) -> np.ndarray:
+def _start(spec, batch, config, beta0) -> np.ndarray:
+    # A run's checks, made before any batch is read: beta0 has shape (d,) and
+    # finite coordinates, and the batch holds at least one row per iteration.
     beta0 = np.asarray(beta0, dtype=float)
-    if beta0.shape != (d,):
-        raise ValueError(f"beta0 must have shape ({d},), got {beta0.shape}")
+    if beta0.shape != (spec.d,):
+        raise ValueError(f"beta0 must have shape ({spec.d},), got {beta0.shape}")
     if not np.all(np.isfinite(beta0)):
         raise ValueError("beta0 must have finite coordinates")
+    if config.N0 > len(batch):
+        raise ValueError(f"batch must be nonempty and hold at least N0 = {config.N0} rows, "
+                         f"got {len(batch)}")
     return beta0.copy()
 
 
-def _record(betas, true_beta, bounds):
-    betas = np.vstack(betas)
-    if true_beta is None:
-        return Trajectory(betas, None, None, bounds)
-    true_beta = np.asarray(true_beta, dtype=float)
-    errs = np.array([np.linalg.norm(b - true_beta) for b in betas])
-    flipped = np.array([np.linalg.norm(b + true_beta) for b in betas])
-    return Trajectory(betas, errs, np.minimum(errs, flipped), bounds)
-
-
-def _run(spec, batch, config, beta0, true_beta, release) -> Trajectory:
-    # The one EM loop.  ``release(v, scale)`` maps v = beta + eta * f_T(grad)
-    # to the released iterate, drawing at config.step_scale of the iterate
-    # entering the step.  Only earlier, disjoint batches produced that
-    # iterate, so reading it costs no privacy.
-    beta = _as_beta(beta0, spec.d)
+def _run(spec, batch, config, beta0, release) -> np.ndarray:
+    # The one EM loop.  Iteration t reads batch[t m : t m + m], m = n // N0:
+    # disjoint batches of the size the sensitivity constants assume, the
+    # n mod N0 trailing rows left unread.  ``release(v, scale)`` maps
+    # v = beta + eta * f_T(grad) to the released iterate, drawing at
+    # config.step_scale of the iterate entering the step.  Only earlier,
+    # disjoint batches produced that iterate, so reading it costs no privacy.
+    beta = _start(spec, batch, config, beta0)
     n = len(batch)
-    bounds = split_batches(n, config.N0)
+    m = n // config.N0
 
     betas = [beta]
-    for lo, hi in bounds:
+    for lo in range(0, config.N0 * m, m):
         scale = config.step_scale(spec, n, beta)
-        g = models.truncated_grad(spec, beta, batch[lo:hi], config.T)
+        g = models.truncated_grad(spec, beta, batch[lo:lo + m], config.T)
         beta = release(beta + config.eta * g, scale)
         betas.append(beta)
-    return _record(betas, true_beta, bounds)
+    return np.vstack(betas)
 
 
 def nonprivate_em(
@@ -156,8 +114,7 @@ def nonprivate_em(
     batch,
     config: EmConfig,
     beta0,
-    true_beta=None,
-) -> Trajectory:
+) -> np.ndarray:
     """Standard non-private gradient EM: full data, no truncation, no noise.
 
     beta <- beta + eta * grad, repeated N0 times on the whole batch.  This is
@@ -167,12 +124,12 @@ def nonprivate_em(
     if isinstance(batch, models.LazySample):
         raise ValueError("nonprivate_em reads the whole sample every iteration; "
                          "pass a generated batch, not a LazySample")
-    beta = _as_beta(beta0, spec.d)
+    beta = _start(spec, batch, config, beta0)
     betas = [beta]
     for _ in range(config.N0):
         beta = beta + config.eta * models.raw_grad(spec, beta, batch)
         betas.append(beta)
-    return _record(betas, true_beta, [(0, len(batch))] * config.N0)
+    return np.vstack(betas)
 
 
 def run_high_dim(
@@ -181,8 +138,7 @@ def run_high_dim(
     config: EmConfig,
     beta0,
     oracle: NoiseOracle,
-    true_beta=None,
-) -> Trajectory:
+) -> np.ndarray:
     """High-dimensional private EM: split, truncated step, noisy thresholding.
 
     Per iteration t on batch t only:
@@ -196,7 +152,7 @@ def run_high_dim(
     if nnz > config.s_hat:
         raise ValueError(f"beta0 must have at most s_hat = {config.s_hat} nonzeros, got {nnz}")
 
-    return _run(spec, batch, config, beta0, true_beta, lambda v, scale:
+    return _run(spec, batch, config, beta0, lambda v, scale:
                 noisy_hard_threshold(v, config.s_hat, scale, oracle).values)
 
 
@@ -206,8 +162,7 @@ def run_low_dim(
     config: EmConfig,
     beta0,
     oracle: NoiseOracle,
-    true_beta=None,
-) -> Trajectory:
+) -> np.ndarray:
     """Low-dimensional private EM: truncated gradient step plus Gaussian noise.
 
     Per iteration t on batch t only:
@@ -216,5 +171,5 @@ def run_low_dim(
     """
     if config.s_hat is not None:
         raise ValueError(f"run_low_dim takes no s_hat (got {config.s_hat}): it selects peeling")
-    return _run(spec, batch, config, beta0, true_beta, lambda v, scale:
+    return _run(spec, batch, config, beta0, lambda v, scale:
                 v + sample_gaussian(scale, oracle, spec.d))

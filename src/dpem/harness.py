@@ -47,6 +47,7 @@ __all__ = [
     "write_results",
     "default_beta_star",
     "default_beta0",
+    "estimation_errors",
 ]
 
 SWEEPABLE = ("n", "s_star", "epsilon", "d")
@@ -251,6 +252,18 @@ def default_beta0(beta_star, s_hat: int | None, oracle: NoiseOracle) -> np.ndarr
     return beta0
 
 
+def estimation_errors(betas, true_beta) -> tuple[np.ndarray, np.ndarray]:
+    """Plain and sign-free ell-2 distances from each row of ``betas`` to ``true_beta``.
+
+    The sign-free error is min(||b - beta*||, ||b + beta*||), since gmm and
+    mor identify beta* only up to sign.
+    """
+    true_beta = np.asarray(true_beta, dtype=float)
+    plain = np.array([np.linalg.norm(b - true_beta) for b in betas])
+    flipped = np.array([np.linalg.norm(b + true_beta) for b in betas])
+    return plain, np.minimum(plain, flipped)
+
+
 @dataclass
 class AggregateResult:
     """Per-iteration errors for every (sweep value, repetition) cell.
@@ -276,21 +289,21 @@ class AggregateResult:
 
 
 def _run_cell(config: ExperimentConfig, sweep_value, rep: int, engine: str):
+    """One cell's :func:`estimation_errors`, per iteration."""
     n, spec, em_config = config.cells[sweep_value]
     cell_seed = derive_seed(config.master_seed, config.sweep.name, sweep_value, rep)
     data_oracle = NoiseOracle(derive_seed(cell_seed, "data"))
     init_oracle = NoiseOracle(derive_seed(cell_seed, "init"))
     beta0 = default_beta0(spec.true_beta, em_config.s_hat, init_oracle)
     if engine == "nonprivate":
-        batch = models.generate(spec, n, data_oracle)
-        return nonprivate_em(spec, batch, em_config, beta0, true_beta=spec.true_beta)
-
-    # The private drivers read each of their N0 batches once, in order: draw
-    # each just before its iteration, into one reused batch.
-    sample = models.LazySample(spec, n, n // em_config.N0, data_oracle)
-    run = run_low_dim if em_config.s_hat is None else run_high_dim
-    return run(spec, sample, em_config, beta0, NoiseOracle(derive_seed(cell_seed, "noise")),
-               true_beta=spec.true_beta)
+        betas = nonprivate_em(spec, models.generate(spec, n, data_oracle), em_config, beta0)
+    else:
+        # The private drivers read each of their N0 batches once, in order:
+        # draw each just before its iteration, into one reused batch.
+        sample = models.LazySample(spec, n, n // em_config.N0, data_oracle)
+        run = run_low_dim if em_config.s_hat is None else run_high_dim
+        betas = run(spec, sample, em_config, beta0, NoiseOracle(derive_seed(cell_seed, "noise")))
+    return estimation_errors(betas, spec.true_beta)
 
 
 def _fan_out(fn, items, jobs: int) -> list:
@@ -332,14 +345,12 @@ def run_experiment(
                 f"run failed at {config.sweep.name}={value!r}, rep={rep}: {exc}"
             ) from exc
 
-    trajectories = _fan_out(one, cells, jobs)
+    scored = _fan_out(one, cells, jobs)
 
     result = AggregateResult(config.sweep.name, tuple(config.sweep.values), config.reps)
-    for (value, rep), traj in zip(cells, trajectories):
-        for t in range(traj.betas.shape[0]):
-            result.rows.append(
-                (float(value), rep, t, float(traj.errors[t]), float(traj.errors_signfree[t]))
-            )
+    for (value, rep), (errors, signfree) in zip(cells, scored):
+        for t, (err, err_sf) in enumerate(zip(errors, signfree)):
+            result.rows.append((float(value), rep, t, float(err), float(err_sf)))
     return result
 
 
@@ -389,12 +400,13 @@ class ClassificationParams:
 
 @dataclass(frozen=True)
 class ClassificationReport:
-    """Mean misclassification rate, its standard error, and per-rep rates."""
+    """Mean misclassification rate, its standard error and per-rep rates, at s_hat and epsilon."""
 
     misclassification_rate: float
     std_error: float
     reps: int
-    params: tuple  # (s_hat, epsilon, delta)
+    s_hat: int
+    epsilon: float
     per_rep_rates: tuple
 
 
@@ -470,7 +482,7 @@ def _classify_once(Xs, z, spec: ModelSpec, config: EmConfig, beta0, n_train: int
     train, test = perm[:n_train], perm[n_train:]
 
     X_train = Xb[train]
-    beta_hat = run_high_dim(spec, GmmBatch(X_train), config, beta0, noise_oracle).final_beta
+    beta_hat = run_high_dim(spec, GmmBatch(X_train), config, beta0, noise_oracle)[-1]
 
     # Classify by l2 closeness to +beta_hat vs -beta_hat, i.e. by the sign of
     # the inner product; orient the sign by training-set majority agreement.
@@ -544,7 +556,8 @@ def run_classification(
         misclassification_rate=float(arr.mean()),
         std_error=std_error,
         reps=reps,
-        params=(params.s_hat, float(params.epsilon), config.budget.delta),
+        s_hat=params.s_hat,
+        epsilon=float(params.epsilon),
         per_rep_rates=tuple(arr.tolist()),
     )
 
@@ -571,10 +584,9 @@ def write_results(result, path) -> None:
                 f"{result.sweep_name},{_fmt(value)},{rep},{iteration},{_fmt(err)},{_fmt(err_sf)}"
             )
     elif isinstance(result, ClassificationReport):
-        s_hat, epsilon, _ = result.params
         lines = [",".join(CLASSIFICATION_CSV_HEADER)]
         for rep, rate in enumerate(result.per_rep_rates):
-            lines.append(f"{s_hat},{_fmt(epsilon)},{rep},{_fmt(rate)}")
+            lines.append(f"{result.s_hat},{_fmt(result.epsilon)},{rep},{_fmt(rate)}")
     else:
         raise TypeError(f"cannot serialize result of type {type(result).__name__}")
     try:

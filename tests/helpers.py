@@ -125,3 +125,18 @@ def traced_peak_bytes(fn):
         if not was_tracing:
             tracemalloc.stop()
     return peak, result
+
+
+class SliceRecorder:
+    """A batch that logs the rows ``(lo, hi)`` of each slice read from it, then returns the slice."""
+
+    def __init__(self, batch):
+        self.batch, self.reads = batch, []
+
+    def __len__(self):
+        return len(self.batch)
+
+    def __getitem__(self, key):
+        lo, hi, _ = key.indices(len(self.batch))
+        self.reads.append((lo, hi))
+        return self.batch[key]

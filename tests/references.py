@@ -4,14 +4,13 @@ Each is coded apart from the kernels it checks.  The surrogate objectives
 compute their own mixing weights and rmc fill-in in plain numpy, with the
 rmc curvature matrix K_i materialized, so criterion 02's finite differences
 share no arithmetic with the gradients.  The noiseless hard-thresholding EM
-has its own batching arithmetic and selects by full sort.  Shared with the
-engine: the ``beta0`` input check and the trajectory record.
+has its own batching arithmetic, selects by full sort and builds its own
+iterate array; none of them imports a private name of the package.
 """
 
 import numpy as np
 
 from dpem import models
-from dpem.em_engine import _as_beta, _record
 from dpem.mechanisms import exact_top_k
 
 
@@ -85,25 +84,24 @@ def finite_diff_grad(kind, beta, batch, sigma, h=1e-5):
     return grad
 
 
-def ht_gradient_em(spec, batch, config, beta0, true_beta=None):
+def ht_gradient_em(spec, batch, config, beta0):
     """Noiseless hard-thresholding gradient EM with sample splitting.
 
     The exact reference for the high-dimensional engine: one untruncated
     gradient step per disjoint batch followed by exact top-k projection.
-    Batching arithmetic and selection are coded here independently of the
-    engine.
+    Returns the (N0 + 1, d) iterates, row t after t iterations.  Batching
+    arithmetic, selection and the iterate array are coded here independently
+    of the engine.
     """
     if config.s_hat is None:
         raise ValueError("ht_gradient_em requires s_hat >= 1")
-    beta = _as_beta(beta0, spec.d)
     n = len(batch)
     if config.N0 > n:
         raise ValueError(f"N0 must not exceed the sample size ({config.N0} > {n})")
     size = n // config.N0
-    bounds = [(t * size, t * size + size) for t in range(config.N0)]
-    betas = [beta]
-    for lo, hi in bounds:
-        g = models.raw_grad(spec, beta, batch[lo:hi])
-        beta = exact_top_k(beta + config.eta * g, config.s_hat).values
-        betas.append(beta)
-    return _record(betas, true_beta, bounds)
+    betas = np.empty((config.N0 + 1, spec.d))
+    betas[0] = beta0
+    for t in range(config.N0):
+        g = models.raw_grad(spec, betas[t], batch[t * size:t * size + size])
+        betas[t + 1] = exact_top_k(betas[t] + config.eta * g, config.s_hat).values
+    return betas

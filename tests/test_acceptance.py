@@ -86,9 +86,9 @@ def test_criterion_01_oracle_equivalence():
     for i in range(50):
         kind = KINDS[i % 3]
         spec, data, config, beta0, beta_star = random_instance(rng, kind)
-        traj = run_high_dim(spec, data, config, beta0, NoiseOracle(i))
+        betas = run_high_dim(spec, data, config, beta0, NoiseOracle(i))
         ref = ht_gradient_em(spec, data, config, beta0)
-        worst = max(worst, float(np.abs(traj.betas - ref.betas).max()))
+        worst = max(worst, float(np.abs(betas - ref).max()))
     report(1, "oracle-equivalence", worst <= 1e-12, f"max coord diff {worst:.3e}")
 
 
@@ -385,9 +385,9 @@ def test_criterion_08_statistical_recovery():
         data = generate(spec, n, NoiseOracle(derive_seed("acc8", "data", seed)))
         direction = NoiseOracle(derive_seed("acc8", "init", seed)).standard_normal(d)
         beta0 = beta_star + (np.linalg.norm(beta_star) / 8) * direction / np.linalg.norm(direction)
-        traj = nonprivate_em(spec, data, config, beta0, true_beta=beta_star)
-        errors.append(traj.final_error)
-        passes += traj.final_error <= threshold
+        error = float(np.linalg.norm(nonprivate_em(spec, data, config, beta0)[-1] - beta_star))
+        errors.append(error)
+        passes += error <= threshold
     report(8, "statistical-recovery", passes >= 18,
            f"{passes}/20 within {threshold:.4f}, max err {max(errors):.4f}")
 

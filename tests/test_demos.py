@@ -2,8 +2,8 @@
 
 Each runs in a fresh working directory with ``src`` on PYTHONPATH; a demo
 must not write into the checkout.  The public surface is exactly what the
-demos and the README use, and no module under ``src/dpem`` imports another's
-private names.
+demos and the README use, and neither a module under ``src/dpem`` nor the
+tests' references import a package module's private names.
 """
 
 import ast
@@ -88,8 +88,7 @@ def test_submodule_exports_are_pinned():
         "generate_rmc", "rmc_truncated_grad",
     ]
     assert dpem.em_engine.__all__ == [
-        "EmConfig", "Trajectory", "split_batches",
-        "run_high_dim", "run_low_dim", "nonprivate_em",
+        "EmConfig", "run_high_dim", "run_low_dim", "nonprivate_em",
     ]
     assert dpem.mechanisms.__all__ == [
         "PrivacyBudget", "NoiseOracle", "require", "whole", "SparseSelection",
@@ -99,16 +98,17 @@ def test_submodule_exports_are_pinned():
 
 
 def test_no_module_imports_a_private_name_from_another():
-    # Each decision (how a trajectory is recorded, what a valid selection
-    # input is) lives behind the one module that owns it.
+    # Each decision (what a valid run start or selection input is) lives
+    # behind the one module that owns it, and the tests' references share
+    # no private code with the package they check.
     offenders = []
-    for path in sorted(SRC.rglob("*.py")):
+    for path in [*sorted(SRC.rglob("*.py")), REPO / "tests" / "references.py"]:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if not isinstance(node, ast.ImportFrom):
                 continue
             module = "." * node.level + (node.module or "")
             if node.level == 0 and module.split(".")[0] != "dpem":
                 continue
-            offenders += [f"{path.relative_to(SRC)}: {alias.name} from {module}"
+            offenders += [f"{path.relative_to(REPO)}: {alias.name} from {module}"
                           for alias in node.names if alias.name.startswith("_")]
     assert offenders == []

@@ -3,15 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from helpers import bits, fit_geometric_decay
+from helpers import SliceRecorder, bits, fit_geometric_decay
 from references import ht_gradient_em
 
 from dpem import em_engine
-from dpem.em_engine import EmConfig, run_high_dim, run_low_dim, split_batches
+from dpem.em_engine import EmConfig, nonprivate_em, run_high_dim, run_low_dim
+from dpem.harness import estimation_errors
 from dpem.mechanisms import (NoiseOracle, PrivacyBudget, exact_top_k, gaussian_noise_std,
                              noisy_ht_scale, sample_gaussian)
-from dpem.models import (ModelSpec, generate_gmm, generate_mor, generate_rmc, sensitivity,
-                         truncated_grad)
+from dpem.models import (LazySample, ModelSpec, generate_gmm, generate_mor, generate_rmc,
+                         sensitivity, truncated_grad)
 
 BUDGET = PrivacyBudget(0.5, 1e-3)
 # epsilon = inf: every noise scale is exactly 0, whatever the oracle draws.
@@ -24,35 +25,62 @@ def sparse_beta(d, s, value=None):
     return beta
 
 
+def private_reads(n, N0):
+    """The rows ``(lo, hi)`` that each private driver reads, in order, from an n-row sample."""
+    spec = ModelSpec("gmm", 4, 0.5, sparse_beta(4, 2))
+    reads = []
+    for run, s_hat in ((run_high_dim, 2), (run_low_dim, None)):
+        batch = SliceRecorder(generate_gmm(spec, n, NoiseOracle(0)))
+        run(spec, batch, EmConfig(0.5, 1.5, N0, BUDGET, s_hat), sparse_beta(4, 2), NoiseOracle(1))
+        reads.append(batch.reads)
+    return reads
+
+
 class TestSplitBatches:
+    # Both private drivers read batch t = rows [t m, t m + m), m = n // N0,
+    # once each, in order, and never the n mod N0 trailing rows: every batch
+    # has the size the sensitivity constants assume, and disjoint batches are
+    # what parallel composition rests on.
     def test_even_split(self):
-        assert split_batches(10, 2) == [(0, 5), (5, 10)]
+        assert private_reads(10, 2) == [[(0, 5), (5, 10)]] * 2
 
     def test_remainder_dropped(self):
-        assert split_batches(10, 3) == [(0, 3), (3, 6), (6, 9)]
+        assert private_reads(10, 3) == [[(0, 3), (3, 6), (6, 9)]] * 2
 
     def test_singletons(self):
-        assert split_batches(7, 7) == [(i, i + 1) for i in range(7)]
+        assert private_reads(7, 7) == [[(i, i + 1) for i in range(7)]] * 2
 
     def test_errors(self):
-        with pytest.raises(ValueError):
-            split_batches(3, 4)
-        with pytest.raises(ValueError):
-            split_batches(0, 1)
+        # N0 > n, an empty sample included, is refused by every driver; the
+        # private ones refuse it before they read any batch.
+        spec = ModelSpec("gmm", 4, 0.5, sparse_beta(4, 2))
+        for n in (3, 0):
+            data = generate_gmm(spec, 3, NoiseOracle(0))[:n]
+            with pytest.raises(ValueError, match=f"at least N0 = 4 rows, got {n}$"):
+                nonprivate_em(spec, data, EmConfig(0.5, 1.5, 4, BUDGET), sparse_beta(4, 2))
+            for run, s_hat in ((run_high_dim, 2), (run_low_dim, None)):
+                batch = SliceRecorder(data)
+                with pytest.raises(ValueError, match=f"at least N0 = 4 rows, got {n}$"):
+                    run(spec, batch, EmConfig(0.5, 1.5, 4, BUDGET, s_hat), sparse_beta(4, 2),
+                        NoiseOracle(1))
+                assert batch.reads == []
 
     @pytest.mark.parametrize("n, N0, name", [(2.5, 2, "n"), (5, True, "N0"),
                                              (True, 1, "n"), (5, 2.5, "N0")])
     def test_counts_must_be_whole_numbers(self, n, N0, name):
-        # 2.5 used to give the float bounds [(0.0, 1.0), (1.0, 2.0)], and
-        # N0 = True ran as N0 = 1.
+        # A run's batches are cut from its sample's size and EmConfig.N0, and
+        # both refuse anything but a whole number: 2.5 used to give the float
+        # bounds [(0.0, 1.0), (1.0, 2.0)], and N0 = True ran as N0 = 1.
+        spec = ModelSpec("gmm", 4, 0.5, sparse_beta(4, 2))
         with pytest.raises(ValueError, match=f"^{name} must be a positive integer"):
-            split_batches(n, N0)
+            LazySample(spec, n, 1, NoiseOracle(0))
+            EmConfig(0.5, 1.5, N0, BUDGET)
 
     def test_disjoint_cover(self):
         for n, N0 in [(100, 7), (53, 9), (12, 12)]:
-            bounds = split_batches(n, N0)
-            seen = [i for lo, hi in bounds for i in range(lo, hi)]
-            assert seen == list(range(N0 * (n // N0)))
+            for reads in private_reads(n, N0):
+                seen = [i for lo, hi in reads for i in range(lo, hi)]
+                assert seen == list(range(N0 * (n // N0)))
 
 
 class TestEmConfig:
@@ -161,30 +189,32 @@ class TestRunHighDim:
         spec, data, beta_star = make_instance("gmm", 2)
         beta0 = sparse_beta(spec.d, 3)
         config = EmConfig(eta=0.0, T=2.0, N0=4, s_hat=3, budget=budget)
-        traj = run_high_dim(spec, data, config, beta0, NoiseOracle(3))
-        assert np.all(traj.betas == beta0)
+        betas = run_high_dim(spec, data, config, beta0, NoiseOracle(3))
+        assert np.all(betas == beta0)
 
     def test_sparsity_invariant(self):
         for kind in ("gmm", "mor", "rmc"):
             spec, data, beta_star = make_instance(kind, 3)
             config = EmConfig(eta=0.5, T=1.5, N0=5, s_hat=4, budget=BUDGET)
-            traj = run_high_dim(spec, data, config, sparse_beta(spec.d, 4), NoiseOracle(9))
-            for t in range(1, traj.betas.shape[0]):
-                assert np.count_nonzero(traj.betas[t]) <= 4
+            betas = run_high_dim(spec, data, config, sparse_beta(spec.d, 4), NoiseOracle(9))
+            assert betas.shape == (6, spec.d)
+            for t in range(1, betas.shape[0]):
+                assert np.count_nonzero(betas[t]) <= 4
 
     def test_deterministic(self):
         spec, data, beta_star = make_instance("mor", 4)
         config = EmConfig(eta=0.5, T=1.5, N0=5, s_hat=4, budget=BUDGET)
         t1 = run_high_dim(spec, data, config, sparse_beta(spec.d, 4), NoiseOracle(17))
         t2 = run_high_dim(spec, data, config, sparse_beta(spec.d, 4), NoiseOracle(17))
-        np.testing.assert_array_equal(t1.betas, t2.betas)
+        np.testing.assert_array_equal(t1, t2)
 
     def test_batch_bounds_disjoint(self):
         spec, data, beta_star = make_instance("gmm", 5, n=103)
         config = EmConfig(eta=0.5, T=1.5, N0=4, s_hat=3, budget=BUDGET)
-        traj = run_high_dim(spec, data, config, sparse_beta(spec.d, 3), NoiseOracle(1))
+        batch = SliceRecorder(data)
+        run_high_dim(spec, batch, config, sparse_beta(spec.d, 3), NoiseOracle(1))
         seen = set()
-        for lo, hi in traj.batch_bounds:
+        for lo, hi in batch.reads:
             for i in range(lo, hi):
                 assert i not in seen
                 seen.add(i)
@@ -195,9 +225,9 @@ class TestRunHighDim:
         spec, data, beta_star = make_instance(kind, 6)
         beta0 = exact_top_k(beta_star + 0.05 * NoiseOracle(8).standard_normal(spec.d), 4).values
         config = EmConfig(eta=0.5, T=math.inf, N0=5, s_hat=4, budget=NONPRIVATE)
-        traj = run_high_dim(spec, data, config, beta0, NoiseOracle(0), true_beta=beta_star)
-        ref = ht_gradient_em(spec, data, config, beta0, true_beta=beta_star)
-        assert np.abs(traj.betas - ref.betas).max() <= 1e-12
+        betas = run_high_dim(spec, data, config, beta0, NoiseOracle(0))
+        ref = ht_gradient_em(spec, data, config, beta0)
+        assert np.abs(betas - ref).max() <= 1e-12
 
     def test_statistical_recovery_noiseless(self):
         # Frozen threshold 3 sqrt(s* ln d / n_used), validated over 20 seeds
@@ -208,8 +238,8 @@ class TestRunHighDim:
         data = generate_gmm(spec, n, NoiseOracle(55))
         beta0 = exact_top_k(beta_star + 0.05 * NoiseOracle(56).standard_normal(d), s).values
         config = EmConfig(eta=0.5, T=math.inf, N0=8, s_hat=s, budget=NONPRIVATE)
-        traj = run_high_dim(spec, data, config, beta0, NoiseOracle(0), true_beta=beta_star)
-        assert traj.final_error <= 3 * math.sqrt(s * math.log(d) / 2000)
+        betas = run_high_dim(spec, data, config, beta0, NoiseOracle(0))
+        assert np.linalg.norm(betas[-1] - beta_star) <= 3 * math.sqrt(s * math.log(d) / 2000)
 
     def test_geometric_decay_diagnostic(self):
         # Well-separated mixture, noiseless: the optimization error contracts.
@@ -219,10 +249,11 @@ class TestRunHighDim:
         data = generate_gmm(spec, n, NoiseOracle(77))
         beta0 = exact_top_k(beta_star * 0.7, s).values
         config = EmConfig(eta=0.5, T=math.inf, N0=8, s_hat=s, budget=NONPRIVATE)
-        traj = run_high_dim(spec, data, config, beta0, NoiseOracle(0), true_beta=beta_star)
-        kappa, floor = fit_geometric_decay(traj.errors)
+        errors, _ = estimation_errors(run_high_dim(spec, data, config, beta0, NoiseOracle(0)),
+                                      beta_star)
+        kappa, floor = fit_geometric_decay(errors)
         assert kappa < 1.0
-        assert np.all(traj.errors[1:] <= kappa * traj.errors[:-1] + max(floor, 0.05) + 1e-9)
+        assert np.all(errors[1:] <= kappa * errors[:-1] + max(floor, 0.05) + 1e-9)
 
 
 class TestNoiseCalibration:
@@ -275,7 +306,7 @@ def test_budget_rule_same_in_both_drivers(regime, T, budget, ok):
         return run(spec, data, config, sparse_beta(spec.d, 3), NoiseOracle(0))
 
     if ok:
-        assert fit().betas.shape == (5, spec.d)
+        assert fit().shape == (5, spec.d)
     else:
         with pytest.raises(ValueError):
             fit()
@@ -292,17 +323,17 @@ def test_inf_epsilon_releases_the_noiseless_step(regime, kind):
     run = run_high_dim if high else run_low_dim
     config = EmConfig(eta=0.5, T=1.5, N0=4, s_hat=3 if high else None, budget=NONPRIVATE)
     beta0 = sparse_beta(spec.d, 3)
-    traj = run(spec, data, config, beta0, NoiseOracle(4))
+    betas = run(spec, data, config, beta0, NoiseOracle(4))
     other = run(spec, data, config, beta0, NoiseOracle(5))
-    np.testing.assert_array_equal(bits(traj.betas), bits(other.betas))
+    np.testing.assert_array_equal(bits(betas), bits(other))
 
-    beta, expected = beta0, [beta0]
-    for lo, hi in split_batches(len(data), config.N0):
-        beta = beta + config.eta * truncated_grad(spec, beta, data[lo:hi], config.T)
+    beta, expected, m = beta0, [beta0], len(data) // config.N0
+    for t in range(config.N0):
+        beta = beta + config.eta * truncated_grad(spec, beta, data[t * m:t * m + m], config.T)
         if high:
             beta = exact_top_k(beta, config.s_hat).values
         expected.append(beta)
-    np.testing.assert_array_equal(traj.betas, np.vstack(expected))
+    np.testing.assert_array_equal(betas, np.vstack(expected))
 
 
 @pytest.mark.parametrize("kind", ["gmm", "mor", "rmc"])
@@ -314,14 +345,14 @@ def test_low_dim_noise_is_the_samplers_draw(kind):
     spec, data, beta_star = make_instance(kind, 10, n=243)
     eta, T, N0, seed = 0.5, 1.5, 4, 11
     private = run_low_dim(spec, data, EmConfig(eta, T, N0, BUDGET), beta_star, NoiseOracle(seed))
-    oracle = NoiseOracle(seed)
-    for t, (lo, hi) in enumerate(split_batches(len(data), N0)):
-        beta = private.betas[t]
+    oracle, m = NoiseOracle(seed), len(data) // N0
+    for t in range(N0):
+        beta = private[t]
         lam = sensitivity(kind, T, eta, N0, N0 * (len(data) // N0), beta)
         noise = sample_gaussian(gaussian_noise_std(lam, spec.d, BUDGET), oracle, spec.d)
         assert np.all(noise != 0.0)
-        step = beta + eta * truncated_grad(spec, beta, data[lo:hi], T)
-        np.testing.assert_array_equal(bits(private.betas[t + 1]), bits(step + noise))
+        step = beta + eta * truncated_grad(spec, beta, data[t * m:t * m + m], T)
+        np.testing.assert_array_equal(bits(private[t + 1]), bits(step + noise))
 
 
 @pytest.mark.parametrize("regime", ["high_dim", "low_dim"])
@@ -344,9 +375,9 @@ def test_lambda_is_certified_at_each_iterate(monkeypatch, regime, kind):
     monkeypatch.setattr(em_engine, name, record)
     run = run_high_dim if high else run_low_dim
     config = EmConfig(eta, T, N0, BUDGET, s_hat=3 if high else None)
-    traj = run(spec, data, config, beta_star, NoiseOracle(6))
+    betas = run(spec, data, config, beta_star, NoiseOracle(6))
     n_used = N0 * (len(data) // N0)
-    lams = [sensitivity(kind, T, eta, N0, n_used, b) for b in traj.betas[:-1]]
+    lams = [sensitivity(kind, T, eta, N0, n_used, b) for b in betas[:-1]]
     assert seen == [noisy_ht_scale(lam, 3, BUDGET) if high
                     else gaussian_noise_std(lam, spec.d, BUDGET) for lam in lams]
     assert (len(set(seen)) > 1) == (kind == "rmc")
@@ -403,15 +434,15 @@ class TestRunLowDim:
         spec, data, beta_star = self._instance(31)
         config = EmConfig(eta=0.5, T=math.inf, N0=9, budget=NONPRIVATE)
         beta0 = beta_star + 0.1 * NoiseOracle(32).standard_normal(spec.d)
-        traj = run_low_dim(spec, data, config, beta0, NoiseOracle(0), true_beta=beta_star)
-        assert traj.final_error <= 3 * math.sqrt(spec.d / len(data))
+        betas = run_low_dim(spec, data, config, beta0, NoiseOracle(0))
+        assert np.linalg.norm(betas[-1] - beta_star) <= 3 * math.sqrt(spec.d / len(data))
 
     def test_deterministic(self):
         spec, data, beta_star = self._instance(33, n=600)
         config = EmConfig(eta=0.5, T=2.0, N0=5, budget=BUDGET)
         t1 = run_low_dim(spec, data, config, beta_star, NoiseOracle(3))
         t2 = run_low_dim(spec, data, config, beta_star, NoiseOracle(3))
-        np.testing.assert_array_equal(t1.betas, t2.betas)
+        np.testing.assert_array_equal(t1, t2)
 
     def test_requires_budget_for_finite_T(self):
         # The config refuses a missing budget before any run can start.
@@ -421,7 +452,8 @@ class TestRunLowDim:
     def test_trajectory_shape_and_errors(self):
         spec, data, beta_star = self._instance(36, n=400)
         config = EmConfig(eta=0.5, T=2.0, N0=5, budget=BUDGET)
-        traj = run_low_dim(spec, data, config, beta_star, NoiseOracle(4), true_beta=beta_star)
-        assert traj.betas.shape == (6, spec.d)
-        assert traj.errors.shape == (6,)
-        assert np.all(traj.errors_signfree <= traj.errors + 1e-15)
+        betas = run_low_dim(spec, data, config, beta_star, NoiseOracle(4))
+        assert betas.shape == (6, spec.d)
+        errors, signfree = estimation_errors(betas, beta_star)
+        assert errors.shape == signfree.shape == (6,)
+        assert np.all(signfree <= errors + 1e-15)

@@ -469,14 +469,14 @@ class TestRunClassification:
         def run(seed_shift):
             fits = []
 
-            def recorded(spec, batch, config, beta0, oracle, true_beta=None):
+            def recorded(spec, batch, config, beta0, oracle):
                 oracle = NoiseOracle(oracle.seed + seed_shift)
-                fits.append(run_high_dim(spec, batch, config, beta0, oracle, true_beta))
+                fits.append(run_high_dim(spec, batch, config, beta0, oracle))
                 return fits[-1]
 
             monkeypatch.setattr(harness, "run_high_dim", recorded)
             report = run_classification(X, labels, params, reps=4, master_seed=5)
-            return report, [fit.betas.tobytes() for fit in fits]
+            return report, [fit.tobytes() for fit in fits]
 
         base, base_betas = run(0)
         shifted, shifted_betas = run(1)

@@ -118,12 +118,9 @@ def test_private_run_equals_a_run_on_the_same_per_batch_draws(kind, regime):
     beta0 = np.zeros(spec.d)
     beta0[:3] = 0.4
     run = run_high_dim if regime == "high_dim" else run_low_dim
-    lazy = run(spec, LazySample(spec, n, size, NoiseOracle(17)), config, beta0,
-               NoiseOracle(5), true_beta=spec.true_beta)
-    eager = run(spec, batch, config, beta0, NoiseOracle(5), true_beta=spec.true_beta)
-    np.testing.assert_array_equal(bits(lazy.betas), bits(eager.betas))
-    np.testing.assert_array_equal(bits(lazy.errors), bits(eager.errors))
-    assert lazy.batch_bounds == eager.batch_bounds
+    lazy = run(spec, LazySample(spec, n, size, NoiseOracle(17)), config, beta0, NoiseOracle(5))
+    eager = run(spec, batch, config, beta0, NoiseOracle(5))
+    np.testing.assert_array_equal(bits(lazy), bits(eager))
 
 
 def test_private_cell_holds_one_batch_not_the_sample():

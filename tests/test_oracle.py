@@ -4,9 +4,12 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from helpers import SliceRecorder
 from references import finite_diff_grad, q_value
 
+from dpem import models
 from dpem.em_engine import EmConfig, nonprivate_em
+from dpem.harness import estimation_errors
 from dpem.mechanisms import NoiseOracle, PrivacyBudget, exact_top_k
 from dpem.models import GmmBatch, ModelSpec, RmcBatch, generate_gmm
 
@@ -131,15 +134,25 @@ class TestNonprivateEm:
     def test_zero_step_is_constant(self):
         spec, data, beta_star = self._spec_and_data()
         config = EmConfig(eta=0.0, T=math.inf, N0=4, budget=NONPRIVATE)
-        traj = nonprivate_em(spec, data, config, beta_star * 0.9, true_beta=beta_star)
-        assert np.all(traj.betas == traj.betas[0])
+        betas = nonprivate_em(spec, data, config, beta_star * 0.9)
+        assert np.all(betas == betas[0])
 
-    def test_batch_bounds_one_full_batch_per_iteration(self):
+    def test_batch_bounds_one_full_batch_per_iteration(self, monkeypatch):
+        # Each of the N0 iterations takes its gradient over the whole batch,
+        # unsliced.
         spec, data, beta_star = self._spec_and_data(n=300)
         config = EmConfig(eta=0.5, T=math.inf, N0=4, budget=NONPRIVATE)
-        traj = nonprivate_em(spec, data, config, beta_star, true_beta=beta_star)
-        assert traj.batch_bounds == [(0, 300)] * 4
-        assert len(traj.batch_bounds) == traj.betas.shape[0] - 1
+        batch, seen, real = SliceRecorder(data), [], models.raw_grad
+
+        def spy(spec, beta, read):
+            seen.append(read)
+            return real(spec, beta, read.batch)
+
+        monkeypatch.setattr(models, "raw_grad", spy)
+        betas = nonprivate_em(spec, batch, config, beta_star)
+        assert len(seen) == 4 and all(read is batch for read in seen)
+        assert batch.reads == []
+        assert betas.shape == (5, spec.d)
 
     def test_error_contracts_from_perturbed_start_at_high_snr(self):
         # From a start above the statistical floor the error decreases
@@ -148,15 +161,15 @@ class TestNonprivateEm:
         config = EmConfig(eta=0.5, T=math.inf, N0=8, budget=NONPRIVATE)
         direction = NoiseOracle(9).standard_normal(10)
         beta0 = beta_star + 0.3 * direction / np.linalg.norm(direction)
-        traj = nonprivate_em(spec, data, config, beta0, true_beta=beta_star)
+        errors, _ = estimation_errors(nonprivate_em(spec, data, config, beta0), beta_star)
         # Strict decrease above the floor; tiny fluctuations once the iterate
         # settles at the empirical optimum are allowed.
-        assert np.all(np.diff(traj.errors) <= 1e-3)
-        assert traj.final_error < traj.errors[0] / 10
+        assert np.all(np.diff(errors) <= 1e-3)
+        assert errors[-1] < errors[0] / 10
 
     def test_statistical_recovery_single_seed(self):
         spec, data, beta_star = self._spec_and_data()
         config = EmConfig(eta=0.5, T=math.inf, N0=9, budget=NONPRIVATE)
         beta0 = beta_star + 0.1 * NoiseOracle(5).standard_normal(10)
-        traj = nonprivate_em(spec, data, config, beta0, true_beta=beta_star)
-        assert traj.final_error <= 3 * math.sqrt(10 / 5000)
+        betas = nonprivate_em(spec, data, config, beta0)
+        assert np.linalg.norm(betas[-1] - beta_star) <= 3 * math.sqrt(10 / 5000)
