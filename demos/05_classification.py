@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from dpem import NoiseOracle, derive_seed
-from dpem.harness import ClassificationParams, run_classification
+from dpem.harness import ClassificationConfig, run_classification
 
 # Two balanced classes in 30 dimensions, separation carried by 10 coordinates.
 d, n, s_star, sigma, signal = 30, 400, 10, 0.5, 1.25
@@ -27,9 +27,8 @@ labels = np.where(z > 0, "benign", "malignant")
 
 print(f"{'epsilon':>17}  {'misclassification':>18}  {'std err':>8}")
 for epsilon in (0.2, 0.5, math.inf):
-    params = ClassificationParams(s_hat=10, epsilon=epsilon)
-    report = run_classification(features, labels, params, reps=50,
-                                master_seed=99, jobs=4)
+    config = ClassificationConfig(s_hat=10, epsilon=epsilon, reps=50, master_seed=99)
+    report = run_classification(features, labels, config, jobs=4)
     name = "inf (non-private)" if math.isinf(epsilon) else f"{epsilon}"
     print(f"{name:>17}  {report.misclassification_rate:>18.4f}  "
           f"{report.std_error:>8.4f}")

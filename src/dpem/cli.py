@@ -58,36 +58,38 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _load(load, args):
+    """The config at ``args.config``, its master_seed replaced by ``--seed`` when given."""
+    config = load(args.config)
+    return config if args.seed is None else replace(config, master_seed=args.seed)
+
+
 def cmd_run(args) -> int:
     """``dpem run`` (engine 'private') and ``dpem baseline`` (engine 'nonprivate')."""
-    config = load_experiment_config(args.config)
-    if args.seed is not None:
-        config = replace(config, master_seed=args.seed)
-    result = run_experiment(config, jobs=args.jobs, engine=args.engine)
+    result = run_experiment(_load(load_experiment_config, args), jobs=args.jobs, engine=args.engine)
     write_results(result, args.out)
-    print(_summary_line(config, result, label="baseline " if args.engine == "nonprivate" else ""))
+    print(("baseline " if args.engine == "nonprivate" else "") + _summary_line(result))
     return 0
 
 
 def cmd_classify(args) -> int:
-    params, reps, master_seed = load_classification_config(args.config)
-    if args.seed is not None:
-        master_seed = args.seed
+    config = _load(load_classification_config, args)
     features, labels = load_classification_csv(args.data)
-    report = run_classification(features, labels, params, reps, master_seed, jobs=args.jobs)
+    report = run_classification(features, labels, config, jobs=args.jobs)
     write_results(report, args.out)
     print(
         f"misclassification: mean={report.misclassification_rate:.4f} "
-        f"se={report.std_error:.4f} over {report.reps} reps "
-        f"(s_hat={report.s_hat}, epsilon={report.epsilon})"
+        f"se={report.std_error:.4f} over {len(report.per_rep_rates)} reps "
+        f"(s_hat={report.config.s_hat}, epsilon={float(report.config.budget.epsilon)})"
     )
     return 0
 
 
-def _summary_line(config, result, label: str = "") -> str:
+def _summary_line(result) -> str:
+    sweep = result.config.sweep
     means = result.mean_final_error()
-    parts = " ".join(f"{value:g}={means[float(value)]:.4e}" for value in config.sweep.values)
-    return f"{label}mean final error by {config.sweep.name}: {parts}"
+    parts = " ".join(f"{value:g}={means[float(value)]:.4e}" for value in sweep.values)
+    return f"mean final error by {sweep.name}: {parts}"
 
 
 def main(argv=None) -> int:

@@ -35,7 +35,7 @@ __all__ = [
     "SweepSpec",
     "ExperimentConfig",
     "AggregateResult",
-    "ClassificationParams",
+    "ClassificationConfig",
     "ClassificationReport",
     "load_experiment_config",
     "parse_experiment_config",
@@ -111,10 +111,9 @@ def _check_delta_rule(rule, delta) -> None:
         raise ConfigError("delta must be given when, and only when, delta_rule is 'explicit'")
 
 
-def _check_seed(value) -> int:
+def _check_seed(value) -> None:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"master_seed must be an integer, got {value!r}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -204,7 +203,6 @@ def parse_experiment_config(raw: dict) -> ExperimentConfig:
             p["s_hat_rule"] = whole("s_hat_rule", p["s_hat_rule"])
     if raw["regime"] not in ("high_dim", "low_dim"):
         raise ConfigError(f"regime must be 'high_dim' or 'low_dim', got {raw['regime']!r}")
-    _check_seed(raw["master_seed"])
     cells = {}
     for value in values:
         with _config_errors(f"sweep value {name}={value!r}: "):
@@ -264,25 +262,24 @@ def estimation_errors(betas, true_beta) -> tuple[np.ndarray, np.ndarray]:
     return plain, np.minimum(plain, flipped)
 
 
-@dataclass
+@dataclass(frozen=True)
 class AggregateResult:
-    """Per-iteration errors for every (sweep value, repetition) cell.
+    """Per-iteration errors for every (sweep value, repetition) cell of ``config``.
 
     ``rows`` hold (sweep_value, rep, iteration, error_l2, error_l2_signfree)
     ordered by sweep value (config order), then rep, then iteration.
     """
 
-    sweep_name: str
-    sweep_values: tuple
-    reps: int
-    rows: list = field(default_factory=list)
+    config: ExperimentConfig
+    rows: list
 
     def per_rep_final(self) -> dict:
         """sweep_value -> final-iteration error of every repetition, rep order."""
         # Each cell's rows run in iteration order, so its last row is its final one.
         final = {(value, rep): err for value, rep, _, err, _ in self.rows}
-        return {float(value): np.array([final[(float(value), rep)] for rep in range(self.reps)])
-                for value in self.sweep_values}
+        return {float(value): np.array([final[(float(value), rep)]
+                                        for rep in range(self.config.reps)])
+                for value in self.config.sweep.values}
 
     def mean_final_error(self) -> dict:
         return {value: float(errs.mean()) for value, errs in self.per_rep_final().items()}
@@ -346,12 +343,11 @@ def run_experiment(
             ) from exc
 
     scored = _fan_out(one, cells, jobs)
-
-    result = AggregateResult(config.sweep.name, tuple(config.sweep.values), config.reps)
-    for (value, rep), (errors, signfree) in zip(cells, scored):
-        for t, (err, err_sf) in enumerate(zip(errors, signfree)):
-            result.rows.append((float(value), rep, t, float(err), float(err_sf)))
-    return result
+    return AggregateResult(config, [
+        (float(value), rep, t, float(err), float(err_sf))
+        for (value, rep), (errors, signfree) in zip(cells, scored)
+        for t, (err, err_sf) in enumerate(zip(errors, signfree))
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -360,8 +356,8 @@ def run_experiment(
 
 
 @dataclass(frozen=True)
-class ClassificationParams:
-    """Estimator parameters for the two-class pipeline.
+class ClassificationConfig:
+    """One two-class pipeline run: its estimator parameters, repetitions and seed.
 
     ``delta = None`` applies the 1/(2 n_train) rule after the split.  ``T``
     is the truncation level on the standardized features, ``iters`` the
@@ -370,11 +366,14 @@ class ClassificationParams:
     targets, each extra iteration both shrinks the per-iteration batch and
     grows the mechanism noise, so a single sharp-weighted iteration is the
     default; the defaults were calibrated once on the synthetic benchmark
-    (see README) and frozen.
+    (see README) and frozen.  ``dataclasses.replace(config, master_seed=...)``
+    checks the new seed, as every field is checked here.
     """
 
     s_hat: int
     epsilon: float
+    reps: int
+    master_seed: int
     delta: float | None = None
     eta: float = 0.5
     iters: int = 1
@@ -390,6 +389,8 @@ class ClassificationParams:
             require("T", self.T, "a finite number", math.isfinite)
             _positive_finite("sigma_fit", self.sigma_fit)
             self.em_config(1)
+            object.__setattr__(self, "reps", whole("reps", self.reps))
+        _check_seed(self.master_seed)
 
     def em_config(self, n_train: int) -> EmConfig:
         """The private fit's config for a training set of ``n_train`` rows."""
@@ -400,28 +401,22 @@ class ClassificationParams:
 
 @dataclass(frozen=True)
 class ClassificationReport:
-    """Mean misclassification rate, its standard error and per-rep rates, at s_hat and epsilon."""
+    """Misclassification mean, standard error, per-rep rates, and the fit's EmConfig at n_train."""
 
     misclassification_rate: float
     std_error: float
-    reps: int
-    s_hat: int
-    epsilon: float
     per_rep_rates: tuple
+    config: EmConfig
 
 
-def parse_classification_config(raw: dict) -> tuple[ClassificationParams, int, int]:
+def parse_classification_config(raw: dict) -> ClassificationConfig:
     _keys(raw, "config", ("s_hat", "epsilon", "reps", "master_seed"),
           ("delta_rule", "delta", "eta", "iters", "T", "sigma_fit"))
     _check_delta_rule(raw.get("delta_rule", "half_n"), raw.get("delta"))
-    params = ClassificationParams(**{key: value for key, value in raw.items()
-                                     if key not in ("delta_rule", "reps", "master_seed")})
-    with _config_errors():
-        reps = whole("reps", raw["reps"])
-    return params, reps, _check_seed(raw["master_seed"])
+    return ClassificationConfig(**{key: value for key, value in raw.items() if key != "delta_rule"})
 
 
-def load_classification_config(path) -> tuple[ClassificationParams, int, int]:
+def load_classification_config(path) -> ClassificationConfig:
     return parse_classification_config(_load_json(path))
 
 
@@ -495,9 +490,7 @@ def _classify_once(Xs, z, spec: ModelSpec, config: EmConfig, beta0, n_train: int
 def run_classification(
     features,
     labels,
-    params: ClassificationParams,
-    reps: int,
-    master_seed: int,
+    config: ClassificationConfig,
     jobs: int = 1,
 ) -> ClassificationReport:
     """Repeated balanced-split classification with the private GMM estimator.
@@ -507,8 +500,8 @@ def run_classification(
     70/30, fit beta through the high-dimensional private EM, and classify
     test points by l2 closeness to +/-beta.  The split and the 1/(2 n_train)
     delta rule share one training size.  ``epsilon = inf`` is the only
-    setting that makes the mechanism noise exactly zero.  ``reps`` and
-    ``jobs`` (threads) must be positive integers, as in the CLI.
+    setting that makes the mechanism noise exactly zero.  ``jobs`` (threads)
+    must be a positive integer, as in the CLI.
 
     Only the private fit is under the (epsilon, delta) guarantee: not the
     standardization (over all rows, test rows included), the centering of the
@@ -523,43 +516,32 @@ def run_classification(
     classes = np.unique(labels)
     if classes.size != 2:
         raise ConfigError(f"expected exactly two classes, got {classes.size}")
-    with _config_errors():
-        reps = whole("reps", reps)
-    if params.s_hat > X.shape[1]:
-        raise ConfigError(f"s_hat must not exceed the feature count ({params.s_hat} > {X.shape[1]})")
+    if config.s_hat > X.shape[1]:
+        raise ConfigError(f"s_hat must not exceed the feature count ({config.s_hat} > {X.shape[1]})")
     z = np.where(labels == classes[0], 1.0, -1.0)
     # Every repetition balances to 2 * (minority count) rows and trains on 70%.
     n_train = int(0.7 * 2 * min(np.sum(z > 0), np.sum(z < 0)))
-    if params.iters > n_train:
-        raise ConfigError(f"iters must not exceed the training size ({params.iters} > {n_train})")
-    config = params.em_config(n_train)
+    if config.iters > n_train:
+        raise ConfigError(f"iters must not exceed the training size ({config.iters} > {n_train})")
+    em_config = config.em_config(n_train)
     d = X.shape[1]
-    spec = ModelSpec("gmm", d, params.sigma_fit)
+    spec = ModelSpec("gmm", d, config.sigma_fit)
     with _config_errors():
-        _check_noise_scale(spec, n_train, config)
+        _check_noise_scale(spec, n_train, em_config)
     # The all-coordinates 1/sqrt(d) start, thresholded to s_hat nonzeros
     # (ties resolve to the lowest indices) to satisfy the engine's sparsity
     # precondition.
-    beta0 = exact_top_k(np.full(d, 1.0 / math.sqrt(d)), params.s_hat).values
+    beta0 = exact_top_k(np.full(d, 1.0 / math.sqrt(d)), config.s_hat).values
     sd = X.std(axis=0)
     Xs = X - X.mean(axis=0)
     Xs /= np.where(sd == 0.0, 1.0, sd)
 
     def one(rep):
-        return _classify_once(Xs, z, spec, config, beta0, n_train, rep, master_seed)
+        return _classify_once(Xs, z, spec, em_config, beta0, n_train, rep, config.master_seed)
 
-    rates = _fan_out(one, range(reps), jobs)
-
-    arr = np.asarray(rates)
-    std_error = float(arr.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
-    return ClassificationReport(
-        misclassification_rate=float(arr.mean()),
-        std_error=std_error,
-        reps=reps,
-        s_hat=params.s_hat,
-        epsilon=float(params.epsilon),
-        per_rep_rates=tuple(arr.tolist()),
-    )
+    rates = np.asarray(_fan_out(one, range(config.reps), jobs))
+    std_error = float(rates.std(ddof=1) / math.sqrt(rates.size)) if rates.size > 1 else 0.0
+    return ClassificationReport(float(rates.mean()), std_error, tuple(rates.tolist()), em_config)
 
 
 # ---------------------------------------------------------------------------
@@ -578,15 +560,14 @@ def write_results(result, path) -> None:
     byte-comparable.
     """
     if isinstance(result, AggregateResult):
+        name = result.config.sweep.name
         lines = [",".join(EXPERIMENT_CSV_HEADER)]
-        for value, rep, iteration, err, err_sf in result.rows:
-            lines.append(
-                f"{result.sweep_name},{_fmt(value)},{rep},{iteration},{_fmt(err)},{_fmt(err_sf)}"
-            )
+        lines += [f"{name},{_fmt(value)},{rep},{iteration},{_fmt(err)},{_fmt(err_sf)}"
+                  for value, rep, iteration, err, err_sf in result.rows]
     elif isinstance(result, ClassificationReport):
+        cell = f"{result.config.s_hat},{_fmt(result.config.budget.epsilon)}"
         lines = [",".join(CLASSIFICATION_CSV_HEADER)]
-        for rep, rate in enumerate(result.per_rep_rates):
-            lines.append(f"{result.s_hat},{_fmt(result.epsilon)},{rep},{_fmt(rate)}")
+        lines += [f"{cell},{rep},{_fmt(rate)}" for rep, rate in enumerate(result.per_rep_rates)]
     else:
         raise TypeError(f"cannot serialize result of type {type(result).__name__}")
     try:

@@ -17,7 +17,7 @@ from references import finite_diff_grad, ht_gradient_em
 from dpem.cli import main
 from dpem.em_engine import EmConfig, nonprivate_em, run_high_dim
 from dpem.harness import (
-    ClassificationParams,
+    ClassificationConfig,
     parse_experiment_config,
     run_classification,
     run_experiment,
@@ -396,12 +396,12 @@ def test_criterion_09_classification_analog():
     """Private classification: rate <= 0.12 at eps=0.5 and ordered in eps."""
     X, labels = make_gmm_class_data(seed=2026, d=30, n=400, s_star=10, sigma=0.5,
                                     signal=1.25)
-    params = {eps: ClassificationParams(s_hat=10, epsilon=eps)
-              for eps in (0.5, 0.2, math.inf)}
+    configs = {eps: ClassificationConfig(s_hat=10, epsilon=eps, reps=50, master_seed=99)
+               for eps in (0.5, 0.2, math.inf)}
     rates = {
-        eps: run_classification(X, labels, p, reps=50, master_seed=99, jobs=4)
+        eps: run_classification(X, labels, config, jobs=4)
         .misclassification_rate
-        for eps, p in params.items()
+        for eps, config in configs.items()
     }
     ok = (rates[0.5] <= 0.12
           and rates[0.5] >= rates[math.inf]

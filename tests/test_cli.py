@@ -170,6 +170,23 @@ class TestCmdClassify:
         assert code == 1
         assert "label" in capsys.readouterr().err
 
+    def test_seed_override_equals_the_config_seed(self, tmp_path):
+        # --seed N gives what the config gives with master_seed N, and not
+        # what the config's own seed gives.
+        X, labels = make_gmm_class_data(n=120)
+        data = tmp_path / "data.csv"
+        write_class_csv(data, X, labels)
+        own, seeded = classify_config(tmp_path), write_config(
+            tmp_path, {"s_hat": 10, "epsilon": 0.5, "reps": 3, "master_seed": 999}, "seeded.json")
+        outs = {}
+        for name, cfg, extra in [("own", own, []), ("flag", own, ["--seed", "999"]),
+                                 ("config", seeded, [])]:
+            outs[name] = tmp_path / f"{name}.csv"
+            assert main(["classify", "--data", str(data), "--config", str(cfg),
+                         "--out", str(outs[name])] + extra) == 0
+        assert outs["flag"].read_bytes() == outs["config"].read_bytes()
+        assert outs["flag"].read_bytes() != outs["own"].read_bytes()
+
     def test_malformed_feature_exit_1(self, tmp_path):
         data = tmp_path / "data.csv"
         data.write_text("f0,label\noops,pos\n1.0,neg\n", encoding="utf-8")
@@ -177,6 +194,47 @@ class TestCmdClassify:
         code = main(["classify", "--data", str(data), "--config", str(cfg),
                      "--out", str(tmp_path / "o.csv")])
         assert code == 1
+
+
+class TestSummaryLines:
+    """The line each command prints, pinned on small configs (``--jobs 2``)."""
+
+    @pytest.mark.parametrize("command, model, regime, expected", [
+        ("run", "gmm", "high_dim", "mean final error by n: 400=3.7064e+00 600=3.4927e+00"),
+        ("run", "mor", "low_dim", "mean final error by n: 400=2.6074e+01 600=1.6445e+01"),
+        ("run", "rmc", "high_dim", "mean final error by n: 400=1.7730e+02 600=1.0171e+02"),
+        ("baseline", "gmm", "high_dim",
+         "baseline mean final error by n: 400=1.2581e-01 600=1.0262e-01"),
+        ("baseline", "rmc", "low_dim",
+         "baseline mean final error by n: 400=8.2256e-02 600=7.2178e-02"),
+    ])
+    def test_run_and_baseline(self, tmp_path, capsys, command, model, regime, expected):
+        cfg = write_config(tmp_path, small_config_dict(model, regime))
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o.csv"),
+                     "--jobs", "2"]) == 0
+        assert capsys.readouterr().out == expected + "\n"
+
+    def test_epsilon_sweep_prints_values_with_g(self, tmp_path, capsys):
+        raw = small_config_dict("gmm", "high_dim")
+        raw["sweep"] = {"name": "epsilon", "values": [1, 2.5]}
+        cfg = write_config(tmp_path, raw)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o.csv"),
+                     "--jobs", "2"]) == 0
+        assert capsys.readouterr().out == "mean final error by epsilon: 1=1.6908e+00 2.5=1.2098e+00\n"
+
+    @pytest.mark.parametrize("epsilon, expected", [
+        (0.5, "mean=0.0438 se=0.0123 over 4 reps (s_hat=10, epsilon=0.5)"),
+        # An integer epsilon prints as a float.
+        (1, "mean=0.0127 se=0.0036 over 4 reps (s_hat=10, epsilon=1.0)"),
+        (float("inf"), "mean=0.0127 se=0.0036 over 4 reps (s_hat=10, epsilon=inf)"),
+    ])
+    def test_classify(self, tmp_path, capsys, epsilon, expected):
+        data = tmp_path / "data.csv"
+        write_class_csv(data, *make_gmm_class_data(seed=5, n=600))
+        cfg = classify_config(tmp_path, epsilon=epsilon, reps=4)
+        assert main(["classify", "--data", str(data), "--config", str(cfg),
+                     "--out", str(tmp_path / "o.csv"), "--jobs", "2"]) == 0
+        assert capsys.readouterr().out == f"misclassification: {expected}\n"
 
 
 class TestInputImmutability:

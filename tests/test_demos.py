@@ -16,7 +16,9 @@ from pathlib import Path
 import pytest
 
 import dpem
+import dpem.cli
 import dpem.em_engine
+import dpem.harness
 import dpem.mechanisms
 import dpem.models
 
@@ -95,6 +97,16 @@ def test_submodule_exports_are_pinned():
         "derive_seed", "sample_laplace", "sample_gaussian",
         "noisy_ht_scale", "gaussian_noise_std", "noisy_hard_threshold", "exact_top_k",
     ]
+    # The harness has one config type per command, and each result carries its config.
+    assert dpem.harness.__all__ == [
+        "ConfigError", "DataError", "SweepSpec", "ExperimentConfig", "AggregateResult",
+        "ClassificationConfig", "ClassificationReport",
+        "load_experiment_config", "parse_experiment_config",
+        "load_classification_config", "parse_classification_config", "load_classification_csv",
+        "run_experiment", "run_classification", "write_results",
+        "default_beta_star", "default_beta0", "estimation_errors",
+    ]
+    assert dpem.cli.__all__ == ["main", "cmd_run", "cmd_classify"]
 
 
 def test_no_module_imports_a_private_name_from_another():

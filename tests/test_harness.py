@@ -21,7 +21,7 @@ from dpem import harness
 from dpem.em_engine import run_high_dim
 from dpem.harness import (
     AggregateResult,
-    ClassificationParams,
+    ClassificationConfig,
     ConfigError,
     DataError,
     default_beta0,
@@ -92,7 +92,7 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="eta"):
             parse_experiment_config(experiment_config_dict(eta=eta))
         with pytest.raises(ConfigError, match="eta"):
-            ClassificationParams(s_hat=2, epsilon=0.5, eta=eta)
+            ClassificationConfig(s_hat=2, epsilon=0.5, reps=1, master_seed=0, eta=eta)
 
     def test_cells_resolved_at_load(self):
         cfg = parse_experiment_config(experiment_config_dict())
@@ -174,7 +174,9 @@ class TestAggregateResult:
     def test_per_rep_final_reads_each_cells_last_row(self):
         # 2 values x 2 reps x 3 iterations; each cell's final error (iteration
         # 2) differs from every other row's.
-        result = AggregateResult("n", (400, 600), 2)
+        config = parse_experiment_config(experiment_config_dict())
+        assert (config.sweep.values, config.reps) == ((400, 600), 2)
+        result = AggregateResult(config, [])
         for i, value in enumerate((400, 600)):
             for rep in range(2):
                 for t in range(3):
@@ -275,7 +277,7 @@ class TestWriteResults:
         assert out.read_bytes() == first
 
     def test_empty_sweep_header_only(self, tmp_path):
-        empty = AggregateResult("n", (), 1, [])
+        empty = AggregateResult(parse_experiment_config(experiment_config_dict()), [])
         out = tmp_path / "empty.csv"
         write_results(empty, out)
         assert out.read_text() == "sweep_param,sweep_value,rep,iteration,error_l2,error_l2_signfree\n"
@@ -286,14 +288,14 @@ class TestWriteResults:
             for v in (100, 200)
             for t in range(3)
         ]
-        result = AggregateResult("n", (100, 200), 1, rows)
+        result = AggregateResult(parse_experiment_config(experiment_config_dict()), rows)
         out = tmp_path / "six.csv"
         write_results(result, out)
         lines = out.read_text().strip().split("\n")
         assert len(lines) == 1 + 6
 
     def test_io_error_names_path(self, tmp_path):
-        result = AggregateResult("n", (), 1, [])
+        result = AggregateResult(parse_experiment_config(experiment_config_dict()), [])
         bad = tmp_path / "nope" / "res.csv"
         with pytest.raises(OSError, match="nope"):
             write_results(result, bad)
@@ -405,11 +407,11 @@ class TestClassificationIO:
         np.testing.assert_array_equal(got_X, X)
 
     def test_parse_config_defaults(self):
-        params, reps, seed = parse_classification_config(
+        config = parse_classification_config(
             {"s_hat": 10, "epsilon": 0.5, "reps": 5, "master_seed": 3}
         )
-        assert params == ClassificationParams(s_hat=10, epsilon=0.5)
-        assert (reps, seed) == (5, 3)
+        assert config == ClassificationConfig(s_hat=10, epsilon=0.5, reps=5, master_seed=3)
+        assert (config.reps, config.master_seed) == (5, 3)
 
     def test_parse_config_rejects_unknown(self):
         with pytest.raises(ConfigError, match="mystery"):
@@ -421,8 +423,8 @@ class TestClassificationIO:
 class TestRunClassification:
     def test_perfectly_separated_nonprivate_is_exact(self):
         X, labels = make_gmm_class_data(sigma=1e-9, n=200, signal=2.0)
-        params = ClassificationParams(s_hat=10, epsilon=math.inf)
-        report = run_classification(X, labels, params, reps=5, master_seed=1)
+        config = ClassificationConfig(s_hat=10, epsilon=math.inf, reps=5, master_seed=1)
+        report = run_classification(X, labels, config)
         assert report.misclassification_rate == 0.0
 
     def test_permuted_labels_are_chance(self):
@@ -430,8 +432,8 @@ class TestRunClassification:
         rng = np.random.default_rng(8)
         shuffled = labels.copy()
         rng.shuffle(shuffled)
-        params = ClassificationParams(s_hat=10, epsilon=math.inf)
-        report = run_classification(X, shuffled, params, reps=20, master_seed=2)
+        config = ClassificationConfig(s_hat=10, epsilon=math.inf, reps=20, master_seed=2)
+        report = run_classification(X, shuffled, config)
         assert 0.4 <= report.misclassification_rate <= 0.6
 
     def test_three_classes_rejected(self):
@@ -439,32 +441,34 @@ class TestRunClassification:
         labels = labels.copy()
         labels[0] = "third"
         with pytest.raises(ConfigError, match="two classes"):
-            run_classification(X, labels, ClassificationParams(s_hat=2, epsilon=0.5), 1, 0)
+            run_classification(X, labels,
+                               ClassificationConfig(s_hat=2, epsilon=0.5, reps=1, master_seed=0))
 
     @pytest.mark.parametrize("name, value", [
         ("jobs", 0), ("jobs", -3), ("jobs", 2.5), ("jobs", True),
         ("reps", 0), ("reps", 2.5), ("reps", True),
     ])
     def test_jobs_and_reps_must_be_positive_integers(self, name, value):
+        # reps is checked by the config, as a replace() re-checks it; jobs by the run.
         X, labels = make_gmm_class_data(n=100)
         counts = {"reps": 2, "jobs": 1, name: value}
+        config = ClassificationConfig(s_hat=5, epsilon=0.5, reps=2, master_seed=7)
         with pytest.raises(ConfigError, match=f"^{name} must be a positive integer"):
-            run_classification(X, labels, ClassificationParams(s_hat=5, epsilon=0.5),
-                               master_seed=7, **counts)
+            run_classification(X, labels, replace(config, reps=counts["reps"]), jobs=counts["jobs"])
 
     def test_overflowing_noise_scale_is_refused(self):
         # epsilon = 1e-310 overflows the one iteration's Laplace scale to inf;
         # the fit must fail, not score a release of +-inf values.
         X, labels = make_gmm_class_data(n=100)
         with pytest.raises(ValueError, match="scale"):
-            run_classification(X, labels, ClassificationParams(s_hat=5, epsilon=1e-310),
-                               reps=1, master_seed=7)
+            run_classification(X, labels, ClassificationConfig(s_hat=5, epsilon=1e-310,
+                                                               reps=1, master_seed=7))
 
     def test_inf_epsilon_fit_does_not_depend_on_the_oracle(self, monkeypatch):
         # epsilon = inf zeroes a live oracle's noise exactly, so swapping in an
         # oracle with another seed changes no fit and no rate.
         X, labels = make_gmm_class_data(n=200)
-        params = ClassificationParams(s_hat=5, epsilon=math.inf, iters=3)
+        config = ClassificationConfig(s_hat=5, epsilon=math.inf, reps=4, master_seed=5, iters=3)
 
         def run(seed_shift):
             fits = []
@@ -475,7 +479,7 @@ class TestRunClassification:
                 return fits[-1]
 
             monkeypatch.setattr(harness, "run_high_dim", recorded)
-            report = run_classification(X, labels, params, reps=4, master_seed=5)
+            report = run_classification(X, labels, config)
             return report, [fit.tobytes() for fit in fits]
 
         base, base_betas = run(0)
@@ -484,17 +488,38 @@ class TestRunClassification:
         assert base_betas == shifted_betas
         assert base.per_rep_rates == shifted.per_rep_rates
 
+    @pytest.mark.parametrize("delta", [None, 1e-3])
+    def test_report_carries_the_resolved_fit_config(self, delta):
+        X, labels = make_gmm_class_data(n=100)
+        n_train = int(0.7 * 2 * min(np.sum(labels == "pos"), np.sum(labels == "neg")))
+        config = ClassificationConfig(s_hat=5, epsilon=0.5, reps=2, master_seed=7, delta=delta)
+        report = run_classification(X, labels, config)
+        assert report.config == config.em_config(n_train)
+        # delta_rule 'half_n' resolves to 1/(2 n_train); an explicit delta passes through.
+        expected = 1.0 / (2.0 * n_train) if delta is None else delta
+        assert report.config.budget == PrivacyBudget(0.5, expected)
+        assert (report.config.s_hat, report.config.N0, report.config.T) == (5, 1, 0.5)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("reps", 0, "^reps must be a positive integer"),
+        ("master_seed", True, "^master_seed must be an integer"),
+    ])
+    def test_replace_rechecks_reps_and_seed(self, field, value, message):
+        config = ClassificationConfig(s_hat=5, epsilon=0.5, reps=2, master_seed=7)
+        with pytest.raises(ConfigError, match=message):
+            replace(config, **{field: value})
+
     def test_deterministic(self):
         X, labels = make_gmm_class_data(n=100)
-        params = ClassificationParams(s_hat=5, epsilon=0.5)
-        a = run_classification(X, labels, params, reps=4, master_seed=7)
-        b = run_classification(X, labels, params, reps=4, master_seed=7, jobs=4)
+        config = ClassificationConfig(s_hat=5, epsilon=0.5, reps=4, master_seed=7)
+        a = run_classification(X, labels, config)
+        b = run_classification(X, labels, config, jobs=4)
         assert a.per_rep_rates == b.per_rep_rates
 
     def test_report_csv(self, tmp_path):
         X, labels = make_gmm_class_data(n=100)
         report = run_classification(
-            X, labels, ClassificationParams(s_hat=5, epsilon=0.5), reps=3, master_seed=7
+            X, labels, ClassificationConfig(s_hat=5, epsilon=0.5, reps=3, master_seed=7)
         )
         out = tmp_path / "cls.csv"
         write_results(report, out)
