@@ -461,30 +461,32 @@ def _classify_once(Xs, z, spec: ModelSpec, config: EmConfig, beta0, n_train: int
     rng = np.random.default_rng(derive_seed(master_seed, "classify", rep))
     noise_oracle = NoiseOracle(derive_seed(master_seed, "classify-noise", rep))
 
-    # Balance the standardized classes by random drop, then center the
-    # balanced set in place: fancy indexing already made it a copy.
+    # Balance the standardized classes by random drop and split 70/30.  Each
+    # split is gathered from Xs and centered in place with the balanced mean.
     idx_pos = np.flatnonzero(z > 0)
     idx_neg = np.flatnonzero(z < 0)
     keep = min(idx_pos.size, idx_neg.size)
     idx_pos = rng.permutation(idx_pos)[:keep]
     idx_neg = rng.permutation(idx_neg)[:keep]
     idx = np.concatenate([idx_pos, idx_neg])
-    Xb = Xs[idx]
-    zb = z[idx]
-    Xb -= Xb.mean(axis=0)
+    center = Xs[idx].mean(axis=0)
 
     perm = rng.permutation(idx.size)
-    train, test = perm[:n_train], perm[n_train:]
+    train, test = idx[perm[:n_train]], idx[perm[n_train:]]
 
-    X_train = Xb[train]
+    X_train = Xs[train]
+    X_train -= center
     beta_hat = run_high_dim(spec, GmmBatch(X_train), config, beta0, noise_oracle)[-1]
 
     # Classify by l2 closeness to +beta_hat vs -beta_hat, i.e. by the sign of
     # the inner product; orient the sign by training-set majority agreement.
     pred_train = np.where(matvec(X_train, beta_hat) >= 0.0, 1.0, -1.0)
-    orientation = 1.0 if np.mean(pred_train == zb[train]) >= 0.5 else -1.0
-    pred_test = orientation * np.where(matvec(Xb[test], beta_hat) >= 0.0, 1.0, -1.0)
-    return float(np.mean(pred_test != zb[test]))
+    orientation = 1.0 if np.mean(pred_train == z[train]) >= 0.5 else -1.0
+    del X_train
+    X_test = Xs[test]
+    X_test -= center
+    pred_test = orientation * np.where(matvec(X_test, beta_hat) >= 0.0, 1.0, -1.0)
+    return float(np.mean(pred_test != z[test]))
 
 
 def run_classification(
@@ -496,16 +498,20 @@ def run_classification(
     """Repeated balanced-split classification with the private GMM estimator.
 
     The attributes are standardized once, over all rows.  Per repetition:
-    balance the two classes by random drop, subtract the overall mean, split
-    70/30, fit beta through the high-dimensional private EM, and classify
-    test points by l2 closeness to +/-beta.  The split and the 1/(2 n_train)
-    delta rule share one training size.  ``epsilon = inf`` is the only
-    setting that makes the mechanism noise exactly zero.  ``jobs`` (threads)
-    must be a positive integer, as in the CLI.
+    balance the two classes by random drop, split 70/30, gather each split
+    from the standardized rows and center it with the balanced rows' mean
+    (the test split only after the training split is released), fit beta
+    through the high-dimensional private EM, and classify test points by l2
+    closeness to +/-beta.  The split and the 1/(2 n_train) delta rule share
+    one training size.  ``epsilon = inf`` is the only setting that makes the
+    mechanism noise exactly zero.  ``jobs`` (threads) must be a positive
+    integer, as in the CLI.
 
     Only the private fit is under the (epsilon, delta) guarantee: not the
-    standardization (over all rows, test rows included), the centering of the
-    balanced set, or the sign orientation from the training labels.
+    standardization (over all rows, test rows included), the centering with
+    the balanced rows' mean, the sign orientation from the training labels,
+    or n_train = floor(0.7 * 2 * min(class counts)), which sets the fit's n
+    in the sensitivity and, under the 1/(2 n_train) rule, its delta.
     """
     X = np.asarray(features, dtype=float)
     if X.ndim != 2:

@@ -5,13 +5,18 @@ compute their own mixing weights and rmc fill-in in plain numpy, with the
 rmc curvature matrix K_i materialized, so criterion 02's finite differences
 share no arithmetic with the gradients.  The noiseless hard-thresholding EM
 has its own batching arithmetic, selects by full sort and builds its own
-iterate array; none of them imports a private name of the package.
+iterate array.  The classification repetition centers a copy of the balanced
+rows and gathers both splits from it, where the harness gathers each split
+straight from the standardized matrix.  None of them imports a private name of
+the package.
 """
 
 import numpy as np
 
 from dpem import models
-from dpem.mechanisms import exact_top_k
+from dpem.em_engine import run_high_dim
+from dpem.mechanisms import NoiseOracle, derive_seed, exact_top_k
+from dpem.models.types import matvec
 
 
 def logistic(t):
@@ -105,3 +110,33 @@ def ht_gradient_em(spec, batch, config, beta0):
         g = models.raw_grad(spec, betas[t], batch[t * size:t * size + size])
         betas[t + 1] = exact_top_k(betas[t] + config.eta * g, config.s_hat).values
     return betas
+
+
+def balanced_copy_classify_once(Xs, z, spec, config, beta0, n_train, rep, master_seed):
+    """One classification repetition through a centered balanced copy of the rows.
+
+    A stand-in for ``harness._classify_once`` with its signature: it copies the
+    balanced rows ``Xs[idx]``, centers the copy in place, and gathers the
+    training and test rows from it.  Same seeds, draw order and arithmetic, so
+    the rate must equal the harness's bit for bit.
+    """
+    rng = np.random.default_rng(derive_seed(master_seed, "classify", rep))
+    noise_oracle = NoiseOracle(derive_seed(master_seed, "classify-noise", rep))
+    idx_pos = np.flatnonzero(z > 0)
+    idx_neg = np.flatnonzero(z < 0)
+    keep = min(idx_pos.size, idx_neg.size)
+    idx_pos = rng.permutation(idx_pos)[:keep]
+    idx_neg = rng.permutation(idx_neg)[:keep]
+    idx = np.concatenate([idx_pos, idx_neg])
+    Xb = Xs[idx]
+    zb = z[idx]
+    Xb -= Xb.mean(axis=0)
+
+    perm = rng.permutation(idx.size)
+    train, test = perm[:n_train], perm[n_train:]
+    X_train = Xb[train]
+    beta_hat = run_high_dim(spec, models.GmmBatch(X_train), config, beta0, noise_oracle)[-1]
+    pred_train = np.where(matvec(X_train, beta_hat) >= 0.0, 1.0, -1.0)
+    orientation = 1.0 if np.mean(pred_train == zb[train]) >= 0.5 else -1.0
+    pred_test = orientation * np.where(matvec(Xb[test], beta_hat) >= 0.0, 1.0, -1.0)
+    return float(np.mean(pred_test != zb[test]))

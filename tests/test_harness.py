@@ -16,6 +16,7 @@ from helpers import (
     traced_peak_bytes,
     write_class_csv,
 )
+import references
 
 from dpem import harness
 from dpem.em_engine import run_high_dim
@@ -406,6 +407,16 @@ class TestClassificationIO:
         assert peak < 2 * got_X.nbytes
         np.testing.assert_array_equal(got_X, X)
 
+    @pytest.mark.parametrize("jobs, bound", [(1, 2.5), (2, 3.5)])
+    def test_run_peak_memory_is_the_standardized_matrix_plus_a_gather_per_thread(self, jobs, bound):
+        X, labels = make_gmm_class_data(n=10000, d=100)
+        config = ClassificationConfig(s_hat=10, epsilon=0.5, reps=2, master_seed=3)
+        peak, _ = traced_peak_bytes(lambda: run_classification(X, labels, config, jobs=jobs))
+        # The standardized matrix, plus one row-sized gather at a time in each
+        # running repetition.  Holding a centered balanced copy while the
+        # splits are gathered from it reaches 3.2x (jobs=1) and 5.1x (jobs=2).
+        assert peak < bound * X.nbytes
+
     def test_parse_config_defaults(self):
         config = parse_classification_config(
             {"s_hat": 10, "epsilon": 0.5, "reps": 5, "master_seed": 3}
@@ -487,6 +498,40 @@ class TestRunClassification:
         assert len(base_betas) == 4
         assert base_betas == shifted_betas
         assert base.per_rep_rates == shifted.per_rep_rates
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("case", ["imbalanced", "zero_variance_column", "one_dim", "odd_rows"])
+    def test_equals_the_balanced_copy_reference(self, monkeypatch, case, jobs):
+        # The harness gathers each split straight from the standardized rows;
+        # the reference centers a balanced copy and gathers from it.  Same
+        # draws and subtractions, so each repetition's training rows, fit and
+        # rate agree bit for bit.
+        d, s_star, s_hat = (1, 1, 1) if case == "one_dim" else (30, 10, 5)
+        X, labels = make_gmm_class_data(n=201 if case == "odd_rows" else 200, d=d, s_star=s_star)
+        if case == "imbalanced":
+            keep = (labels == "pos") | (np.arange(labels.size) % 3 == 0)
+            X, labels = X[keep], labels[keep]
+        if case == "zero_variance_column":
+            X[:, 3] = 2.5
+        config = ClassificationConfig(s_hat=s_hat, epsilon=0.5, reps=3, master_seed=11)
+
+        def run(module):
+            fits = []
+
+            def recorded(spec, batch, config, beta0, oracle):
+                fits.append((batch.y.tobytes(), run_high_dim(spec, batch, config, beta0, oracle)))
+                return fits[-1][1]
+
+            monkeypatch.setattr(module, "run_high_dim", recorded)
+            report = run_classification(X, labels, config, jobs=jobs)
+            return report.per_rep_rates, sorted((rows, fit.tobytes()) for rows, fit in fits)
+
+        rates, fits = run(harness)
+        monkeypatch.setattr(harness, "_classify_once", references.balanced_copy_classify_once)
+        ref_rates, ref_fits = run(references)
+        assert len(fits) == 3
+        assert fits == ref_fits
+        assert rates == ref_rates
 
     @pytest.mark.parametrize("delta", [None, 1e-3])
     def test_report_carries_the_resolved_fit_config(self, delta):

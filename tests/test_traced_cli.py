@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import experiment_config_dict
+from helpers import experiment_config_dict, make_gmm_class_data, write_class_csv
 
 import dpem.cli
 import dpem.em_engine
@@ -62,3 +62,24 @@ def test_every_target_is_found_and_generate_runs_once_per_batch(tmp_path, traced
     rows = {span[7]["n"] for span in tracer.spans
             if span[2] == "models.generate.gmm" and span[6].startswith("n=400/")}
     assert rows == {400 // 6}
+
+
+def test_classify_marks_one_cell_per_repetition(tmp_path, traced_cli):
+    # The per-layer classify numbers hang off harness._classify_once and its
+    # ``rep`` argument; a rename of either would leave them unattributed.
+    tracer = traced_cli.Tracer()
+    assert traced_cli.install(tracer) == []
+
+    X, labels = make_gmm_class_data(n=200)
+    data_path, cfg_path = tmp_path / "data.csv", tmp_path / "classify.json"
+    write_class_csv(data_path, X, labels)
+    cfg_path.write_text(json.dumps({"s_hat": 5, "epsilon": 0.5, "reps": 3, "master_seed": 4}),
+                        encoding="utf-8")
+    argv = ["classify", "--config", str(cfg_path), "--data", str(data_path),
+            "--out", str(tmp_path / "o.csv"), "--jobs", "2"]
+    assert dpem.cli.main(argv) == 0
+
+    cells = Counter(span[6] for span in tracer.spans if span[2] == "harness.cell")
+    assert cells == {"rep0": 1, "rep1": 1, "rep2": 1}
+    fits = Counter(span[6] for span in tracer.spans if span[2] == "em_engine.run_high_dim")
+    assert fits == cells
