@@ -26,8 +26,7 @@ import numpy as np
 from . import models
 from .em_engine import EmConfig, nonprivate_em, run_high_dim, run_low_dim
 from .mechanisms import NoiseOracle, PrivacyBudget, derive_seed, exact_top_k, require, whole
-from .models import GmmBatch, ModelSpec
-from .models.types import matvec
+from .models import GmmBatch, ModelSpec, matvec
 
 __all__ = [
     "ConfigError",
@@ -133,9 +132,9 @@ _DEFAULTS = {"sigma": 0.5, "eta": 0.5, "reps": 1, "delta_rule": "half_n", "delta
 class ExperimentConfig:
     """One sweep, resolved: ``cells`` maps each sweep value to its ``(n, ModelSpec, EmConfig)``.
 
-    :func:`parse_experiment_config` builds it.  The cells do not depend on
-    the seed, so ``dataclasses.replace(config, master_seed=...)`` reuses
-    them and checks only the new seed.
+    :func:`parse_experiment_config` builds it.  The cells depend on neither
+    the seed nor ``reps``, so ``dataclasses.replace(config, master_seed=...)``
+    or ``replace(config, reps=...)`` reuses them and checks the new value.
     """
 
     sweep: SweepSpec
@@ -144,6 +143,8 @@ class ExperimentConfig:
     cells: dict = field(repr=False, compare=False)
 
     def __post_init__(self):
+        with _config_errors():
+            object.__setattr__(self, "reps", whole("reps", self.reps))
         _check_seed(self.master_seed)
         # Per-cell seeds must be pairwise distinct, or repetitions would share noise.
         seeds = {
@@ -196,7 +197,6 @@ def parse_experiment_config(raw: dict) -> ExperimentConfig:
     p = {**_DEFAULTS, **_keys(raw["fixed"], "fixed", required, [*SWEEPABLE, *_DEFAULTS])}
     _check_delta_rule(p["delta_rule"], p["delta"])
     with _config_errors():
-        reps = whole("reps", p["reps"])
         _positive_finite("T_rule", p["T_rule"])
         _positive_finite("N0_rule", p["N0_rule"])
         if p["s_hat_rule"] != "equal":
@@ -210,7 +210,7 @@ def parse_experiment_config(raw: dict) -> ExperimentConfig:
                                          {**p, name: value})
     if len(cells) != len(values):
         raise ConfigError(f"sweep.values must be distinct, got {values}")
-    return ExperimentConfig(SweepSpec(name, tuple(values)), reps, raw["master_seed"], cells)
+    return ExperimentConfig(SweepSpec(name, tuple(values)), p["reps"], raw["master_seed"], cells)
 
 
 def _load_json(path):

@@ -43,7 +43,7 @@ _LAPLACE_UNIT_MAX = -math.log1p(-2.0 * _UNIFORM_CAP)
 
 # Values per row block (512 KiB of float64) of the selection noise in
 # noisy_hard_threshold, of the rmc mask draw and gradient's closed form, and
-# of the gmm and mor clamp-and-sum (models.types.clamped_rowsum): enough rows
+# of the gmm and mor clamp-and-sum (models.clamped_rowsum): enough rows
 # to amortize the per-call NumPy overhead at moderate d, small enough that a
 # block stays cache-sized.
 BLOCK_VALUES = 1 << 16

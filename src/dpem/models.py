@@ -1,0 +1,456 @@
+"""Model-specific ingredients for the private EM engines.
+
+Each model is one table entry: its sample-batch type, its data generator,
+its truncated gradient (``T = inf`` gives the raw sample gradient), and the
+constants ``(c, p, b)`` of the certified ell-infinity sensitivity
+``eta (c T^p + b ||beta||_inf) N0 / n`` of the eta-scaled gradient step taken
+from the iterate ``beta``.  That table, ``_MODELS``, is the only list of the
+model kinds.  Both privatizers are calibrated from that one number
+(:meth:`dpem.em_engine.EmConfig.step_scale`).  Only rmc has ``b = 1``: its
+unclamped ``-(1 - z) * beta`` term moves with one record's missingness mask.
+
+The three models:
+
+- gmm, the Gaussian mixture model: y = z * beta + e with z = +/-1
+  equiprobable and e ~ N(0, sigma^2 I_d).
+- mor, the mixture of regression: y = z * <x, beta> + e with x ~ N(0, I_d),
+  z = +/-1 equiprobable, and e ~ N(0, sigma^2).
+- rmc, regression with missing covariates: y = <x, beta> + e with
+  x ~ N(0, I_d), e ~ N(0, sigma^2); each coordinate of x is observed
+  independently with probability 1 - p (z_ij = 1 when observed) and
+  x_obs = z * x.  The mask z is a boolean array, one byte per entry;
+  ``generate_rmc`` draws its uniforms a row block of about ``BLOCK_VALUES``
+  values at a time, which consumes the oracle exactly as one (n, d) draw
+  does, so no (n, d) float temporary backs the mask.
+
+Batches are stored struct-of-arrays: a batch of n samples holds (n, d) and
+(n,) arrays rather than n per-sample objects, so the gradient operations
+stay vectorized.  Slicing a batch returns a batch of the same kind.
+
+Both matrix-vector directions are single-threaded numpy passes: the row
+products ``X beta`` behind the weights, fill-ins and generators go through
+:func:`matvec`, and the gmm and mor gradients average their rows as the
+transposed product ``np.einsum("ij,i->j", clamp(X, T), r) / n``, which
+:func:`clamped_rowsum` sums one clamped row block at a time, bit for bit,
+never copying the whole batch.  The rmc gradient sums the same kind of
+products over row blocks of its closed form, which never forms the (n, d)
+fill-in and holds because ``x_obs = z * x`` (see :func:`rmc_truncated_grad`).
+The threaded BLAS gemv behind ``X @ beta`` and ``X.T @ r`` stalled for
+milliseconds per call, and its summation order, hence the gradients' bytes,
+followed the BLAS thread count.  The ``kind``-dispatching helpers
+(:func:`generate`, :func:`raw_grad`, :func:`truncated_grad`,
+:func:`sensitivity`) are what the engines call; the per-model functions
+remain directly importable.  A :class:`LazySample` hands the private drivers
+their sample one batch at a time, drawn into one reused batch.  The
+generators' and the gradients' input checks are written once, in
+``check_generate`` and ``check_grad``.
+"""
+
+from __future__ import annotations
+
+import math
+from collections import namedtuple
+from dataclasses import dataclass, fields
+
+import numpy as np
+
+from .mechanisms import BLOCK_VALUES, NoiseOracle, require, whole
+
+__all__ = [
+    "ModelSpec",
+    "GmmBatch",
+    "MorBatch",
+    "RmcBatch",
+    "generate",
+    "LazySample",
+    "raw_grad",
+    "truncated_grad",
+    "sensitivity",
+    "generate_gmm",
+    "gmm_weight",
+    "gmm_truncated_grad",
+    "generate_mor",
+    "mor_truncated_grad",
+    "generate_rmc",
+    "rmc_truncated_grad",
+]
+
+
+def clamp(a, T: float, out=None):
+    """Coordinate-wise projection onto [-T, T]; T = inf returns ``a`` itself, uncopied.
+
+    A finite T writes into ``out`` when given; T = inf leaves ``out`` untouched,
+    so callers use the return value.
+    """
+    return a if math.isinf(T) else np.clip(a, -T, T, out=out)
+
+
+def clamped_rowsum(a, T: float, r):
+    """``np.einsum("ij,i->j", clamp(a, T), r)`` bitwise, holding one row block of ``clamp(a, T)``.
+
+    For a finite T and a C-ordered (n, d) ``a`` with d > 1, the rows are
+    split into even blocks of at most ``BLOCK_VALUES`` values (one row when d
+    is larger), each clipped into rows 1..k of one reused buffer whose row 0
+    carries the running sum with weight 1.0; one einsum over the buffer gives
+    the next running sum.  numpy's ``"ij,i->j"`` einsum adds the rows of such
+    an array strictly in order, so the carried sum is the whole-batch sum to
+    the last bit, for one block too; adding per-block sums would round
+    differently.  Otherwise it is the whole-batch einsum itself: at T = inf
+    nothing is copied, and layouts whose einsum does not add in row order
+    (d = 1 or not C-ordered) keep their own summation order.
+    """
+    n, d = a.shape
+    if math.isinf(T) or d == 1 or not a.flags.c_contiguous:
+        return np.einsum("ij,i->j", clamp(a, T), r)
+    blocks = -(-n // max(1, BLOCK_VALUES // d))
+    step = -(-n // blocks)
+    buf = np.empty((step + 1, d))
+    weights = np.empty(step + 1)
+    buf[0], weights[0] = 0.0, 1.0
+    for lo in range(0, n, step):
+        k = min(step, n - lo)
+        clamp(a[lo:lo + k], T, out=buf[1:k + 1])
+        weights[1:k + 1] = r[lo:lo + k]
+        total = np.einsum("ij,i->j", buf[:k + 1], weights[:k + 1])
+        buf[0] = total
+    return total
+
+
+def expit(x):
+    """Logistic function 1 / (1 + exp(-x)); exp overflow far left of 0 gives exactly 0."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
+
+
+def matvec(a, b):
+    """``a @ b`` for a (d,) vector b and an (n, d) stack or one (d,) row, in one thread.
+
+    Unlike BLAS gemv, its summation order does not follow the BLAS thread count.
+    """
+    return np.einsum("...j,j->...", a, b)
+
+
+def check_generate(spec, kind: str, n, out=None) -> int:
+    """The generators' preconditions: a ``kind`` spec with a ``true_beta``; returns n as an int >= 1.
+
+    ``out``, when given, must be an n-sample batch of the spec's kind, whose
+    arrays the generator overwrites (numpy refuses arrays of another shape).
+    """
+    if spec.kind != kind:
+        raise ValueError(f"spec.kind must be {kind!r}, got {spec.kind!r}")
+    if spec.true_beta is None:
+        raise ValueError("spec.true_beta is required to generate data")
+    n = whole("n", n)
+    batch_type = _MODELS[kind].batch
+    if out is not None and (type(out) is not batch_type or len(out) != n):
+        raise ValueError(f"out must be a {batch_type.__name__} of {n} samples")
+    return n
+
+
+def check_grad(batch, sigma: float, T: float) -> None:
+    """The truncated gradients' preconditions: a nonempty batch, sigma > 0 and T > 0."""
+    if len(batch) == 0:
+        raise ValueError("batch must be nonempty")
+    require("sigma", sigma, "a positive number", lambda v: v > 0)
+    require("T", T, "a positive number", lambda v: v > 0)
+
+
+@dataclass(frozen=True)
+class ModelSpec:
+    """Which latent-variable model, its dimension, and its noise level.
+
+    ``true_beta`` is only consulted by the data generators; estimation code
+    never reads it.  ``missing_prob`` is the per-coordinate missingness
+    probability and applies to the rmc model only.
+    """
+
+    kind: str
+    d: int
+    sigma: float
+    true_beta: np.ndarray | None = None
+    missing_prob: float = 0.0
+
+    def __post_init__(self):
+        if self.kind not in _MODELS:
+            raise ValueError(f"model kind must be one of {tuple(_MODELS)}, got {self.kind!r}")
+        object.__setattr__(self, "d", whole("d", self.d))
+        require("sigma", self.sigma, "a positive finite number", lambda v: 0 < v < math.inf)
+        require("missing_prob", self.missing_prob, "a number in [0, 1)", lambda p: 0 <= p < 1)
+        if self.true_beta is not None:
+            beta = np.asarray(self.true_beta, dtype=float)
+            if beta.shape != (self.d,):
+                raise ValueError(f"true_beta must have shape ({self.d},), got {beta.shape}")
+            if not np.all(np.isfinite(beta)):
+                raise ValueError("true_beta must have finite coordinates")
+            object.__setattr__(self, "true_beta", beta)
+
+
+class _Batch:
+    # Every batch kind holds its responses in ``y``, one row per sample, and
+    # only per-sample arrays in its fields.
+    def __len__(self) -> int:
+        return self.y.shape[0]
+
+    def __getitem__(self, key):
+        if not isinstance(key, slice):
+            raise TypeError("batches support slice indexing only")
+        return type(self)(*(getattr(self, f.name)[key] for f in fields(self)))
+
+
+@dataclass(frozen=True)
+class GmmBatch(_Batch):
+    """Gaussian-mixture observations: y has shape (n, d)."""
+
+    y: np.ndarray
+
+
+@dataclass(frozen=True)
+class MorBatch(_Batch):
+    """Mixture-of-regression pairs: covariates x (n, d), responses y (n,)."""
+
+    x: np.ndarray
+    y: np.ndarray
+
+
+@dataclass(frozen=True)
+class RmcBatch(_Batch):
+    """Missing-covariate triples: x_obs is zero wherever z is zero.
+
+    ``x_obs`` (n, d) holds the observed covariates, ``z`` (n, d) the boolean
+    observation mask (True where observed), ``y`` (n,) the responses.
+    """
+
+    x_obs: np.ndarray
+    z: np.ndarray
+    y: np.ndarray
+
+
+def generate_gmm(spec: ModelSpec, n: int, oracle: NoiseOracle,
+                 out: GmmBatch | None = None) -> GmmBatch:
+    """Draw n i.i.d. observations y_i = z_i * beta + e_i.
+
+    Written into ``out``'s arrays when given.
+    """
+    n = check_generate(spec, "gmm", n, out)
+    u = np.atleast_1d(oracle.uniform_centered(n))
+    positive = (u >= 0.0)[:, None]  # z_i = +1
+    # Built in place in the one (n, d) output: e + beta equals beta + e and
+    # e - beta equals (-beta) + e bitwise, so this is z * beta + e exactly.
+    y = oracle.standard_normal((n, spec.d), out=None if out is None else out.y)
+    y *= spec.sigma
+    np.add(y, spec.true_beta, out=y, where=positive)
+    np.subtract(y, spec.true_beta, out=y, where=~positive)
+    return GmmBatch(y)
+
+
+def gmm_weight(beta, y, sigma: float):
+    """Mixing weight 1 / (1 + exp(-<beta, y> / sigma^2)), for sigma > 0.
+
+    Accepts a single observation (d,) or a stack (n, d); returns a scalar or
+    an (n,) array accordingly.
+    """
+    inner = matvec(np.asarray(y, dtype=float), np.asarray(beta, dtype=float))
+    return expit(inner / sigma**2)
+
+
+def gmm_truncated_grad(beta, batch: GmmBatch, sigma: float, T: float) -> np.ndarray:
+    """Truncated gradient (1/n) sum_i (2 w(y_i) - 1) clamp_T(y_i) - beta.
+
+    The weight uses the untruncated observation; only y_i is clamped.  The row
+    average is clamp_T(Y)^T (2 w - 1) / n, summed by ``clamped_rowsum`` one row
+    block of clamp_T(Y) at a time.  T = inf is the raw sample gradient
+    (1/n) sum_i (2 w(y_i) - 1) y_i - beta, unclamped and uncopied.
+    """
+    check_grad(batch, sigma, T)
+    beta = np.asarray(beta, dtype=float)
+    w = gmm_weight(beta, batch.y, sigma)
+    return clamped_rowsum(batch.y, T, 2.0 * w - 1.0) / len(batch) - beta
+
+
+def generate_mor(spec: ModelSpec, n: int, oracle: NoiseOracle,
+                 out: MorBatch | None = None) -> MorBatch:
+    """Draw n i.i.d. pairs (x_i, y_i) with y_i = z_i <x_i, beta> + e_i.
+
+    Written into ``out``'s arrays when given.
+    """
+    n = check_generate(spec, "mor", n, out)
+    x = oracle.standard_normal((n, spec.d), out=None if out is None else out.x)
+    u = np.atleast_1d(oracle.uniform_centered(n))
+    z = np.where(u >= 0.0, 1.0, -1.0)
+    e = spec.sigma * np.atleast_1d(oracle.standard_normal(n))
+    y = np.multiply(z, matvec(x, spec.true_beta), out=None if out is None else out.y)
+    y += e
+    return MorBatch(x, y)
+
+
+def mor_truncated_grad(beta, batch: MorBatch, sigma: float, T: float) -> np.ndarray:
+    """Truncated gradient with y_i, x_i, and x_i^T beta clamped separately.
+
+    (1/n) sum_i [2 w_i clamp(y_i) clamp(x_i) - clamp(x_i) clamp(x_i^T beta)]
+    with the mixing weight w_i = 1 / (1 + exp(-y_i <x_i, beta> / sigma^2)) of
+    the untruncated (x_i, y_i); X beta is formed once for both.  The row
+    average is clamp(X)^T (2 w clamp(y) - clamp(X beta)) / n, summed by
+    ``clamped_rowsum`` one row block of clamp(X) at a time.  T = inf is the raw
+    sample gradient (1/n) sum_i [2 w_i y_i x_i - x_i (x_i^T beta)], with X
+    uncopied.
+    """
+    check_grad(batch, sigma, T)
+    beta = np.asarray(beta, dtype=float)
+    xb = matvec(batch.x, beta)
+    w = expit(batch.y * xb / sigma**2)
+    r = 2.0 * w * clamp(batch.y, T) - clamp(xb, T)
+    return clamped_rowsum(batch.x, T, r) / len(batch)
+
+
+def generate_rmc(spec: ModelSpec, n: int, oracle: NoiseOracle,
+                 out: RmcBatch | None = None) -> RmcBatch:
+    """Draw n i.i.d. triples (x_obs, z, y) under coordinate-wise missingness.
+
+    Written into ``out``'s arrays when given.
+    """
+    n = check_generate(spec, "rmc", n, out)
+    x = oracle.standard_normal((n, spec.d), out=None if out is None else out.x_obs)
+    e = spec.sigma * np.atleast_1d(oracle.standard_normal(n))
+    y = np.add(matvec(x, spec.true_beta), e, out=None if out is None else out.y)
+    z = np.empty((n, spec.d), dtype=bool) if out is None else out.z
+    step = max(1, BLOCK_VALUES // spec.d)
+    u_buf = np.empty((min(step, n), spec.d))
+    for lo in range(0, n, step):
+        hi = min(n, lo + step)
+        u = oracle.uniform_centered((hi - lo, spec.d), out=u_buf[:hi - lo])
+        u += 0.5
+        mask = np.greater_equal(u, spec.missing_prob, out=z[lo:hi])
+        x[lo:hi] *= mask
+    return RmcBatch(x, z, y)
+
+
+# The rmc gradient relies on the identity x_obs = z * x, the ``RmcBatch``
+# contract that x_obs is zero wherever z is zero; it is not checked at run
+# time, and ``generate_rmc`` is the only builder of an ``RmcBatch`` in the
+# package.  With u_i = 1 - z_i, q_i = u_i^T (beta * beta) and
+# c_i = (y_i - x_obs_i^T beta) / (sigma^2 + q_i), the conditional-mean fill-in
+# of the missing covariates is m_i = x_obs_i + c_i u_i * beta, and
+# n_i = u_i * m_i = c_i u_i * beta.  The two terms of m_i have disjoint
+# supports, so clamp(m_i) = clamp(x_obs_i) + u_i * clamp(c_i beta),
+# m_i^T beta = x_obs_i^T beta + c_i q_i and n_i^T beta = c_i q_i.  The
+# gradient sums that closed form over row blocks of about ``BLOCK_VALUES``
+# values and never forms an (n, d) temporary.
+def rmc_truncated_grad(beta, batch: RmcBatch, sigma: float, T: float) -> np.ndarray:
+    """Truncated gradient with y, m, m^T beta, n, and n^T beta clamped.
+
+    (1/n) sum_i [clamp(y_i) clamp(m_i) - diag(1-z_i) beta
+                 - clamp(m_i) clamp(m_i^T beta) + clamp(n_i) clamp(n_i^T beta)];
+    the diag(1-z) beta term is left unclamped, so one record's z moves it by
+    up to |beta_j| / n, and the certified sensitivity carries ||beta||_inf.
+    T = inf is the raw sample gradient (1/n) sum_i [y_i m_i - K_i beta] with
+    K_i = diag(1-z_i) + m_i m_i^T - n_i n_i^T.  Neither K_i nor the fill-ins
+    m and n are formed: in the notation of the comment above, with
+    r_i = clamp(y_i) - clamp(x_obs_i^T beta + c_i q_i), the clamped terms sum
+    to sum_i [clamp(x_obs_i) r_i + (r_i + clamp(c_i q_i)) u_i * clamp(c_i beta)],
+    accumulated a row block at a time with sum_i u_i.  ``z`` may be the
+    boolean mask ``generate_rmc`` returns or the same mask as 0/1 floats.
+    """
+    check_grad(batch, sigma, T)
+    beta = np.asarray(beta, dtype=float)
+    n, d = batch.x_obs.shape
+    beta_sq = beta * beta
+    clamped = np.zeros(d)
+    missing_count = np.zeros(d)
+    step = max(1, BLOCK_VALUES // d)
+    # Two block buffers, reused: a fresh (step, d) array per block costs more
+    # in page faults than the arithmetic on it.
+    missing_buf = np.empty((min(step, n), d))
+    fill_buf = np.empty_like(missing_buf)
+    for lo in range(0, n, step):
+        block = batch[lo:lo + step]
+        missing = np.logical_not(block.z, out=missing_buf[:len(block)])
+        fill = fill_buf[:len(block)]
+        missing_count += missing.sum(axis=0)
+        x_beta = matvec(block.x_obs, beta)
+        q = matvec(missing, beta_sq)
+        c = (block.y - x_beta) / (sigma**2 + q)
+        cq = c * q
+        r = clamp(block.y, T) - clamp(x_beta + cq, T)
+        clamped += np.einsum("ij,i->j", clamp(block.x_obs, T, out=fill), r)
+        r += clamp(cq, T)
+        fill = clamp(np.multiply.outer(c, beta, out=fill), T, out=fill)
+        clamped += np.einsum("ij,i->j", np.multiply(missing, fill, out=fill), r)
+    return clamped / n - beta * (missing_count / n)
+
+
+_Model = namedtuple("_Model", ["batch", "generate", "truncated_grad", "c", "p", "b"])
+_MODELS = {
+    "gmm": _Model(GmmBatch, generate_gmm, gmm_truncated_grad, 2.0, 1, 0.0),
+    "mor": _Model(MorBatch, generate_mor, mor_truncated_grad, 4.0, 2, 0.0),
+    "rmc": _Model(RmcBatch, generate_rmc, rmc_truncated_grad, 6.0, 2, 1.0),
+}
+
+
+def generate(spec: ModelSpec, n: int, oracle: NoiseOracle, out=None):
+    """Draw an n-sample batch from ``spec``'s model, into ``out``'s arrays when given."""
+    return _MODELS[spec.kind].generate(spec, n, oracle, out)
+
+
+class LazySample:
+    """An n-sample draw that generates each batch only when it is read.
+
+    ``len()`` is n, and the only legal slices are ``[0:b]``, ``[b:2b]``, ...
+    (b = ``batch_size``), each read once, in order, as the private drivers
+    read their batches; any other slice raises ``ValueError``.  Each read
+    draws b rows from ``oracle`` through :func:`generate` into one batch,
+    allocated at the first read and overwritten by every later one.  The
+    n mod b trailing rows are never drawn.  Successive b-row draws order the
+    stream differently from one n-row draw, so the rows differ from it.
+    """
+
+    def __init__(self, spec: ModelSpec, n: int, batch_size: int, oracle: NoiseOracle):
+        self.spec = spec
+        self._n = whole("n", n)
+        self._size = whole("batch_size", batch_size)
+        if self._size > self._n:
+            raise ValueError(f"batch_size must not exceed n ({self._size} > {self._n})")
+        self._oracle = oracle
+        self._next = 0
+        self._batch = None
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, key):
+        if not isinstance(key, slice):
+            raise TypeError("a LazySample supports slice indexing only")
+        lo, hi, step = key.indices(self._n)
+        if (lo, hi, step) != (self._next, self._next + self._size, 1):
+            raise ValueError(f"a LazySample is read once, in order, {self._size} rows at a time: "
+                             f"expected [{self._next}:{self._next + self._size}], got [{lo}:{hi}]")
+        self._batch = generate(self.spec, self._size, self._oracle, out=self._batch)
+        self._next = hi
+        return self._batch
+
+
+def raw_grad(spec: ModelSpec, beta, batch) -> np.ndarray:
+    """Untruncated sample gradient for ``spec``'s model: the table gradient at T = inf."""
+    return _MODELS[spec.kind].truncated_grad(beta, batch, spec.sigma, math.inf)
+
+
+def truncated_grad(spec: ModelSpec, beta, batch, T: float) -> np.ndarray:
+    """Truncated sample gradient; T = inf is exactly :func:`raw_grad`."""
+    return _MODELS[spec.kind].truncated_grad(beta, batch, spec.sigma, T)
+
+
+def sensitivity(kind: str, T: float, eta: float, N0: int, n: int, beta) -> float:
+    """Certified ell-infinity sensitivity eta (c T^p + b ||beta||_inf) N0 / n of one step.
+
+    The step is the eta-scaled truncated gradient taken from the iterate
+    ``beta``: 2 eta T N0 / n for gmm, 4 eta T^2 N0 / n for mor and
+    eta (6 T^2 + ||beta||_inf) N0 / n for rmc.  gmm and mor have b = 0, so
+    their value does not depend on ``beta``.
+    """
+    if kind not in _MODELS:
+        raise ValueError(f"unknown model kind {kind!r}")
+    model = _MODELS[kind]
+    require("T", T, "a positive finite number", lambda v: 0 < v < math.inf)
+    require("eta", eta, "a finite number >= 0", lambda v: 0 <= v < math.inf)
+    N0, n = whole("N0", N0), whole("n", n)
+    beta_inf = float(np.max(np.abs(beta)))
+    return (model.c * eta * T**model.p + model.b * eta * beta_inf) * N0 / n

@@ -16,7 +16,7 @@ import numpy as np
 from dpem import models
 from dpem.em_engine import run_high_dim
 from dpem.mechanisms import NoiseOracle, derive_seed, exact_top_k
-from dpem.models.types import matvec
+from dpem.models import matvec
 
 
 def logistic(t):

@@ -131,6 +131,17 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="^master_seed must be an integer"):
             replace(cfg, master_seed=True)
 
+    def test_replace_rechecks_reps(self):
+        # The config owns reps, so a replace() is checked as a parse is; a
+        # whole float is stored as an int, and the cells are kept.
+        cfg = parse_experiment_config(experiment_config_dict())
+        for reps in (0, 2.5, True, -1):
+            with pytest.raises(ConfigError, match="^reps must be a positive integer"):
+                replace(cfg, reps=reps)
+        three = replace(cfg, reps=3.0)
+        assert type(three.reps) is int and three.reps == 3
+        assert three.cells is cfg.cells
+
     def test_readme_schema_example(self):
         # README's schema block, comments stripped, loads and names every key
         # the parser accepts in ``fixed`` (``delta`` goes with delta_rule 'explicit').

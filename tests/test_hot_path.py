@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dpem.models.types import expit, matvec
+from dpem.models import expit, matvec
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -61,6 +61,17 @@ def test_cli_import_loads_no_scipy():
     loaded = run_python("import sys, dpem.cli\n"
                         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     assert loaded == "[]"
+
+
+def test_cli_import_loads_six_single_file_modules():
+    # src/dpem is six files; a leftover models/ package would shadow models.py.
+    loaded = run_python("import sys, dpem.cli\n"
+                        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'dpem'))\n"
+                        "print(hasattr(sys.modules['dpem.models'], '__path__'))")
+    assert loaded.splitlines() == [
+        "['dpem', 'dpem.cli', 'dpem.em_engine', 'dpem.harness', 'dpem.mechanisms', 'dpem.models']",
+        "False",
+    ]
 
 
 def test_gradient_bytes_independent_of_blas_threads():

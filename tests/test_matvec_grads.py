@@ -3,7 +3,7 @@
 Each truncated gradient is a per-row weight times clamp(X, T), averaged over
 rows.  gmm and mor compute that average as the transposed matrix-vector
 product clamp(X, T)^T r instead of forming the (n, d) product and calling
-``np.mean(..., axis=0)``; ``types.clamped_rowsum`` forms it one clamped row
+``np.mean(..., axis=0)``; ``models.clamped_rowsum`` forms it one clamped row
 block at a time, bit for bit equal to the einsum over the whole clamped
 design.  rmc sums a closed form over row blocks of
 ``mechanisms.BLOCK_VALUES`` values: it never forms the fill-ins m and n,
@@ -38,7 +38,7 @@ from dpem.models import (
     mor_truncated_grad,
     rmc_truncated_grad,
 )
-from dpem.models.types import clamp, clamped_rowsum, expit, matvec
+from dpem.models import clamp, clamped_rowsum, expit, matvec
 
 SIGMA = 0.5
 # Three of rmc's row blocks at d = 200 plus a one-row tail.
@@ -208,7 +208,7 @@ class TestClampedRowsum:
             in_order = in_order + a[i] * r[i]
         assert np.array_equal(bits(np.einsum("ij,i->j", a, r)), bits(in_order)), (
             "numpy's einsum no longer adds the rows of a C-ordered (n, d) array in order; "
-            "models.types.clamped_rowsum relies on that to equal the whole-batch einsum bitwise")
+            "models.clamped_rowsum relies on that to equal the whole-batch einsum bitwise")
 
     def test_infinite_T_copies_nothing(self):
         a, r = wide_range_case(20000, 50, seed=11)

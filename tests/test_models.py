@@ -1,10 +1,13 @@
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from references import rmc_fill_in
 
+from dpem import models
 from dpem.mechanisms import NoiseOracle
 from dpem.models import (
     GmmBatch,
@@ -387,3 +390,45 @@ class TestSharedProperties:
         part = batch[2:5]
         assert len(part) == 3
         np.testing.assert_array_equal(part.x, batch.x[2:5])
+
+
+KINDS = ("gmm", "mor", "rmc")
+README = Path(__file__).resolve().parent.parent / "README.md"
+OTHER_KIND = pytest.mark.parametrize(
+    "kind, other", [(kind, other) for kind in KINDS for other in KINDS if kind != other])
+
+
+def _spec(kind):
+    return ModelSpec(kind, 3, 0.5, np.full(3, 0.2), 0.3 if kind == "rmc" else 0.0)
+
+
+class TestOneTable:
+    # models._MODELS is the only list of the model kinds; every kind check reads it.
+    def test_model_spec_lists_the_table_kinds(self):
+        assert tuple(models._MODELS) == KINDS
+        expected = f"model kind must be one of {tuple(models._MODELS)}, got 'xyz'"
+        assert expected == "model kind must be one of ('gmm', 'mor', 'rmc'), got 'xyz'"
+        with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+            ModelSpec("xyz", 2, 1.0)
+
+    @OTHER_KIND
+    def test_generators_refuse_a_spec_of_another_kind(self, kind, other):
+        with pytest.raises(ValueError, match=f"^spec.kind must be '{kind}', got '{other}'$"):
+            models._MODELS[kind].generate(_spec(other), 4, NoiseOracle(2))
+
+    @OTHER_KIND
+    def test_out_must_be_the_table_batch_type(self, kind, other):
+        out = models.generate(_spec(other), 4, NoiseOracle(2))
+        name = models._MODELS[kind].batch.__name__
+        with pytest.raises(ValueError, match=f"^out must be a {name} of 4 samples$"):
+            models.generate(_spec(kind), 4, NoiseOracle(3), out=out)
+
+    def test_sensitivity_refuses_an_unknown_kind(self):
+        with pytest.raises(ValueError, match="^unknown model kind 'xyz'$"):
+            sensitivity("xyz", 1.0, 0.5, 5, 100, np.ones(2))
+
+    def test_readme_constants_are_the_table(self):
+        rows = re.findall(r"^\s*\| `(\w+)` \| \((\d+), (\d+), (\d+)\) \|",
+                          README.read_text(encoding="utf-8"), flags=re.M)
+        assert {kind: tuple(map(int, cpb)) for kind, *cpb in rows} == {
+            kind: (m.c, m.p, m.b) for kind, m in models._MODELS.items()}
