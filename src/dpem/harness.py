@@ -123,7 +123,7 @@ class SweepSpec:
 
 # The optional ``fixed`` keys.  Rules: delta = 1/(2n) ('half_n') or ``delta`` ('explicit'),
 # N0 = max(5, ceil(N0_rule ln n)), T = T_rule sigma sqrt(ln n_used), and s_hat = s_star
-# ('equal') or s_hat_rule.
+# ('equal') or s_hat_rule, high_dim only.
 _DEFAULTS = {"sigma": 0.5, "eta": 0.5, "reps": 1, "delta_rule": "half_n", "delta": None,
              "T_rule": 2.0, "N0_rule": 1.0, "s_hat_rule": "equal", "missing_prob": 0.1}
 
@@ -161,9 +161,11 @@ def _resolve_cell(model: str, high_dim: bool, p: dict):
     n, d, s_star = (whole(name, p[name]) for name in ("n", "d", "s_star"))
     if s_star > d:
         raise ValueError(f"s_star must not exceed d ({s_star} > {d})")
-    s_hat = s_star if p["s_hat_rule"] == "equal" else p["s_hat_rule"]
-    if s_hat > d:
-        raise ValueError(f"s_hat must not exceed d ({s_hat} > {d})")
+    s_hat = None
+    if high_dim:
+        s_hat = s_star if p["s_hat_rule"] == "equal" else p["s_hat_rule"]
+        if s_hat > d:
+            raise ValueError(f"s_hat must not exceed d ({s_hat} > {d})")
     N0 = max(5, math.ceil(p["N0_rule"] * math.log(n)))
     if N0 > n:
         raise ValueError(f"derived N0 = {N0} exceeds n = {n}")
@@ -172,8 +174,7 @@ def _resolve_cell(model: str, high_dim: bool, p: dict):
     if math.isinf(T):
         raise ValueError(f"derived T overflows (T_rule = {p['T_rule']}, sigma = {spec.sigma})")
     delta = 1.0 / (2.0 * n) if p["delta_rule"] == "half_n" else p["delta"]
-    em_config = EmConfig(p["eta"], T, N0, PrivacyBudget(p["epsilon"], delta),
-                         s_hat if high_dim else None)
+    em_config = EmConfig(p["eta"], T, N0, PrivacyBudget(p["epsilon"], delta), s_hat)
     _check_noise_scale(spec, n, em_config)
     return n, spec, em_config
 
@@ -196,18 +197,20 @@ def parse_experiment_config(raw: dict) -> ExperimentConfig:
     required = [key for key in SWEEPABLE if key != name]
     p = {**_DEFAULTS, **_keys(raw["fixed"], "fixed", required, [*SWEEPABLE, *_DEFAULTS])}
     _check_delta_rule(p["delta_rule"], p["delta"])
+    if raw["regime"] not in ("high_dim", "low_dim"):
+        raise ConfigError(f"regime must be 'high_dim' or 'low_dim', got {raw['regime']!r}")
+    high_dim = raw["regime"] == "high_dim"
+    if p["s_hat_rule"] != "equal" and not high_dim:
+        raise ConfigError("s_hat_rule applies only to regime 'high_dim'")
     with _config_errors():
         _positive_finite("T_rule", p["T_rule"])
         _positive_finite("N0_rule", p["N0_rule"])
         if p["s_hat_rule"] != "equal":
             p["s_hat_rule"] = whole("s_hat_rule", p["s_hat_rule"])
-    if raw["regime"] not in ("high_dim", "low_dim"):
-        raise ConfigError(f"regime must be 'high_dim' or 'low_dim', got {raw['regime']!r}")
     cells = {}
     for value in values:
         with _config_errors(f"sweep value {name}={value!r}: "):
-            cells[value] = _resolve_cell(raw["model"], raw["regime"] == "high_dim",
-                                         {**p, name: value})
+            cells[value] = _resolve_cell(raw["model"], high_dim, {**p, name: value})
     if len(cells) != len(values):
         raise ConfigError(f"sweep.values must be distinct, got {values}")
     return ExperimentConfig(SweepSpec(name, tuple(values)), p["reps"], raw["master_seed"], cells)
@@ -242,7 +245,7 @@ def default_beta0(beta_star, s_hat: int | None, oracle: NoiseOracle) -> np.ndarr
     (epsilon, delta) guarantee: it is a simulation device, not a private one.
     """
     beta_star = np.asarray(beta_star, dtype=float)
-    direction = np.atleast_1d(oracle.standard_normal(beta_star.size))
+    direction = oracle.standard_normal(beta_star.size)
     radius = np.linalg.norm(beta_star) / 8.0
     beta0 = beta_star + radius * direction / np.linalg.norm(direction)
     if s_hat is not None:
@@ -296,7 +299,7 @@ def _run_cell(config: ExperimentConfig, sweep_value, rep: int, engine: str):
         betas = nonprivate_em(spec, models.generate(spec, n, data_oracle), em_config, beta0)
     else:
         # The private drivers read each of their N0 batches once, in order:
-        # draw each just before its iteration, into one reused batch.
+        # draw each just before its iteration.
         sample = models.LazySample(spec, n, n // em_config.N0, data_oracle)
         run = run_low_dim if em_config.s_hat is None else run_high_dim
         betas = run(spec, sample, em_config, beta0, NoiseOracle(derive_seed(cell_seed, "noise")))
@@ -519,6 +522,9 @@ def run_classification(
     if not np.all(np.isfinite(X)):
         raise DataError("features contain non-finite values")
     labels = np.asarray(labels)
+    if labels.shape != (X.shape[0],):
+        raise DataError(f"labels must be 1-D with one entry per row ({X.shape[0]}), "
+                        f"got shape {labels.shape}")
     classes = np.unique(labels)
     if classes.size != 2:
         raise ConfigError(f"expected exactly two classes, got {classes.size}")

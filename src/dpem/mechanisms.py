@@ -113,9 +113,9 @@ class NoiseOracle:
         self.seed = int(seed)
         self._rng = np.random.default_rng(self.seed)
 
-    def standard_normal(self, size=None, out=None):
-        """One (or ``size``) standard normal draw, written into ``out`` when given."""
-        return self._rng.standard_normal(size, out=out)
+    def standard_normal(self, size=None):
+        """One (or ``size``) standard normal draw."""
+        return self._rng.standard_normal(size)
 
     def uniform_centered(self, size=None, out=None):
         """Uniform draw on [-1/2, 1/2), written into ``out`` when given."""

@@ -1,13 +1,13 @@
 """Model-specific ingredients for the private EM engines.
 
-Each model is one table entry: its sample-batch type, its data generator,
-its truncated gradient (``T = inf`` gives the raw sample gradient), and the
-constants ``(c, p, b)`` of the certified ell-infinity sensitivity
-``eta (c T^p + b ||beta||_inf) N0 / n`` of the eta-scaled gradient step taken
-from the iterate ``beta``.  That table, ``_MODELS``, is the only list of the
-model kinds.  Both privatizers are calibrated from that one number
-(:meth:`dpem.em_engine.EmConfig.step_scale`).  Only rmc has ``b = 1``: its
-unclamped ``-(1 - z) * beta`` term moves with one record's missingness mask.
+Each model is one table entry: its data generator, its truncated gradient
+(``T = inf`` gives the raw sample gradient), and the constants ``(c, p, b)``
+of the certified ell-infinity sensitivity ``eta (c T^p + b ||beta||_inf) N0 / n``
+of the eta-scaled gradient step taken from the iterate ``beta``.  That table,
+``_MODELS``, is the only list of the model kinds.  Both privatizers are
+calibrated from that one number (:meth:`dpem.em_engine.EmConfig.step_scale`).
+Only rmc has ``b = 1``: its unclamped ``-(1 - z) * beta`` term moves with one
+record's missingness mask.
 
 The three models:
 
@@ -41,7 +41,7 @@ followed the BLAS thread count.  The ``kind``-dispatching helpers
 (:func:`generate`, :func:`raw_grad`, :func:`truncated_grad`,
 :func:`sensitivity`) are what the engines call; the per-model functions
 remain directly importable.  A :class:`LazySample` hands the private drivers
-their sample one batch at a time, drawn into one reused batch.  The
+their sample one batch at a time, each drawn fresh when it is read.  The
 generators' and the gradients' input checks are written once, in
 ``check_generate`` and ``check_grad``.
 """
@@ -130,21 +130,13 @@ def matvec(a, b):
     return np.einsum("...j,j->...", a, b)
 
 
-def check_generate(spec, kind: str, n, out=None) -> int:
-    """The generators' preconditions: a ``kind`` spec with a ``true_beta``; returns n as an int >= 1.
-
-    ``out``, when given, must be an n-sample batch of the spec's kind, whose
-    arrays the generator overwrites (numpy refuses arrays of another shape).
-    """
+def check_generate(spec, kind: str, n) -> int:
+    """The generators' preconditions: a ``kind`` spec with a ``true_beta``; returns n as an int >= 1."""
     if spec.kind != kind:
         raise ValueError(f"spec.kind must be {kind!r}, got {spec.kind!r}")
     if spec.true_beta is None:
         raise ValueError("spec.true_beta is required to generate data")
-    n = whole("n", n)
-    batch_type = _MODELS[kind].batch
-    if out is not None and (type(out) is not batch_type or len(out) != n):
-        raise ValueError(f"out must be a {batch_type.__name__} of {n} samples")
-    return n
+    return whole("n", n)
 
 
 def check_grad(batch, sigma: float, T: float) -> None:
@@ -225,18 +217,14 @@ class RmcBatch(_Batch):
     y: np.ndarray
 
 
-def generate_gmm(spec: ModelSpec, n: int, oracle: NoiseOracle,
-                 out: GmmBatch | None = None) -> GmmBatch:
-    """Draw n i.i.d. observations y_i = z_i * beta + e_i.
-
-    Written into ``out``'s arrays when given.
-    """
-    n = check_generate(spec, "gmm", n, out)
-    u = np.atleast_1d(oracle.uniform_centered(n))
+def generate_gmm(spec: ModelSpec, n: int, oracle: NoiseOracle) -> GmmBatch:
+    """Draw n i.i.d. observations y_i = z_i * beta + e_i."""
+    n = check_generate(spec, "gmm", n)
+    u = oracle.uniform_centered(n)
     positive = (u >= 0.0)[:, None]  # z_i = +1
     # Built in place in the one (n, d) output: e + beta equals beta + e and
     # e - beta equals (-beta) + e bitwise, so this is z * beta + e exactly.
-    y = oracle.standard_normal((n, spec.d), out=None if out is None else out.y)
+    y = oracle.standard_normal((n, spec.d))
     y *= spec.sigma
     np.add(y, spec.true_beta, out=y, where=positive)
     np.subtract(y, spec.true_beta, out=y, where=~positive)
@@ -267,18 +255,14 @@ def gmm_truncated_grad(beta, batch: GmmBatch, sigma: float, T: float) -> np.ndar
     return clamped_rowsum(batch.y, T, 2.0 * w - 1.0) / len(batch) - beta
 
 
-def generate_mor(spec: ModelSpec, n: int, oracle: NoiseOracle,
-                 out: MorBatch | None = None) -> MorBatch:
-    """Draw n i.i.d. pairs (x_i, y_i) with y_i = z_i <x_i, beta> + e_i.
-
-    Written into ``out``'s arrays when given.
-    """
-    n = check_generate(spec, "mor", n, out)
-    x = oracle.standard_normal((n, spec.d), out=None if out is None else out.x)
-    u = np.atleast_1d(oracle.uniform_centered(n))
+def generate_mor(spec: ModelSpec, n: int, oracle: NoiseOracle) -> MorBatch:
+    """Draw n i.i.d. pairs (x_i, y_i) with y_i = z_i <x_i, beta> + e_i."""
+    n = check_generate(spec, "mor", n)
+    x = oracle.standard_normal((n, spec.d))
+    u = oracle.uniform_centered(n)
     z = np.where(u >= 0.0, 1.0, -1.0)
-    e = spec.sigma * np.atleast_1d(oracle.standard_normal(n))
-    y = np.multiply(z, matvec(x, spec.true_beta), out=None if out is None else out.y)
+    e = spec.sigma * oracle.standard_normal(n)
+    y = z * matvec(x, spec.true_beta)
     y += e
     return MorBatch(x, y)
 
@@ -302,17 +286,13 @@ def mor_truncated_grad(beta, batch: MorBatch, sigma: float, T: float) -> np.ndar
     return clamped_rowsum(batch.x, T, r) / len(batch)
 
 
-def generate_rmc(spec: ModelSpec, n: int, oracle: NoiseOracle,
-                 out: RmcBatch | None = None) -> RmcBatch:
-    """Draw n i.i.d. triples (x_obs, z, y) under coordinate-wise missingness.
-
-    Written into ``out``'s arrays when given.
-    """
-    n = check_generate(spec, "rmc", n, out)
-    x = oracle.standard_normal((n, spec.d), out=None if out is None else out.x_obs)
-    e = spec.sigma * np.atleast_1d(oracle.standard_normal(n))
-    y = np.add(matvec(x, spec.true_beta), e, out=None if out is None else out.y)
-    z = np.empty((n, spec.d), dtype=bool) if out is None else out.z
+def generate_rmc(spec: ModelSpec, n: int, oracle: NoiseOracle) -> RmcBatch:
+    """Draw n i.i.d. triples (x_obs, z, y) under coordinate-wise missingness."""
+    n = check_generate(spec, "rmc", n)
+    x = oracle.standard_normal((n, spec.d))
+    e = spec.sigma * oracle.standard_normal(n)
+    y = matvec(x, spec.true_beta) + e
+    z = np.empty((n, spec.d), dtype=bool)
     step = max(1, BLOCK_VALUES // spec.d)
     u_buf = np.empty((min(step, n), spec.d))
     for lo in range(0, n, step):
@@ -378,17 +358,17 @@ def rmc_truncated_grad(beta, batch: RmcBatch, sigma: float, T: float) -> np.ndar
     return clamped / n - beta * (missing_count / n)
 
 
-_Model = namedtuple("_Model", ["batch", "generate", "truncated_grad", "c", "p", "b"])
+_Model = namedtuple("_Model", ["generate", "truncated_grad", "c", "p", "b"])
 _MODELS = {
-    "gmm": _Model(GmmBatch, generate_gmm, gmm_truncated_grad, 2.0, 1, 0.0),
-    "mor": _Model(MorBatch, generate_mor, mor_truncated_grad, 4.0, 2, 0.0),
-    "rmc": _Model(RmcBatch, generate_rmc, rmc_truncated_grad, 6.0, 2, 1.0),
+    "gmm": _Model(generate_gmm, gmm_truncated_grad, 2.0, 1, 0.0),
+    "mor": _Model(generate_mor, mor_truncated_grad, 4.0, 2, 0.0),
+    "rmc": _Model(generate_rmc, rmc_truncated_grad, 6.0, 2, 1.0),
 }
 
 
-def generate(spec: ModelSpec, n: int, oracle: NoiseOracle, out=None):
-    """Draw an n-sample batch from ``spec``'s model, into ``out``'s arrays when given."""
-    return _MODELS[spec.kind].generate(spec, n, oracle, out)
+def generate(spec: ModelSpec, n: int, oracle: NoiseOracle):
+    """Draw an n-sample batch from ``spec``'s model."""
+    return _MODELS[spec.kind].generate(spec, n, oracle)
 
 
 class LazySample:
@@ -397,10 +377,10 @@ class LazySample:
     ``len()`` is n, and the only legal slices are ``[0:b]``, ``[b:2b]``, ...
     (b = ``batch_size``), each read once, in order, as the private drivers
     read their batches; any other slice raises ``ValueError``.  Each read
-    draws b rows from ``oracle`` through :func:`generate` into one batch,
-    allocated at the first read and overwritten by every later one.  The
-    n mod b trailing rows are never drawn.  Successive b-row draws order the
-    stream differently from one n-row draw, so the rows differ from it.
+    draws a fresh b-row batch from ``oracle`` through :func:`generate` and
+    keeps no reference to it.  The n mod b trailing rows are never drawn.
+    Successive b-row draws order the stream differently from one n-row draw,
+    so the rows differ from it.
     """
 
     def __init__(self, spec: ModelSpec, n: int, batch_size: int, oracle: NoiseOracle):
@@ -411,7 +391,6 @@ class LazySample:
             raise ValueError(f"batch_size must not exceed n ({self._size} > {self._n})")
         self._oracle = oracle
         self._next = 0
-        self._batch = None
 
     def __len__(self) -> int:
         return self._n
@@ -423,9 +402,9 @@ class LazySample:
         if (lo, hi, step) != (self._next, self._next + self._size, 1):
             raise ValueError(f"a LazySample is read once, in order, {self._size} rows at a time: "
                              f"expected [{self._next}:{self._next + self._size}], got [{lo}:{hi}]")
-        self._batch = generate(self.spec, self._size, self._oracle, out=self._batch)
+        batch = generate(self.spec, self._size, self._oracle)
         self._next = hi
-        return self._batch
+        return batch
 
 
 def raw_grad(spec: ModelSpec, beta, batch) -> np.ndarray:

@@ -109,6 +109,14 @@ class TestConfigParsing:
         cfg = parse_experiment_config(experiment_config_dict(regime="low_dim"))
         assert all(em_config.s_hat is None for _, _, em_config in cfg.cells.values())
 
+    @pytest.mark.parametrize("s_hat_rule", [3, 12])
+    def test_s_hat_rule_is_refused_in_low_dim(self, s_hat_rule):
+        raw = experiment_config_dict(regime="low_dim", d=10, s_hat_rule=s_hat_rule)
+        with pytest.raises(ConfigError, match="^s_hat_rule applies only to regime 'high_dim'$"):
+            parse_experiment_config(raw)
+        raw["fixed"]["s_hat_rule"] = "equal"
+        assert parse_experiment_config(raw).cells[400][2].s_hat is None
+
     def test_per_rep_seeds_distinct(self):
         cfg = parse_experiment_config(experiment_config_dict(reps=50))
         seeds = [
@@ -465,6 +473,14 @@ class TestRunClassification:
         with pytest.raises(ConfigError, match="two classes"):
             run_classification(X, labels,
                                ClassificationConfig(s_hat=2, epsilon=0.5, reps=1, master_seed=0))
+
+    @pytest.mark.parametrize("shape", [(198,), (202,), (200, 1)], ids=["198", "202", "200x1"])
+    def test_labels_must_be_one_per_row(self, shape):
+        X, labels = make_gmm_class_data(n=200)
+        labels = np.resize(labels, shape)
+        config = ClassificationConfig(s_hat=5, epsilon=0.5, reps=1, master_seed=7)
+        with pytest.raises(DataError, match="^labels must be 1-D with one entry per row"):
+            run_classification(X, labels, config)
 
     @pytest.mark.parametrize("name, value", [
         ("jobs", 0), ("jobs", -3), ("jobs", 2.5), ("jobs", True),

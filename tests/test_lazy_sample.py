@@ -1,6 +1,8 @@
 """The lazy sample of the private runs: draws, read order, equivalence, memory."""
 
+import gc
 import math
+import weakref
 from dataclasses import fields
 
 import numpy as np
@@ -28,27 +30,7 @@ def concatenated(batches):
 
 
 class TestGenerateOut:
-    @pytest.mark.parametrize("kind", KINDS)
-    def test_out_is_filled_with_the_fresh_draw(self, kind):
-        spec = spec_of(kind)
-        fresh = generate(spec, 37, NoiseOracle(4))
-        out = generate(spec, 37, NoiseOracle(99))
-        again = generate(spec, 37, NoiseOracle(4), out=out)
-        for f in fields(fresh):
-            got, want = getattr(again, f.name), getattr(fresh, f.name)
-            assert np.shares_memory(got, getattr(out, f.name))
-            np.testing.assert_array_equal(got.view(np.uint8), want.view(np.uint8))
-
-    @pytest.mark.parametrize("kind", KINDS)
-    def test_out_of_another_kind_or_length_is_refused(self, kind):
-        spec = spec_of(kind)
-        other = spec_of("mor" if kind == "gmm" else "gmm")
-        with pytest.raises(ValueError, match="^out must be a"):
-            generate(spec, 5, NoiseOracle(1), out=generate(spec, 6, NoiseOracle(1)))
-        with pytest.raises(ValueError, match="^out must be a"):
-            generate(spec, 5, NoiseOracle(1), out=generate(other, 5, NoiseOracle(1)))
-
-    @pytest.mark.parametrize("draw", ["standard_normal", "uniform_centered"])
+    @pytest.mark.parametrize("draw", ["uniform_centered"])
     def test_oracle_out_is_the_same_stream(self, draw):
         out = np.empty((4, 3))
         got = getattr(NoiseOracle(8), draw)((4, 3), out=out)
@@ -72,11 +54,16 @@ class TestReadOrder:
             sample[5:10:2]
         with pytest.raises(TypeError):
             sample[5]
-        second = sample[5:10]
-        assert np.shares_memory(first.y, second.y)  # one batch, reused
-        sample[10:15], sample[15:20]
+        sample[5:10], sample[10:15], sample[15:20]
         with pytest.raises(ValueError, match=r"got \[20:23\]"):
             sample[20:25]
+
+    def test_a_read_batch_is_not_kept(self):
+        sample = LazySample(spec_of("gmm"), 23, 5, NoiseOracle(2))
+        batch = weakref.ref(sample[0:5])
+        gc.collect()
+        assert batch() is None
+        assert len(sample[5:10]) == 5
 
     def test_only_the_batches_are_drawn(self):
         # Four reads of 5 rows consume the stream as four 5-row draws; the
@@ -125,7 +112,7 @@ def test_private_run_equals_a_run_on_the_same_per_batch_draws(kind, regime):
 
 def test_private_cell_holds_one_batch_not_the_sample():
     # A high-dim gmm cell at n = 6000, d = 200 reads 9 batches of 666 rows;
-    # drawn one at a time into one buffer, it peaks below half of the full
+    # drawn one at a time, it peaks below half of the full
     # sample's n * d * 8 bytes.  The baseline, which holds the full sample,
     # peaks above it, so the probe sees the sample.
     n, d = 6000, 200

@@ -416,13 +416,6 @@ class TestOneTable:
         with pytest.raises(ValueError, match=f"^spec.kind must be '{kind}', got '{other}'$"):
             models._MODELS[kind].generate(_spec(other), 4, NoiseOracle(2))
 
-    @OTHER_KIND
-    def test_out_must_be_the_table_batch_type(self, kind, other):
-        out = models.generate(_spec(other), 4, NoiseOracle(2))
-        name = models._MODELS[kind].batch.__name__
-        with pytest.raises(ValueError, match=f"^out must be a {name} of 4 samples$"):
-            models.generate(_spec(kind), 4, NoiseOracle(3), out=out)
-
     def test_sensitivity_refuses_an_unknown_kind(self):
         with pytest.raises(ValueError, match="^unknown model kind 'xyz'$"):
             sensitivity("xyz", 1.0, 0.5, 5, 100, np.ones(2))
