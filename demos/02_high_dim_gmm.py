@@ -11,7 +11,7 @@ come from the experiment config's rules, as ``dpem run`` resolves them.
 
 import numpy as np
 
-from dpem import NoiseOracle, generate_gmm, nonprivate_em, run_high_dim
+from dpem import NoiseOracle, generate, nonprivate_em, run_high_dim
 from dpem.harness import default_beta0, estimation_errors, parse_experiment_config
 
 [(n, spec, config)] = parse_experiment_config({
@@ -20,7 +20,7 @@ from dpem.harness import default_beta0, estimation_errors, parse_experiment_conf
     "fixed": {"d": 200, "s_star": 10, "epsilon": 2.0, "sigma": 0.5, "eta": 0.5},
     "master_seed": 0,
 }).cells.values()
-data = generate_gmm(spec, n, NoiseOracle(7))
+data = generate(spec, n, NoiseOracle(7))
 
 # Start near the truth, thresholded back to s_hat nonzeros.
 beta0 = default_beta0(spec.true_beta, config.s_hat, NoiseOracle(8))

@@ -9,7 +9,7 @@ experiment config's rules, as ``dpem run`` resolves them.
 
 import numpy as np
 
-from dpem import NoiseOracle, derive_seed, generate_gmm, nonprivate_em, run_low_dim
+from dpem import NoiseOracle, derive_seed, generate, nonprivate_em, run_low_dim
 from dpem.harness import default_beta0, estimation_errors, parse_experiment_config
 
 cells = parse_experiment_config({
@@ -26,7 +26,7 @@ for n, spec, config in cells.values():
 
     private_errs, baseline_errs = [], []
     for rep in range(10):
-        data = generate_gmm(spec, n, NoiseOracle(derive_seed("lowdim-demo", n, rep)))
+        data = generate(spec, n, NoiseOracle(derive_seed("lowdim-demo", n, rep)))
         init = NoiseOracle(derive_seed("lowdim-init", n, rep))
         beta0 = default_beta0(spec.true_beta, config.s_hat, init)  # near the truth, dense
         private = run_low_dim(spec, data, config, beta0,

@@ -22,7 +22,7 @@ from .mechanisms import (
     sample_gaussian,
     sample_laplace,
 )
-from .models import ModelSpec, generate_gmm
+from .models import ModelSpec, generate
 
 __all__ = [
     "EmConfig",
@@ -31,7 +31,7 @@ __all__ = [
     "PrivacyBudget",
     "derive_seed",
     "exact_top_k",
-    "generate_gmm",
+    "generate",
     "noisy_hard_threshold",
     "noisy_ht_scale",
     "nonprivate_em",

@@ -68,7 +68,7 @@ class EmConfig:
         """
         if math.isinf(self.T):
             return 0.0
-        lam = models.sensitivity(spec.kind, self.T, self.eta, self.N0,
+        lam = models.sensitivity(spec, self.T, self.eta, self.N0,
                                  self.N0 * (n // self.N0), beta)
         if self.s_hat is not None:
             return noisy_ht_scale(lam, self.s_hat, self.budget)

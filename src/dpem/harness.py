@@ -135,12 +135,14 @@ class ExperimentConfig:
     :func:`parse_experiment_config` builds it.  The cells depend on neither
     the seed nor ``reps``, so ``dataclasses.replace(config, master_seed=...)``
     or ``replace(config, reps=...)`` reuses them and checks the new value.
+    ``==`` compares the cells too, and each cell's ``ModelSpec`` by identity,
+    so a config equals its ``replace`` copies but not a second parse.
     """
 
     sweep: SweepSpec
     reps: int
     master_seed: int
-    cells: dict = field(repr=False, compare=False)
+    cells: dict = field(repr=False, hash=False)
 
     def __post_init__(self):
         with _config_errors():

@@ -19,7 +19,7 @@ The three models:
   x ~ N(0, I_d), e ~ N(0, sigma^2); each coordinate of x is observed
   independently with probability 1 - p (z_ij = 1 when observed) and
   x_obs = z * x.  The mask z is a boolean array, one byte per entry;
-  ``generate_rmc`` draws its uniforms a row block of about ``BLOCK_VALUES``
+  ``_generate_rmc`` draws its uniforms a row block of about ``BLOCK_VALUES``
   values at a time, which consumes the oracle exactly as one (n, d) draw
   does, so no (n, d) float temporary backs the mask.
 
@@ -34,16 +34,15 @@ transposed product ``np.einsum("ij,i->j", clamp(X, T), r) / n``, which
 :func:`clamped_rowsum` sums one clamped row block at a time, bit for bit,
 never copying the whole batch.  The rmc gradient sums the same kind of
 products over row blocks of its closed form, which never forms the (n, d)
-fill-in and holds because ``x_obs = z * x`` (see :func:`rmc_truncated_grad`).
+fill-in and holds because ``x_obs = z * x`` (see :func:`_rmc_truncated_grad`).
 The threaded BLAS gemv behind ``X @ beta`` and ``X.T @ r`` stalled for
 milliseconds per call, and its summation order, hence the gradients' bytes,
-followed the BLAS thread count.  The ``kind``-dispatching helpers
-(:func:`generate`, :func:`raw_grad`, :func:`truncated_grad`,
-:func:`sensitivity`) are what the engines call; the per-model functions
-remain directly importable.  A :class:`LazySample` hands the private drivers
-their sample one batch at a time, each drawn fresh when it is read.  The
-generators' and the gradients' input checks are written once, in
-``check_generate`` and ``check_grad``.
+followed the BLAS thread count.  The table's dispatchers (:func:`generate`,
+:func:`raw_grad`, :func:`truncated_grad`, :func:`sensitivity`) are the only
+public way into a model, and each checks its inputs where they come in; the
+per-model functions behind them are private.  A :class:`LazySample` hands the
+private drivers their sample one batch at a time, each drawn fresh when it is
+read.
 """
 
 from __future__ import annotations
@@ -66,13 +65,6 @@ __all__ = [
     "raw_grad",
     "truncated_grad",
     "sensitivity",
-    "generate_gmm",
-    "gmm_weight",
-    "gmm_truncated_grad",
-    "generate_mor",
-    "mor_truncated_grad",
-    "generate_rmc",
-    "rmc_truncated_grad",
 ]
 
 
@@ -130,30 +122,14 @@ def matvec(a, b):
     return np.einsum("...j,j->...", a, b)
 
 
-def check_generate(spec, kind: str, n) -> int:
-    """The generators' preconditions: a ``kind`` spec with a ``true_beta``; returns n as an int >= 1."""
-    if spec.kind != kind:
-        raise ValueError(f"spec.kind must be {kind!r}, got {spec.kind!r}")
-    if spec.true_beta is None:
-        raise ValueError("spec.true_beta is required to generate data")
-    return whole("n", n)
-
-
-def check_grad(batch, sigma: float, T: float) -> None:
-    """The truncated gradients' preconditions: a nonempty batch, sigma > 0 and T > 0."""
-    if len(batch) == 0:
-        raise ValueError("batch must be nonempty")
-    require("sigma", sigma, "a positive number", lambda v: v > 0)
-    require("T", T, "a positive number", lambda v: v > 0)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModelSpec:
     """Which latent-variable model, its dimension, and its noise level.
 
     ``true_beta`` is only consulted by the data generators; estimation code
     never reads it.  ``missing_prob`` is the per-coordinate missingness
-    probability and applies to the rmc model only.
+    probability and applies to the rmc model only.  A spec holds an array,
+    so it compares and hashes by identity.
     """
 
     kind: str
@@ -217,9 +193,8 @@ class RmcBatch(_Batch):
     y: np.ndarray
 
 
-def generate_gmm(spec: ModelSpec, n: int, oracle: NoiseOracle) -> GmmBatch:
+def _generate_gmm(spec: ModelSpec, n: int, oracle: NoiseOracle) -> GmmBatch:
     """Draw n i.i.d. observations y_i = z_i * beta + e_i."""
-    n = check_generate(spec, "gmm", n)
     u = oracle.uniform_centered(n)
     positive = (u >= 0.0)[:, None]  # z_i = +1
     # Built in place in the one (n, d) output: e + beta equals beta + e and
@@ -231,17 +206,7 @@ def generate_gmm(spec: ModelSpec, n: int, oracle: NoiseOracle) -> GmmBatch:
     return GmmBatch(y)
 
 
-def gmm_weight(beta, y, sigma: float):
-    """Mixing weight 1 / (1 + exp(-<beta, y> / sigma^2)), for sigma > 0.
-
-    Accepts a single observation (d,) or a stack (n, d); returns a scalar or
-    an (n,) array accordingly.
-    """
-    inner = matvec(np.asarray(y, dtype=float), np.asarray(beta, dtype=float))
-    return expit(inner / sigma**2)
-
-
-def gmm_truncated_grad(beta, batch: GmmBatch, sigma: float, T: float) -> np.ndarray:
+def _gmm_truncated_grad(beta, batch: GmmBatch, sigma: float, T: float) -> np.ndarray:
     """Truncated gradient (1/n) sum_i (2 w(y_i) - 1) clamp_T(y_i) - beta.
 
     The weight uses the untruncated observation; only y_i is clamped.  The row
@@ -249,15 +214,12 @@ def gmm_truncated_grad(beta, batch: GmmBatch, sigma: float, T: float) -> np.ndar
     block of clamp_T(Y) at a time.  T = inf is the raw sample gradient
     (1/n) sum_i (2 w(y_i) - 1) y_i - beta, unclamped and uncopied.
     """
-    check_grad(batch, sigma, T)
-    beta = np.asarray(beta, dtype=float)
-    w = gmm_weight(beta, batch.y, sigma)
+    w = expit(matvec(batch.y, beta) / sigma**2)
     return clamped_rowsum(batch.y, T, 2.0 * w - 1.0) / len(batch) - beta
 
 
-def generate_mor(spec: ModelSpec, n: int, oracle: NoiseOracle) -> MorBatch:
+def _generate_mor(spec: ModelSpec, n: int, oracle: NoiseOracle) -> MorBatch:
     """Draw n i.i.d. pairs (x_i, y_i) with y_i = z_i <x_i, beta> + e_i."""
-    n = check_generate(spec, "mor", n)
     x = oracle.standard_normal((n, spec.d))
     u = oracle.uniform_centered(n)
     z = np.where(u >= 0.0, 1.0, -1.0)
@@ -267,7 +229,7 @@ def generate_mor(spec: ModelSpec, n: int, oracle: NoiseOracle) -> MorBatch:
     return MorBatch(x, y)
 
 
-def mor_truncated_grad(beta, batch: MorBatch, sigma: float, T: float) -> np.ndarray:
+def _mor_truncated_grad(beta, batch: MorBatch, sigma: float, T: float) -> np.ndarray:
     """Truncated gradient with y_i, x_i, and x_i^T beta clamped separately.
 
     (1/n) sum_i [2 w_i clamp(y_i) clamp(x_i) - clamp(x_i) clamp(x_i^T beta)]
@@ -278,17 +240,14 @@ def mor_truncated_grad(beta, batch: MorBatch, sigma: float, T: float) -> np.ndar
     sample gradient (1/n) sum_i [2 w_i y_i x_i - x_i (x_i^T beta)], with X
     uncopied.
     """
-    check_grad(batch, sigma, T)
-    beta = np.asarray(beta, dtype=float)
     xb = matvec(batch.x, beta)
     w = expit(batch.y * xb / sigma**2)
     r = 2.0 * w * clamp(batch.y, T) - clamp(xb, T)
     return clamped_rowsum(batch.x, T, r) / len(batch)
 
 
-def generate_rmc(spec: ModelSpec, n: int, oracle: NoiseOracle) -> RmcBatch:
+def _generate_rmc(spec: ModelSpec, n: int, oracle: NoiseOracle) -> RmcBatch:
     """Draw n i.i.d. triples (x_obs, z, y) under coordinate-wise missingness."""
-    n = check_generate(spec, "rmc", n)
     x = oracle.standard_normal((n, spec.d))
     e = spec.sigma * oracle.standard_normal(n)
     y = matvec(x, spec.true_beta) + e
@@ -306,7 +265,7 @@ def generate_rmc(spec: ModelSpec, n: int, oracle: NoiseOracle) -> RmcBatch:
 
 # The rmc gradient relies on the identity x_obs = z * x, the ``RmcBatch``
 # contract that x_obs is zero wherever z is zero; it is not checked at run
-# time, and ``generate_rmc`` is the only builder of an ``RmcBatch`` in the
+# time, and ``_generate_rmc`` is the only builder of an ``RmcBatch`` in the
 # package.  With u_i = 1 - z_i, q_i = u_i^T (beta * beta) and
 # c_i = (y_i - x_obs_i^T beta) / (sigma^2 + q_i), the conditional-mean fill-in
 # of the missing covariates is m_i = x_obs_i + c_i u_i * beta, and
@@ -315,7 +274,7 @@ def generate_rmc(spec: ModelSpec, n: int, oracle: NoiseOracle) -> RmcBatch:
 # m_i^T beta = x_obs_i^T beta + c_i q_i and n_i^T beta = c_i q_i.  The
 # gradient sums that closed form over row blocks of about ``BLOCK_VALUES``
 # values and never forms an (n, d) temporary.
-def rmc_truncated_grad(beta, batch: RmcBatch, sigma: float, T: float) -> np.ndarray:
+def _rmc_truncated_grad(beta, batch: RmcBatch, sigma: float, T: float) -> np.ndarray:
     """Truncated gradient with y, m, m^T beta, n, and n^T beta clamped.
 
     (1/n) sum_i [clamp(y_i) clamp(m_i) - diag(1-z_i) beta
@@ -328,10 +287,8 @@ def rmc_truncated_grad(beta, batch: RmcBatch, sigma: float, T: float) -> np.ndar
     r_i = clamp(y_i) - clamp(x_obs_i^T beta + c_i q_i), the clamped terms sum
     to sum_i [clamp(x_obs_i) r_i + (r_i + clamp(c_i q_i)) u_i * clamp(c_i beta)],
     accumulated a row block at a time with sum_i u_i.  ``z`` may be the
-    boolean mask ``generate_rmc`` returns or the same mask as 0/1 floats.
+    boolean mask ``_generate_rmc`` returns or the same mask as 0/1 floats.
     """
-    check_grad(batch, sigma, T)
-    beta = np.asarray(beta, dtype=float)
     n, d = batch.x_obs.shape
     beta_sq = beta * beta
     clamped = np.zeros(d)
@@ -360,15 +317,17 @@ def rmc_truncated_grad(beta, batch: RmcBatch, sigma: float, T: float) -> np.ndar
 
 _Model = namedtuple("_Model", ["generate", "truncated_grad", "c", "p", "b"])
 _MODELS = {
-    "gmm": _Model(generate_gmm, gmm_truncated_grad, 2.0, 1, 0.0),
-    "mor": _Model(generate_mor, mor_truncated_grad, 4.0, 2, 0.0),
-    "rmc": _Model(generate_rmc, rmc_truncated_grad, 6.0, 2, 1.0),
+    "gmm": _Model(_generate_gmm, _gmm_truncated_grad, 2.0, 1, 0.0),
+    "mor": _Model(_generate_mor, _mor_truncated_grad, 4.0, 2, 0.0),
+    "rmc": _Model(_generate_rmc, _rmc_truncated_grad, 6.0, 2, 1.0),
 }
 
 
 def generate(spec: ModelSpec, n: int, oracle: NoiseOracle):
-    """Draw an n-sample batch from ``spec``'s model."""
-    return _MODELS[spec.kind].generate(spec, n, oracle)
+    """Draw an n-sample batch from ``spec``'s model; ``spec`` must carry a ``true_beta``."""
+    if spec.true_beta is None:
+        raise ValueError("spec.true_beta is required to generate data")
+    return _MODELS[spec.kind].generate(spec, whole("n", n), oracle)
 
 
 class LazySample:
@@ -409,15 +368,21 @@ class LazySample:
 
 def raw_grad(spec: ModelSpec, beta, batch) -> np.ndarray:
     """Untruncated sample gradient for ``spec``'s model: the table gradient at T = inf."""
-    return _MODELS[spec.kind].truncated_grad(beta, batch, spec.sigma, math.inf)
+    if len(batch) == 0:
+        raise ValueError("batch must be nonempty")
+    return _MODELS[spec.kind].truncated_grad(np.asarray(beta, dtype=float), batch, spec.sigma,
+                                             math.inf)
 
 
 def truncated_grad(spec: ModelSpec, beta, batch, T: float) -> np.ndarray:
-    """Truncated sample gradient; T = inf is exactly :func:`raw_grad`."""
-    return _MODELS[spec.kind].truncated_grad(beta, batch, spec.sigma, T)
+    """Truncated sample gradient for T > 0; T = inf is exactly :func:`raw_grad`."""
+    if len(batch) == 0:
+        raise ValueError("batch must be nonempty")
+    require("T", T, "a positive number", lambda v: v > 0)
+    return _MODELS[spec.kind].truncated_grad(np.asarray(beta, dtype=float), batch, spec.sigma, T)
 
 
-def sensitivity(kind: str, T: float, eta: float, N0: int, n: int, beta) -> float:
+def sensitivity(spec: ModelSpec, T: float, eta: float, N0: int, n: int, beta) -> float:
     """Certified ell-infinity sensitivity eta (c T^p + b ||beta||_inf) N0 / n of one step.
 
     The step is the eta-scaled truncated gradient taken from the iterate
@@ -425,9 +390,7 @@ def sensitivity(kind: str, T: float, eta: float, N0: int, n: int, beta) -> float
     eta (6 T^2 + ||beta||_inf) N0 / n for rmc.  gmm and mor have b = 0, so
     their value does not depend on ``beta``.
     """
-    if kind not in _MODELS:
-        raise ValueError(f"unknown model kind {kind!r}")
-    model = _MODELS[kind]
+    model = _MODELS[spec.kind]
     require("T", T, "a positive finite number", lambda v: 0 < v < math.inf)
     require("eta", eta, "a finite number >= 0", lambda v: 0 <= v < math.inf)
     N0, n = whole("N0", N0), whole("n", n)

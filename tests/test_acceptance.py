@@ -38,11 +38,9 @@ from dpem.models import (
     MorBatch,
     RmcBatch,
     generate,
-    gmm_truncated_grad,
-    mor_truncated_grad,
     raw_grad,
-    rmc_truncated_grad,
     sensitivity,
+    truncated_grad,
 )
 
 KINDS = ("gmm", "mor", "rmc")
@@ -153,21 +151,22 @@ def test_criterion_03_sensitivity_certification():
             sigma = float(rng.uniform(0.4, 1.5))
             beta = rng.standard_normal(d) * rng.uniform(0.2, 2.0)
             i = int(rng.integers(n0))
-            bound = sensitivity(kind, T, eta, N0, n, beta)
+            spec = ModelSpec(kind, d, sigma)
+            bound = sensitivity(spec, T, eta, N0, n, beta)
             if kind == "gmm":
                 y = rng.standard_normal((n0, d)) * rng.uniform(0.5, 3.0)
                 y2 = y.copy()
                 y2[i] = _adversarial_replacement(rng, "gmm", d, T)
-                g1 = gmm_truncated_grad(beta, GmmBatch(y), sigma, T)
-                g2 = gmm_truncated_grad(beta, GmmBatch(y2), sigma, T)
+                g1 = truncated_grad(spec, beta, GmmBatch(y), T)
+                g2 = truncated_grad(spec, beta, GmmBatch(y2), T)
                 pair = (y[i], y2[i])
             elif kind == "mor":
                 x = rng.standard_normal((n0, d))
                 y = rng.standard_normal(n0)
                 x2, y2 = x.copy(), y.copy()
                 x2[i], y2[i] = _adversarial_replacement(rng, "mor", d, T)
-                g1 = mor_truncated_grad(beta, MorBatch(x, y), sigma, T)
-                g2 = mor_truncated_grad(beta, MorBatch(x2, y2), sigma, T)
+                g1 = truncated_grad(spec, beta, MorBatch(x, y), T)
+                g2 = truncated_grad(spec, beta, MorBatch(x2, y2), T)
                 pair = ((x[i], y[i]), (x2[i], y2[i]))
             else:
                 # The full step, its unclamped diag(1-z) beta term included.
@@ -176,8 +175,8 @@ def test_criterion_03_sensitivity_certification():
                 y = rng.standard_normal(n0)
                 xo2, z2, y2 = (z * x).copy(), z.copy(), y.copy()
                 xo2[i], z2[i], y2[i] = _adversarial_replacement(rng, "rmc", d, T)
-                g1 = rmc_truncated_grad(beta, RmcBatch(z * x, z, y), sigma, T)
-                g2 = rmc_truncated_grad(beta, RmcBatch(xo2, z2, y2), sigma, T)
+                g1 = truncated_grad(spec, beta, RmcBatch(z * x, z, y), T)
+                g2 = truncated_grad(spec, beta, RmcBatch(xo2, z2, y2), T)
                 pair = ((z[i] * x[i], z[i], y[i]), (xo2[i], z2[i], y2[i]))
             dist = eta * float(np.abs(g1 - g2).max())
             ratio = dist / bound
@@ -219,10 +218,11 @@ def test_rmc_full_step_sound_bound():
         if trial % 2:  # flip every coordinate's observation flag
             z2[i] = 1.0 - z[i]
             xo2[i] *= z2[i]
-        g1 = rmc_truncated_grad(beta, RmcBatch(z * x, z, y), sigma, T)
-        g2 = rmc_truncated_grad(beta, RmcBatch(xo2, z2, y2), sigma, T)
+        spec = ModelSpec("rmc", d, sigma)
+        g1 = truncated_grad(spec, beta, RmcBatch(z * x, z, y), T)
+        g2 = truncated_grad(spec, beta, RmcBatch(xo2, z2, y2), T)
         dist = eta * float(np.abs(g1 - g2).max())
-        worst_certified = max(worst_certified, dist / sensitivity("rmc", T, eta, N0, n, beta))
+        worst_certified = max(worst_certified, dist / sensitivity(spec, T, eta, N0, n, beta))
         worst_clamped_only = max(worst_clamped_only, dist / (6.0 * eta * T**2 * N0 / n))
     print(f"\nrmc full step: worst ratio {worst_certified:.4f} to lambda_t, "
           f"{worst_clamped_only:.4f} to 6 eta T^2 N0 / n")
@@ -242,10 +242,11 @@ def test_rmc_full_step_readme_witness():
     z2 = z.copy()
     z2[0, 0] = 0.0
     zeros = np.zeros((n0, 2))
-    g1 = rmc_truncated_grad(beta, RmcBatch(zeros, z, np.zeros(n0)), sigma, T)
-    g2 = rmc_truncated_grad(beta, RmcBatch(zeros, z2, np.zeros(n0)), sigma, T)
+    spec = ModelSpec("rmc", 2, sigma)
+    g1 = truncated_grad(spec, beta, RmcBatch(zeros, z, np.zeros(n0)), T)
+    g2 = truncated_grad(spec, beta, RmcBatch(zeros, z2, np.zeros(n0)), T)
     dist = eta * float(np.abs(g1 - g2).max())
-    lam = sensitivity("rmc", T, eta, N0, n0 * N0, beta)
+    lam = sensitivity(spec, T, eta, N0, n0 * N0, beta)
     assert dist == pytest.approx(0.8, rel=1e-12)
     assert dist / (6.0 * eta * T**2 * N0 / (n0 * N0)) == pytest.approx(10 / 3, rel=1e-12)
     assert lam == pytest.approx(1.04, rel=1e-12)
@@ -301,11 +302,13 @@ def test_criterion_05_noise_calibration():
     for kind, factor in factors.items():
         expected = (2.0 * eta**2 * d * N0**2 / (n_used**2 * budget.epsilon**2)
                     * factor**2 * math.log(1.25 / budget.delta))
-        got = gaussian_noise_std(sensitivity(kind, T, eta, N0, n_used, beta), d, budget) ** 2
+        lam = sensitivity(ModelSpec(kind, d, 1.0), T, eta, N0, n_used, beta)
+        got = gaussian_noise_std(lam, d, budget) ** 2
         if abs(got - expected) / expected > 1e-12:
             audit_ok = False
 
-    std = gaussian_noise_std(sensitivity("mor", T, eta, N0, n_used, beta), d, budget)
+    lam = sensitivity(ModelSpec("mor", d, 1.0), T, eta, N0, n_used, beta)
+    std = gaussian_noise_std(lam, d, budget)
     draws = sample_gaussian(std, NoiseOracle(505), size=100_000)
     mc_err = abs(draws.var() / std**2 - 1.0)
     report(5, "noise-calibration", audit_ok and mc_err < 0.05,

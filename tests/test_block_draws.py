@@ -1,7 +1,7 @@
 """The block-drawn, in-place kernels against their round-by-round references.
 
 ``noisy_hard_threshold`` draws its selection noise a block of rows at a time
-and transforms it into one reused buffer; ``generate_gmm`` builds its batch
+and transforms it into one reused buffer; the gmm generator builds its batch
 in one (n, d) array.  Both must reproduce the straightforward formulations below bit for
 bit, consume the oracle identically, and stay within their memory bounds.
 """
@@ -23,7 +23,7 @@ from dpem.mechanisms import (
     noisy_ht_scale,
     sample_laplace,
 )
-from dpem.models import ModelSpec, generate_gmm
+from dpem.models import ModelSpec, generate
 
 BUDGET = PrivacyBudget(0.5, 1e-3)
 NONPRIVATE = PrivacyBudget(math.inf, 1e-3)
@@ -115,7 +115,7 @@ class TestGenerateGmmInPlace:
         beta = np.zeros(40)
         beta[:6] = [0.5, -0.25, 1.0, -1.0, 0.0, 3.0]
         spec = ModelSpec("gmm", 40, 0.7, beta)
-        got = generate_gmm(spec, 300, NoiseOracle(17)).y
+        got = generate(spec, 300, NoiseOracle(17)).y
         expected = reference_generate_gmm(spec, 300, NoiseOracle(17))
         np.testing.assert_array_equal(bits(got), bits(expected))
 
@@ -138,6 +138,6 @@ class TestAllocationBounds:
         beta = np.zeros(d)
         beta[:10] = 1.0 / math.sqrt(10)
         spec = ModelSpec("gmm", d, 0.5, beta)
-        peak, batch = traced_peak_bytes(lambda: generate_gmm(spec, n, NoiseOracle(2)))
+        peak, batch = traced_peak_bytes(lambda: generate(spec, n, NoiseOracle(2)))
         assert batch.y.shape == (n, d)
         assert peak < 1.5 * batch.y.nbytes

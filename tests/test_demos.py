@@ -77,17 +77,14 @@ def test_exports_are_what_demos_and_readme_import():
 
 
 def test_submodule_exports_are_pinned():
-    # The models keep only the code that runs: a generator, a truncated
-    # gradient, the kind dispatch and the lazy sample the private runs read;
-    # the test references live in tests/.
+    # The models are entered through their table's dispatchers only, plus the
+    # lazy sample the private runs read; the per-model generators and
+    # gradients are private, and the test references live in tests/.
     # The drivers' module also holds the baseline, and the mechanisms both
     # sparse selections, private and exact.
     assert dpem.models.__all__ == [
         "ModelSpec", "GmmBatch", "MorBatch", "RmcBatch",
         "generate", "LazySample", "raw_grad", "truncated_grad", "sensitivity",
-        "generate_gmm", "gmm_weight", "gmm_truncated_grad",
-        "generate_mor", "mor_truncated_grad",
-        "generate_rmc", "rmc_truncated_grad",
     ]
     assert dpem.em_engine.__all__ == [
         "EmConfig", "run_high_dim", "run_low_dim", "nonprivate_em",

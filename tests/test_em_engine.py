@@ -11,8 +11,7 @@ from dpem.em_engine import EmConfig, nonprivate_em, run_high_dim, run_low_dim
 from dpem.harness import estimation_errors
 from dpem.mechanisms import (NoiseOracle, PrivacyBudget, exact_top_k, gaussian_noise_std,
                              noisy_ht_scale, sample_gaussian)
-from dpem.models import (LazySample, ModelSpec, generate_gmm, generate_mor, generate_rmc,
-                         sensitivity, truncated_grad)
+from dpem.models import LazySample, ModelSpec, generate, sensitivity, truncated_grad
 
 BUDGET = PrivacyBudget(0.5, 1e-3)
 # epsilon = inf: every noise scale is exactly 0, whatever the oracle draws.
@@ -30,7 +29,7 @@ def private_reads(n, N0):
     spec = ModelSpec("gmm", 4, 0.5, sparse_beta(4, 2))
     reads = []
     for run, s_hat in ((run_high_dim, 2), (run_low_dim, None)):
-        batch = SliceRecorder(generate_gmm(spec, n, NoiseOracle(0)))
+        batch = SliceRecorder(generate(spec, n, NoiseOracle(0)))
         run(spec, batch, EmConfig(0.5, 1.5, N0, BUDGET, s_hat), sparse_beta(4, 2), NoiseOracle(1))
         reads.append(batch.reads)
     return reads
@@ -55,7 +54,7 @@ class TestSplitBatches:
         # private ones refuse it before they read any batch.
         spec = ModelSpec("gmm", 4, 0.5, sparse_beta(4, 2))
         for n in (3, 0):
-            data = generate_gmm(spec, 3, NoiseOracle(0))[:n]
+            data = generate(spec, 3, NoiseOracle(0))[:n]
             with pytest.raises(ValueError, match=f"at least N0 = 4 rows, got {n}$"):
                 nonprivate_em(spec, data, EmConfig(0.5, 1.5, 4, BUDGET), sparse_beta(4, 2))
             for run, s_hat in ((run_high_dim, 2), (run_low_dim, None)):
@@ -160,8 +159,7 @@ class TestEmConfig:
 def make_instance(kind, seed, d=12, n=240, s_star=3, sigma=0.5):
     beta_star = sparse_beta(d, s_star)
     spec = ModelSpec(kind, d, sigma, beta_star, missing_prob=0.2)
-    gen = {"gmm": generate_gmm, "mor": generate_mor, "rmc": generate_rmc}[kind]
-    return spec, gen(spec, n, NoiseOracle(seed)), beta_star
+    return spec, generate(spec, n, NoiseOracle(seed)), beta_star
 
 
 class TestRunHighDim:
@@ -235,7 +233,7 @@ class TestRunHighDim:
         d, n, s = 20, 2000, 5
         beta_star = sparse_beta(d, s)
         spec = ModelSpec("gmm", d, 0.5, beta_star)
-        data = generate_gmm(spec, n, NoiseOracle(55))
+        data = generate(spec, n, NoiseOracle(55))
         beta0 = exact_top_k(beta_star + 0.05 * NoiseOracle(56).standard_normal(d), s).values
         config = EmConfig(eta=0.5, T=math.inf, N0=8, s_hat=s, budget=NONPRIVATE)
         betas = run_high_dim(spec, data, config, beta0, NoiseOracle(0))
@@ -246,7 +244,7 @@ class TestRunHighDim:
         d, n, s = 10, 4000, 3
         beta_star = sparse_beta(d, s, value=2.0)  # ||beta*|| / sigma >= 4
         spec = ModelSpec("gmm", d, 0.5, beta_star)
-        data = generate_gmm(spec, n, NoiseOracle(77))
+        data = generate(spec, n, NoiseOracle(77))
         beta0 = exact_top_k(beta_star * 0.7, s).values
         config = EmConfig(eta=0.5, T=math.inf, N0=8, s_hat=s, budget=NONPRIVATE)
         errors, _ = estimation_errors(run_high_dim(spec, data, config, beta0, NoiseOracle(0)),
@@ -257,8 +255,10 @@ class TestRunHighDim:
 
 
 class TestNoiseCalibration:
+    GMM5 = ModelSpec("gmm", 5, 0.5)
+
     def test_variance_frozen_example(self):
-        got = gaussian_noise_std(sensitivity("gmm", 2.0, 1.0, 8, 4000, np.ones(5)), 5,
+        got = gaussian_noise_std(sensitivity(self.GMM5, 2.0, 1.0, 8, 4000, np.ones(5)), 5,
                                  PrivacyBudget(0.5, 1 / 8000)) ** 2
         assert got == pytest.approx(0.02357847135225903, rel=1e-12)
 
@@ -270,19 +270,20 @@ class TestNoiseCalibration:
         eta, T, N0, n, d, eps, delta = 0.7, 1.3, 6, 3000, 9, 0.4, 1e-4
         beta = np.linspace(-1.5, 1.0, d)  # ||beta||_inf = 1.5 enters rmc's factor only
         expected = 2 * eta**2 * d * factor(T) ** 2 * N0**2 * math.log(1.25 / delta) / (n**2 * eps**2)
-        got = gaussian_noise_std(sensitivity(kind, T, eta, N0, n, beta), d,
+        got = gaussian_noise_std(sensitivity(ModelSpec(kind, d, 0.5), T, eta, N0, n, beta), d,
                                  PrivacyBudget(eps, delta)) ** 2
         assert got == pytest.approx(expected, rel=1e-12)
 
     def test_doubling_epsilon_halves_std(self):
-        lam = sensitivity("gmm", 2.0, 1.0, 8, 4000, np.ones(5))
+        lam = sensitivity(self.GMM5, 2.0, 1.0, 8, 4000, np.ones(5))
         lo = gaussian_noise_std(lam, 5, PrivacyBudget(0.5, 1e-4))
         hi = gaussian_noise_std(lam, 5, PrivacyBudget(1.0, 1e-4))
         assert lo == 2.0 * hi
 
     def test_rejects_inf_T(self):
         with pytest.raises(ValueError):
-            gaussian_noise_std(sensitivity("gmm", math.inf, 1.0, 8, 4000, np.ones(5)), 5, BUDGET)
+            gaussian_noise_std(sensitivity(self.GMM5, math.inf, 1.0, 8, 4000, np.ones(5)), 5,
+                               BUDGET)
 
 
 @pytest.mark.parametrize("regime", ["high_dim", "low_dim"])
@@ -348,7 +349,7 @@ def test_low_dim_noise_is_the_samplers_draw(kind):
     oracle, m = NoiseOracle(seed), len(data) // N0
     for t in range(N0):
         beta = private[t]
-        lam = sensitivity(kind, T, eta, N0, N0 * (len(data) // N0), beta)
+        lam = sensitivity(spec, T, eta, N0, N0 * (len(data) // N0), beta)
         noise = sample_gaussian(gaussian_noise_std(lam, spec.d, BUDGET), oracle, spec.d)
         assert np.all(noise != 0.0)
         step = beta + eta * truncated_grad(spec, beta, data[t * m:t * m + m], T)
@@ -377,7 +378,7 @@ def test_lambda_is_certified_at_each_iterate(monkeypatch, regime, kind):
     config = EmConfig(eta, T, N0, BUDGET, s_hat=3 if high else None)
     betas = run(spec, data, config, beta_star, NoiseOracle(6))
     n_used = N0 * (len(data) // N0)
-    lams = [sensitivity(kind, T, eta, N0, n_used, b) for b in betas[:-1]]
+    lams = [sensitivity(spec, T, eta, N0, n_used, b) for b in betas[:-1]]
     assert seen == [noisy_ht_scale(lam, 3, BUDGET) if high
                     else gaussian_noise_std(lam, spec.d, BUDGET) for lam in lams]
     assert (len(set(seen)) > 1) == (kind == "rmc")
@@ -393,7 +394,7 @@ class TestStepScale:
         config = EmConfig(eta, T, N0, BUDGET, s_hat)
         spec = ModelSpec(kind, d, 0.5)
         for beta in (np.zeros(d), np.linspace(-1.5, 1.0, d)):
-            lam = sensitivity(kind, T, eta, N0, 3000, beta)
+            lam = sensitivity(spec, T, eta, N0, 3000, beta)
             expected = (noisy_ht_scale(lam, s_hat, BUDGET) if s_hat is not None
                         else gaussian_noise_std(lam, d, BUDGET))
             assert config.step_scale(spec, n, beta) == expected > 0.0
@@ -426,7 +427,7 @@ class TestRunLowDim:
     def _instance(self, seed, d=10, n=5000, sigma=0.5):
         beta_star = np.ones(d) / math.sqrt(d)
         spec = ModelSpec("gmm", d, sigma, beta_star)
-        return spec, generate_gmm(spec, n, NoiseOracle(seed)), beta_star
+        return spec, generate(spec, n, NoiseOracle(seed)), beta_star
 
     def test_untruncated_recovery(self):
         # Frozen threshold 3 sqrt(d/n); validated over 20 seeds before

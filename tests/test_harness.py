@@ -139,6 +139,16 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="^master_seed must be an integer"):
             replace(cfg, master_seed=True)
 
+    @pytest.mark.parametrize("override", [{"model": "mor"}, {"d": 30}, {"epsilon": 1.0}],
+                             ids=["model", "d", "epsilon"])
+    def test_configs_that_differ_in_their_cells_are_unequal(self, override):
+        # The cells hold each run's model and parameters, so == reads them;
+        # the hash skips the cells' dict and stays defined.
+        cfg = parse_experiment_config(experiment_config_dict())
+        assert parse_experiment_config(experiment_config_dict(**override)) != cfg
+        same = replace(cfg, master_seed=cfg.master_seed)
+        assert same == cfg and hash(same) == hash(cfg)
+
     def test_replace_rechecks_reps(self):
         # The config owns reps, so a replace() is checked as a parse is; a
         # whole float is stored as an int, and the cells are kept.

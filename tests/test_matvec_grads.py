@@ -12,7 +12,7 @@ every batch here is drawn to satisfy.  The gradient references are the
 row-mean forms verbatim, with the models' own mixing weights and the rmc
 fill-in m from ``references``; mor and rmc factor the row weight out of their terms, so the
 model and its reference agree to rounding, not bit for bit.
-``generate_rmc`` builds its arrays in place, drawing the mask a row block
+The rmc generator builds its arrays in place, drawing the mask a row block
 at a time into a boolean array, and must reproduce the one-draw mask product
 below bit for bit; that reference forms y through the models'
 single-threaded ``matvec``, so the bitwise check compares the in-place
@@ -32,11 +32,7 @@ from dpem.models import (
     ModelSpec,
     RmcBatch,
     generate,
-    generate_rmc,
-    gmm_truncated_grad,
-    gmm_weight,
-    mor_truncated_grad,
-    rmc_truncated_grad,
+    truncated_grad,
 )
 from dpem.models import clamp, clamped_rowsum, expit, matvec
 
@@ -47,7 +43,7 @@ TAIL_N = 3 * (BLOCK_VALUES // 200) + 1
 
 def reference_gmm_grad(beta, batch, sigma, T):
     beta = np.asarray(beta, dtype=float)
-    w = gmm_weight(beta, batch.y, sigma)
+    w = expit(matvec(batch.y, beta) / sigma**2)
     return np.mean((2.0 * w - 1.0)[:, None] * clamp(batch.y, T), axis=0) - beta
 
 
@@ -84,15 +80,11 @@ def reference_generate_rmc(spec, n, oracle):
     return RmcBatch(z * x, z, y)
 
 
-GRADIENTS = {
-    "gmm": (gmm_truncated_grad, reference_gmm_grad),
-    "mor": (mor_truncated_grad, reference_mor_grad),
-    "rmc": (rmc_truncated_grad, reference_rmc_grad),
-}
+REFERENCES = {"gmm": reference_gmm_grad, "mor": reference_mor_grad, "rmc": reference_rmc_grad}
 
 
 def make_case(kind, n, d, seed, missing_prob=0.3):
-    """A batch drawn from the model and an estimate away from the truth.
+    """The model's spec, an estimate away from the truth and a batch drawn from the model.
 
     ``missing_prob`` applies to rmc only.
     """
@@ -101,7 +93,7 @@ def make_case(kind, n, d, seed, missing_prob=0.3):
     spec = ModelSpec(kind, d, SIGMA, true_beta,
                      missing_prob=missing_prob if kind == "rmc" else 0.0)
     batch = generate(spec, n, NoiseOracle(seed))
-    return true_beta + 0.5 * rng.standard_normal(d), batch
+    return spec, true_beta + 0.5 * rng.standard_normal(d), batch
 
 
 class TestGradientsMatchRowMeans:
@@ -119,10 +111,9 @@ class TestGradientsMatchRowMeans:
         pytest.param("rmc", 0.9, id="rmc_p0.9"),
     ])
     def test_agree_to_rounding(self, kind, missing_prob, T, n, d):
-        beta, batch = make_case(kind, n, d, seed=100 * n + d, missing_prob=missing_prob)
-        grad, reference = GRADIENTS[kind]
-        expected = reference(beta, batch, SIGMA, T)
-        got = grad(beta, batch, SIGMA, T)
+        spec, beta, batch = make_case(kind, n, d, seed=100 * n + d, missing_prob=missing_prob)
+        expected = REFERENCES[kind](beta, batch, SIGMA, T)
+        got = truncated_grad(spec, beta, batch, T)
         assert got.shape == (d,)
         scale = np.max(np.abs(expected))
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12 * scale)
@@ -131,9 +122,8 @@ class TestGradientsMatchRowMeans:
     def test_clamping_is_exercised(self, kind):
         # At T = 1 the largest case clamps some entries, so the finite-T
         # comparison above is not the T = inf one in disguise.
-        beta, batch = make_case(kind, 2000, 50, seed=100 * 2000 + 50)
-        grad, _ = GRADIENTS[kind]
-        moved = grad(beta, batch, SIGMA, 1.0) - grad(beta, batch, SIGMA, math.inf)
+        spec, beta, batch = make_case(kind, 2000, 50, seed=100 * 2000 + 50)
+        moved = truncated_grad(spec, beta, batch, 1.0) - truncated_grad(spec, beta, batch, math.inf)
         assert np.max(np.abs(moved)) > 1e-3
 
 
@@ -147,7 +137,7 @@ class TestRmcInPlace:
         beta = np.linspace(-1.0, 1.0, d)
         spec = ModelSpec("rmc", d, 0.7, beta, missing_prob=p)
         fast_oracle, ref_oracle = NoiseOracle(31 + n), NoiseOracle(31 + n)
-        got = generate_rmc(spec, n, fast_oracle)
+        got = generate(spec, n, fast_oracle)
         expected = reference_generate_rmc(spec, n, ref_oracle)
         assert got.z.dtype == bool
         # Masked negative covariates are -0.0 in both forms.
@@ -220,12 +210,13 @@ class TestClampedRowsum:
 class TestAllocationBounds:
     D = 200
 
-    @pytest.mark.parametrize("kind, grad", [("gmm", gmm_truncated_grad),
-                                            ("mor", mor_truncated_grad)])
+    # Each id names the model and the gradient measured.
+    @pytest.mark.parametrize("kind", ["gmm", "mor"],
+                             ids=["gmm-gmm_truncated_grad", "mor-mor_truncated_grad"])
     @pytest.mark.parametrize("T", [1.0, math.inf])
-    def test_gmm_and_mor_gradient(self, kind, grad, T):
-        beta, batch = make_case(kind, 20000, self.D, seed=3)
-        peak, _ = traced_peak_bytes(lambda: grad(beta, batch, SIGMA, T))
+    def test_gmm_and_mor_gradient(self, kind, T):
+        spec, beta, batch = make_case(kind, 20000, self.D, seed=3)
+        peak, _ = traced_peak_bytes(lambda: truncated_grad(spec, beta, batch, T))
         # One reused row block of the clamped design and the per-row vectors;
         # no (n, d) temporary at any T.
         design = batch.y if kind == "gmm" else batch.x
@@ -233,15 +224,15 @@ class TestAllocationBounds:
 
     @pytest.mark.parametrize("T", [1.0, math.inf])
     def test_rmc_gradient(self, T):
-        beta, batch = make_case("rmc", 20000, self.D, seed=4)
-        peak, _ = traced_peak_bytes(lambda: rmc_truncated_grad(beta, batch, SIGMA, T))
+        spec, beta, batch = make_case("rmc", 20000, self.D, seed=4)
+        peak, _ = traced_peak_bytes(lambda: truncated_grad(spec, beta, batch, T))
         # Two reused row-block buffers and the per-row vectors; no (n, d)
         # temporary at any T.
         assert peak < 0.1 * batch.x_obs.nbytes
 
     def test_generate_rmc(self):
         spec = ModelSpec("rmc", self.D, SIGMA, np.ones(self.D), missing_prob=0.1)
-        peak, batch = traced_peak_bytes(lambda: generate_rmc(spec, 20000, NoiseOracle(5)))
+        peak, batch = traced_peak_bytes(lambda: generate(spec, 20000, NoiseOracle(5)))
         # The returned x_obs, its one-byte mask z and a row block of uniforms;
         # a float mask drawn in one (n, d) piece peaked at 2x.
         assert peak < 1.25 * batch.x_obs.nbytes
@@ -249,8 +240,8 @@ class TestAllocationBounds:
 
 @pytest.mark.parametrize("T", [1.0, 3.0, math.inf])
 def test_rmc_gradient_same_for_bool_and_float_mask(T):
-    beta, batch = make_case("rmc", TAIL_N, 200, seed=6)
+    spec, beta, batch = make_case("rmc", TAIL_N, 200, seed=6)
     as_float = RmcBatch(batch.x_obs, batch.z.astype(float), batch.y)
     assert batch.z.dtype == bool
-    np.testing.assert_array_equal(bits(rmc_truncated_grad(beta, batch, SIGMA, T)),
-                                  bits(rmc_truncated_grad(beta, as_float, SIGMA, T)))
+    np.testing.assert_array_equal(bits(truncated_grad(spec, beta, batch, T)),
+                                  bits(truncated_grad(spec, beta, as_float, T)))

@@ -14,20 +14,39 @@ from dpem.models import (
     ModelSpec,
     MorBatch,
     RmcBatch,
-    generate_gmm,
-    generate_mor,
-    generate_rmc,
-    gmm_truncated_grad,
-    gmm_weight,
-    mor_truncated_grad,
-    rmc_truncated_grad,
+    generate,
+    raw_grad,
     sensitivity,
+    truncated_grad,
 )
 
 
 def gmm_spec(d=2, sigma=0.5, beta=None):
     beta = np.array([1.0, 0.0]) if beta is None else np.asarray(beta, float)
     return ModelSpec("gmm", d, sigma, beta)
+
+
+def _spec(kind):
+    # sensitivity reads only the spec's kind.
+    return ModelSpec(kind, 2, 0.5)
+
+
+def gmm_weight(beta, y, sigma):
+    """The gmm mixing weight of one observation y, read from its one-row raw gradient.
+
+    The gradient is (2 w - 1) y - beta, so w = ((g + beta) . y / ||y||^2 + 1) / 2.
+    """
+    g = raw_grad(ModelSpec("gmm", len(y), sigma), beta, GmmBatch(y[None, :]))
+    return ((g + beta) @ y / (y @ y) + 1.0) / 2.0
+
+
+def mor_weight(beta, x, y, sigma):
+    """The mor mixing weight of one pair (x, y), read from its one-row raw gradient.
+
+    The gradient is 2 w y x - x x^T beta, so w = (g + x x^T beta) . x / (2 y ||x||^2).
+    """
+    g = raw_grad(ModelSpec("mor", len(x), sigma), beta, MorBatch(x[None, :], np.array([y])))
+    return (g + x * (x @ beta)) @ x / (2.0 * y * (x @ x))
 
 
 class TestModelSpec:
@@ -47,17 +66,27 @@ class TestModelSpec:
             dict(kind="gmm", d=2, sigma=math.inf),
             dict(kind="gmm", d=2, sigma=True),
             dict(kind="rmc", d=2, sigma=1.0, missing_prob="0.1"),
+            dict(kind="gmm", d=2, sigma="2"),
+            dict(kind="gmm", d=2, sigma=math.nan),
         ],
     )
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
             ModelSpec(**kwargs)
 
+    def test_equality_and_hash_are_by_identity(self):
+        # A spec holds an array, so a field-wise == would be ambiguous for d > 1.
+        spec = ModelSpec("gmm", 3, 0.5, np.zeros(3))
+        same_fields = ModelSpec("gmm", 3, 0.5, np.zeros(3))
+        assert spec == spec and hash(spec) == hash(spec)
+        assert spec != same_fields
+        assert len({spec, same_fields}) == 2
+
 
 class TestGenerators:
     def test_gmm_moments(self):
         spec = gmm_spec()
-        batch = generate_gmm(spec, 100_000, NoiseOracle(11))
+        batch = generate(spec, 100_000, NoiseOracle(11))
         n = len(batch)
         # z symmetry makes E[Y] = 0.
         assert np.all(np.abs(batch.y.mean(axis=0)) < 4 / math.sqrt(n))
@@ -68,18 +97,17 @@ class TestGenerators:
     def test_gmm_rejects_empty(self):
         # Every generator takes n as a whole number >= 1: 2.0 counts, a
         # bool or a fraction does not.
-        for kind, generate_kind in (("gmm", generate_gmm), ("mor", generate_mor),
-                                    ("rmc", generate_rmc)):
+        for kind in ("gmm", "mor", "rmc"):
             spec = ModelSpec(kind, 2, 0.5, np.array([1.0, 0.0]), missing_prob=0.0)
             for bad in (0, 2.5, True):
                 with pytest.raises(ValueError, match="^n must be a positive integer"):
-                    generate_kind(spec, bad, NoiseOracle(0))
-            assert len(generate_kind(spec, 2.0, NoiseOracle(0))) == 2
+                    generate(spec, bad, NoiseOracle(0))
+            assert len(generate(spec, 2.0, NoiseOracle(0))) == 2
 
     def test_mor_variance_and_symmetry(self):
         beta = np.array([0.6, -0.8])  # unit norm
         spec = ModelSpec("mor", 2, 0.5, beta)
-        batch = generate_mor(spec, 100_000, NoiseOracle(13))
+        batch = generate(spec, 100_000, NoiseOracle(13))
         # Law of total variance: Var(y) = ||beta||^2 + sigma^2 = 1.25.
         assert abs(batch.y.var() / 1.25 - 1.0) < 0.02
         # z symmetry kills the correlation between y and x^T beta.
@@ -89,12 +117,12 @@ class TestGenerators:
 
     def test_rmc_no_missingness(self):
         spec = ModelSpec("rmc", 3, 0.5, np.array([1.0, 0.0, 0.0]), missing_prob=0.0)
-        batch = generate_rmc(spec, 100, NoiseOracle(17))
+        batch = generate(spec, 100, NoiseOracle(17))
         np.testing.assert_array_equal(batch.z, np.ones((100, 3)))
 
     def test_rmc_missing_rate(self):
         spec = ModelSpec("rmc", 5, 0.5, np.zeros(5), missing_prob=0.2)
-        batch = generate_rmc(spec, 100_000, NoiseOracle(19))
+        batch = generate(spec, 100_000, NoiseOracle(19))
         frac = np.mean(batch.z == 0.0)
         assert abs(frac - 0.2) < 0.01
         # Mask convention: observed covariates vanish where z is 0.
@@ -111,18 +139,19 @@ class TestGmmOps:
         rng = np.random.default_rng(1)
         beta = rng.standard_normal(4)
         y = rng.standard_normal((10, 4))
-        total = gmm_weight(beta, y, 0.7) + gmm_weight(-beta, y, 0.7)
+        total = [gmm_weight(beta, row, 0.7) + gmm_weight(-beta, row, 0.7) for row in y]
         np.testing.assert_allclose(total, 1.0, rtol=0, atol=1e-15)
 
     def test_grad_zero_beta(self):
         batch = GmmBatch(np.random.default_rng(2).standard_normal((20, 3)))
         np.testing.assert_array_equal(
-            gmm_truncated_grad(np.zeros(3), batch, 1.0, math.inf), np.zeros(3)
+            truncated_grad(ModelSpec("gmm", 3, 1.0), np.zeros(3), batch, math.inf), np.zeros(3)
         )
 
     def test_grad_frozen_value(self):
         # d=1, beta=1, sigma=1, single y=2.
-        got = gmm_truncated_grad(np.array([1.0]), GmmBatch(np.array([[2.0]])), 1.0, math.inf)
+        got = truncated_grad(ModelSpec("gmm", 1, 1.0), np.array([1.0]), GmmBatch(np.array([[2.0]])),
+                             math.inf)
         assert got[0] == pytest.approx(0.5231883119115293, rel=1e-12)
 
     def test_truncated_equals_raw_when_T_large(self):
@@ -130,54 +159,68 @@ class TestGmmOps:
         batch = GmmBatch(rng.standard_normal((30, 4)))
         beta = rng.standard_normal(4)
         T = float(np.abs(batch.y).max()) + 1.0
+        spec = ModelSpec("gmm", 4, 0.8)
         np.testing.assert_array_equal(
-            gmm_truncated_grad(beta, batch, 0.8, T), gmm_truncated_grad(beta, batch, 0.8, math.inf)
+            truncated_grad(spec, beta, batch, T), truncated_grad(spec, beta, batch, math.inf)
         )
 
     def test_truncated_frozen_value(self):
-        got = gmm_truncated_grad(np.array([1.0]), GmmBatch(np.array([[2.0]])), 1.0, 1.5)
+        got = truncated_grad(ModelSpec("gmm", 1, 1.0), np.array([1.0]), GmmBatch(np.array([[2.0]])),
+                             1.5)
         assert got[0] == pytest.approx(0.14239123393364705, rel=1e-12)
 
     def test_truncated_zero_beta(self):
         batch = GmmBatch(np.random.default_rng(4).standard_normal((20, 3)) * 5)
-        np.testing.assert_array_equal(gmm_truncated_grad(np.zeros(3), batch, 1.0, 0.5), np.zeros(3))
+        got = truncated_grad(ModelSpec("gmm", 3, 1.0), np.zeros(3), batch, 0.5)
+        np.testing.assert_array_equal(got, np.zeros(3))
 
     def test_sensitivity(self):
         # 2 * 0.5 * 2 * 8 / 4000; this is also the lambda used by the noisy
         # hard-threshold scale example in test_mechanisms.  gmm's value does
         # not depend on the iterate.
+        spec = _spec("gmm")
         for beta in (np.zeros(2), np.array([20.0, -3.0])):
-            assert sensitivity("gmm", 2.0, 0.5, 8, 4000, beta) == pytest.approx(0.004, rel=1e-12)
-            assert sensitivity("gmm", 2.0, 0.0, 8, 4000, beta) == 0.0
+            assert sensitivity(spec, 2.0, 0.5, 8, 4000, beta) == pytest.approx(0.004, rel=1e-12)
+            assert sensitivity(spec, 2.0, 0.0, 8, 4000, beta) == 0.0
         with pytest.raises(ValueError):
-            sensitivity("gmm", math.inf, 0.5, 8, 4000, np.zeros(2))
+            sensitivity(spec, math.inf, 0.5, 8, 4000, np.zeros(2))
 
     def test_sensitivity_bounds_adjacent_steps(self):
         rng = np.random.default_rng(5)
         eta, T, N0, n0 = 0.5, 1.2, 4, 30
+        spec = ModelSpec("gmm", 3, 1.0)
         for trial in range(50):
             beta = rng.standard_normal(3)
-            bound = sensitivity("gmm", T, eta, N0, N0 * n0, beta)
+            bound = sensitivity(spec, T, eta, N0, N0 * n0, beta)
             y = rng.standard_normal((n0, 3)) * rng.uniform(0.5, 4)
             y2 = y.copy()
             y2[rng.integers(n0)] = rng.standard_normal(3) * 10.0 ** rng.integers(0, 6)
             diff = eta * np.abs(
-                gmm_truncated_grad(beta, GmmBatch(y), 1.0, T)
-                - gmm_truncated_grad(beta, GmmBatch(y2), 1.0, T)
+                truncated_grad(spec, beta, GmmBatch(y), T)
+                - truncated_grad(spec, beta, GmmBatch(y2), T)
             )
             assert diff.max() <= bound * (1 + 1e-9)
 
 
 class TestMorOps:
+    def test_weight_examples(self):
+        one = np.array([1.0])
+        assert mor_weight(np.zeros(3), np.array([1.0, 2.0, 3.0]), 2.0, 1.0) == 0.5
+        assert mor_weight(np.array([math.log(3)]), one, 1.0, 1.0) == pytest.approx(0.75)
+        assert mor_weight(np.array([-math.log(3)]), one, 1.0, 1.0) == pytest.approx(0.25)
+        # The weight reads y <x, beta> / sigma^2: log 3 again.
+        assert mor_weight(np.array([math.log(3)]), 2.0 * one, 0.5, 1.0) == pytest.approx(0.75)
+
     def test_grad_zero_beta_single_pair(self):
         x = np.array([[0.7, -1.2]])
         y = np.array([3.0])
-        got = mor_truncated_grad(np.zeros(2), MorBatch(x, y), 1.0, math.inf)
+        got = truncated_grad(ModelSpec("mor", 2, 1.0), np.zeros(2), MorBatch(x, y), math.inf)
         np.testing.assert_allclose(got, y[0] * x[0], rtol=1e-15)
 
     def test_grad_frozen_value(self):
-        got = mor_truncated_grad(
-            np.array([1.0]), MorBatch(np.array([[1.0]]), np.array([2.0])), 1.0, math.inf
+        got = truncated_grad(
+            ModelSpec("mor", 1, 1.0), np.array([1.0]), MorBatch(np.array([[1.0]]), np.array([2.0])),
+            math.inf
         )
         assert got[0] == pytest.approx(2.5231883119115293, rel=1e-12)
 
@@ -186,27 +229,31 @@ class TestMorOps:
         batch = MorBatch(rng.standard_normal((25, 3)), rng.standard_normal(25))
         beta = rng.standard_normal(3)
         T = 50.0
+        spec = ModelSpec("mor", 3, 0.5)
         np.testing.assert_array_equal(
-            mor_truncated_grad(beta, batch, 0.5, T), mor_truncated_grad(beta, batch, 0.5, math.inf)
+            truncated_grad(spec, beta, batch, T), truncated_grad(spec, beta, batch, math.inf)
         )
 
     def test_truncated_frozen_value(self):
-        got = mor_truncated_grad(
-            np.array([1.0]), MorBatch(np.array([[3.0]]), np.array([2.0])), 1.0, 1.0
+        got = truncated_grad(
+            ModelSpec("mor", 1, 1.0), np.array([1.0]), MorBatch(np.array([[3.0]]), np.array([2.0])),
+            1.0
         )
         assert got[0] == pytest.approx(0.9950547536867307, rel=1e-12)
 
     def test_sensitivity(self):
+        spec = _spec("mor")
         for beta in (np.zeros(2), np.array([20.0, -3.0])):
-            assert sensitivity("mor", 2.0, 0.5, 8, 4000, beta) == pytest.approx(0.016, rel=1e-12)
-            assert sensitivity("mor", 2.0, 0.0, 8, 4000, beta) == 0.0
+            assert sensitivity(spec, 2.0, 0.5, 8, 4000, beta) == pytest.approx(0.016, rel=1e-12)
+            assert sensitivity(spec, 2.0, 0.0, 8, 4000, beta) == 0.0
 
     def test_sensitivity_bounds_adjacent_steps(self):
         rng = np.random.default_rng(7)
         eta, T, N0, n0 = 0.5, 0.9, 4, 25
+        spec = ModelSpec("mor", 3, 1.0)
         for trial in range(50):
             beta = rng.standard_normal(3)
-            bound = sensitivity("mor", T, eta, N0, N0 * n0, beta)
+            bound = sensitivity(spec, T, eta, N0, N0 * n0, beta)
             x = rng.standard_normal((n0, 3))
             y = rng.standard_normal(n0)
             x2, y2 = x.copy(), y.copy()
@@ -214,8 +261,8 @@ class TestMorOps:
             x2[i] = rng.standard_normal(3) * 10.0 ** rng.integers(0, 6)
             y2[i] = rng.standard_normal() * 10.0 ** rng.integers(0, 6)
             diff = eta * np.abs(
-                mor_truncated_grad(beta, MorBatch(x, y), 1.0, T)
-                - mor_truncated_grad(beta, MorBatch(x2, y2), 1.0, T)
+                truncated_grad(spec, beta, MorBatch(x, y), T)
+                - truncated_grad(spec, beta, MorBatch(x2, y2), T)
             )
             assert diff.max() <= bound * (1 + 1e-9)
 
@@ -251,17 +298,17 @@ class TestRmcOps:
         batch = RmcBatch(x, np.ones((1, 3)), y)
         expected = y[0] * x[0] - x[0] * (x[0] @ beta)
         np.testing.assert_allclose(
-            rmc_truncated_grad(beta, batch, 0.9, math.inf), expected, rtol=1e-12
+            truncated_grad(ModelSpec("rmc", 3, 0.9), beta, batch, math.inf), expected, rtol=1e-12
         )
 
     def test_grad_frozen_value(self):
         batch = RmcBatch(np.array([[0.0]]), np.array([[0.0]]), np.array([5.0]))
-        got = rmc_truncated_grad(np.array([2.0]), batch, 1.0, math.inf)
+        got = truncated_grad(ModelSpec("rmc", 1, 1.0), np.array([2.0]), batch, math.inf)
         assert got[0] == pytest.approx(8.0, rel=1e-12)
 
     def test_truncated_frozen_value(self):
         batch = RmcBatch(np.array([[0.0]]), np.array([[0.0]]), np.array([5.0]))
-        got = rmc_truncated_grad(np.array([2.0]), batch, 1.0, 1.5)
+        got = truncated_grad(ModelSpec("rmc", 1, 1.0), np.array([2.0]), batch, 1.5)
         assert got[0] == pytest.approx(0.25, rel=1e-12)
 
     def test_truncated_equals_raw_when_T_large(self):
@@ -270,9 +317,10 @@ class TestRmcOps:
         z = (rng.random((20, 3)) > 0.3).astype(float)
         batch = RmcBatch(z * x, z, rng.standard_normal(20))
         beta = rng.standard_normal(3) * 0.5
+        spec = ModelSpec("rmc", 3, 0.8)
         np.testing.assert_array_equal(
-            rmc_truncated_grad(beta, batch, 0.8, 100.0),
-            rmc_truncated_grad(beta, batch, 0.8, math.inf),
+            truncated_grad(spec, beta, batch, 100.0),
+            truncated_grad(spec, beta, batch, math.inf),
         )
 
     def test_truncated_zero_beta_reduces_to_clamped_products(self):
@@ -283,7 +331,8 @@ class TestRmcOps:
         batch = RmcBatch(z * x, z, y)
         T = 1.0
         expected = np.mean(np.clip(y, -T, T)[:, None] * np.clip(batch.x_obs, -T, T), axis=0)
-        np.testing.assert_allclose(rmc_truncated_grad(np.zeros(3), batch, 1.0, T), expected, rtol=1e-12)
+        got = truncated_grad(ModelSpec("rmc", 3, 1.0), np.zeros(3), batch, T)
+        np.testing.assert_allclose(got, expected, rtol=1e-12)
 
     def test_grad_matches_materialized_curvature(self):
         # The rank-structured product must agree with the explicit K matrix.
@@ -303,15 +352,15 @@ class TestRmcOps:
                 nn = miss * m[i]
                 K = np.diag(miss) + np.outer(m[i], m[i]) - np.outer(nn, nn)
                 total += y[i] * m[i] - K @ beta
-            np.testing.assert_allclose(
-                rmc_truncated_grad(beta, batch, 1.1, math.inf), total / n, rtol=1e-10
-            )
+            got = truncated_grad(ModelSpec("rmc", d, 1.1), beta, batch, math.inf)
+            np.testing.assert_allclose(got, total / n, rtol=1e-10)
 
     def test_sensitivity(self):
-        assert sensitivity("rmc", 2.0, 0.5, 8, 4000, np.zeros(2)) == pytest.approx(0.024, rel=1e-12)
-        assert sensitivity("rmc", 2.0, 0.0, 8, 4000, np.array([20.0, -3.0])) == 0.0
+        spec = _spec("rmc")
+        assert sensitivity(spec, 2.0, 0.5, 8, 4000, np.zeros(2)) == pytest.approx(0.024, rel=1e-12)
+        assert sensitivity(spec, 2.0, 0.0, 8, 4000, np.array([20.0, -3.0])) == 0.0
         # 0.5 * (6 * 2^2 + 20) * 8 / 4000: the iterate's largest |beta_j| joins 6 T^2.
-        got = sensitivity("rmc", 2.0, 0.5, 8, 4000, np.array([-20.0, 3.0]))
+        got = sensitivity(spec, 2.0, 0.5, 8, 4000, np.array([-20.0, 3.0]))
         assert got == pytest.approx(0.044, rel=1e-12)
 
 
@@ -323,7 +372,7 @@ class TestRmcOps:
 def test_sensitivity_rejects_bad_eta_N0_n(name, value):
     args = {"eta": 0.5, "N0": 2, "n": 4000, name: value}
     with pytest.raises(ValueError, match=f"^{name} must be"):
-        sensitivity("rmc", 2.0, args["eta"], args["N0"], args["n"], np.ones(2))
+        sensitivity(_spec("rmc"), 2.0, args["eta"], args["N0"], args["n"], np.ones(2))
 
 
 BAD_NUMBERS = pytest.mark.parametrize("value", [True, "2", math.nan], ids=["bool", "str", "nan"])
@@ -332,26 +381,22 @@ BAD_NUMBERS = pytest.mark.parametrize("value", [True, "2", math.nan], ids=["bool
 @BAD_NUMBERS
 def test_sensitivity_rejects_a_T_that_is_not_a_number(value):
     with pytest.raises(ValueError, match="^T must be a positive finite number"):
-        sensitivity("gmm", value, 0.5, 5, 100, np.ones(2))
+        sensitivity(_spec("gmm"), value, 0.5, 5, 100, np.ones(2))
 
 
-def _grad_calls():
+def _batches():
     rng = np.random.default_rng(16)
     x, y, z = rng.standard_normal((6, 2)), rng.standard_normal(6), rng.random((6, 2)) > 0.3
-    return {
-        "gmm": lambda sigma, T: gmm_truncated_grad(np.ones(2), GmmBatch(x), sigma, T),
-        "mor": lambda sigma, T: mor_truncated_grad(np.ones(2), MorBatch(x, y), sigma, T),
-        "rmc": lambda sigma, T: rmc_truncated_grad(np.ones(2), RmcBatch(z * x, z, y), sigma, T),
-    }
+    return {"gmm": GmmBatch(x), "mor": MorBatch(x, y), "rmc": RmcBatch(z * x, z, y)}
 
 
+# sigma is checked by ModelSpec alone (TestModelSpec::test_invalid).
 @BAD_NUMBERS
-@pytest.mark.parametrize("name", ["sigma", "T"])
+@pytest.mark.parametrize("name", ["T"])
 @pytest.mark.parametrize("kind", ["gmm", "mor", "rmc"])
 def test_gradients_reject_a_sigma_or_T_that_is_not_a_number(kind, name, value):
-    args = {"sigma": 0.5, "T": 1.0, name: value}
     with pytest.raises(ValueError, match=f"^{name} must be a positive number"):
-        _grad_calls()[kind](args["sigma"], args["T"])
+        truncated_grad(ModelSpec(kind, 2, 0.5), np.ones(2), _batches()[kind], value)
 
 
 class TestSharedProperties:
@@ -361,28 +406,33 @@ class TestSharedProperties:
         beta = rng.standard_normal(3)
 
         y = rng.standard_normal((18, 3))
-        a = gmm_truncated_grad(beta, GmmBatch(y), 0.7, math.inf)
-        b = gmm_truncated_grad(beta, GmmBatch(y[perm]), 0.7, math.inf)
+        spec = ModelSpec("gmm", 3, 0.7)
+        a = truncated_grad(spec, beta, GmmBatch(y), math.inf)
+        b = truncated_grad(spec, beta, GmmBatch(y[perm]), math.inf)
         np.testing.assert_allclose(a, b, atol=1e-12)
 
         x, yy = rng.standard_normal((18, 3)), rng.standard_normal(18)
-        a = mor_truncated_grad(beta, MorBatch(x, yy), 0.7, math.inf)
-        b = mor_truncated_grad(beta, MorBatch(x[perm], yy[perm]), 0.7, math.inf)
+        spec = ModelSpec("mor", 3, 0.7)
+        a = truncated_grad(spec, beta, MorBatch(x, yy), math.inf)
+        b = truncated_grad(spec, beta, MorBatch(x[perm], yy[perm]), math.inf)
         np.testing.assert_allclose(a, b, atol=1e-12)
 
         z = (rng.random((18, 3)) > 0.3).astype(float)
-        a = rmc_truncated_grad(beta, RmcBatch(z * x, z, yy), 0.7, math.inf)
-        b = rmc_truncated_grad(beta, RmcBatch((z * x)[perm], z[perm], yy[perm]), 0.7, math.inf)
+        spec = ModelSpec("rmc", 3, 0.7)
+        a = truncated_grad(spec, beta, RmcBatch(z * x, z, yy), math.inf)
+        b = truncated_grad(spec, beta, RmcBatch((z * x)[perm], z[perm], yy[perm]), math.inf)
         np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_empty_batches_rejected(self):
         empty_y = np.zeros((0, 2))
         with pytest.raises(ValueError):
-            gmm_truncated_grad(np.zeros(2), GmmBatch(empty_y), 1.0, math.inf)
+            truncated_grad(ModelSpec("gmm", 2, 1.0), np.zeros(2), GmmBatch(empty_y), math.inf)
         with pytest.raises(ValueError):
-            mor_truncated_grad(np.zeros(2), MorBatch(empty_y, np.zeros(0)), 1.0, math.inf)
+            truncated_grad(ModelSpec("mor", 2, 1.0), np.zeros(2), MorBatch(empty_y, np.zeros(0)),
+                           math.inf)
         with pytest.raises(ValueError):
-            rmc_truncated_grad(np.zeros(2), RmcBatch(empty_y, empty_y, np.zeros(0)), 1.0, math.inf)
+            truncated_grad(ModelSpec("rmc", 2, 1.0), np.zeros(2),
+                           RmcBatch(empty_y, empty_y, np.zeros(0)), math.inf)
 
     def test_batch_slicing(self):
         rng = np.random.default_rng(15)
@@ -394,12 +444,6 @@ class TestSharedProperties:
 
 KINDS = ("gmm", "mor", "rmc")
 README = Path(__file__).resolve().parent.parent / "README.md"
-OTHER_KIND = pytest.mark.parametrize(
-    "kind, other", [(kind, other) for kind in KINDS for other in KINDS if kind != other])
-
-
-def _spec(kind):
-    return ModelSpec(kind, 3, 0.5, np.full(3, 0.2), 0.3 if kind == "rmc" else 0.0)
 
 
 class TestOneTable:
@@ -410,15 +454,6 @@ class TestOneTable:
         assert expected == "model kind must be one of ('gmm', 'mor', 'rmc'), got 'xyz'"
         with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
             ModelSpec("xyz", 2, 1.0)
-
-    @OTHER_KIND
-    def test_generators_refuse_a_spec_of_another_kind(self, kind, other):
-        with pytest.raises(ValueError, match=f"^spec.kind must be '{kind}', got '{other}'$"):
-            models._MODELS[kind].generate(_spec(other), 4, NoiseOracle(2))
-
-    def test_sensitivity_refuses_an_unknown_kind(self):
-        with pytest.raises(ValueError, match="^unknown model kind 'xyz'$"):
-            sensitivity("xyz", 1.0, 0.5, 5, 100, np.ones(2))
 
     def test_readme_constants_are_the_table(self):
         rows = re.findall(r"^\s*\| `(\w+)` \| \((\d+), (\d+), (\d+)\) \|",

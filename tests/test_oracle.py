@@ -11,7 +11,7 @@ from dpem import models
 from dpem.em_engine import EmConfig, nonprivate_em
 from dpem.harness import estimation_errors
 from dpem.mechanisms import NoiseOracle, PrivacyBudget, exact_top_k
-from dpem.models import GmmBatch, ModelSpec, RmcBatch, generate_gmm
+from dpem.models import GmmBatch, ModelSpec, RmcBatch, generate, raw_grad
 
 # epsilon = inf: the budget that T = inf requires.
 NONPRIVATE = PrivacyBudget(math.inf, 1e-3)
@@ -91,12 +91,10 @@ class TestFiniteDiff:
         # Every surrogate objective here is quadratic in its first argument,
         # so the central difference has no O(h^2) truncation term: the
         # mismatch is pure roundoff (~eps/h) at any step size.
-        from dpem.models import gmm_truncated_grad
-
         rng = np.random.default_rng(3)
         beta = rng.standard_normal(4) * 0.5
         batch = GmmBatch(rng.standard_normal((30, 4)))
-        exact = gmm_truncated_grad(beta, batch, 1.0, math.inf)
+        exact = raw_grad(ModelSpec("gmm", 4, 1.0), beta, batch)
         for h in (1e-2, 1e-4):
             fd = finite_diff_grad("gmm", beta, batch, 1.0, h=h)
             assert np.linalg.norm(fd - exact) < 1e-9
@@ -104,12 +102,10 @@ class TestFiniteDiff:
     def test_roundoff_grows_as_h_shrinks(self):
         # The flip side of exactness: with no truncation term, shrinking h
         # can only amplify cancellation error.
-        from dpem.models import gmm_truncated_grad
-
         rng = np.random.default_rng(4)
         beta = rng.standard_normal(4) * 0.5
         batch = GmmBatch(rng.standard_normal((30, 4)))
-        exact = gmm_truncated_grad(beta, batch, 1.0, math.inf)
+        exact = raw_grad(ModelSpec("gmm", 4, 1.0), beta, batch)
         coarse = np.linalg.norm(finite_diff_grad("gmm", beta, batch, 1.0, h=1e-3) - exact)
         fine = np.linalg.norm(finite_diff_grad("gmm", beta, batch, 1.0, h=1e-8) - exact)
         assert coarse < fine
@@ -123,7 +119,7 @@ class TestNonprivateEm:
     def _spec_and_data(self, seed=4, d=10, n=5000, sigma=0.5):
         beta_star = np.ones(d) / math.sqrt(d)
         spec = ModelSpec("gmm", d, sigma, beta_star)
-        return spec, generate_gmm(spec, n, NoiseOracle(seed)), beta_star
+        return spec, generate(spec, n, NoiseOracle(seed)), beta_star
 
     def test_rejects_empty_batch(self):
         spec, data, beta_star = self._spec_and_data(n=10)
