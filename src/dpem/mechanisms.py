@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -220,13 +221,34 @@ def gaussian_noise_std(lam: float, d: int, budget: PrivacyBudget) -> float:
 
 
 def _selection_input(v, s):
+    # (v as floats, |v|, max|v|, s) once v and s pass the checks both selections share.
     v = np.asarray(v, dtype=float)
     if v.ndim != 1:
         raise ValueError(f"v must be one-dimensional, got shape {v.shape}")
     s = whole("s", s)
     if s > v.size:
         raise ValueError(f"s must not exceed the dimension d ({s} > {v.size})")
-    return v, s
+    magnitudes = np.abs(v)
+    vmax = float(magnitudes.max())
+    if not math.isfinite(vmax):  # NaN propagates through max
+        raise ValueError("v must have finite coordinates")
+    return v, magnitudes, vmax, s
+
+
+def _pruning_factor(magnitudes, vmax: float, scale: float) -> float:
+    # e^((gap + slack) / b), widened by 2^-30 for the rounding of the
+    # exponent and of exp, where gap = vmax - min|v| and vmax = max|v|.  The
+    # slack is 2^-40 of the largest score magnitude, vmax + 53 ln 2 * b: some
+    # thousand times the rounding error of a computed score.  The largest
+    # float, which puts every cut below -1/2 and so prunes nothing, at a zero
+    # or subnormal scale, where that error is not relative, and where exp
+    # would overflow.
+    b = float(scale)
+    if b < sys.float_info.min:
+        return sys.float_info.max
+    slack = 2.0 ** -40 * (vmax + _LAPLACE_UNIT_MAX * b)
+    x = (vmax - float(magnitudes.min()) + slack) / b
+    return math.exp(x) * (1.0 + 2.0 ** -30) if x < 700.0 else sys.float_info.max
 
 
 def noisy_hard_threshold(v, s: int, scale: float, oracle: NoiseOracle) -> SparseSelection:
@@ -240,37 +262,84 @@ def noisy_hard_threshold(v, s: int, scale: float, oracle: NoiseOracle) -> Sparse
 
     The output support has cardinality exactly ``s``; off-support
     coordinates are exactly zero.  ``s > d`` is rejected; ``s == d`` selects
-    every coordinate.  A scale whose draws could overflow is rejected, as
-    :func:`sample_laplace` rejects it.
+    every coordinate; a non-finite coordinate of ``v`` is rejected.  A scale
+    whose draws could overflow is rejected, as :func:`sample_laplace`
+    rejects it.
 
     The rounds' noise is drawn ``max(1, min(s, B // d))`` rows at a time
-    (``B`` = ``BLOCK_VALUES``), one oracle draw per block, and transformed
-    into a score buffer allocated once per call, so memory stays
-    O(max(B, d)) rather than O(s * d).  Because a ``(k, d)``
-    draw is the same stream as ``k`` draws of size ``d``, the oracle is
-    consumed exactly as by one draw per round: ``(s + 1) * d`` uniforms per
-    call, the final release included, of which only the ``s`` on the support
-    are transformed.  Output and the oracle's later draws are bitwise those
-    of the round-by-round loop.
+    (``B`` = ``BLOCK_VALUES``), one oracle draw per block, so memory stays
+    O(max(B, d)) rather than O(s * d).  Because a ``(k, d)`` draw is the
+    same stream as ``k`` draws of size ``d``, the oracle is consumed exactly
+    as by one draw per round: ``(s + 1) * d`` uniforms per call, the final
+    release included.
+
+    Only the draws that can win their round go through the inverse CDF
+    ``L(u) = b * sign(u) * -log(1 - 2|u|)``, which increases with ``u``.
+    Let ``a`` be a row's largest draw over the unselected columns and
+    ``gap = max|v| - min|v|``.  Every draw below the cut
+    ``t = 1/2 - (1/2 - a) * e^(gap/b)`` has ``L(u) <= L(a) - gap``, so it
+    scores below the column holding ``a`` (for ``t < 0`` too, because
+    ``L(u) <= -b * log(1 - 2u)``).  The cut is lowered by a margin: ``gap``
+    grows by 2^-40 of ``max|v| + 53 ln 2 * b``, some thousand times the
+    rounding error of a computed score, and ``t`` by 2^-52 and a relative
+    2^-30 for its own rounding.  So a pruned draw loses even after rounding,
+    and cannot win a tie.  Nothing is pruned at a zero or subnormal scale,
+    where rounding is not relative, or when ``e^(gap/b)`` overflows.
+
+    The kept draws are scored with the same ufuncs as a whole row, on
+    contiguous arrays, so each score has the bits it would have had.  Each
+    row's winner is its lowest index with the largest score.  If an earlier
+    row of the block took that column, the row picks again among its free
+    candidates, which is exact when the best of them scores at least as
+    high as the column of the row's top draw; otherwise it scores its whole
+    row.  Output and the oracle's later draws are therefore bitwise those of
+    the round-by-round loop that transforms every draw.  Of the final
+    release's ``d`` draws only the ``s`` on the support are transformed.
+    The running time does depend on ``v`` and on the noise; the privacy
+    guarantee covers released values only, not timing.
     """
-    v, s = _selection_input(v, s)
+    v, magnitudes, vmax, s = _selection_input(v, s)
     d = v.size
     _noise_scale("scale", scale)
 
-    magnitudes = np.abs(v)
+    factor = _pruning_factor(magnitudes, vmax, scale)
     support = np.empty(s, dtype=int)
+    taken = np.zeros(d, dtype=bool)
     k = max(1, min(s, BLOCK_VALUES // d))
-    scores = np.empty((k, d))
+    row_starts = np.arange(0, (k + 1) * d, d)
     for start in range(0, s, k):
         rows = min(k, s - start)
         u = oracle.uniform_centered((rows, d))
-        block = _laplace_from_uniform(scale, u, out=scores[:rows])
-        block += magnitudes
-        block[:, support[:start]] = -np.inf
-        for i, row in enumerate(block):
-            j = int(np.argmax(row))  # argmax takes the lowest index on ties
+        if start:
+            u[:, support[:start]] = -np.inf  # selected: below every cut
+        cut = 0.5 - 2.0 ** -52 - (0.5 - u.max(axis=1, keepdims=True)) * factor
+        flat = (u >= cut).ravel().nonzero()[0]
+        row_of, cols = np.divmod(flat, d)
+        cand_u = u.ravel()[flat]
+        scores = _laplace_from_uniform(scale, cand_u)
+        scores += magnitudes[cols]
+        # Every row keeps its top draw, so no row's slice is empty.
+        bounds = flat.searchsorted(row_starts[:rows + 1])
+        starts = bounds[:-1]
+        best = np.maximum.reduceat(scores, starts)
+        winners = np.minimum.reduceat(np.where(scores == best[row_of], cols, d), starts)
+        for i, j in enumerate(winners.tolist()):
+            if taken[j]:  # an earlier row of this block took it
+                lo, hi = bounds[i], bounds[i + 1]
+                row_cols, row_scores = cols[lo:hi], scores[lo:hi]
+                # Every pruned draw scores below the column of the row's top draw.
+                bound = row_scores[cand_u[lo:hi].argmax()]
+                row_scores[taken[row_cols]] = -np.inf
+                pick = row_scores.argmax()
+                if row_scores[pick] >= bound:
+                    j = row_cols[pick]
+                else:
+                    w = _laplace_from_uniform(scale, u[i])
+                    w += magnitudes
+                    w[taken] = -np.inf
+                    j = w.argmax()
             support[start + i] = j
-            block[i + 1:, j] = -np.inf
+            taken[j] = True
 
     u_final = oracle.uniform_centered(d)
     values = np.zeros(d)
@@ -287,8 +356,8 @@ def exact_top_k(v, s: int) -> SparseSelection:
     noisy hard thresholding at ``epsilon = inf``; the harness uses it for
     sparse starting points.
     """
-    v, s = _selection_input(v, s)
-    order = np.argsort(-np.abs(v), kind="stable")[:s]
+    v, magnitudes, _, s = _selection_input(v, s)
+    order = np.argsort(-magnitudes, kind="stable")[:s]
     values = np.zeros_like(v)
     values[order] = v[order]
     return SparseSelection(support=order, values=values)

@@ -13,6 +13,7 @@ import pytest
 
 from helpers import bits, traced_peak_bytes
 
+import dpem.mechanisms as mechanisms
 from dpem.mechanisms import (
     BLOCK_VALUES,
     _UNIFORM_CAP,
@@ -60,29 +61,93 @@ def reference_generate_gmm(spec, n, oracle):
     return z[:, None] * spec.true_beta + e
 
 
+# lam of the peeling-sparse benchmark workload (n = 500, so delta = 1e-3 as in
+# BUDGET): its Laplace scale, 6.39 at s = 100, is far above the magnitude gap
+# of a standard normal v, about 4.
+PEELING_LAM = 0.0351
+
+
+def assert_matches_round_by_round(v, s, scale, seed):
+    fast_oracle, ref_oracle = NoiseOracle(seed), NoiseOracle(seed)
+
+    sel = noisy_hard_threshold(v, s, scale, fast_oracle)
+    ref_support, ref_values = reference_noisy_hard_threshold(v, s, scale, ref_oracle)
+
+    np.testing.assert_array_equal(sel.support, ref_support)
+    np.testing.assert_array_equal(bits(sel.values), bits(ref_values))
+    # Both consumed the stream identically.
+    np.testing.assert_array_equal(bits(fast_oracle.uniform_centered(9)),
+                                  bits(ref_oracle.uniform_centered(9)))
+
+
+def dominant(d, s, height):
+    """s columns at ``height`` above a small normal floor: every row wants the same columns."""
+    v = 0.01 * np.random.default_rng(d).standard_normal(d)
+    v[::d // s] += height
+    return v
+
+
 class TestNoisyHardThresholdBlocks:
-    # (1, 1) and (7, 7): s == d; (200, 10): one block; (5000, 400): 13-row
-    # blocks, the last one short; (70000, 3): d > B, one row per block.
-    # Scale 0 two ways: lam = 0 never reads the budget, while epsilon = inf
-    # calibrates a positive lam down to 0.  The oracle is consumed either way.
-    @pytest.mark.parametrize("d, s", [(1, 1), (200, 10), (5000, 400), (7, 7), (70000, 3)])
-    @pytest.mark.parametrize("lam, budget", [(0.0, BUDGET), (0.05, BUDGET), (0.05, NONPRIVATE)],
-                             ids=["0.0", "0.05", "0.05-inf_eps"])
+    # (1, 1) and (7, 7): s == d; (200, 10): one block; (5000, 100) and
+    # (5000, 400): 13-row blocks, the last one short; (70000, 3): d > B, one
+    # row per block.  Scale 0 two ways: lam = 0 never reads the budget, while
+    # epsilon = inf calibrates a positive lam down to 0.  The oracle is
+    # consumed either way.
+    @pytest.mark.parametrize("d, s", [(1, 1), (200, 10), (5000, 400), (7, 7), (70000, 3),
+                                      (5000, 100)])
+    @pytest.mark.parametrize("lam, budget", [(0.0, BUDGET), (0.05, BUDGET), (0.05, NONPRIVATE),
+                                             (PEELING_LAM, BUDGET)],
+                             ids=["0.0", "0.05", "0.05-inf_eps", "peeling"])
     def test_bitwise_equal_to_round_by_round(self, d, s, lam, budget):
         seed = 1000 * d + s
         # Rounding makes ties, so lowest-index tie-breaking is exercised too.
         v = np.round(np.random.default_rng(seed).standard_normal(d), 1)
-        fast_oracle, ref_oracle = NoiseOracle(seed), NoiseOracle(seed)
-        scale = noisy_ht_scale(lam, s, budget)
+        assert_matches_round_by_round(v, s, noisy_ht_scale(lam, s, budget), seed)
 
-        sel = noisy_hard_threshold(v, s, scale, fast_oracle)
-        ref_support, ref_values = reference_noisy_hard_threshold(v, s, scale, ref_oracle)
+    # The regimes that pruning treats apart, each against the reference that
+    # transforms every draw:
+    # - far-below-gap: noise far below the gap between the dominant columns
+    #   and the rest, so every row of a block wants the same column and rows
+    #   pick again (no draw is pruned: e^(gap/b) puts every cut below -1/2);
+    # - near-gap: gap / b = 4, so rows are pruned and still collide;
+    # - exp-overflow: gap / b = 4000, past the largest exponent exp takes;
+    # - v=0: a zero gap, which prunes all but the top draws;
+    # - small-d: cuts below 0 but above -1/2, and rows whose top draw an
+    #   earlier row took, which score their whole row;
+    # - b=1e-300 and b=1e300, on rounded v and on v = 0, and a subnormal scale,
+    #   which turns pruning off.
+    @pytest.mark.parametrize("v, s, scale", [
+        (dominant(200, 10, 5.0), 10, 0.01),
+        (dominant(5000, 100, 4.0), 100, 1.0),
+        (np.round(np.random.default_rng(3).standard_normal(5000), 1), 100, 1e-3),
+        (np.zeros(5000), 100, 1.0),
+        (np.array([0.0, 0.3, 0.6, 0.9, 1.2]), 5, 1.0),
+        (np.round(np.random.default_rng(4).standard_normal(200), 1), 10, 1e-300),
+        (np.zeros(200), 10, 1e-300),
+        (np.round(np.random.default_rng(5).standard_normal(200), 1), 10, 1e300),
+        (np.zeros(200), 10, 5e-324),
+    ], ids=["far-below-gap", "near-gap", "exp-overflow", "v=0", "small-d", "b=1e-300",
+            "v=0-b=1e-300", "b=1e300", "b=subnormal"])
+    def test_bitwise_equal_in_each_pruning_regime(self, v, s, scale):
+        for seed in range(3):
+            assert_matches_round_by_round(v, s, scale, seed)
 
-        np.testing.assert_array_equal(sel.support, ref_support)
-        np.testing.assert_array_equal(bits(sel.values), bits(ref_values))
-        # Both consumed the stream identically.
-        np.testing.assert_array_equal(bits(fast_oracle.uniform_centered(9)),
-                                      bits(ref_oracle.uniform_centered(9)))
+    def test_pruning_transforms_few_draws(self, monkeypatch):
+        # At the peeling-sparse scale almost every draw loses before its
+        # inverse CDF is taken: on this v about 3 values per round reach it,
+        # 271 of the (s + 1) * d = 505000 draws.
+        d, s = 5000, 100
+        transformed = []
+
+        def counting(scale, u, out=None):
+            transformed.append(np.size(u))
+            return _laplace_from_uniform(scale, u, out=out)
+
+        monkeypatch.setattr(mechanisms, "_laplace_from_uniform", counting)
+        v = np.random.default_rng(6).standard_normal(d)
+        sel = noisy_hard_threshold(v, s, noisy_ht_scale(PEELING_LAM, s, BUDGET), NoiseOracle(6))
+        assert sel.support.size == s
+        assert sum(transformed) < 0.002 * (s + 1) * d
 
     def test_block_draw_is_same_stream_as_row_draws(self):
         a, b = NoiseOracle(8), NoiseOracle(8)

@@ -185,6 +185,11 @@ class TestNoisyHardThreshold:
             select(np.zeros((2, 3)), 1)
         with pytest.raises(ValueError, match=r"^s must not exceed the dimension d \(6 > 5\)"):
             select(np.zeros(5), 6)
+        # Both refuse a non-finite coordinate, on which they would disagree:
+        # an argmax selects a NaN, a sort skips it.
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="^v must have finite coordinates$"):
+                select(np.array([bad, 1.0, 2.0, 0.5]), 1)
 
     def test_overflowing_scale_is_refused(self):
         # An infinite Laplace scale, what epsilon = 1e-310 would calibrate
