@@ -534,7 +534,7 @@ def run_classification(
         raise ConfigError(f"s_hat must not exceed the feature count ({config.s_hat} > {X.shape[1]})")
     z = np.where(labels == classes[0], 1.0, -1.0)
     # Every repetition balances to 2 * (minority count) rows and trains on 70%.
-    n_train = int(0.7 * 2 * min(np.sum(z > 0), np.sum(z < 0)))
+    n_train = 14 * int(min(np.sum(z > 0), np.sum(z < 0))) // 10
     if config.iters > n_train:
         raise ConfigError(f"iters must not exceed the training size ({config.iters} > {n_train})")
     em_config = config.em_config(n_train)

@@ -140,18 +140,17 @@ class SparseSelection:
     values: np.ndarray
 
 
-def _laplace_from_uniform(scale: float, u, out=None):
+def _laplace_from_uniform(scale: float, u):
     # Inverse CDF: u in (-1/2, 1/2) -> -scale * sign(u) * log(1 - 2|u|),
     # evaluated as copysign(scale * log1p(-2 min(|u|, cap)), u), which is
     # bitwise the same for every u the oracle draws, signed zeros included.
-    # Exact, portable, no rejection loop; u = 0 maps to exactly 0.  With
-    # ``out`` (an array that does not alias ``u``) every step runs in place.
-    r = np.abs(u, out=out)
-    r = np.minimum(r, _UNIFORM_CAP, out=out)
-    r = np.multiply(r, -2.0, out=out)
-    r = np.log1p(r, out=out)
-    r = np.multiply(r, scale, out=out)
-    return np.copysign(r, u, out=out)
+    # Exact, portable, no rejection loop; u = 0 maps to exactly 0.
+    r = np.abs(u)
+    r = np.minimum(r, _UNIFORM_CAP)
+    r = np.multiply(r, -2.0)
+    r = np.log1p(r)
+    r = np.multiply(r, scale)
+    return np.copysign(r, u)
 
 
 def _noise_scale(name: str, scale: float) -> float:
@@ -287,16 +286,16 @@ def noisy_hard_threshold(v, s: int, scale: float, oracle: NoiseOracle) -> Sparse
     where rounding is not relative, or when ``e^(gap/b)`` overflows.
 
     The kept draws are scored with the same ufuncs as a whole row, on
-    contiguous arrays, so each score has the bits it would have had.  Each
-    row's winner is its lowest index with the largest score.  If an earlier
-    row of the block took that column, the row picks again among its free
-    candidates, which is exact when the best of them scores at least as
-    high as the column of the row's top draw; otherwise it scores its whole
-    row.  Output and the oracle's later draws are therefore bitwise those of
-    the round-by-round loop that transforms every draw.  Of the final
-    release's ``d`` draws only the ``s`` on the support are transformed.
-    The running time does depend on ``v`` and on the noise; the privacy
-    guarantee covers released values only, not timing.
+    contiguous arrays, so each score has the bits it would have had.  A
+    row's winner, its lowest index with the largest kept score, scores at
+    least as high as the column of its top draw and so above every pruned
+    draw: if no earlier row of the block took it, it wins the round.  If
+    one did, the row scores its whole row.  Output and the oracle's later
+    draws are therefore bitwise those of the round-by-round loop that
+    transforms every draw.  Of the final release's ``d`` draws only the
+    ``s`` on the support are transformed.  The running time does depend on
+    ``v`` and on the noise; the privacy guarantee covers released values
+    only, not timing.
     """
     v, magnitudes, vmax, s = _selection_input(v, s)
     d = v.size
@@ -306,38 +305,25 @@ def noisy_hard_threshold(v, s: int, scale: float, oracle: NoiseOracle) -> Sparse
     support = np.empty(s, dtype=int)
     taken = np.zeros(d, dtype=bool)
     k = max(1, min(s, BLOCK_VALUES // d))
-    row_starts = np.arange(0, (k + 1) * d, d)
     for start in range(0, s, k):
         rows = min(k, s - start)
         u = oracle.uniform_centered((rows, d))
-        if start:
-            u[:, support[:start]] = -np.inf  # selected: below every cut
+        u[:, support[:start]] = -np.inf  # selected: below every cut
         cut = 0.5 - 2.0 ** -52 - (0.5 - u.max(axis=1, keepdims=True)) * factor
         flat = (u >= cut).ravel().nonzero()[0]
         row_of, cols = np.divmod(flat, d)
-        cand_u = u.ravel()[flat]
-        scores = _laplace_from_uniform(scale, cand_u)
+        scores = _laplace_from_uniform(scale, u.ravel()[flat])
         scores += magnitudes[cols]
         # Every row keeps its top draw, so no row's slice is empty.
-        bounds = flat.searchsorted(row_starts[:rows + 1])
-        starts = bounds[:-1]
+        starts = flat.searchsorted(np.arange(0, rows * d, d))
         best = np.maximum.reduceat(scores, starts)
         winners = np.minimum.reduceat(np.where(scores == best[row_of], cols, d), starts)
         for i, j in enumerate(winners.tolist()):
-            if taken[j]:  # an earlier row of this block took it
-                lo, hi = bounds[i], bounds[i + 1]
-                row_cols, row_scores = cols[lo:hi], scores[lo:hi]
-                # Every pruned draw scores below the column of the row's top draw.
-                bound = row_scores[cand_u[lo:hi].argmax()]
-                row_scores[taken[row_cols]] = -np.inf
-                pick = row_scores.argmax()
-                if row_scores[pick] >= bound:
-                    j = row_cols[pick]
-                else:
-                    w = _laplace_from_uniform(scale, u[i])
-                    w += magnitudes
-                    w[taken] = -np.inf
-                    j = w.argmax()
+            if taken[j]:  # an earlier row of this block took it: score the whole row
+                w = _laplace_from_uniform(scale, u[i])
+                w += magnitudes
+                w[taken] = -np.inf
+                j = w.argmax()
             support[start + i] = j
             taken[j] = True
 

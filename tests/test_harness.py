@@ -573,7 +573,7 @@ class TestRunClassification:
     @pytest.mark.parametrize("delta", [None, 1e-3])
     def test_report_carries_the_resolved_fit_config(self, delta):
         X, labels = make_gmm_class_data(n=100)
-        n_train = int(0.7 * 2 * min(np.sum(labels == "pos"), np.sum(labels == "neg")))
+        n_train = 14 * min(np.sum(labels == "pos"), np.sum(labels == "neg")) // 10
         config = ClassificationConfig(s_hat=5, epsilon=0.5, reps=2, master_seed=7, delta=delta)
         report = run_classification(X, labels, config)
         assert report.config == config.em_config(n_train)
@@ -581,6 +581,14 @@ class TestRunClassification:
         expected = 1.0 / (2.0 * n_train) if delta is None else delta
         assert report.config.budget == PrivacyBudget(0.5, expected)
         assert (report.config.s_hat, report.config.N0, report.config.T) == (5, 1, 0.5)
+
+    def test_training_size_is_the_exact_floor(self):
+        # floor(0.7 * 2 * 45) = 63, where the float product 62.999... rounds down to 62.
+        X, _ = make_gmm_class_data(n=105)
+        labels = np.array(["pos"] * 45 + ["neg"] * 60)
+        config = ClassificationConfig(s_hat=5, epsilon=0.5, reps=1, master_seed=7)
+        report = run_classification(X, labels, config)
+        assert report.config.budget.delta == 1.0 / 126.0
 
     @pytest.mark.parametrize("field, value, message", [
         ("reps", 0, "^reps must be a positive integer"),
