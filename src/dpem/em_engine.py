@@ -1,12 +1,12 @@
 """The two private EM drivers, one loop, and the non-private baseline.
 
 Both private drivers split the sample into one batch per iteration and take a
-truncated gradient step on it; they read each batch once, in order, so the
-sample may be a :class:`~dpem.models.LazySample` that draws each batch only
-then.  The loop calibrates each step once, by :meth:`EmConfig.step_scale`;
-the drivers differ only in the release drawing at that scale (noisy hard
-thresholding or Gaussian noise).  Disjoint batches mean each record influences
-exactly one iteration, so the whole run inherits the per-iteration guarantee.
+truncated gradient step on it; the baseline reads it whole, once.  Every driver
+reads its sample front to back, so the sample may draw its rows as they are read.
+The loop calibrates each step once, by :meth:`EmConfig.step_scale`; the drivers
+differ only in the release drawing at that scale (noisy hard thresholding or
+Gaussian noise).  Disjoint batches mean each record influences exactly one
+iteration, so the whole run inherits the per-iteration guarantee.
 Every driver returns its (N0 + 1, d) array of iterates, row t the iterate
 after t iterations; none reads the true parameter, which only the harness's
 :func:`~dpem.harness.estimation_errors` scores them against.
@@ -118,13 +118,11 @@ def nonprivate_em(
     """Standard non-private gradient EM: full data, no truncation, no noise.
 
     beta <- beta + eta * grad, repeated N0 times on the whole batch.  This is
-    the baseline the private runs are compared against.  It reads the whole
-    batch every iteration, so a :class:`~dpem.models.LazySample` is refused.
+    the baseline the private runs are compared against.  Once its inputs are
+    checked, it reads the batch once, whole, as ``batch[0:len(batch)]``.
     """
-    if isinstance(batch, models.LazySample):
-        raise ValueError("nonprivate_em reads the whole sample every iteration; "
-                         "pass a generated batch, not a LazySample")
     beta = _start(spec, batch, config, beta0)
+    batch = batch[0:len(batch)]
     betas = [beta]
     for _ in range(config.N0):
         beta = beta + config.eta * models.raw_grad(spec, beta, batch)

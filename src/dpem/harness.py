@@ -123,7 +123,7 @@ class SweepSpec:
 
 # The optional ``fixed`` keys.  Rules: delta = 1/(2n) ('half_n') or ``delta`` ('explicit'),
 # N0 = max(5, ceil(N0_rule ln n)), T = T_rule sigma sqrt(ln n_used), and s_hat = s_star
-# ('equal') or s_hat_rule, high_dim only.
+# ('equal') or s_hat_rule, high_dim only; missing_prob is rmc's only (0.0 for gmm and mor).
 _DEFAULTS = {"sigma": 0.5, "eta": 0.5, "reps": 1, "delta_rule": "half_n", "delta": None,
              "T_rule": 2.0, "N0_rule": 1.0, "s_hat_rule": "equal", "missing_prob": 0.1}
 
@@ -204,6 +204,10 @@ def parse_experiment_config(raw: dict) -> ExperimentConfig:
     high_dim = raw["regime"] == "high_dim"
     if p["s_hat_rule"] != "equal" and not high_dim:
         raise ConfigError("s_hat_rule applies only to regime 'high_dim'")
+    if raw["model"] != "rmc":
+        if "missing_prob" in raw["fixed"]:
+            raise ConfigError("missing_prob applies only to model 'rmc'")
+        p["missing_prob"] = 0.0
     with _config_errors():
         _positive_finite("T_rule", p["T_rule"])
         _positive_finite("N0_rule", p["N0_rule"])
@@ -297,12 +301,11 @@ def _run_cell(config: ExperimentConfig, sweep_value, rep: int, engine: str):
     data_oracle = NoiseOracle(derive_seed(cell_seed, "data"))
     init_oracle = NoiseOracle(derive_seed(cell_seed, "init"))
     beta0 = default_beta0(spec.true_beta, em_config.s_hat, init_oracle)
+    # Every driver reads its sample front to back, so each read is drawn just before it is used.
+    sample = models.LazySample(spec, n, data_oracle)
     if engine == "nonprivate":
-        betas = nonprivate_em(spec, models.generate(spec, n, data_oracle), em_config, beta0)
+        betas = nonprivate_em(spec, sample, em_config, beta0)
     else:
-        # The private drivers read each of their N0 batches once, in order:
-        # draw each just before its iteration.
-        sample = models.LazySample(spec, n, n // em_config.N0, data_oracle)
         run = run_low_dim if em_config.s_hat is None else run_high_dim
         betas = run(spec, sample, em_config, beta0, NoiseOracle(derive_seed(cell_seed, "noise")))
     return estimation_errors(betas, spec.true_beta)
@@ -326,13 +329,15 @@ def run_experiment(
     """Run the configured sweep and collect per-iteration errors.
 
     ``engine`` is 'private' (the DP EM drivers) or 'nonprivate' (the plain
-    gradient-EM baseline, from the same cell seeds).  The baseline draws one
-    full n-sample batch; a private run draws its sample one batch of
-    n // N0 rows at a time, just before each iteration, so the same cell
-    seed gives the two engines different rows.  Only an epsilon of
-    ``inf`` makes the mechanism noise exactly zero.  Repetitions may run
-    concurrently on ``jobs`` threads (a positive integer, as for the CLI's
-    ``--jobs``); the output is schedule-independent.
+    gradient-EM baseline, from the same cell seeds).  Each cell draws its
+    sample through one :class:`~dpem.models.LazySample`: a private run reads
+    it one batch at a time, just before each iteration, and the baseline
+    reads it whole, in one draw.  Successive batch draws order the stream
+    differently from one n-row draw, so the same cell seed gives the two
+    engines different rows.  Only an epsilon of ``inf`` makes the mechanism
+    noise exactly zero.  Repetitions may run concurrently on ``jobs``
+    threads (a positive integer, as for the CLI's ``--jobs``); the output is
+    schedule-independent.
     """
     if engine not in ("private", "nonprivate"):
         raise ConfigError(f"engine must be 'private' or 'nonprivate', got {engine!r}")

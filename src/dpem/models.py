@@ -40,9 +40,9 @@ milliseconds per call, and its summation order, hence the gradients' bytes,
 followed the BLAS thread count.  The table's dispatchers (:func:`generate`,
 :func:`raw_grad`, :func:`truncated_grad`, :func:`sensitivity`) are the only
 public way into a model, and each checks its inputs where they come in; the
-per-model functions behind them are private.  A :class:`LazySample` hands the
-private drivers their sample one batch at a time, each drawn fresh when it is
-read.
+per-model functions behind them are private.  A :class:`LazySample` is a
+sample read front to back, each read drawn fresh: the private drivers read it
+one batch at a time, the non-private baseline whole, in one draw.
 """
 
 from __future__ import annotations
@@ -331,23 +331,19 @@ def generate(spec: ModelSpec, n: int, oracle: NoiseOracle):
 
 
 class LazySample:
-    """An n-sample draw that generates each batch only when it is read.
+    """An n-sample draw that generates its rows only when they are read.
 
-    ``len()`` is n, and the only legal slices are ``[0:b]``, ``[b:2b]``, ...
-    (b = ``batch_size``), each read once, in order, as the private drivers
-    read their batches; any other slice raises ``ValueError``.  Each read
-    draws a fresh b-row batch from ``oracle`` through :func:`generate` and
-    keeps no reference to it.  The n mod b trailing rows are never drawn.
-    Successive b-row draws order the stream differently from one n-row draw,
-    so the rows differ from it.
+    ``len()`` is n.  It is read front to back: each read must be a slice with
+    step 1 that starts where the last ended (the first at 0) and holds at
+    least one row once clipped to n; any other key raises.  Each read draws a
+    fresh batch from ``oracle`` through :func:`generate` and keeps no
+    reference to it, so rows never read are never drawn.  Reads of other
+    lengths order the stream differently, so they give other rows.
     """
 
-    def __init__(self, spec: ModelSpec, n: int, batch_size: int, oracle: NoiseOracle):
+    def __init__(self, spec: ModelSpec, n: int, oracle: NoiseOracle):
         self.spec = spec
         self._n = whole("n", n)
-        self._size = whole("batch_size", batch_size)
-        if self._size > self._n:
-            raise ValueError(f"batch_size must not exceed n ({self._size} > {self._n})")
         self._oracle = oracle
         self._next = 0
 
@@ -358,10 +354,10 @@ class LazySample:
         if not isinstance(key, slice):
             raise TypeError("a LazySample supports slice indexing only")
         lo, hi, step = key.indices(self._n)
-        if (lo, hi, step) != (self._next, self._next + self._size, 1):
-            raise ValueError(f"a LazySample is read once, in order, {self._size} rows at a time: "
-                             f"expected [{self._next}:{self._next + self._size}], got [{lo}:{hi}]")
-        batch = generate(self.spec, self._size, self._oracle)
+        if lo != self._next or hi <= lo or step != 1:
+            raise ValueError(f"a LazySample is read once, front to back: the next read must "
+                             f"start at {self._next} and hold a row, got [{lo}:{hi}:{step}]")
+        batch = generate(self.spec, hi - lo, self._oracle)
         self._next = hi
         return batch
 

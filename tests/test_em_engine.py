@@ -71,9 +71,10 @@ class TestSplitBatches:
         # both refuse anything but a whole number: 2.5 used to give the float
         # bounds [(0.0, 1.0), (1.0, 2.0)], and N0 = True ran as N0 = 1.
         spec = ModelSpec("gmm", 4, 0.5, sparse_beta(4, 2))
+        refusing = {"n": lambda: LazySample(spec, n, NoiseOracle(0)),
+                    "N0": lambda: EmConfig(0.5, 1.5, N0, BUDGET)}[name]
         with pytest.raises(ValueError, match=f"^{name} must be a positive integer"):
-            LazySample(spec, n, 1, NoiseOracle(0))
-            EmConfig(0.5, 1.5, N0, BUDGET)
+            refusing()
 
     def test_disjoint_cover(self):
         for n, N0 in [(100, 7), (53, 9), (12, 12)]:

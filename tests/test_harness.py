@@ -117,6 +117,23 @@ class TestConfigParsing:
         raw["fixed"]["s_hat_rule"] = "equal"
         assert parse_experiment_config(raw).cells[400][2].s_hat is None
 
+    @pytest.mark.parametrize("model", ["gmm", "mor"])
+    def test_missing_prob_is_refused_for_gmm_and_mor(self, model):
+        raw = experiment_config_dict(model=model, missing_prob=0.3)
+        with pytest.raises(ConfigError, match="^missing_prob applies only to model 'rmc'$"):
+            parse_experiment_config(raw)
+        del raw["fixed"]["missing_prob"]
+        assert parse_experiment_config(raw).cells[400][1].missing_prob == 0.0
+
+    def test_rmc_takes_missing_prob(self):
+        raw = experiment_config_dict(model="rmc")
+        assert parse_experiment_config(raw).cells[400][1].missing_prob == 0.1
+        raw["fixed"]["missing_prob"] = 0.3
+        assert parse_experiment_config(raw).cells[400][1].missing_prob == 0.3
+        raw["fixed"]["missing_prob"] = "0.3"
+        with pytest.raises(ConfigError, match="missing_prob must be a number in \\[0, 1\\)"):
+            parse_experiment_config(raw)
+
     def test_per_rep_seeds_distinct(self):
         cfg = parse_experiment_config(experiment_config_dict(reps=50))
         seeds = [

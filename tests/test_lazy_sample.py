@@ -1,4 +1,4 @@
-"""The lazy sample of the private runs: draws, read order, equivalence, memory."""
+"""The lazy sample every driver reads front to back: draws, read order, equivalence, memory."""
 
 import gc
 import math
@@ -40,55 +40,55 @@ class TestGenerateOut:
 
 class TestReadOrder:
     def test_len_is_n_and_batches_are_read_in_order_once(self):
-        sample = LazySample(spec_of("gmm"), 23, 5, NoiseOracle(2))
+        sample = LazySample(spec_of("gmm"), 23, NoiseOracle(2))
         assert len(sample) == 23
-        first = sample[0:5]
-        assert len(first) == 5
-        with pytest.raises(ValueError, match=r"expected \[5:10\], got \[0:5\]"):
-            sample[0:5]
-        with pytest.raises(ValueError, match=r"expected \[5:10\], got \[10:15\]"):
-            sample[10:15]
-        with pytest.raises(ValueError, match=r"got \[5:9\]"):
-            sample[5:9]
-        with pytest.raises(ValueError):
-            sample[5:10:2]
+        assert len(sample[0:5]) == 5
+        for key, got in ((slice(0, 5), "0:5:1"), (slice(6, 9), "6:9:1"), (slice(5, 5), "5:5:1"),
+                         (slice(5, 10, 2), "5:10:2"), (slice(-3, None), "20:23:1")):
+            with pytest.raises(ValueError, match=r"^a LazySample is read once, front to back: "
+                               rf"the next read must start at 5 and hold a row, got \[{got}\]$"):
+                sample[key]
         with pytest.raises(TypeError):
             sample[5]
-        sample[5:10], sample[10:15], sample[15:20]
-        with pytest.raises(ValueError, match=r"got \[20:23\]"):
-            sample[20:25]
+        # Reads may have any length; the last is clipped to n.
+        assert [len(sample[5:16]), len(sample[16:17]), len(sample[17:40])] == [11, 1, 6]
+        with pytest.raises(ValueError, match=r"start at 23 and hold a row, got \[23:23:1\]"):
+            sample[23:30]
 
     def test_a_read_batch_is_not_kept(self):
-        sample = LazySample(spec_of("gmm"), 23, 5, NoiseOracle(2))
+        sample = LazySample(spec_of("gmm"), 23, NoiseOracle(2))
         batch = weakref.ref(sample[0:5])
         gc.collect()
         assert batch() is None
         assert len(sample[5:10]) == 5
 
     def test_only_the_batches_are_drawn(self):
-        # Four reads of 5 rows consume the stream as four 5-row draws; the
-        # n mod 5 = 3 trailing rows are never drawn.
-        spec = spec_of("mor")
-        lazy_oracle, eager_oracle = NoiseOracle(3), NoiseOracle(3)
-        sample = LazySample(spec, 23, 5, lazy_oracle)
-        for lo in range(0, 20, 5):
-            got = sample[lo:lo + 5]
-            want = generate(spec, 5, eager_oracle)
-            np.testing.assert_array_equal(bits(got.x), bits(want.x))
-            np.testing.assert_array_equal(bits(got.y), bits(want.y))
-        assert lazy_oracle.standard_normal() == eager_oracle.standard_normal()
+        # Reads of 4, 11 and 3 rows consume the stream as three draws of
+        # those sizes; the 5 rows never read are never drawn.
+        for kind in KINDS:
+            spec = spec_of(kind)
+            lazy_oracle, eager_oracle = NoiseOracle(3), NoiseOracle(3)
+            sample = LazySample(spec, 23, lazy_oracle)
+            for lo, hi in ((0, 4), (4, 15), (15, 18)):
+                got, want = sample[lo:hi], generate(spec, hi - lo, eager_oracle)
+                for f in fields(want):
+                    np.testing.assert_array_equal(bits(getattr(got, f.name)),
+                                                  bits(getattr(want, f.name)))
+            assert lazy_oracle.standard_normal() == eager_oracle.standard_normal()
 
-    @pytest.mark.parametrize("n, batch_size", [(0, 1), (5, 0), (4, 5), (5, 2.5)])
-    def test_bad_sizes_are_refused(self, n, batch_size):
-        with pytest.raises(ValueError):
-            LazySample(spec_of("gmm"), n, batch_size, NoiseOracle(1))
+    @pytest.mark.parametrize("n", [0, 2.5])
+    def test_bad_sizes_are_refused(self, n):
+        with pytest.raises(ValueError, match="^n must be a positive integer"):
+            LazySample(spec_of("gmm"), n, NoiseOracle(1))
 
-    def test_nonprivate_em_refuses_the_lazy_sample(self):
-        spec = spec_of("gmm")
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_nonprivate_em_reads_the_lazy_sample_in_one_draw(self, kind):
+        spec = spec_of(kind)
         config = EmConfig(0.5, math.inf, 4, PrivacyBudget(math.inf, 1e-3))
-        sample = LazySample(spec, 40, 10, NoiseOracle(1))
-        with pytest.raises(ValueError, match="whole sample every iteration"):
-            nonprivate_em(spec, sample, config, np.zeros(spec.d))
+        beta0 = np.full(spec.d, 0.1)
+        lazy = nonprivate_em(spec, LazySample(spec, 40, NoiseOracle(1)), config, beta0)
+        eager = nonprivate_em(spec, generate(spec, 40, NoiseOracle(1)), config, beta0)
+        np.testing.assert_array_equal(bits(lazy), bits(eager))
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -105,7 +105,7 @@ def test_private_run_equals_a_run_on_the_same_per_batch_draws(kind, regime):
     beta0 = np.zeros(spec.d)
     beta0[:3] = 0.4
     run = run_high_dim if regime == "high_dim" else run_low_dim
-    lazy = run(spec, LazySample(spec, n, size, NoiseOracle(17)), config, beta0, NoiseOracle(5))
+    lazy = run(spec, LazySample(spec, n, NoiseOracle(17)), config, beta0, NoiseOracle(5))
     eager = run(spec, batch, config, beta0, NoiseOracle(5))
     np.testing.assert_array_equal(bits(lazy), bits(eager))
 

@@ -134,20 +134,21 @@ class TestNonprivateEm:
         assert np.all(betas == betas[0])
 
     def test_batch_bounds_one_full_batch_per_iteration(self, monkeypatch):
-        # Each of the N0 iterations takes its gradient over the whole batch,
-        # unsliced.
+        # The batch is read once, whole, and each of the N0 iterations takes
+        # its gradient over that one read.
         spec, data, beta_star = self._spec_and_data(n=300)
         config = EmConfig(eta=0.5, T=math.inf, N0=4, budget=NONPRIVATE)
         batch, seen, real = SliceRecorder(data), [], models.raw_grad
 
         def spy(spec, beta, read):
             seen.append(read)
-            return real(spec, beta, read.batch)
+            return real(spec, beta, read)
 
         monkeypatch.setattr(models, "raw_grad", spy)
         betas = nonprivate_em(spec, batch, config, beta_star)
-        assert len(seen) == 4 and all(read is batch for read in seen)
-        assert batch.reads == []
+        assert batch.reads == [(0, 300)]
+        assert len(seen) == 4 and all(read is seen[0] for read in seen)
+        assert len(seen[0]) == 300
         assert betas.shape == (5, spec.d)
 
     def test_error_contracts_from_perturbed_start_at_high_snr(self):

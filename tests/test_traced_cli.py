@@ -83,3 +83,22 @@ def test_classify_marks_one_cell_per_repetition(tmp_path, traced_cli):
     assert cells == {"rep0": 1, "rep1": 1, "rep2": 1}
     fits = Counter(span[6] for span in tracer.spans if span[2] == "em_engine.run_high_dim")
     assert fits == cells
+
+
+def test_baseline_draws_each_cell_whole_in_one_generate(tmp_path, traced_cli):
+    # The baseline reads its sample once, whole: one models.generate span of
+    # n rows and one oracle.nonprivate_em span per cell.
+    tracer = traced_cli.Tracer()
+    assert traced_cli.install(tracer) == []
+
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(experiment_config_dict()), encoding="utf-8")
+    argv = ["baseline", "--config", str(cfg_path), "--out", str(tmp_path / "o.csv"),
+            "--jobs", "2"]
+    assert dpem.cli.main(argv) == 0
+
+    cells = {"n=400/rep0": 400, "n=400/rep1": 400, "n=600/rep0": 600, "n=600/rep1": 600}
+    draws = [span for span in tracer.spans if span[2] == "models.generate.gmm"]
+    assert sorted((span[6], span[7]["n"]) for span in draws) == sorted(cells.items())
+    fits = Counter(span[6] for span in tracer.spans if span[2] == "oracle.nonprivate_em")
+    assert fits == dict.fromkeys(cells, 1)
