@@ -26,10 +26,13 @@ __all__ = ["main", "cmd_run", "cmd_classify"]
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+    try:
+        value = int(text)
+        if value >= 1:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -14,6 +14,7 @@ schedule never matters.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 from array import array
@@ -433,13 +434,61 @@ def load_classification_config(path) -> ClassificationConfig:
 def load_classification_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Read a headered CSV with one ``label`` column and numeric features.
 
-    The features are parsed into one flat float64 buffer, which the returned
-    (rows, columns - 1) matrix views without a copy.
+    numpy's C reader parses the rows into one float64 table, and the features
+    come back as a view of it without the label column, so they may be
+    strided.  A file that numpy refuses is read again by the Python reader,
+    the only one that takes the number spellings that ``float()`` accepts and
+    numpy does not (``1_000.5``, non-ASCII digits), and the one that says what
+    is wrong with a malformed file, on which line where it knows it.
     """
     try:
-        # utf-8-sig drops the byte-order mark that spreadsheet exports put first.
-        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-            reader = csv.reader(fh)
+        try:
+            return _load_csv_numpy(path)
+        except (ValueError, csv.Error):
+            # A spelling only float() takes, or a malformed file whose fault
+            # the Python reader names.
+            return _load_csv_python(path)
+    except OSError as exc:
+        raise DataError(f"cannot read data file {path}: {exc}") from exc
+
+
+def _load_csv_numpy(path) -> tuple[np.ndarray, np.ndarray]:
+    """The header through ``csv``, then every data row through one ``np.loadtxt`` call."""
+    # utf-8-sig drops the byte-order mark that spreadsheet exports put first.
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        header = next(csv.reader(fh), [])
+        label_idx = header.index("label")
+        # loadtxt warns when it gets no rows, so a file without one stops here.
+        lines = itertools.dropwhile(lambda line: not line.strip("\r\n"), fh)
+        first = next(lines, None)
+        if first is None:
+            raise ValueError("no data rows")
+        labels = []
+
+        def label(field):
+            labels.append(field)
+            return 0.0
+
+        # Every column is parsed, so loadtxt checks each row's field count.
+        table = np.loadtxt(itertools.chain([first], lines), delimiter=",", quotechar='"',
+                           comments=None, ndmin=2, converters={label_idx: label})
+    width = len(header)
+    if table.shape[1] != width:
+        raise ValueError(f"expected {width} fields, got {table.shape[1]}")
+    # Close the label column's gap from its narrower side: at most half the
+    # table moves, and a label first or last moves nothing.
+    if 2 * label_idx < width - 1:
+        table[:, 1:label_idx + 1] = table[:, :label_idx]
+        return table[:, 1:], np.asarray(labels)
+    table[:, label_idx:-1] = table[:, label_idx + 1:]
+    return table[:, :-1], np.asarray(labels)
+
+
+def _load_csv_python(path) -> tuple[np.ndarray, np.ndarray]:
+    """``csv.reader`` and ``float()`` into one flat float64 buffer, with line-numbered errors."""
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
             try:
                 header = next(reader)
             except StopIteration:
@@ -458,8 +507,11 @@ def load_classification_csv(path) -> tuple[np.ndarray, np.ndarray]:
                     values.extend(map(float, row))
                 except ValueError as exc:
                     raise DataError(f"{path}:{lineno}: non-numeric feature value ({exc})") from None
-    except OSError as exc:
-        raise DataError(f"cannot read data file {path}: {exc}") from exc
+        except csv.Error as exc:
+            raise DataError(f"{path}:{reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            byte = exc.object[exc.start]
+            raise DataError(f"{path}: not UTF-8 text (byte {byte:#04x}: {exc.reason})") from None
     if not labels:
         raise DataError(f"{path}: no data rows")
     features = np.frombuffer(values, dtype=float).reshape(len(labels), len(header) - 1)
@@ -473,18 +525,20 @@ def _classify_once(Xs, z, spec: ModelSpec, config: EmConfig, beta0, n_train: int
 
     # Balance the standardized classes by random drop and split 70/30.  Each
     # split is gathered from Xs and centered in place with the balanced mean.
+    # The gathers are clip-mode takes, which run without the GIL held; the
+    # indices are in range by construction, so clipping moves none of them.
     idx_pos = np.flatnonzero(z > 0)
     idx_neg = np.flatnonzero(z < 0)
     keep = min(idx_pos.size, idx_neg.size)
     idx_pos = rng.permutation(idx_pos)[:keep]
     idx_neg = rng.permutation(idx_neg)[:keep]
     idx = np.concatenate([idx_pos, idx_neg])
-    center = Xs[idx].mean(axis=0)
+    center = Xs.take(idx, axis=0, mode="clip").mean(axis=0)
 
     perm = rng.permutation(idx.size)
     train, test = idx[perm[:n_train]], idx[perm[n_train:]]
 
-    X_train = Xs[train]
+    X_train = Xs.take(train, axis=0, mode="clip")
     X_train -= center
     beta_hat = run_high_dim(spec, GmmBatch(X_train), config, beta0, noise_oracle)[-1]
 
@@ -493,7 +547,7 @@ def _classify_once(Xs, z, spec: ModelSpec, config: EmConfig, beta0, n_train: int
     pred_train = np.where(matvec(X_train, beta_hat) >= 0.0, 1.0, -1.0)
     orientation = 1.0 if np.mean(pred_train == z[train]) >= 0.5 else -1.0
     del X_train
-    X_test = Xs[test]
+    X_test = Xs.take(test, axis=0, mode="clip")
     X_test -= center
     pred_test = orientation * np.where(matvec(X_test, beta_hat) >= 0.0, 1.0, -1.0)
     return float(np.mean(pred_test != z[test]))

@@ -64,10 +64,14 @@ def small_config_dict(model, regime):
     return cfg
 
 
-def write_class_csv(path, features, labels, label_name="label"):
-    lines = [",".join([f"f{j}" for j in range(features.shape[1])] + [label_name])]
+def write_class_csv(path, features, labels, label_name="label", label_at=None):
+    """Features in round-trip precision, the label column at ``label_at`` (default last)."""
+    at = features.shape[1] if label_at is None else label_at
+    header = [f"f{j}" for j in range(features.shape[1])]
+    lines = [",".join(header[:at] + [label_name] + header[at:])]
     for row, lab in zip(features, labels):
-        lines.append(",".join(f"{v:.17g}" for v in row) + f",{lab}")
+        cells = [f"{v:.17g}" for v in row]
+        lines.append(",".join(cells[:at] + [str(lab)] + cells[at:]))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

@@ -195,6 +195,20 @@ class TestCmdClassify:
                      "--out", str(tmp_path / "o.csv")])
         assert code == 1
 
+    @pytest.mark.parametrize("data, message", [
+        (b"f0,label\n1.0,caf\xe9\n2.0,neg\n", ": not UTF-8 text (byte 0xe9: invalid continuation byte)"),
+        # numpy's reader takes long fields; the 1_0 sends the file to the Python reader.
+        (b"f0,label\n1_0,pos\n2.0," + b"n" * 140000 + b"\n", ":3: field larger than field limit (131072)"),
+    ], ids=["latin-1-byte", "over-long-field"])
+    def test_unreadable_data_exit_1_naming_the_file(self, tmp_path, capsys, data, message):
+        path = tmp_path / "data.csv"
+        path.write_bytes(data)
+        code = main(["classify", "--data", str(path), "--config", str(classify_config(tmp_path)),
+                     "--out", str(tmp_path / "o.csv")])
+        assert code == 1
+        assert capsys.readouterr().err == f"data error: {path}{message}\n"
+        assert not (tmp_path / "o.csv").exists()
+
 
 class TestSummaryLines:
     """The line each command prints, pinned on small configs (``--jobs 2``)."""
@@ -257,8 +271,8 @@ class TestInputImmutability:
 
 class TestRejectedInput:
     @pytest.mark.parametrize("command", ["run", "baseline", "classify"])
-    @pytest.mark.parametrize("jobs", ["0", "-2"])
-    def test_jobs_below_one_exits_2(self, tmp_path, command, jobs):
+    @pytest.mark.parametrize("jobs", ["0", "-2", "abc", "2.5"])
+    def test_jobs_below_one_exits_2(self, tmp_path, capsys, command, jobs):
         cfg = write_config(tmp_path, experiment_config_dict())
         argv = [command, "--config", str(cfg), "--out", str(tmp_path / "o.csv"), "--jobs", jobs]
         if command == "classify":
@@ -267,6 +281,7 @@ class TestRejectedInput:
             main(argv)
         assert exc.value.code == 2
         assert not (tmp_path / "o.csv").exists()
+        assert f"argument --jobs: must be a positive integer, got '{jobs}'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("regime", ["high_dim", "low_dim"])
     @pytest.mark.parametrize("eta", [float("nan"), float("inf")])

@@ -413,9 +413,21 @@ class TestClassificationIO:
             return np.asarray([[float(v) for i, v in enumerate(row) if i != label_idx]
                                for row in reader if row], dtype=float)
 
-    def test_values_bitwise_equal_to_list_of_floats(self, tmp_path):
-        values = ["-0.0", "0.0", "1e-3", "2.5E+10", "-7.25e-300", "5e-324", "2.2250738585072009e-308",
-                  "1.7976931348623157e308", "  3.5", "-.5", "1_000.5"]
+    @staticmethod
+    def refuse(path):
+        raise AssertionError(f"the Python reader ran on {path}")
+
+    @pytest.mark.parametrize("values, numpy_reads_it", [
+        (["-0.0", "0.0", "1e-3", "2.5E+10", "-7.25e-300", "5e-324", "2.2250738585072009e-308",
+          "1.7976931348623157e308", "  3.5", "-.5", "1_000.5"], False),
+        # No spelling that only float() takes, so numpy's own conversions are compared.
+        (["9007199254740993", "0.30000000000000004", "2.4703282292062327e-324",
+          "2.4703282292062328e-324", "1e-400", "1e400", "-Infinity", "nan", "-nan", "+.5e-3",
+          "\xa02.5\x0b", "123456789012345678901234567890", "4.9406564584124654e-324", "1E5"], True),
+    ], ids=["with-float-only-spellings", "numpy-spellings"])
+    def test_values_bitwise_equal_to_list_of_floats(self, tmp_path, monkeypatch, values, numpy_reads_it):
+        if numpy_reads_it:
+            monkeypatch.setattr(harness, "_load_csv_python", self.refuse)
         rows = [f"{values[(i + j) % len(values)]},{values[(i * j) % len(values)]},{'ab'[i % 2]}"
                 for i, j in zip(range(22), range(3, 25))]
         path = tmp_path / "data.csv"
@@ -443,15 +455,105 @@ class TestClassificationIO:
         with pytest.raises(DataError, match=message):
             load_classification_csv(path)
 
-    def test_load_peak_memory_is_near_the_matrix(self, tmp_path):
+    @pytest.mark.parametrize("label_at", [0, 25, None], ids=["first", "middle", "last"])
+    def test_load_peak_memory_is_near_the_matrix(self, tmp_path, label_at):
         X, labels = make_gmm_class_data(n=2000, d=50)
         path = tmp_path / "data.csv"
-        write_class_csv(path, X, labels)
+        write_class_csv(path, X, labels, label_at=label_at)
         peak, (got_X, _) = traced_peak_bytes(lambda: load_classification_csv(path))
-        # One flat float64 buffer grown in place; lists of Python floats
-        # peaked at 5.5x the matrix.
+        # One float64 table grown in place, of which a middle label moves at
+        # most half; lists of Python floats peaked at 5.5x the matrix.
         assert peak < 2 * got_X.nbytes
         np.testing.assert_array_equal(got_X, X)
+
+    @pytest.mark.parametrize("label_at, spreadsheet", [(0, False), (13, False), (None, False), (0, True)],
+                             ids=["first", "middle", "last", "bom-crlf"])
+    def test_well_formed_files_never_reach_the_python_reader(self, tmp_path, monkeypatch,
+                                                             label_at, spreadsheet):
+        X, labels = make_gmm_class_data(n=40)
+        path = tmp_path / "data.csv"
+        write_class_csv(path, X, labels, label_at=label_at)
+        if spreadsheet:
+            path.write_bytes(path.read_text(encoding="utf-8").replace("\n", "\r\n").encode("utf-8-sig"))
+        monkeypatch.setattr(harness, "_load_csv_python", self.refuse)
+        got_X, got_labels = load_classification_csv(path)
+        np.testing.assert_array_equal(got_X.view(np.uint64), X.view(np.uint64))
+        assert list(got_labels) == list(labels)
+
+    # Edge files read by both readers, under a header "f0,label,f1".
+    EDGE_BODIES = {
+        "quoted-label-with-comma": '1,"a,b",2\n3,c,4\n',
+        "quoted-label-with-newlines": '1,"a\nb",2\n3,"c\n\nd",4\n',
+        "doubled-quotes": '1,"a""b",2\n',
+        "text-after-closing-quote": '1,"ab"c,2\n',
+        "quote-inside-unquoted-label": '1,a"b,2\n',
+        "label-with-spaces-and-hash": '1, a ,2\n3,#b,4\n',
+        "quoted-numbers": '"1.5",a,"2"\n',
+        "cr": '1,a,2\r3,b,4\r',
+        "crlf": '1,a,2\r\n3,b,4\r\n',
+        "mixed-line-ends": '1,a,2\r\n3,b,4\r5,c,6\n',
+        "no-final-line-end": '1,a,2\n3,b,4',
+        "blank-lines": '\n\r\n1,a,2\n\n3,b,4\r\r\n\n',
+        "whitespace-only-line": '1,a,2\n  \n',
+        "trailing-comma": '1,a,2,\n',
+        "empty-field": ',a,2\n',
+        "extra-field": '1,a,2,9\n',
+        "short-row": '1,a\n',
+        "nul-in-number": '1\x00,a,2\n',
+        "nul-in-label": '1,a\x00,2\n',
+        "nbsp-and-vt-around-numbers": '\xa01\xa0,a,\x0b2\x0b\n',
+        "nan-and-infinity": 'nan,a,-nan\nInfinity,b,-inf\n',
+        "underflow-and-rounding": '1e-400,a,9007199254740993\n',
+        "underscore": '1_000.5,a,2\n',
+        "arabic-indic-digit": '\u0661,a,2\n',
+        "hex": '0x10,a,2\n',
+    }
+
+    @pytest.mark.parametrize("body", EDGE_BODIES.values(), ids=EDGE_BODIES.keys())
+    def test_equals_the_python_reader_or_both_refuse(self, tmp_path, body):
+        path = tmp_path / "data.csv"
+        path.write_bytes(("f0,label,f1\n" + body).encode("utf-8"))
+
+        def read(load):
+            try:
+                X, labels = load(path)
+            except DataError as exc:
+                return str(exc)
+            return X.shape, X.view(np.uint64).tolist(), labels.tolist()
+
+        assert read(load_classification_csv) == read(harness._load_csv_python)
+
+    def test_numpy_also_strips_ascii_separators_around_a_number(self, tmp_path):
+        # The one spelling numpy takes and float() refuses: the characters
+        # U+001C..U+001F count as whitespace to numpy, not to float().
+        path = tmp_path / "data.csv"
+        path.write_text("f0,label\n\x1c1\x1f,a\n", encoding="utf-8")
+        assert load_classification_csv(path)[0].tolist() == [[1.0]]
+        with pytest.raises(DataError, match="non-numeric"):
+            harness._load_csv_python(path)
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "file is empty"),
+        ("f0,label\n", "no data rows"),
+        ("f0,label\n\n\r\n\n", "no data rows"),
+    ], ids=["empty", "header-only", "header-and-blank-lines"])
+    def test_files_without_rows_are_refused(self, tmp_path, text, message):
+        path = tmp_path / "data.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(DataError, match=rf"^{re.escape(str(path))}: {message}$"):
+            load_classification_csv(path)
+
+    @pytest.mark.parametrize("data, message", [
+        (b"f0,label\n1.0,caf\xe9\n2.0,neg\n", r": not UTF-8 text \(byte 0xe9: invalid continuation byte\)$"),
+        # numpy's reader takes long fields; the 1_0 sends the file to the Python reader.
+        (b"f0,label\n1_0,pos\n2.0," + b"n" * 140000 + b"\n",
+         r":3: field larger than field limit \(131072\)$"),
+    ], ids=["latin-1-byte", "over-long-field"])
+    def test_unreadable_files_are_data_errors_naming_the_file(self, tmp_path, data, message):
+        path = tmp_path / "data.csv"
+        path.write_bytes(data)
+        with pytest.raises(DataError, match="^" + re.escape(str(path)) + message):
+            load_classification_csv(path)
 
     @pytest.mark.parametrize("jobs, bound", [(1, 2.5), (2, 3.5)])
     def test_run_peak_memory_is_the_standardized_matrix_plus_a_gather_per_thread(self, jobs, bound):
