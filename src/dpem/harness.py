@@ -457,7 +457,7 @@ def _load_csv_numpy(path) -> tuple[np.ndarray, np.ndarray]:
     # utf-8-sig drops the byte-order mark that spreadsheet exports put first.
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         header = next(csv.reader(fh), [])
-        label_idx = header.index("label")
+        [label_idx] = [i for i, name in enumerate(header) if name == "label"]
         # loadtxt warns when it gets no rows, so a file without one stops here.
         lines = itertools.dropwhile(lambda line: not line.strip("\r\n"), fh)
         first = next(lines, None)
@@ -495,6 +495,8 @@ def _load_csv_python(path) -> tuple[np.ndarray, np.ndarray]:
                 raise DataError(f"{path}: file is empty") from None
             if "label" not in header:
                 raise DataError(f"{path}: missing required column 'label'")
+            if header.count("label") > 1:
+                raise DataError(f"{path}: more than one 'label' column")
             label_idx = header.index("label")
             values, labels = array("d"), []
             for lineno, row in enumerate(reader, start=2):
@@ -509,9 +511,17 @@ def _load_csv_python(path) -> tuple[np.ndarray, np.ndarray]:
                     raise DataError(f"{path}:{lineno}: non-numeric feature value ({exc})") from None
         except csv.Error as exc:
             raise DataError(f"{path}:{reader.line_num}: {exc}") from None
-        except UnicodeDecodeError as exc:
-            byte = exc.object[exc.start]
-            raise DataError(f"{path}: not UTF-8 text (byte {byte:#04x}: {exc.reason})") from None
+        except UnicodeDecodeError:
+            # The decoder reads ahead of the csv reader, so decode the raw file again.
+            fh.buffer.seek(0)
+            raw = fh.buffer.read()
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                head = raw[:exc.start]
+                line = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+                raise DataError(f"{path}:{line}: not UTF-8 text "
+                                f"(byte {raw[exc.start]:#04x}: {exc.reason})") from None
     if not labels:
         raise DataError(f"{path}: no data rows")
     features = np.frombuffer(values, dtype=float).reshape(len(labels), len(header) - 1)

@@ -42,11 +42,11 @@ _UNIFORM_CAP = float(np.nextafter(0.5, 0.0))
 # about 36.7.
 _LAPLACE_UNIT_MAX = -math.log1p(-2.0 * _UNIFORM_CAP)
 
-# Values per row block (512 KiB of float64) of the selection noise in
-# noisy_hard_threshold, of the rmc mask draw and gradient's closed form, and
-# of the gmm and mor clamp-and-sum (models.clamped_rowsum): enough rows
-# to amortize the per-call NumPy overhead at moderate d, small enough that a
-# block stays cache-sized.
+# Values per row block (512 KiB of float64), max(1, BLOCK_VALUES // d) rows, of
+# noisy_hard_threshold's selection noise (at most s rows), the rmc mask draw
+# and the three gradients (models.clamped_rowsum for gmm and mor), which add
+# their per-block sums in order: enough rows to amortize the per-call NumPy
+# overhead at moderate d, small enough that a block stays cache-sized.
 BLOCK_VALUES = 1 << 16
 
 

@@ -29,12 +29,12 @@ stay vectorized.  Slicing a batch returns a batch of the same kind.
 
 Both matrix-vector directions are single-threaded numpy passes: the row
 products ``X beta`` behind the weights, fill-ins and generators go through
-:func:`matvec`, and the gmm and mor gradients average their rows as the
-transposed product ``np.einsum("ij,i->j", clamp(X, T), r) / n``, which
-:func:`clamped_rowsum` sums one clamped row block at a time, bit for bit,
-never copying the whole batch.  The rmc gradient sums the same kind of
-products over row blocks of its closed form, which never forms the (n, d)
-fill-in and holds because ``x_obs = z * x`` (see :func:`_rmc_truncated_grad`).
+:func:`matvec`.  The gmm and mor gradients average their rows as
+``clamp(X, T)^T r / n`` through :func:`clamped_rowsum`, and the rmc gradient
+sums the same kind of products over its closed form, which never forms the
+(n, d) fill-in and holds because ``x_obs = z * x`` (see
+:func:`_rmc_truncated_grad`).  All three take one row block at a time, add
+the per-block sums in order, and never copy the whole batch.
 The threaded BLAS gemv behind ``X @ beta`` and ``X.T @ r`` stalled for
 milliseconds per call, and its summation order, hence the gradients' bytes,
 followed the BLAS thread count.  The table's dispatchers (:func:`generate`,
@@ -78,33 +78,22 @@ def clamp(a, T: float, out=None):
 
 
 def clamped_rowsum(a, T: float, r):
-    """``np.einsum("ij,i->j", clamp(a, T), r)`` bitwise, holding one row block of ``clamp(a, T)``.
+    """The weighted row sum ``clamp(a, T)^T r`` of an (n, d) ``a``, holding one row block.
 
-    For a finite T and a C-ordered (n, d) ``a`` with d > 1, the rows are
-    split into even blocks of at most ``BLOCK_VALUES`` values (one row when d
-    is larger), each clipped into rows 1..k of one reused buffer whose row 0
-    carries the running sum with weight 1.0; one einsum over the buffer gives
-    the next running sum.  numpy's ``"ij,i->j"`` einsum adds the rows of such
-    an array strictly in order, so the carried sum is the whole-batch sum to
-    the last bit, for one block too; adding per-block sums would round
-    differently.  Otherwise it is the whole-batch einsum itself: at T = inf
-    nothing is copied, and layouts whose einsum does not add in row order
-    (d = 1 or not C-ordered) keep their own summation order.
+    At a finite T, each block of ``max(1, BLOCK_VALUES // d)`` rows is clipped
+    into one reused C-ordered buffer, and its ``np.einsum("ij,i->j", ...)`` is
+    added in order to a total that starts at zero, so the bits do not depend
+    on ``a``'s memory layout.  T = inf is one einsum over ``a``, uncopied.
     """
+    if math.isinf(T):
+        return np.einsum("ij,i->j", a, r)
     n, d = a.shape
-    if math.isinf(T) or d == 1 or not a.flags.c_contiguous:
-        return np.einsum("ij,i->j", clamp(a, T), r)
-    blocks = -(-n // max(1, BLOCK_VALUES // d))
-    step = -(-n // blocks)
-    buf = np.empty((step + 1, d))
-    weights = np.empty(step + 1)
-    buf[0], weights[0] = 0.0, 1.0
+    step = max(1, BLOCK_VALUES // d)
+    buf = np.empty((min(step, n), d))
+    total = np.zeros(d)
     for lo in range(0, n, step):
-        k = min(step, n - lo)
-        clamp(a[lo:lo + k], T, out=buf[1:k + 1])
-        weights[1:k + 1] = r[lo:lo + k]
-        total = np.einsum("ij,i->j", buf[:k + 1], weights[:k + 1])
-        buf[0] = total
+        block = clamp(a[lo:lo + step], T, out=buf[:min(step, n - lo)])
+        total += np.einsum("ij,i->j", block, r[lo:lo + step])
     return total
 
 

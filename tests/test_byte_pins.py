@@ -4,7 +4,10 @@ Any change to the bytes a command writes for a fixed config and seed fails
 here, so a change that moves them has to re-pin the digest and say why.  The
 private ``run`` digests are those of the sample drawn one batch at a time;
 the ``baseline`` and ``classify`` digests date from before that change, which
-touched neither path.
+touched neither path.  The ``-two_blocks`` cases run at d = 200 (100 for
+classify), where each gradient batch spans two row blocks of
+``mechanisms.BLOCK_VALUES`` values; their digests date from before the gmm
+and mor gradients began to add their per-block sums.
 """
 
 import hashlib
@@ -12,7 +15,7 @@ import json
 
 import pytest
 
-from helpers import make_gmm_class_data, small_config_dict, write_class_csv
+from helpers import experiment_config_dict, make_gmm_class_data, small_config_dict, write_class_csv
 
 from dpem.cli import main
 
@@ -23,6 +26,10 @@ CASES = {
     "baseline-gmm-high_dim": ("baseline", "gmm", "high_dim"),
     "baseline-rmc-low_dim": ("baseline", "rmc", "low_dim"),
     "classify": ("classify", None, None),
+    "run-gmm-high_dim-two_blocks": ("run", "gmm", "high_dim"),
+    "run-mor-low_dim-two_blocks": ("run", "mor", "low_dim"),
+    "baseline-gmm-high_dim-two_blocks": ("baseline", "gmm", "high_dim"),
+    "classify-two_blocks": ("classify", None, None),
 }
 
 DIGESTS = {
@@ -32,19 +39,31 @@ DIGESTS = {
     "baseline-gmm-high_dim": "ed547c9c960400e764d7765a3760a1be0c43d9bd042eed72dc8603efcf25bc46",
     "baseline-rmc-low_dim": "4ff19b46224b78591e447b318809bc796ae95ae7ee5f24d3721676f315411f79",
     "classify": "82a1c3097e200b7feb3a1f35cbedff7a031bfcc5ee5a95a77ae8c474504cc5ad",
+    "run-gmm-high_dim-two_blocks":
+        "cd0fa7800b4e3c7d5351e71898f568b194dfc80b55bfe3f6902950d423d82666",
+    "run-mor-low_dim-two_blocks":
+        "e031635182dd36b847f40452846676c5d2f9b8d8e7a59c1ad70b9e4813c74640",
+    "baseline-gmm-high_dim-two_blocks":
+        "5b0264ffd44a74929f3a6a389c3c6f8d664653aca8c65474f9ded5c50c6cc983",
+    "classify-two_blocks": "1f8f5e0fa0374a5f90c4264d1381c4236404c48053ed27ef47684d67f3e7108a",
 }
 
 
 def output_bytes(case, tmp_path) -> bytes:
     """The CSV that ``case``'s command writes, run with ``--jobs 2``."""
     command, model, regime = CASES[case]
+    two_blocks = case.endswith("-two_blocks")
     cfg_path, out = tmp_path / "config.json", tmp_path / "out.csv"
     argv = [command, "--config", str(cfg_path), "--out", str(out), "--jobs", "2"]
     if command == "classify":
         cfg = {"s_hat": 10, "epsilon": 0.5, "reps": 4, "master_seed": 11}
         data = tmp_path / "data.csv"
-        write_class_csv(data, *make_gmm_class_data(seed=5, n=600))
+        shape = {"n": 1500, "d": 100} if two_blocks else {"n": 600}
+        write_class_csv(data, *make_gmm_class_data(seed=5, **shape))
         argv += ["--data", str(data)]
+    elif two_blocks:
+        cfg = experiment_config_dict(model=model, regime=regime, d=200, s_star=10,
+                                     sweep={"name": "n", "values": [4000, 6000]}, reps=2)
     else:
         cfg = small_config_dict(model, regime)
     cfg_path.write_text(json.dumps(cfg), encoding="utf-8")

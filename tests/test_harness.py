@@ -544,7 +544,7 @@ class TestClassificationIO:
             load_classification_csv(path)
 
     @pytest.mark.parametrize("data, message", [
-        (b"f0,label\n1.0,caf\xe9\n2.0,neg\n", r": not UTF-8 text \(byte 0xe9: invalid continuation byte\)$"),
+        (b"f0,label\n1.0,caf\xe9\n2.0,neg\n", r":2: not UTF-8 text \(byte 0xe9: invalid continuation byte\)$"),
         # numpy's reader takes long fields; the 1_0 sends the file to the Python reader.
         (b"f0,label\n1_0,pos\n2.0," + b"n" * 140000 + b"\n",
          r":3: field larger than field limit \(131072\)$"),
@@ -553,6 +553,31 @@ class TestClassificationIO:
         path = tmp_path / "data.csv"
         path.write_bytes(data)
         with pytest.raises(DataError, match="^" + re.escape(str(path)) + message):
+            load_classification_csv(path)
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
+    def test_non_utf8_byte_is_named_by_its_line(self, tmp_path, newline):
+        # Past the first 8 KB, where the text decoder has read ahead of the
+        # csv reader, so neither one knows the line; the header is line 1.
+        rows = ["f0,label"] + [f"{i}.{'0' * 300},pos" for i in range(38)] + ["1.0,caf\xe9", "2,neg"]
+        path = tmp_path / "data.csv"
+        path.write_bytes(newline.join(rows).encode("latin-1"))
+        assert path.stat().st_size > 8192
+        with pytest.raises(DataError, match="^" + re.escape(str(path)) +
+                           r":40: not UTF-8 text \(byte 0xe9: invalid continuation byte\)$"):
+            load_classification_csv(path)
+
+    @pytest.mark.parametrize("text", [
+        "label,f0,label\n0,1.5,0\n1,2.5,1\n0,0.5,0\n",
+        "f0,label,label\n1.5,pos,pos\n2.5,neg,neg\n",
+    ], ids=["numeric-labels", "text-labels"])
+    def test_second_label_column_is_refused(self, tmp_path, text):
+        # numpy's reader parses the numeric file, and used to load its second
+        # label column as the feature column [0, 1, 0].
+        path = tmp_path / "data.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(DataError,
+                           match=rf"^{re.escape(str(path))}: more than one 'label' column$"):
             load_classification_csv(path)
 
     @pytest.mark.parametrize("jobs, bound", [(1, 2.5), (2, 3.5)])

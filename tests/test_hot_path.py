@@ -43,9 +43,12 @@ for kind in ("gmm", "mor", "rmc"):
         h.update(truncated_grad(spec, beta, batch, T).tobytes())
 print(h.hexdigest())
 """
-# Printed by HASH_GRADIENTS while the gmm and mor gradients still clamped the
-# whole batch into one copy; summing one row block at a time must not move it.
-GRADIENTS_DIGEST = "4f04e57eb45de8a75b5aba9425b5d19d2236bcf91125f0293495c41be35eac81"
+# Printed by HASH_GRADIENTS once all three gradients added their per-block
+# sums in order.  It moved from 4f04e57e... when the gmm and mor gradients
+# stopped carrying a running sum that reproduced the whole-batch einsum's bits
+# (the finite-T gradients changed by about 1e-15 relative); any other change to
+# the blocking or the summation order moves it again.
+GRADIENTS_DIGEST = "7d858398860d79b8ad0c9b6e0dc434af0588b63af238d41113dce731ca223e36"
 
 
 def run_python(code, **env_overrides):
