@@ -34,11 +34,13 @@ v = np.array([0.1, -2.4, 0.3, 1.9, -0.2, 0.05, 0.7, -0.6])
 budget = PrivacyBudget(epsilon=1.0, delta=1e-4)
 lam = 0.05  # caller-certified l-infinity sensitivity of v
 
-# Peeling draws at the per-round Laplace scale it is handed; noisy_ht_scale
-# calibrates that scale from lam and the budget.
+# Peeling draws at the scale b it is handed: each round picks an unpicked j
+# with probability proportional to exp(|v_j| / b), and the picked values are
+# released with Laplace(b) noise.  noisy_ht_scale calibrates b from lam and
+# the budget.
 exact_scale = noisy_ht_scale(lam, 3, PrivacyBudget(math.inf, 1e-4))
 scale = noisy_ht_scale(lam, 3, budget)
-print(f"\nper-round Laplace scale: {exact_scale} at epsilon = inf, {scale:.4f} at epsilon = 1")
+print(f"\npeeling scale b: {exact_scale} at epsilon = inf, {scale:.4f} at epsilon = 1")
 
 exact = noisy_hard_threshold(v, 3, exact_scale, NoiseOracle(0))
 print(f"epsilon = inf    : support {exact.support}, values {exact.values}")

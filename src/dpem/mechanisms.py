@@ -14,7 +14,6 @@ from __future__ import annotations
 import hashlib
 import math
 import numbers
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,10 +42,10 @@ _UNIFORM_CAP = float(np.nextafter(0.5, 0.0))
 _LAPLACE_UNIT_MAX = -math.log1p(-2.0 * _UNIFORM_CAP)
 
 # Values per row block (512 KiB of float64), max(1, BLOCK_VALUES // d) rows, of
-# noisy_hard_threshold's selection noise (at most s rows), the rmc mask draw
-# and the three gradients (models.clamped_rowsum for gmm and mor), which add
-# their per-block sums in order: enough rows to amortize the per-call NumPy
-# overhead at moderate d, small enough that a block stays cache-sized.
+# the rmc mask draw and the three gradients (models.clamped_rowsum for gmm and
+# mor), which add their per-block sums in order: enough rows to amortize the
+# per-call NumPy overhead at moderate d, small enough that a block stays
+# cache-sized.
 BLOCK_VALUES = 1 << 16
 
 
@@ -189,10 +188,11 @@ def sample_gaussian(std_dev: float, oracle: NoiseOracle, size=None):
 
 
 def noisy_ht_scale(lam: float, s: int, budget: PrivacyBudget) -> float:
-    """Per-round Laplace scale of :func:`noisy_hard_threshold` at an (epsilon, delta) budget.
+    """Scale b of :func:`noisy_hard_threshold` at an (epsilon, delta) budget.
 
     Equals lam * 2 * sqrt(3 * s * ln(1/delta)) / epsilon, where ``lam`` is
-    the caller-certified ell-infinity sensitivity of the input vector.
+    the caller-certified ell-infinity sensitivity of the input vector; each
+    selection round is then (2 * lam / b)-DP (README, "Peeling").
     Natural logarithm throughout.  The scale is exactly +0.0 at ``lam = 0``
     or ``epsilon = inf``.  A scale whose Laplace draws could overflow (a tiny
     epsilon) is refused, as :func:`sample_laplace` refuses it.
@@ -220,7 +220,7 @@ def gaussian_noise_std(lam: float, d: int, budget: PrivacyBudget) -> float:
 
 
 def _selection_input(v, s):
-    # (v as floats, |v|, max|v|, s) once v and s pass the checks both selections share.
+    # (v as floats, |v|, s) once v and s pass the checks both selections share.
     v = np.asarray(v, dtype=float)
     if v.ndim != 1:
         raise ValueError(f"v must be one-dimensional, got shape {v.shape}")
@@ -228,108 +228,52 @@ def _selection_input(v, s):
     if s > v.size:
         raise ValueError(f"s must not exceed the dimension d ({s} > {v.size})")
     magnitudes = np.abs(v)
-    vmax = float(magnitudes.max())
-    if not math.isfinite(vmax):  # NaN propagates through max
+    if not math.isfinite(magnitudes.max()):  # NaN propagates through max
         raise ValueError("v must have finite coordinates")
-    return v, magnitudes, vmax, s
-
-
-def _pruning_factor(magnitudes, vmax: float, scale: float) -> float:
-    # e^((gap + slack) / b), widened by 2^-30 for the rounding of the
-    # exponent and of exp, where gap = vmax - min|v| and vmax = max|v|.  The
-    # slack is 2^-40 of the largest score magnitude, vmax + 53 ln 2 * b: some
-    # thousand times the rounding error of a computed score.  The largest
-    # float, which puts every cut below -1/2 and so prunes nothing, at a zero
-    # or subnormal scale, where that error is not relative, and where exp
-    # would overflow.
-    b = float(scale)
-    if b < sys.float_info.min:
-        return sys.float_info.max
-    slack = 2.0 ** -40 * (vmax + _LAPLACE_UNIT_MAX * b)
-    x = (vmax - float(magnitudes.min()) + slack) / b
-    return math.exp(x) * (1.0 + 2.0 ** -30) if x < 700.0 else sys.float_info.max
+    return v, magnitudes, s
 
 
 def noisy_hard_threshold(v, s: int, scale: float, oracle: NoiseOracle) -> SparseSelection:
-    """Private sparse selection by noisy peeling, at the Laplace scale it is handed.
+    """Private sparse selection by exponential-mechanism peeling, at the scale it is handed.
 
-    Runs ``s`` rounds; round ``i`` draws a fresh d-vector of i.i.d. Laplace
-    noise at ``scale`` and appends the unselected index maximizing
-    ``|v_j| + w_ij`` to the support (ties: lowest index).  A final Laplace
-    d-vector is added to ``v`` before restricting to the support.
-    :func:`noisy_ht_scale` calibrates ``scale``; 0.0 gives exact top-s.
+    Runs ``s`` rounds; round ``i`` appends an unselected index ``j`` with
+    probability proportional to ``exp(|v_j| / scale)``.  The selected
+    coordinates of ``v`` are then released with i.i.d. Laplace noise at
+    ``scale``.  :func:`noisy_ht_scale` calibrates ``scale``; 0.0 gives exact
+    top-s, ties to the lowest index, whatever the oracle draws.
+
+    The rounds are sampled at once by the Gumbel-top-k trick: coordinate
+    ``j`` scores ``|v_j| - scale * log(-log u_j)``, ``|v_j|`` plus a
+    Gumbel(0, scale) draw, with ``u_j`` uniform on [0, 1), and the support is
+    the ``s`` highest scores in decreasing order (ties: lowest index).  A draw
+    ``u_j = 0`` scores -inf.  A call consumes exactly ``d + s`` uniforms from
+    the oracle, ``d`` for the scores and ``s`` for the release, and holds
+    O(d) memory.
 
     The output support has cardinality exactly ``s``; off-support
     coordinates are exactly zero.  ``s > d`` is rejected; ``s == d`` selects
     every coordinate; a non-finite coordinate of ``v`` is rejected.  A scale
     whose draws could overflow is rejected, as :func:`sample_laplace`
-    rejects it.
-
-    The rounds' noise is drawn ``max(1, min(s, B // d))`` rows at a time
-    (``B`` = ``BLOCK_VALUES``), one oracle draw per block, so memory stays
-    O(max(B, d)) rather than O(s * d).  Because a ``(k, d)`` draw is the
-    same stream as ``k`` draws of size ``d``, the oracle is consumed exactly
-    as by one draw per round: ``(s + 1) * d`` uniforms per call, the final
-    release included.
-
-    Only the draws that can win their round go through the inverse CDF
-    ``L(u) = b * sign(u) * -log(1 - 2|u|)``, which increases with ``u``.
-    Let ``a`` be a row's largest draw over the unselected columns and
-    ``gap = max|v| - min|v|``.  Every draw below the cut
-    ``t = 1/2 - (1/2 - a) * e^(gap/b)`` has ``L(u) <= L(a) - gap``, so it
-    scores below the column holding ``a`` (for ``t < 0`` too, because
-    ``L(u) <= -b * log(1 - 2u)``).  The cut is lowered by a margin: ``gap``
-    grows by 2^-40 of ``max|v| + 53 ln 2 * b``, some thousand times the
-    rounding error of a computed score, and ``t`` by 2^-52 and a relative
-    2^-30 for its own rounding.  So a pruned draw loses even after rounding,
-    and cannot win a tie.  Nothing is pruned at a zero or subnormal scale,
-    where rounding is not relative, or when ``e^(gap/b)`` overflows.
-
-    The kept draws are scored with the same ufuncs as a whole row, on
-    contiguous arrays, so each score has the bits it would have had.  A
-    row's winner, its lowest index with the largest kept score, scores at
-    least as high as the column of its top draw and so above every pruned
-    draw: if no earlier row of the block took it, it wins the round.  If
-    one did, the row scores its whole row.  Output and the oracle's later
-    draws are therefore bitwise those of the round-by-round loop that
-    transforms every draw.  Of the final release's ``d`` draws only the
-    ``s`` on the support are transformed.  The running time does depend on
-    ``v`` and on the noise; the privacy guarantee covers released values
-    only, not timing.
+    rejects it.  The running time depends on ``v`` and the noise only through
+    the partition and the ties at the ``s``-th score; the privacy guarantee
+    covers released values only, not timing.
     """
-    v, magnitudes, vmax, s = _selection_input(v, s)
-    d = v.size
+    v, magnitudes, s = _selection_input(v, s)
     _noise_scale("scale", scale)
 
-    factor = _pruning_factor(magnitudes, vmax, scale)
-    support = np.empty(s, dtype=int)
-    taken = np.zeros(d, dtype=bool)
-    k = max(1, min(s, BLOCK_VALUES // d))
-    for start in range(0, s, k):
-        rows = min(k, s - start)
-        u = oracle.uniform_centered((rows, d))
-        u[:, support[:start]] = -np.inf  # selected: below every cut
-        cut = 0.5 - 2.0 ** -52 - (0.5 - u.max(axis=1, keepdims=True)) * factor
-        flat = (u >= cut).ravel().nonzero()[0]
-        row_of, cols = np.divmod(flat, d)
-        scores = _laplace_from_uniform(scale, u.ravel()[flat])
-        scores += magnitudes[cols]
-        # Every row keeps its top draw, so no row's slice is empty.
-        starts = flat.searchsorted(np.arange(0, rows * d, d))
-        best = np.maximum.reduceat(scores, starts)
-        winners = np.minimum.reduceat(np.where(scores == best[row_of], cols, d), starts)
-        for i, j in enumerate(winners.tolist()):
-            if taken[j]:  # an earlier row of this block took it: score the whole row
-                w = _laplace_from_uniform(scale, u[i])
-                w += magnitudes
-                w[taken] = -np.inf
-                j = w.argmax()
-            support[start + i] = j
-            taken[j] = True
+    u = oracle.uniform_centered(v.size)
+    u += 0.5  # exact: uniform on [0, 1)
+    if scale > 0:
+        with np.errstate(divide="ignore"):  # u = 0: log(-log u) = inf, a score of -inf
+            scores = magnitudes - scale * np.log(-np.log(u))
+    else:  # 0 * log(-log 0) would be NaN
+        scores = magnitudes
+    kth = np.partition(scores, v.size - s)[v.size - s]
+    candidates = np.flatnonzero(scores >= kth)
+    support = candidates[np.argsort(-scores[candidates], kind="stable")[:s]]
 
-    u_final = oracle.uniform_centered(d)
-    values = np.zeros(d)
-    values[support] = v[support] + _laplace_from_uniform(scale, u_final[support])
+    values = np.zeros_like(v)
+    values[support] = v[support] + sample_laplace(scale, oracle, s)
     return SparseSelection(support=support, values=values)
 
 
@@ -342,7 +286,7 @@ def exact_top_k(v, s: int) -> SparseSelection:
     noisy hard thresholding at ``epsilon = inf``; the harness uses it for
     sparse starting points.
     """
-    v, magnitudes, _, s = _selection_input(v, s)
+    v, magnitudes, s = _selection_input(v, s)
     order = np.argsort(-magnitudes, kind="stable")[:s]
     values = np.zeros_like(v)
     values[order] = v[order]

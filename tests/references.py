@@ -7,15 +7,19 @@ share no arithmetic with the gradients.  The noiseless hard-thresholding EM
 has its own batching arithmetic, selects by full sort and builds its own
 iterate array.  The classification repetition centers a copy of the balanced
 rows and gathers both splits from it, where the harness gathers each split
-straight from the standardized matrix.  None of them imports a private name of
-the package.
+straight from the standardized matrix.  Laplace peeling, the paper's noisy
+hard thresholding, and exponential-mechanism peeling run their rounds one at
+a time, and the law of the latter is enumerated round by round.  None of
+them imports a private name of the package.
 """
+
+import itertools
 
 import numpy as np
 
 from dpem import models
 from dpem.em_engine import run_high_dim
-from dpem.mechanisms import NoiseOracle, derive_seed, exact_top_k
+from dpem.mechanisms import NoiseOracle, SparseSelection, derive_seed, exact_top_k
 from dpem.models import matvec
 
 
@@ -140,3 +144,87 @@ def balanced_copy_classify_once(Xs, z, spec, config, beta0, n_train, rep, master
     orientation = 1.0 if np.mean(pred_train == zb[train]) >= 0.5 else -1.0
     pred_test = orientation * np.where(matvec(Xb[test], beta_hat) >= 0.0, 1.0, -1.0)
     return float(np.mean(pred_test != zb[test]))
+
+
+# Largest magnitude of a centered-uniform draw that keeps log(1 - 2|u|) finite.
+UNIFORM_CAP = float(np.nextafter(0.5, 0.0))
+
+
+def laplace_from_uniform(scale, u):
+    """Laplace inverse CDF -scale * sign(u) * log(1 - 2|u|), |u| capped below 1/2."""
+    a = np.minimum(np.abs(u), UNIFORM_CAP)
+    return -scale * np.sign(u) * np.log1p(-2.0 * a)
+
+
+def laplace_peeling(v, s, scale, oracle):
+    """Laplace report-noisy-max peeling, the paper's noisy hard thresholding.
+
+    Round ``i`` draws a fresh d-vector of Laplace noise at ``scale`` and
+    appends the unselected index maximizing ``|v_j| + w_ij`` (ties: lowest
+    index).  A final Laplace d-vector is added to ``v`` on the support.  The
+    oracle gives ``(s + 1) * d`` uniforms.  It takes the arguments of
+    ``mechanisms.noisy_hard_threshold`` and returns the same type, so it can
+    stand in for it.
+    """
+    v = np.asarray(v, dtype=float)
+    d = v.size
+    magnitudes = np.abs(v)
+    support = np.empty(s, dtype=int)
+    available = np.ones(d, dtype=bool)
+    for i in range(s):
+        w = laplace_from_uniform(scale, oracle.uniform_centered(d))
+        scores = np.where(available, magnitudes + w, -np.inf)
+        j = int(np.argmax(scores))
+        support[i] = j
+        available[j] = False
+    w_final = laplace_from_uniform(scale, oracle.uniform_centered(d))
+    values = np.zeros(d)
+    values[support] = v[support] + w_final[support]
+    return SparseSelection(support=support, values=values)
+
+
+def gumbel_peeling(v, s, scale, oracle):
+    """Exponential-mechanism peeling, round by round on one Gumbel draw per coordinate.
+
+    Draws ``d`` uniforms ``u`` on [0, 1) and scores coordinate ``j`` as
+    ``|v_j| - scale * log(-log u_j)``: ``|v_j|`` alone at scale 0, and -inf
+    where ``u_j = 0``.  Round ``i`` appends the unselected index of highest
+    score (ties: lowest index).  ``s`` Laplace draws at ``scale`` are then
+    added to ``v`` on the support.  The oracle gives ``d + s`` uniforms.
+    """
+    v = np.asarray(v, dtype=float)
+    u = oracle.uniform_centered(v.size) + 0.5
+    if scale > 0:
+        with np.errstate(divide="ignore"):
+            scores = np.abs(v) - scale * np.log(-np.log(u))
+    else:
+        scores = np.abs(v)
+    support = np.empty(s, dtype=int)
+    available = np.ones(v.size, dtype=bool)
+    for i in range(s):
+        left = np.flatnonzero(available)
+        j = int(left[np.argmax(scores[left])])
+        support[i] = j
+        available[j] = False
+    values = np.zeros(v.size)
+    values[support] = v[support] + laplace_from_uniform(scale, oracle.uniform_centered(s))
+    return SparseSelection(support=support, values=values)
+
+
+def exponential_peeling_law(v, s, scale):
+    """Probability of each ordered support under ``s`` sequential exponential-mechanism rounds.
+
+    Round ``i`` picks an unselected ``j`` with probability
+    ``exp(|v_j| / scale) / sum over unselected k of exp(|v_k| / scale)``.
+    Returns ``{(j_1, ..., j_s): probability}`` over every ordered s-tuple of
+    distinct indices, enumerated round by round; small d only.
+    """
+    weights = np.exp((np.abs(v) - np.abs(v).max()) / scale)
+    law = {}
+    for picks in itertools.permutations(range(len(weights)), s):
+        p, left = 1.0, float(weights.sum())
+        for j in picks:
+            p *= weights[j] / left
+            left -= weights[j]
+        law[picks] = p
+    return law

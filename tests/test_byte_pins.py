@@ -3,11 +3,13 @@
 Any change to the bytes a command writes for a fixed config and seed fails
 here, so a change that moves them has to re-pin the digest and say why.  The
 private ``run`` digests are those of the sample drawn one batch at a time;
-the ``baseline`` and ``classify`` digests date from before that change, which
-touched neither path.  The ``-two_blocks`` cases run at d = 200 (100 for
-classify), where each gradient batch spans two row blocks of
-``mechanisms.BLOCK_VALUES`` values; their digests date from before the gmm
-and mor gradients began to add their per-block sums.
+the ``baseline`` digests date from before that change, which did not touch
+that path.  The ``-two_blocks`` cases run at d = 200 (100 for classify),
+where each gradient batch spans two row blocks of ``mechanisms.BLOCK_VALUES``
+values; their low-dim and ``baseline`` digests date from before the gmm and
+mor gradients began to add their per-block sums.  The high-dim ``run`` and
+the ``classify`` digests are those of exponential-mechanism peeling, which
+draws d + s uniforms per selection where Laplace peeling drew (s + 1) * d.
 """
 
 import hashlib
@@ -33,19 +35,19 @@ CASES = {
 }
 
 DIGESTS = {
-    "run-gmm-high_dim": "cf7c942a34d8a04742e34100eb57b771410ffe301802bbf8133c71d584c2e3f8",
+    "run-gmm-high_dim": "dc1f0f9b8746680faf6dd6d6868555f29335ac4ad75585469b702d3712d1365c",
     "run-mor-low_dim": "2dc3d9c3ec0a466447d21a585f426a5b7d7a1fe1b53997cffdb91a8682939f2f",
-    "run-rmc-high_dim": "976edff805a72a0c4145495d994377f939d6d35ead706be09f45efd1ef62c376",
+    "run-rmc-high_dim": "2c552d701c27e853f27f1937efee9a6c507553dcd0d2002feb09a2861b76c646",
     "baseline-gmm-high_dim": "ed547c9c960400e764d7765a3760a1be0c43d9bd042eed72dc8603efcf25bc46",
     "baseline-rmc-low_dim": "4ff19b46224b78591e447b318809bc796ae95ae7ee5f24d3721676f315411f79",
-    "classify": "82a1c3097e200b7feb3a1f35cbedff7a031bfcc5ee5a95a77ae8c474504cc5ad",
+    "classify": "f5d22d86db3cee71d3261d58e66845e09b5d6fa5d3acfac07abedb7c2954869d",
     "run-gmm-high_dim-two_blocks":
-        "cd0fa7800b4e3c7d5351e71898f568b194dfc80b55bfe3f6902950d423d82666",
+        "294fed3e0017dca43b833a63d1654ac19422803cbd13f713b953e58387aab22e",
     "run-mor-low_dim-two_blocks":
         "e031635182dd36b847f40452846676c5d2f9b8d8e7a59c1ad70b9e4813c74640",
     "baseline-gmm-high_dim-two_blocks":
         "5b0264ffd44a74929f3a6a389c3c6f8d664653aca8c65474f9ded5c50c6cc983",
-    "classify-two_blocks": "1f8f5e0fa0374a5f90c4264d1381c4236404c48053ed27ef47684d67f3e7108a",
+    "classify-two_blocks": "8b8c922e7e7135de610e36f077859d272c0499b2546fc6ce435d2326ef202f20",
 }
 
 

@@ -215,9 +215,9 @@ class TestSummaryLines:
     """The line each command prints, pinned on small configs (``--jobs 2``)."""
 
     @pytest.mark.parametrize("command, model, regime, expected", [
-        ("run", "gmm", "high_dim", "mean final error by n: 400=3.7064e+00 600=3.4927e+00"),
+        ("run", "gmm", "high_dim", "mean final error by n: 400=2.1269e+00 600=2.4447e+00"),
         ("run", "mor", "low_dim", "mean final error by n: 400=2.6074e+01 600=1.6445e+01"),
-        ("run", "rmc", "high_dim", "mean final error by n: 400=1.7730e+02 600=1.0171e+02"),
+        ("run", "rmc", "high_dim", "mean final error by n: 400=4.9784e+01 600=2.9222e+01"),
         ("baseline", "gmm", "high_dim",
          "baseline mean final error by n: 400=1.2581e-01 600=1.0262e-01"),
         ("baseline", "rmc", "low_dim",
@@ -235,10 +235,10 @@ class TestSummaryLines:
         cfg = write_config(tmp_path, raw)
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o.csv"),
                      "--jobs", "2"]) == 0
-        assert capsys.readouterr().out == "mean final error by epsilon: 1=1.6908e+00 2.5=1.2098e+00\n"
+        assert capsys.readouterr().out == "mean final error by epsilon: 1=4.2897e+00 2.5=1.0088e+00\n"
 
     @pytest.mark.parametrize("epsilon, expected", [
-        (0.5, "mean=0.0438 se=0.0123 over 4 reps (s_hat=10, epsilon=0.5)"),
+        (0.5, "mean=0.0169 se=0.0052 over 4 reps (s_hat=10, epsilon=0.5)"),
         # An integer epsilon prints as a float.
         (1, "mean=0.0127 se=0.0036 over 4 reps (s_hat=10, epsilon=1.0)"),
         (float("inf"), "mean=0.0127 se=0.0036 over 4 reps (s_hat=10, epsilon=inf)"),
