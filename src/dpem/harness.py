@@ -26,7 +26,8 @@ import numpy as np
 
 from . import models
 from .em_engine import EmConfig, nonprivate_em, run_high_dim, run_low_dim
-from .mechanisms import NoiseOracle, PrivacyBudget, derive_seed, exact_top_k, require, whole
+from .mechanisms import (BLOCK_VALUES, NoiseOracle, PrivacyBudget, derive_seed, exact_top_k,
+                         require, whole)
 from .models import GmmBatch, ModelSpec, matvec
 
 __all__ = [
@@ -476,12 +477,17 @@ def _load_csv_numpy(path) -> tuple[np.ndarray, np.ndarray]:
     if table.shape[1] != width:
         raise ValueError(f"expected {width} fields, got {table.shape[1]}")
     # Close the label column's gap from its narrower side: at most half the
-    # table moves, and a label first or last moves nothing.
+    # table moves, and a label first or last moves nothing.  The shift goes a
+    # row block at a time, so numpy's temporary for the overlapping copy is
+    # one block, not half the table.
     if 2 * label_idx < width - 1:
-        table[:, 1:label_idx + 1] = table[:, :label_idx]
-        return table[:, 1:], np.asarray(labels)
-    table[:, label_idx:-1] = table[:, label_idx + 1:]
-    return table[:, :-1], np.asarray(labels)
+        src, dst, keep = slice(0, label_idx), slice(1, label_idx + 1), slice(1, None)
+    else:
+        src, dst, keep = slice(label_idx + 1, None), slice(label_idx, -1), slice(None, -1)
+    step = max(1, BLOCK_VALUES // width)
+    for lo in range(0, len(table), step):
+        table[lo:lo + step, dst] = table[lo:lo + step, src]
+    return table[:, keep], np.asarray(labels)
 
 
 def _load_csv_python(path) -> tuple[np.ndarray, np.ndarray]:

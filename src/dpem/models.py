@@ -263,6 +263,22 @@ def _generate_rmc(spec: ModelSpec, n: int, oracle: NoiseOracle) -> RmcBatch:
 # m_i^T beta = x_obs_i^T beta + c_i q_i and n_i^T beta = c_i q_i.  The
 # gradient sums that closed form over row blocks of about ``BLOCK_VALUES``
 # values and never forms an (n, d) temporary.
+#
+# The fill-in term sum_i w_i u_i * clamp(c_i beta), with row weight
+# w_i = r_i + clamp(c_i q_i), is a rank-one product wherever the clamp cannot
+# bind: there it is beta * (U^T (w * c)), U the rows u_i.  It can bind only on
+# the saturating rows I = {i : |c_i| ||beta||_inf > T}, none at T = inf.
+# Rounding is monotone, so off I every entry has
+# fl(|c_i beta_j|) = fl(|c_i| |beta_j|) <= fl(|c_i| ||beta||_inf) <= T and its
+# clamp is the identity.  Each block clamps a row set S that holds I: I itself,
+# gathered, or every row once I is more than half the block, where the gather
+# costs more than a pass.  The rows of S keep the clamped form over beta's
+# nonzero columns only, since a zero beta_j adds exactly 0 there; the others
+# enter the rank-one sum.  Saturating rows are left out of that sum rather than
+# added and subtracted back, so no term cancels however far c_i beta_j runs
+# past T.  The unclamped -sum_i u_i * beta folds into the same product, which
+# is beta * (U^T (w * c * [i not in S] - 1)); at T = inf a block reads its
+# (rows, d) arrays five times and forms no product of c and beta.
 def _rmc_truncated_grad(beta, batch: RmcBatch, sigma: float, T: float) -> np.ndarray:
     """Truncated gradient with y, m, m^T beta, n, and n^T beta clamped.
 
@@ -273,35 +289,55 @@ def _rmc_truncated_grad(beta, batch: RmcBatch, sigma: float, T: float) -> np.nda
     T = inf is the raw sample gradient (1/n) sum_i [y_i m_i - K_i beta] with
     K_i = diag(1-z_i) + m_i m_i^T - n_i n_i^T.  Neither K_i nor the fill-ins
     m and n are formed: in the notation of the comment above, with
-    r_i = clamp(y_i) - clamp(x_obs_i^T beta + c_i q_i), the clamped terms sum
-    to sum_i [clamp(x_obs_i) r_i + (r_i + clamp(c_i q_i)) u_i * clamp(c_i beta)],
-    accumulated a row block at a time with sum_i u_i.  ``z`` may be the
-    boolean mask ``_generate_rmc`` returns or the same mask as 0/1 floats.
+    r_i = clamp(y_i) - clamp(x_obs_i^T beta + c_i q_i) and
+    w_i = r_i + clamp(c_i q_i), the terms sum to
+    sum_i [clamp(x_obs_i) r_i + w_i u_i * clamp(c_i beta) - u_i * beta].
+    Off a row set S that holds the saturating rows the last two are the
+    rank-one beta * (U^T (w * c * [i not in S] - 1)); the rows of S add
+    sum_{i in S} w_i u_i * clamp(c_i beta) on beta's support.  Both are
+    accumulated a row block at a time.  ``z`` may be the boolean mask
+    ``_generate_rmc`` returns or the same mask as 0/1 floats.
     """
     n, d = batch.x_obs.shape
     beta_sq = beta * beta
+    beta_inf = np.abs(beta).max()
+    # beta's nonzero columns; a slice when that is all of them, so that the
+    # saturating rows' mask is a view, not a gather.
+    support = np.flatnonzero(beta)
+    if support.size == d:
+        support = slice(None)
     clamped = np.zeros(d)
-    missing_count = np.zeros(d)
+    rank_one = np.zeros(d)
     step = max(1, BLOCK_VALUES // d)
     # Two block buffers, reused: a fresh (step, d) array per block costs more
     # in page faults than the arithmetic on it.
     missing_buf = np.empty((min(step, n), d))
-    fill_buf = np.empty_like(missing_buf)
+    x_buf = np.empty_like(missing_buf)
     for lo in range(0, n, step):
         block = batch[lo:lo + step]
         missing = np.logical_not(block.z, out=missing_buf[:len(block)])
-        fill = fill_buf[:len(block)]
-        missing_count += missing.sum(axis=0)
         x_beta = matvec(block.x_obs, beta)
         q = matvec(missing, beta_sq)
         c = (block.y - x_beta) / (sigma**2 + q)
         cq = c * q
         r = clamp(block.y, T) - clamp(x_beta + cq, T)
-        clamped += np.einsum("ij,i->j", clamp(block.x_obs, T, out=fill), r)
+        clamped += np.einsum("ij,i->j", clamp(block.x_obs, T, out=x_buf[:len(block)]), r)
         r += clamp(cq, T)
-        fill = clamp(np.multiply.outer(c, beta, out=fill), T, out=fill)
-        clamped += np.einsum("ij,i->j", np.multiply(missing, fill, out=fill), r)
-    return clamped / n - beta * (missing_count / n)
+        saturating = np.flatnonzero(np.abs(c) * beta_inf > T)
+        if 2 * saturating.size > len(block):
+            # S is every row: none enters the rank-one sum.
+            rows, wc = slice(None), np.full(len(block), -1.0)
+        else:
+            rows, wc = saturating, r * c
+            wc[rows] = 0.0
+            wc -= 1.0
+        if saturating.size:
+            fill = np.multiply.outer(c[rows], beta[support])
+            fill = clamp(fill, T, out=fill)
+            fill *= missing[:, support][rows]
+            clamped[support] += np.einsum("ij,i->j", fill, r[rows])
+        rank_one += np.einsum("ij,i->j", missing, wc)
+    return (clamped + beta * rank_one) / n
 
 
 _Model = namedtuple("_Model", ["generate", "truncated_grad", "c", "p", "b"])

@@ -28,15 +28,20 @@ def logistic(t):
     return 0.5 * (1.0 + np.tanh(0.5 * t))
 
 
+def rmc_coefficients(beta, batch, sigma):
+    """c = (y - <beta, x_obs>) / (sigma^2 + ||(1-z)*beta||^2), one per sample."""
+    beta = np.asarray(beta, dtype=float)
+    masked_beta = (1.0 - batch.z) * beta
+    return (batch.y - batch.x_obs @ beta) / (sigma**2 + np.sum(masked_beta**2, axis=1))
+
+
 def rmc_fill_in(beta, batch, sigma):
     """Conditional-mean fill-in of the missing covariates, one row per sample.
 
-    m = x_obs + (y - <beta, x_obs>) / (sigma^2 + ||(1-z)*beta||^2) * (1-z)*beta.
+    m = x_obs + c * (1-z)*beta, with c from :func:`rmc_coefficients`.
     """
     beta = np.asarray(beta, dtype=float)
-    masked_beta = (1.0 - batch.z) * beta
-    coef = (batch.y - batch.x_obs @ beta) / (sigma**2 + np.sum(masked_beta**2, axis=1))
-    return batch.x_obs + coef[:, None] * masked_beta
+    return batch.x_obs + rmc_coefficients(beta, batch, sigma)[:, None] * ((1.0 - batch.z) * beta)
 
 
 def q_value(kind, beta_prime, beta, batch, sigma):

@@ -464,6 +464,10 @@ class TestClassificationIO:
         # One float64 table grown in place, of which a middle label moves at
         # most half; lists of Python floats peaked at 5.5x the matrix.
         assert peak < 2 * got_X.nbytes
+        if label_at == 25:
+            # The middle shift goes a row block at a time: one shift of the
+            # whole half-table through numpy's temporary peaked at 1.68x.
+            assert peak < 1.6 * got_X.nbytes
         np.testing.assert_array_equal(got_X, X)
 
     @pytest.mark.parametrize("label_at, spreadsheet", [(0, False), (13, False), (None, False), (0, True)],

@@ -43,12 +43,14 @@ for kind in ("gmm", "mor", "rmc"):
         h.update(truncated_grad(spec, beta, batch, T).tobytes())
 print(h.hexdigest())
 """
-# Printed by HASH_GRADIENTS once all three gradients added their per-block
-# sums in order.  It moved from 4f04e57e... when the gmm and mor gradients
-# stopped carrying a running sum that reproduced the whole-batch einsum's bits
-# (the finite-T gradients changed by about 1e-15 relative); any other change to
-# the blocking or the summation order moves it again.
-GRADIENTS_DIGEST = "7d858398860d79b8ad0c9b6e0dc434af0588b63af238d41113dce731ca223e36"
+# Printed by HASH_GRADIENTS once the rmc gradient began to sum its fill-in
+# term as one rank-one product, clamping c_i * beta only on the rows where T
+# can bind.  It moved from 7d858398... with that change (the rmc gradients
+# changed by about 1e-15 relative; the gmm and mor bytes did not move), and
+# before that from 4f04e57e... when the gmm and mor gradients stopped carrying
+# a running sum that reproduced the whole-batch einsum's bits.  Any other
+# change to the blocking or the summation order moves it again.
+GRADIENTS_DIGEST = "e38e5c139ad47ab27901887c36fe337072279829bfd3a259f904c2afa76aa49d"
 
 
 def run_python(code, **env_overrides):

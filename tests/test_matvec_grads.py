@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 
 from helpers import bits, traced_peak_bytes
-from references import rmc_fill_in
+from references import rmc_coefficients, rmc_fill_in
 
 from dpem.mechanisms import BLOCK_VALUES, NoiseOracle
 from dpem.models import (
@@ -97,6 +97,26 @@ def make_case(kind, n, d, seed, missing_prob=0.3):
     return spec, true_beta + 0.5 * rng.standard_normal(d), batch
 
 
+def sparse_rmc_case(n, d, s, seed):
+    """An s-sparse truth and an estimate near it on the same support, at 30% missingness."""
+    rng = np.random.default_rng(seed)
+    true_beta = np.zeros(d)
+    support = rng.choice(d, s, replace=False)
+    true_beta[support] = rng.standard_normal(s)
+    spec = ModelSpec("rmc", d, SIGMA, true_beta, missing_prob=0.3)
+    batch = generate(spec, n, NoiseOracle(seed))
+    beta = true_beta.copy()
+    beta[support] += 0.2 * rng.standard_normal(s)
+    return spec, beta, batch
+
+
+def runaway_rmc_case(n, d, seed):
+    """An estimate near the truth but for one coordinate run away to 40, at 10% missingness."""
+    spec, beta, batch = make_case("rmc", n, d, seed, missing_prob=0.1)
+    beta[0] = 40.0
+    return spec, beta, batch
+
+
 class TestGradientsMatchRowMeans:
     # n = 1 and d = 1 are the degenerate shapes of the transposed product;
     # TAIL_N rows end rmc's blocked sum on a one-row block.  rmc also runs with
@@ -126,6 +146,37 @@ class TestGradientsMatchRowMeans:
         spec, beta, batch = make_case(kind, 2000, 50, seed=100 * 2000 + 50)
         moved = truncated_grad(spec, beta, batch, 1.0) - truncated_grad(spec, beta, batch, math.inf)
         assert np.max(np.abs(moved)) > 1e-3
+
+
+class TestRmcSaturatingRows:
+    # The rmc gradient clamps c_i * beta only on the rows I where
+    # |c_i| ||beta||_inf > T (on every row of a block where I is more than
+    # half), and only on beta's support; every other row enters its rank-one
+    # sum.  Each case checks that it reaches the split it names.
+    @pytest.mark.parametrize("n, d, s", [(2000, 50, 5), (TAIL_N, 200, 10)])
+    def test_sparse_beta_saturates_some_rows_on_its_support(self, n, d, s):
+        spec, beta, batch = sparse_rmc_case(n, d, s, seed=n + d)
+        T = 1.0
+        c = rmc_coefficients(beta, batch, SIGMA)
+        saturating = np.abs(c) * np.max(np.abs(beta)) > T
+        binds = (np.abs(np.multiply.outer(c, beta)) > T) & ~batch.z
+        assert 0.1 < saturating.mean() < 0.9
+        assert 0 < binds.any(axis=1).mean() < saturating.mean()
+        assert (beta == 0).sum() == d - s and not binds[:, beta == 0].any()
+        expected = reference_rmc_grad(beta, batch, SIGMA, T)
+        got = truncated_grad(spec, beta, batch, T)
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12 * np.max(np.abs(expected)))
+
+    @pytest.mark.parametrize("n, d", [(2000, 50), (TAIL_N, 200)])
+    @pytest.mark.parametrize("T", [1.0, 3.0])
+    def test_runaway_beta_saturates_nearly_every_row(self, T, n, d):
+        spec, beta, batch = runaway_rmc_case(n, d, seed=n + d)
+        assert np.max(np.abs(beta)) == 40.0
+        c = rmc_coefficients(beta, batch, SIGMA)
+        assert np.mean(np.abs(c) * 40.0 > T) > 0.85
+        expected = reference_rmc_grad(beta, batch, SIGMA, T)
+        got = truncated_grad(spec, beta, batch, T)
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12 * np.max(np.abs(expected)))
 
 
 class TestRmcInPlace:
@@ -241,11 +292,15 @@ class TestAllocationBounds:
 
     @pytest.mark.parametrize("T", [1.0, math.inf])
     def test_rmc_gradient(self, T):
-        spec, beta, batch = make_case("rmc", 20000, self.D, seed=4)
-        peak, _ = traced_peak_bytes(lambda: truncated_grad(spec, beta, batch, T))
-        # Two reused row-block buffers and the per-row vectors; no (n, d)
-        # temporary at any T.
-        assert peak < 0.1 * batch.x_obs.nbytes
+        # An estimate near the truth, and one run away to 40, whose rows
+        # nearly all saturate at T = 1 and take the clamped path.
+        for spec, beta, batch in (make_case("rmc", 20000, self.D, seed=4),
+                                  runaway_rmc_case(20000, self.D, seed=4)):
+            peak, _ = traced_peak_bytes(lambda: truncated_grad(spec, beta, batch, T))
+            # Two reused row-block buffers, the per-row vectors and, on the
+            # saturating rows, at most one block's clamped product and its
+            # mask; no (n, d) temporary at any T.
+            assert peak < 0.1 * batch.x_obs.nbytes
 
     def test_generate_rmc(self):
         spec = ModelSpec("rmc", self.D, SIGMA, np.ones(self.D), missing_prob=0.1)
@@ -257,8 +312,11 @@ class TestAllocationBounds:
 
 @pytest.mark.parametrize("T", [1.0, 3.0, math.inf])
 def test_rmc_gradient_same_for_bool_and_float_mask(T):
-    spec, beta, batch = make_case("rmc", TAIL_N, 200, seed=6)
-    as_float = RmcBatch(batch.x_obs, batch.z.astype(float), batch.y)
-    assert batch.z.dtype == bool
-    np.testing.assert_array_equal(bits(truncated_grad(spec, beta, batch, T)),
-                                  bits(truncated_grad(spec, beta, as_float, T)))
+    # A dense estimate, and a 10-sparse one whose saturating rows are clamped
+    # on its support only.
+    for spec, beta, batch in (make_case("rmc", TAIL_N, 200, seed=6),
+                              sparse_rmc_case(TAIL_N, 200, 10, seed=6)):
+        as_float = RmcBatch(batch.x_obs, batch.z.astype(float), batch.y)
+        assert batch.z.dtype == bool
+        np.testing.assert_array_equal(bits(truncated_grad(spec, beta, batch, T)),
+                                      bits(truncated_grad(spec, beta, as_float, T)))
