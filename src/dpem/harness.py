@@ -476,10 +476,14 @@ def _load_csv_numpy(path) -> tuple[np.ndarray, np.ndarray]:
     width = len(header)
     if table.shape[1] != width:
         raise ValueError(f"expected {width} fields, got {table.shape[1]}")
-    # Close the label column's gap from its narrower side: at most half the
-    # table moves, and a label first or last moves nothing.  The shift goes a
-    # row block at a time, so numpy's temporary for the overlapping copy is
-    # one block, not half the table.
+    # A label first or last leaves no gap.
+    if label_idx == 0:
+        return table[:, 1:], np.asarray(labels)
+    if label_idx == width - 1:
+        return table[:, :-1], np.asarray(labels)
+    # Close a middle label column's gap from its narrower side, so at most half
+    # the table moves, and a row block at a time, so numpy's temporary for the
+    # overlapping copy is one block, not half the table.
     if 2 * label_idx < width - 1:
         src, dst, keep = slice(0, label_idx), slice(1, label_idx + 1), slice(1, None)
     else:

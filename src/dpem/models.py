@@ -270,15 +270,14 @@ def _generate_rmc(spec: ModelSpec, n: int, oracle: NoiseOracle) -> RmcBatch:
 # the saturating rows I = {i : |c_i| ||beta||_inf > T}, none at T = inf.
 # Rounding is monotone, so off I every entry has
 # fl(|c_i beta_j|) = fl(|c_i| |beta_j|) <= fl(|c_i| ||beta||_inf) <= T and its
-# clamp is the identity.  Each block clamps a row set S that holds I: I itself,
-# gathered, or every row once I is more than half the block, where the gather
-# costs more than a pass.  The rows of S keep the clamped form over beta's
-# nonzero columns only, since a zero beta_j adds exactly 0 there; the others
-# enter the rank-one sum.  Saturating rows are left out of that sum rather than
-# added and subtracted back, so no term cancels however far c_i beta_j runs
-# past T.  The unclamped -sum_i u_i * beta folds into the same product, which
-# is beta * (U^T (w * c * [i not in S] - 1)); at T = inf a block reads its
-# (rows, d) arrays five times and forms no product of c and beta.
+# clamp is the identity.  A block with no saturating row, found from its
+# largest |c_i|, puts every row in the rank-one sum; a block with one clamps
+# every row's fill-in, over beta's nonzero columns only, since a zero beta_j
+# adds exactly 0 there.  No row is in both, so no term cancels however far
+# c_i beta_j runs past T.  The unclamped -sum_i u_i * beta folds into the same
+# product, which is beta * (U^T (w * c * [no row of the block saturates] - 1)),
+# so at T = inf a block reads its (rows, d) arrays five times and forms no
+# product of c and beta.
 def _rmc_truncated_grad(beta, batch: RmcBatch, sigma: float, T: float) -> np.ndarray:
     """Truncated gradient with y, m, m^T beta, n, and n^T beta clamped.
 
@@ -292,20 +291,21 @@ def _rmc_truncated_grad(beta, batch: RmcBatch, sigma: float, T: float) -> np.nda
     r_i = clamp(y_i) - clamp(x_obs_i^T beta + c_i q_i) and
     w_i = r_i + clamp(c_i q_i), the terms sum to
     sum_i [clamp(x_obs_i) r_i + w_i u_i * clamp(c_i beta) - u_i * beta].
-    Off a row set S that holds the saturating rows the last two are the
-    rank-one beta * (U^T (w * c * [i not in S] - 1)); the rows of S add
-    sum_{i in S} w_i u_i * clamp(c_i beta) on beta's support.  Both are
-    accumulated a row block at a time.  ``z`` may be the boolean mask
+    In a block where no row saturates the last two are the rank-one
+    beta * (U^T (w * c - 1)); in one where a row does, the block adds
+    sum_i w_i u_i * clamp(c_i beta) on beta's support and -beta * (U^T 1).
+    Both are accumulated a row block at a time.  ``z`` may be the boolean mask
     ``_generate_rmc`` returns or the same mask as 0/1 floats.
     """
     n, d = batch.x_obs.shape
     beta_sq = beta * beta
     beta_inf = np.abs(beta).max()
     # beta's nonzero columns; a slice when that is all of them, so that the
-    # saturating rows' mask is a view, not a gather.
+    # clamped fill-in's mask is a view, not a gather.
     support = np.flatnonzero(beta)
     if support.size == d:
         support = slice(None)
+    beta_supp = beta[support]
     clamped = np.zeros(d)
     rank_one = np.zeros(d)
     step = max(1, BLOCK_VALUES // d)
@@ -323,19 +323,16 @@ def _rmc_truncated_grad(beta, batch: RmcBatch, sigma: float, T: float) -> np.nda
         r = clamp(block.y, T) - clamp(x_beta + cq, T)
         clamped += np.einsum("ij,i->j", clamp(block.x_obs, T, out=x_buf[:len(block)]), r)
         r += clamp(cq, T)
-        saturating = np.flatnonzero(np.abs(c) * beta_inf > T)
-        if 2 * saturating.size > len(block):
-            # S is every row: none enters the rank-one sum.
-            rows, wc = slice(None), np.full(len(block), -1.0)
-        else:
-            rows, wc = saturating, r * c
-            wc[rows] = 0.0
-            wc -= 1.0
-        if saturating.size:
-            fill = np.multiply.outer(c[rows], beta[support])
+        if np.abs(c).max() * beta_inf > T:
+            # A row saturates: every row's fill-in is clamped, in x_buf, which
+            # the einsum above is done with.
+            fill = np.multiply.outer(c, beta_supp, out=x_buf[:len(block), :beta_supp.size])
             fill = clamp(fill, T, out=fill)
-            fill *= missing[:, support][rows]
-            clamped[support] += np.einsum("ij,i->j", fill, r[rows])
+            fill *= missing[:, support]
+            clamped[support] += np.einsum("ij,i->j", fill, r)
+            wc = np.full(len(block), -1.0)
+        else:
+            wc = r * c - 1.0
         rank_one += np.einsum("ij,i->j", missing, wc)
     return (clamped + beta * rank_one) / n
 

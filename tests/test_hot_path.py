@@ -44,13 +44,14 @@ for kind in ("gmm", "mor", "rmc"):
 print(h.hexdigest())
 """
 # Printed by HASH_GRADIENTS once the rmc gradient began to sum its fill-in
-# term as one rank-one product, clamping c_i * beta only on the rows where T
-# can bind.  It moved from 7d858398... with that change (the rmc gradients
-# changed by about 1e-15 relative; the gmm and mor bytes did not move), and
-# before that from 4f04e57e... when the gmm and mor gradients stopped carrying
-# a running sum that reproduced the whole-batch einsum's bits.  Any other
-# change to the blocking or the summation order moves it again.
-GRADIENTS_DIGEST = "e38e5c139ad47ab27901887c36fe337072279829bfd3a259f904c2afa76aa49d"
+# term as one rank-one product, clamping c_i * beta only in the row blocks
+# where T can bind.  It moved from 7d858398... with that change (the rmc
+# gradients changed by about 1e-15 relative; the gmm and mor bytes did not
+# move), and before that from 4f04e57e... when the gmm and mor gradients
+# stopped carrying a running sum that reproduced the whole-batch einsum's
+# bits.  Any other change to the blocking or the summation order moves it
+# again.
+GRADIENTS_DIGEST = "f8d67b9ced0aa1b310903ac4b79fc10380ffa3eb8c558622a1a1bb85c6432f87"
 
 
 def run_python(code, **env_overrides):

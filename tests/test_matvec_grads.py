@@ -149,10 +149,10 @@ class TestGradientsMatchRowMeans:
 
 
 class TestRmcSaturatingRows:
-    # The rmc gradient clamps c_i * beta only on the rows I where
-    # |c_i| ||beta||_inf > T (on every row of a block where I is more than
-    # half), and only on beta's support; every other row enters its rank-one
-    # sum.  Each case checks that it reaches the split it names.
+    # The rmc gradient clamps c_i * beta on every row of a block that holds a
+    # saturating row, one with |c_i| ||beta||_inf > T, and only on beta's
+    # support; every row of any other block enters its rank-one sum.  Each
+    # case checks that it reaches the split it names.
     @pytest.mark.parametrize("n, d, s", [(2000, 50, 5), (TAIL_N, 200, 10)])
     def test_sparse_beta_saturates_some_rows_on_its_support(self, n, d, s):
         spec, beta, batch = sparse_rmc_case(n, d, s, seed=n + d)
@@ -163,6 +163,21 @@ class TestRmcSaturatingRows:
         assert 0.1 < saturating.mean() < 0.9
         assert 0 < binds.any(axis=1).mean() < saturating.mean()
         assert (beta == 0).sum() == d - s and not binds[:, beta == 0].any()
+        expected = reference_rmc_grad(beta, batch, SIGMA, T)
+        got = truncated_grad(spec, beta, batch, T)
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12 * np.max(np.abs(expected)))
+
+    @pytest.mark.parametrize("n, d, s", [(2000, 50, 5), (TAIL_N, 200, 10)])
+    def test_one_gradient_mixes_clamped_and_rank_one_blocks(self, n, d, s):
+        # T halves the row blocks' largest |c_i| ||beta||_inf, so some blocks
+        # hold a saturating row and the others hold none.
+        spec, beta, batch = sparse_rmc_case(n, d, s, seed=n + d)
+        scaled = np.abs(rmc_coefficients(beta, batch, SIGMA)) * np.max(np.abs(beta))
+        step = BLOCK_VALUES // d
+        block_max = np.array([scaled[lo:lo + step].max() for lo in range(0, n, step)])
+        T = float(np.median(block_max))
+        assert 0 < np.mean(block_max > T) < 1
+        assert (np.abs(np.multiply.outer(rmc_coefficients(beta, batch, SIGMA), beta)) > T).any()
         expected = reference_rmc_grad(beta, batch, SIGMA, T)
         got = truncated_grad(spec, beta, batch, T)
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12 * np.max(np.abs(expected)))
@@ -297,9 +312,8 @@ class TestAllocationBounds:
         for spec, beta, batch in (make_case("rmc", 20000, self.D, seed=4),
                                   runaway_rmc_case(20000, self.D, seed=4)):
             peak, _ = traced_peak_bytes(lambda: truncated_grad(spec, beta, batch, T))
-            # Two reused row-block buffers, the per-row vectors and, on the
-            # saturating rows, at most one block's clamped product and its
-            # mask; no (n, d) temporary at any T.
+            # Two reused row-block buffers, which also hold the clamped
+            # fill-in, and the per-row vectors; no (n, d) temporary at any T.
             assert peak < 0.1 * batch.x_obs.nbytes
 
     def test_generate_rmc(self):
@@ -312,8 +326,8 @@ class TestAllocationBounds:
 
 @pytest.mark.parametrize("T", [1.0, 3.0, math.inf])
 def test_rmc_gradient_same_for_bool_and_float_mask(T):
-    # A dense estimate, and a 10-sparse one whose saturating rows are clamped
-    # on its support only.
+    # A dense estimate, and a 10-sparse one whose fill-in is clamped on its
+    # support only.
     for spec, beta, batch in (make_case("rmc", TAIL_N, 200, seed=6),
                               sparse_rmc_case(TAIL_N, 200, 10, seed=6)):
         as_float = RmcBatch(batch.x_obs, batch.z.astype(float), batch.y)
