@@ -330,10 +330,9 @@ def _rmc_truncated_grad(beta, batch: RmcBatch, sigma: float, T: float) -> np.nda
             fill = clamp(fill, T, out=fill)
             fill *= missing[:, support]
             clamped[support] += np.einsum("ij,i->j", fill, r)
-            wc = np.full(len(block), -1.0)
+            rank_one -= missing.sum(axis=0)
         else:
-            wc = r * c - 1.0
-        rank_one += np.einsum("ij,i->j", missing, wc)
+            rank_one += np.einsum("ij,i->j", missing, r * c - 1.0)
     return (clamped + beta * rank_one) / n
 
 
