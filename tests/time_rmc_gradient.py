@@ -1,7 +1,8 @@
 """In-process timings of the rmc truncated gradient in its three regimes.
 
 The rmc gradient sums its fill-in term as one rank-one product and clamps
-``c_i * beta`` only on the rows where |c_i| ||beta||_inf > T.  No benchmark
+``c_i * beta`` only in the row blocks that hold a row with
+|c_i| ||beta||_inf > T.  No benchmark
 workload separates its regimes, so this times each one on one sample of
 n rows at d = 200 and 10% missingness (the baseline-rmc workload's), drawn
 around a 10-sparse truth:
