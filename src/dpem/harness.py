@@ -17,7 +17,6 @@ import csv
 import itertools
 import json
 import math
-from array import array
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -435,47 +434,63 @@ def load_classification_config(path) -> ClassificationConfig:
 def load_classification_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Read a headered CSV with one ``label`` column and numeric features.
 
-    numpy's C reader parses the rows into one float64 table, and the features
-    come back as a view of it without the label column, so they may be
-    strided.  A file that numpy refuses is read again by the Python reader,
-    the only one that takes the number spellings that ``float()`` accepts and
-    numpy does not (``1_000.5``, non-ASCII digits), and the one that says what
-    is wrong with a malformed file, on which line where it knows it.
+    The header goes through ``csv``, blank lines before it skipped; every data
+    row goes through one ``np.loadtxt`` call into one float64 table, and the
+    features come back as a view of it without the label column, so they may
+    be strided.  Numbers are spelled as numpy's C parser takes them, padded
+    with any characters ``str.isspace()`` accepts; ``float()``-only spellings
+    (``1_000.5``, non-ASCII digits) are refused, and a data field has no
+    128 KiB limit.  Every fault is a ``DataError`` that starts with the path.
+    A row's carries numpy's message, which counts the data rows that are not
+    blank, not file lines: "could not convert ... at row N, column M" counts
+    rows from 0 and columns from 1, "the number of columns changed ... at
+    row N" counts rows from 1.  A byte that is not UTF-8 is named with its
+    file line, the header being line 1.
     """
     try:
+        # utf-8-sig drops the byte-order mark that spreadsheet exports put first.
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+            header = next(filter(None, csv.reader(fh)), None)
+            if header is None:
+                raise ValueError("file is empty")
+            if "label" not in header:
+                raise ValueError("missing required column 'label'")
+            if header.count("label") > 1:
+                raise ValueError("more than one 'label' column")
+            label_idx = header.index("label")
+            # loadtxt warns when it gets no rows, so a file without one stops here.
+            lines = itertools.dropwhile(lambda line: not line.strip("\r\n"), fh)
+            first = next(lines, None)
+            if first is None:
+                raise ValueError("no data rows")
+            labels = []
+
+            def label(field):
+                labels.append(field)
+                return 0.0
+
+            # Every column is parsed, so loadtxt checks each row's field count.
+            table = np.loadtxt(itertools.chain([first], lines), delimiter=",", quotechar='"',
+                               comments=None, ndmin=2, converters={label_idx: label})
+        width = len(header)
+        if table.shape[1] != width:
+            raise ValueError(f"expected {width} fields, got {table.shape[1]}")
+    except UnicodeDecodeError as exc:
+        # The decoder reads ahead of the csv reader, so decode the raw file again.
+        with open(path, "rb") as fh:
+            raw = fh.read()
         try:
-            return _load_csv_numpy(path)
-        except (ValueError, csv.Error):
-            # A spelling only float() takes, or a malformed file whose fault
-            # the Python reader names.
-            return _load_csv_python(path)
+            raw.decode("utf-8")
+        except UnicodeDecodeError as bad:
+            head = raw[:bad.start]
+            line = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+            raise DataError(f"{path}:{line}: not UTF-8 text "
+                            f"(byte {raw[bad.start]:#04x}: {bad.reason})") from None
+        raise DataError(f"{path}: {exc}") from None
+    except (ValueError, csv.Error) as exc:
+        raise DataError(f"{path}: {exc}") from None
     except OSError as exc:
         raise DataError(f"cannot read data file {path}: {exc}") from exc
-
-
-def _load_csv_numpy(path) -> tuple[np.ndarray, np.ndarray]:
-    """The header through ``csv``, then every data row through one ``np.loadtxt`` call."""
-    # utf-8-sig drops the byte-order mark that spreadsheet exports put first.
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        header = next(csv.reader(fh), [])
-        [label_idx] = [i for i, name in enumerate(header) if name == "label"]
-        # loadtxt warns when it gets no rows, so a file without one stops here.
-        lines = itertools.dropwhile(lambda line: not line.strip("\r\n"), fh)
-        first = next(lines, None)
-        if first is None:
-            raise ValueError("no data rows")
-        labels = []
-
-        def label(field):
-            labels.append(field)
-            return 0.0
-
-        # Every column is parsed, so loadtxt checks each row's field count.
-        table = np.loadtxt(itertools.chain([first], lines), delimiter=",", quotechar='"',
-                           comments=None, ndmin=2, converters={label_idx: label})
-    width = len(header)
-    if table.shape[1] != width:
-        raise ValueError(f"expected {width} fields, got {table.shape[1]}")
     # A label first or last leaves no gap.
     if label_idx == 0:
         return table[:, 1:], np.asarray(labels)
@@ -492,50 +507,6 @@ def _load_csv_numpy(path) -> tuple[np.ndarray, np.ndarray]:
     for lo in range(0, len(table), step):
         table[lo:lo + step, dst] = table[lo:lo + step, src]
     return table[:, keep], np.asarray(labels)
-
-
-def _load_csv_python(path) -> tuple[np.ndarray, np.ndarray]:
-    """``csv.reader`` and ``float()`` into one flat float64 buffer, with line-numbered errors."""
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise DataError(f"{path}: file is empty") from None
-            if "label" not in header:
-                raise DataError(f"{path}: missing required column 'label'")
-            if header.count("label") > 1:
-                raise DataError(f"{path}: more than one 'label' column")
-            label_idx = header.index("label")
-            values, labels = array("d"), []
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != len(header):
-                    raise DataError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
-                labels.append(row.pop(label_idx))
-                try:
-                    values.extend(map(float, row))
-                except ValueError as exc:
-                    raise DataError(f"{path}:{lineno}: non-numeric feature value ({exc})") from None
-        except csv.Error as exc:
-            raise DataError(f"{path}:{reader.line_num}: {exc}") from None
-        except UnicodeDecodeError:
-            # The decoder reads ahead of the csv reader, so decode the raw file again.
-            fh.buffer.seek(0)
-            raw = fh.buffer.read()
-            try:
-                raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                head = raw[:exc.start]
-                line = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
-                raise DataError(f"{path}:{line}: not UTF-8 text "
-                                f"(byte {raw[exc.start]:#04x}: {exc.reason})") from None
-    if not labels:
-        raise DataError(f"{path}: no data rows")
-    features = np.frombuffer(values, dtype=float).reshape(len(labels), len(header) - 1)
-    return features, np.asarray(labels)
 
 
 def _classify_once(Xs, z, spec: ModelSpec, config: EmConfig, beta0, n_train: int,

@@ -7,12 +7,15 @@ share no arithmetic with the gradients.  The noiseless hard-thresholding EM
 has its own batching arithmetic, selects by full sort and builds its own
 iterate array.  The classification repetition centers a copy of the balanced
 rows and gathers both splits from it, where the harness gathers each split
-straight from the standardized matrix.  Laplace peeling, the paper's noisy
-hard thresholding, and exponential-mechanism peeling run their rounds one at
-a time, and the law of the latter is enumerated round by round.  None of
-them imports a private name of the package.
+straight from the standardized matrix.  The classification CSV is read
+through ``csv`` and ``float()``, where the loader uses numpy's C parser.
+Laplace peeling, the paper's noisy hard thresholding, and
+exponential-mechanism peeling run their rounds one at a time, and the law of
+the latter is enumerated round by round.  None of them imports a private
+name of the package.
 """
 
+import csv
 import itertools
 
 import numpy as np
@@ -149,6 +152,23 @@ def balanced_copy_classify_once(Xs, z, spec, config, beta0, n_train, rep, master
     orientation = 1.0 if np.mean(pred_train == zb[train]) >= 0.5 else -1.0
     pred_test = orientation * np.where(matvec(Xb[test], beta_hat) >= 0.0, 1.0, -1.0)
     return float(np.mean(pred_test != zb[test]))
+
+
+def read_classification_csv(path):
+    """Features and labels of a headered CSV through ``csv`` and ``float()``.
+
+    Blank rows are skipped, every other row must have the header's field
+    count, and the header exactly one ``label`` column.  A refused file raises
+    ``ValueError`` or ``csv.Error``; the messages are not the loader's.
+    """
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        header, *rows = list(filter(None, csv.reader(fh))) or [[]]
+    if header.count("label") != 1 or not rows or any(len(row) != len(header) for row in rows):
+        raise ValueError(path)
+    label_idx = header.index("label")
+    labels = [row.pop(label_idx) for row in rows]
+    features = np.array([[float(v) for v in row] for row in rows], dtype=float)
+    return features.reshape(len(rows), len(header) - 1), np.asarray(labels)
 
 
 # Largest magnitude of a centered-uniform draw that keeps log(1 - 2|u|) finite.
