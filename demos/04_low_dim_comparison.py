@@ -21,8 +21,8 @@ cells = parse_experiment_config({
 
 print(f"{'n':>6}  {'noise std/coord':>15}  {'private err':>11}  {'baseline err':>12}")
 for n, spec, config in cells.values():
-    # gmm's sensitivity, hence its noise scale, does not depend on the iterate.
-    noise_std = config.step_scale(spec, n, np.zeros(spec.d))
+    # Every step of a run draws at this one scale.
+    noise_std = config.step_scale(spec, n)
 
     private_errs, baseline_errs = [], []
     for rep in range(10):

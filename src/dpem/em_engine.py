@@ -3,7 +3,7 @@
 Both private drivers split the sample into one batch per iteration and take a
 truncated gradient step on it; the baseline reads it whole, once.  Every driver
 reads its sample front to back, so the sample may draw its rows as they are read.
-The loop calibrates each step once, by :meth:`EmConfig.step_scale`; the drivers
+The loop calibrates once per run, by :meth:`EmConfig.step_scale`; the drivers
 differ only in the release drawing at that scale (noisy hard thresholding or
 Gaussian noise).  Disjoint batches mean each record influences exactly one
 iteration, so the whole run inherits the per-iteration guarantee.
@@ -59,17 +59,15 @@ class EmConfig:
         if math.isinf(self.T) and math.isfinite(self.budget.epsilon):
             raise ValueError("T = inf (no truncation) is legal only with epsilon = inf")
 
-    def step_scale(self, spec: models.ModelSpec, n: int, beta) -> float:
-        """Noise scale of the step from ``beta`` in a run on n samples; 0.0 at T = inf.
+    def step_scale(self, spec: models.ModelSpec, n: int) -> float:
+        """Noise scale of every step of a run on n samples; 0.0 at T = inf.
 
         :func:`noisy_ht_scale` if ``s_hat`` is set, else :func:`gaussian_noise_std`,
-        of lam = :func:`models.sensitivity` at ``N0 * (n // N0)`` samples.  As
-        b >= 0 for every model, lam never falls below its value at ``beta = 0``.
+        of lam = :func:`models.sensitivity` at ``N0 * (n // N0)`` samples.
         """
         if math.isinf(self.T):
             return 0.0
-        lam = models.sensitivity(spec, self.T, self.eta, self.N0,
-                                 self.N0 * (n // self.N0), beta)
+        lam = models.sensitivity(spec, self.T, self.eta, self.N0, self.N0 * (n // self.N0))
         if self.s_hat is not None:
             return noisy_ht_scale(lam, self.s_hat, self.budget)
         return gaussian_noise_std(lam, spec.d, self.budget)
@@ -93,16 +91,15 @@ def _run(spec, batch, config, beta0, release) -> np.ndarray:
     # The one EM loop.  Iteration t reads batch[t m : t m + m], m = n // N0:
     # disjoint batches of the size the sensitivity constants assume, the
     # n mod N0 trailing rows left unread.  ``release(v, scale)`` maps
-    # v = beta + eta * f_T(grad) to the released iterate, drawing at
-    # config.step_scale of the iterate entering the step.  Only earlier,
-    # disjoint batches produced that iterate, so reading it costs no privacy.
+    # v = beta + eta * f_T(grad) to the released iterate, drawing at the run's
+    # one scale, config.step_scale.
     beta = _start(spec, batch, config, beta0)
     n = len(batch)
     m = n // config.N0
+    scale = config.step_scale(spec, n)
 
     betas = [beta]
     for lo in range(0, config.N0 * m, m):
-        scale = config.step_scale(spec, n, beta)
         g = models.truncated_grad(spec, beta, batch[lo:lo + m], config.T)
         beta = release(beta + config.eta * g, scale)
         betas.append(beta)

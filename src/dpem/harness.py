@@ -96,9 +96,9 @@ def _keys(raw, where: str, required, optional=()) -> dict:
 
 
 def _check_noise_scale(spec: ModelSpec, n: int, config: EmConfig) -> None:
-    """Refuse, before any run, a budget whose smallest step scale (at beta = 0) overflows a draw."""
+    """Refuse, before any run, a budget whose step scale overflows a draw."""
     try:
-        config.step_scale(spec, n, np.zeros(spec.d))
+        config.step_scale(spec, n)
     except ValueError as exc:
         raise ValueError(
             f"the noise at epsilon = {config.budget.epsilon!r} overflows: {exc}") from exc
@@ -441,7 +441,8 @@ def load_classification_csv(path) -> tuple[np.ndarray, np.ndarray]:
     with any characters ``str.isspace()`` accepts; ``float()``-only spellings
     (``1_000.5``, non-ASCII digits) are refused, and a data field has no
     128 KiB limit.  Every fault is a ``DataError`` that starts with the path.
-    A row's carries numpy's message, which counts the data rows that are not
+    A row's carries numpy's message, less its advice to pass ``usecols``
+    (classify has no such option); it counts the data rows that are not
     blank, not file lines: "could not convert ... at row N, column M" counts
     rows from 0 and columns from 1, "the number of columns changed ... at
     row N" counts rows from 1.  A byte that is not UTF-8 is named with its
@@ -488,7 +489,7 @@ def load_classification_csv(path) -> tuple[np.ndarray, np.ndarray]:
                             f"(byte {raw[bad.start]:#04x}: {bad.reason})") from None
         raise DataError(f"{path}: {exc}") from None
     except (ValueError, csv.Error) as exc:
-        raise DataError(f"{path}: {exc}") from None
+        raise DataError(f"{path}: {str(exc).partition('; use `usecols`')[0]}") from None
     except OSError as exc:
         raise DataError(f"cannot read data file {path}: {exc}") from exc
     # A label first or last leaves no gap.

@@ -2,12 +2,11 @@
 
 Each model is one table entry: its data generator, its truncated gradient
 (``T = inf`` gives the raw sample gradient), and the constants ``(c, p, b)``
-of the certified ell-infinity sensitivity ``eta (c T^p + b ||beta||_inf) N0 / n``
-of the eta-scaled gradient step taken from the iterate ``beta``.  That table,
-``_MODELS``, is the only list of the model kinds.  Both privatizers are
-calibrated from that one number (:meth:`dpem.em_engine.EmConfig.step_scale`).
-Only rmc has ``b = 1``: its unclamped ``-(1 - z) * beta`` term moves with one
-record's missingness mask.
+of the certified ell-infinity sensitivity ``eta (c T^p + b T) N0 / n`` of the
+eta-scaled gradient step, one number per run.  That table, ``_MODELS``, is the
+only list of the model kinds.  Both privatizers are calibrated from that one
+number (:meth:`dpem.em_engine.EmConfig.step_scale`).  Only rmc has ``b = 1``:
+its ``-(1 - z) * clamp(beta)`` term moves with one record's missingness mask.
 
 The three models:
 
@@ -277,25 +276,28 @@ def _generate_rmc(spec: ModelSpec, n: int, oracle: NoiseOracle) -> RmcBatch:
 # c_i beta_j runs past T.  The unclamped -sum_i u_i * beta folds into the same
 # product, which is beta * (U^T (w * c * [no row of the block saturates] - 1)),
 # so at T = inf a block reads its (rows, d) arrays five times and forms no
-# product of c and beta.
+# product of c and beta.  The gradient's term is -sum_i u_i * clamp(beta), so
+# the columns O = {j : |beta_j| > T}, none at T = inf, add back
+# (beta_j - clamp(beta_j)) sum_i u_ij, from their own per-block column sums.
 def _rmc_truncated_grad(beta, batch: RmcBatch, sigma: float, T: float) -> np.ndarray:
     """Truncated gradient with y, m, m^T beta, n, and n^T beta clamped.
 
-    (1/n) sum_i [clamp(y_i) clamp(m_i) - diag(1-z_i) beta
+    (1/n) sum_i [clamp(y_i) clamp(m_i) - diag(1-z_i) clamp(beta)
                  - clamp(m_i) clamp(m_i^T beta) + clamp(n_i) clamp(n_i^T beta)];
-    the diag(1-z) beta term is left unclamped, so one record's z moves it by
-    up to |beta_j| / n, and the certified sensitivity carries ||beta||_inf.
+    one record's z moves the diag(1-z) clamp(beta) term by at most T / n, so
+    the certified sensitivity is eta (6 T^2 + T) N0 / n.
     T = inf is the raw sample gradient (1/n) sum_i [y_i m_i - K_i beta] with
     K_i = diag(1-z_i) + m_i m_i^T - n_i n_i^T.  Neither K_i nor the fill-ins
     m and n are formed: in the notation of the comment above, with
     r_i = clamp(y_i) - clamp(x_obs_i^T beta + c_i q_i) and
     w_i = r_i + clamp(c_i q_i), the terms sum to
-    sum_i [clamp(x_obs_i) r_i + w_i u_i * clamp(c_i beta) - u_i * beta].
+    sum_i [clamp(x_obs_i) r_i + w_i u_i * clamp(c_i beta) - u_i * clamp(beta)].
     In a block where no row saturates the last two are the rank-one
     beta * (U^T (w * c - 1)); in one where a row does, the block adds
     sum_i w_i u_i * clamp(c_i beta) on beta's support and -beta * (U^T 1).
-    Both are accumulated a row block at a time.  ``z`` may be the boolean mask
-    ``_generate_rmc`` returns or the same mask as 0/1 floats.
+    Both are accumulated a row block at a time, and the columns where
+    |beta_j| > T then add (beta_j - clamp(beta_j)) (U^T 1)_j.  ``z`` may be
+    the boolean mask ``_generate_rmc`` returns or the same mask as 0/1 floats.
     """
     n, d = batch.x_obs.shape
     beta_sq = beta * beta
@@ -306,6 +308,8 @@ def _rmc_truncated_grad(beta, batch: RmcBatch, sigma: float, T: float) -> np.nda
     if support.size == d:
         support = slice(None)
     beta_supp = beta[support]
+    over = np.flatnonzero(np.abs(beta) > T)
+    missing_over = np.zeros(over.size)
     clamped = np.zeros(d)
     rank_one = np.zeros(d)
     step = max(1, BLOCK_VALUES // d)
@@ -333,7 +337,11 @@ def _rmc_truncated_grad(beta, batch: RmcBatch, sigma: float, T: float) -> np.nda
             rank_one -= missing.sum(axis=0)
         else:
             rank_one += np.einsum("ij,i->j", missing, r * c - 1.0)
-    return (clamped + beta * rank_one) / n
+        if over.size:
+            missing_over += missing[:, over].sum(axis=0)
+    g = clamped + beta * rank_one
+    g[over] += (beta[over] - clamp(beta[over], T)) * missing_over
+    return g / n
 
 
 _Model = namedtuple("_Model", ["generate", "truncated_grad", "c", "p", "b"])
@@ -399,17 +407,15 @@ def truncated_grad(spec: ModelSpec, beta, batch, T: float) -> np.ndarray:
     return _MODELS[spec.kind].truncated_grad(np.asarray(beta, dtype=float), batch, spec.sigma, T)
 
 
-def sensitivity(spec: ModelSpec, T: float, eta: float, N0: int, n: int, beta) -> float:
-    """Certified ell-infinity sensitivity eta (c T^p + b ||beta||_inf) N0 / n of one step.
+def sensitivity(spec: ModelSpec, T: float, eta: float, N0: int, n: int) -> float:
+    """Certified ell-infinity sensitivity eta (c T^p + b T) N0 / n of one step.
 
-    The step is the eta-scaled truncated gradient taken from the iterate
-    ``beta``: 2 eta T N0 / n for gmm, 4 eta T^2 N0 / n for mor and
-    eta (6 T^2 + ||beta||_inf) N0 / n for rmc.  gmm and mor have b = 0, so
-    their value does not depend on ``beta``.
+    The step is the eta-scaled truncated gradient, from any iterate:
+    2 eta T N0 / n for gmm, 4 eta T^2 N0 / n for mor and
+    eta (6 T^2 + T) N0 / n for rmc.
     """
     model = _MODELS[spec.kind]
     require("T", T, "a positive finite number", lambda v: 0 < v < math.inf)
     require("eta", eta, "a finite number >= 0", lambda v: 0 <= v < math.inf)
     N0, n = whole("N0", N0), whole("n", n)
-    beta_inf = float(np.max(np.abs(beta)))
-    return (model.c * eta * T**model.p + model.b * eta * beta_inf) * N0 / n
+    return (model.c * eta * T**model.p + model.b * eta * T) * N0 / n

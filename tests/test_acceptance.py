@@ -134,8 +134,8 @@ def _adversarial_replacement(rng, kind, d, T):
 def test_criterion_03_sensitivity_certification():
     """1000 adversarial adjacent pairs per model never exceed the certified lambda.
 
-    Each pair takes one full step from the same iterate beta, so the bound is
-    lambda_t = eta (c T^p + b ||beta||_inf) N0 / n at that iterate.
+    Each pair takes one full step from the same iterate beta; the bound is
+    lambda = eta (c T^p + b T) N0 / n, whatever the iterate.
     """
     rng = np.random.default_rng(derive_seed("acceptance", 3))
     n0, N0 = 25, 4
@@ -152,7 +152,7 @@ def test_criterion_03_sensitivity_certification():
             beta = rng.standard_normal(d) * rng.uniform(0.2, 2.0)
             i = int(rng.integers(n0))
             spec = ModelSpec(kind, d, sigma)
-            bound = sensitivity(spec, T, eta, N0, n, beta)
+            bound = sensitivity(spec, T, eta, N0, n)
             if kind == "gmm":
                 y = rng.standard_normal((n0, d)) * rng.uniform(0.5, 3.0)
                 y2 = y.copy()
@@ -169,7 +169,7 @@ def test_criterion_03_sensitivity_certification():
                 g2 = truncated_grad(spec, beta, MorBatch(x2, y2), T)
                 pair = ((x[i], y[i]), (x2[i], y2[i]))
             else:
-                # The full step, its unclamped diag(1-z) beta term included.
+                # The full step, its diag(1-z) clamp(beta) term included.
                 x = rng.standard_normal((n0, d))
                 z = (rng.random((n0, d)) > 0.3).astype(float)
                 y = rng.standard_normal(n0)
@@ -192,12 +192,12 @@ def test_criterion_03_sensitivity_certification():
 
 
 def test_rmc_full_step_sound_bound():
-    """The full rmc step obeys lambda_t = eta (6T^2 + ||beta||_inf) N0 / n, z flips included.
+    """The full rmc step obeys lambda = eta (6T^2 + T) N0 / n, z flips included.
 
-    One record's z moves the unclamped -(1 - z) * beta term by up to
-    |beta_j| N0 / n, so the 6 eta T^2 N0 / n that covers the clamped terms
-    alone is not enough; this test flips whole z rows at ||beta||_inf up to
-    20, gates lambda_t, and prints the worst ratio to 6 eta T^2 N0 / n too.
+    One record's z moves the -(1 - z) * clamp(beta) term by up to T N0 / n,
+    so the 6 eta T^2 N0 / n that covers the other clamped terms alone is not
+    enough; this test flips whole z rows at ||beta||_inf up to 20, gates
+    lambda, and prints the worst ratio to 6 eta T^2 N0 / n too.
     """
     rng = np.random.default_rng(derive_seed("acceptance", "3-rmc-full-step"))
     n0, N0 = 25, 4
@@ -222,19 +222,20 @@ def test_rmc_full_step_sound_bound():
         g1 = truncated_grad(spec, beta, RmcBatch(z * x, z, y), T)
         g2 = truncated_grad(spec, beta, RmcBatch(xo2, z2, y2), T)
         dist = eta * float(np.abs(g1 - g2).max())
-        worst_certified = max(worst_certified, dist / sensitivity(spec, T, eta, N0, n, beta))
+        worst_certified = max(worst_certified, dist / sensitivity(spec, T, eta, N0, n))
         worst_clamped_only = max(worst_clamped_only, dist / (6.0 * eta * T**2 * N0 / n))
-    print(f"\nrmc full step: worst ratio {worst_certified:.4f} to lambda_t, "
+    print(f"\nrmc full step: worst ratio {worst_certified:.4f} to lambda, "
           f"{worst_clamped_only:.4f} to 6 eta T^2 N0 / n")
     assert worst_certified <= 1.0 + 1e-9
 
 
 def test_rmc_full_step_readme_witness():
-    """README's witness: one z flip moves the full step by 10/3 of 6 eta T^2 N0 / n, within lambda_t.
+    """README's witness: one z flip moves the full step by exactly T / n0, within lambda.
 
     All-zero, fully observed records, beta = (20, 0), T = eta = sigma = 1,
     n0 = 25, N0 = 4; the neighbour hides the first coordinate of one record.
-    The clamped terms do not move, and the unclamped term moves by 20 / 25.
+    The fill-in terms do not move, and -(1 - z) * clamp(beta) moves by
+    clamp(20) / 25 = 0.04, not the unclamped 20 / 25.
     """
     n0, N0, T, eta, sigma = 25, 4, 1.0, 1.0, 1.0
     beta = np.array([20.0, 0.0])
@@ -246,10 +247,9 @@ def test_rmc_full_step_readme_witness():
     g1 = truncated_grad(spec, beta, RmcBatch(zeros, z, np.zeros(n0)), T)
     g2 = truncated_grad(spec, beta, RmcBatch(zeros, z2, np.zeros(n0)), T)
     dist = eta * float(np.abs(g1 - g2).max())
-    lam = sensitivity(spec, T, eta, N0, n0 * N0, beta)
-    assert dist == pytest.approx(0.8, rel=1e-12)
-    assert dist / (6.0 * eta * T**2 * N0 / (n0 * N0)) == pytest.approx(10 / 3, rel=1e-12)
-    assert lam == pytest.approx(1.04, rel=1e-12)
+    lam = sensitivity(spec, T, eta, N0, n0 * N0)
+    assert dist == pytest.approx(0.04, rel=1e-12)
+    assert lam == pytest.approx(0.28, rel=1e-12)
     assert dist <= lam
 
 
@@ -296,18 +296,17 @@ def test_criterion_05_noise_calibration():
     """Low-dim Gaussian variance: formula audit plus Monte-Carlo match."""
     eta, T, N0, n_used, d = 0.5, 1.8, 7, 3500, 12
     budget = PrivacyBudget(0.6, 1e-4)
-    beta = np.linspace(-0.7, 0.3, d)  # ||beta||_inf = 0.7 enters rmc's factor only
-    factors = {"gmm": 2 * T, "mor": 4 * T**2, "rmc": 6 * T**2 + 0.7}
+    factors = {"gmm": 2 * T, "mor": 4 * T**2, "rmc": 6 * T**2 + T}
     audit_ok = True
     for kind, factor in factors.items():
         expected = (2.0 * eta**2 * d * N0**2 / (n_used**2 * budget.epsilon**2)
                     * factor**2 * math.log(1.25 / budget.delta))
-        lam = sensitivity(ModelSpec(kind, d, 1.0), T, eta, N0, n_used, beta)
+        lam = sensitivity(ModelSpec(kind, d, 1.0), T, eta, N0, n_used)
         got = gaussian_noise_std(lam, d, budget) ** 2
         if abs(got - expected) / expected > 1e-12:
             audit_ok = False
 
-    lam = sensitivity(ModelSpec("mor", d, 1.0), T, eta, N0, n_used, beta)
+    lam = sensitivity(ModelSpec("mor", d, 1.0), T, eta, N0, n_used)
     std = gaussian_noise_std(lam, d, budget)
     draws = sample_gaussian(std, NoiseOracle(505), size=100_000)
     mc_err = abs(draws.var() / std**2 - 1.0)

@@ -10,6 +10,8 @@ values; their low-dim and ``baseline`` digests date from before the gmm and
 mor gradients began to add their per-block sums.  The high-dim ``run`` and
 the ``classify`` digests are those of exponential-mechanism peeling, which
 draws d + s uniforms per selection where Laplace peeling drew (s + 1) * d.
+The ``run-rmc-high_dim`` digest is that of the rmc gradient whose
+``-(1 - z) * beta`` term is clamped at T, which runs every step at one scale.
 """
 
 import hashlib
@@ -37,7 +39,7 @@ CASES = {
 DIGESTS = {
     "run-gmm-high_dim": "dc1f0f9b8746680faf6dd6d6868555f29335ac4ad75585469b702d3712d1365c",
     "run-mor-low_dim": "2dc3d9c3ec0a466447d21a585f426a5b7d7a1fe1b53997cffdb91a8682939f2f",
-    "run-rmc-high_dim": "2c552d701c27e853f27f1937efee9a6c507553dcd0d2002feb09a2861b76c646",
+    "run-rmc-high_dim": "dc9e41fbf7816db0dabc049dda6f028c60efafb78bd7d6acf3d6e99bad1f5ea4",
     "baseline-gmm-high_dim": "ed547c9c960400e764d7765a3760a1be0c43d9bd042eed72dc8603efcf25bc46",
     "baseline-rmc-low_dim": "4ff19b46224b78591e447b318809bc796ae95ae7ee5f24d3721676f315411f79",
     "classify": "f5d22d86db3cee71d3261d58e66845e09b5d6fa5d3acfac07abedb7c2954869d",

@@ -217,7 +217,7 @@ class TestSummaryLines:
     @pytest.mark.parametrize("command, model, regime, expected", [
         ("run", "gmm", "high_dim", "mean final error by n: 400=2.1269e+00 600=2.4447e+00"),
         ("run", "mor", "low_dim", "mean final error by n: 400=2.6074e+01 600=1.6445e+01"),
-        ("run", "rmc", "high_dim", "mean final error by n: 400=4.9784e+01 600=2.9222e+01"),
+        ("run", "rmc", "high_dim", "mean final error by n: 400=3.7942e+01 600=4.0744e+01"),
         ("baseline", "gmm", "high_dim",
          "baseline mean final error by n: 400=1.2581e-01 600=1.0262e-01"),
         ("baseline", "rmc", "low_dim",
@@ -364,8 +364,8 @@ class TestRejectedInput:
     @pytest.mark.parametrize("command, regime", [
         ("run", "high_dim"), ("run", "low_dim"), ("baseline", "high_dim"), ("classify", None)])
     def test_overflowing_noise_scale_exits_2(self, tmp_path, capsys, command, regime):
-        # At epsilon = 1e-310 even the smallest certified lambda (at beta = 0)
-        # calibrates to a noise scale whose draws overflow: a config error
+        # At epsilon = 1e-310 the run's certified lambda calibrates to a
+        # noise scale whose draws overflow: a config error
         # before any cell runs, for the baseline too, as the config is shared.
         argv = ["--out", str(tmp_path / "o.csv")]
         if command == "classify":

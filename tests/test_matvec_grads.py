@@ -68,7 +68,7 @@ def reference_rmc_grad(beta, batch, sigma, T):
     cnn = clamp(nn, T)
     cmb = clamp(m @ beta, T)
     cnnb = clamp(nn @ beta, T)
-    terms = cy[:, None] * cm - cm * cmb[:, None] + cnn * cnnb[:, None] - missing * beta
+    terms = cy[:, None] * cm - cm * cmb[:, None] + cnn * cnnb[:, None] - missing * clamp(beta, T)
     return np.mean(terms, axis=0)
 
 

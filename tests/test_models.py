@@ -176,14 +176,12 @@ class TestGmmOps:
 
     def test_sensitivity(self):
         # 2 * 0.5 * 2 * 8 / 4000; this is also the lambda used by the noisy
-        # hard-threshold scale example in test_mechanisms.  gmm's value does
-        # not depend on the iterate.
+        # hard-threshold scale example in test_mechanisms.
         spec = _spec("gmm")
-        for beta in (np.zeros(2), np.array([20.0, -3.0])):
-            assert sensitivity(spec, 2.0, 0.5, 8, 4000, beta) == pytest.approx(0.004, rel=1e-12)
-            assert sensitivity(spec, 2.0, 0.0, 8, 4000, beta) == 0.0
+        assert sensitivity(spec, 2.0, 0.5, 8, 4000) == pytest.approx(0.004, rel=1e-12)
+        assert sensitivity(spec, 2.0, 0.0, 8, 4000) == 0.0
         with pytest.raises(ValueError):
-            sensitivity(spec, math.inf, 0.5, 8, 4000, np.zeros(2))
+            sensitivity(spec, math.inf, 0.5, 8, 4000)
 
     def test_sensitivity_bounds_adjacent_steps(self):
         rng = np.random.default_rng(5)
@@ -191,7 +189,7 @@ class TestGmmOps:
         spec = ModelSpec("gmm", 3, 1.0)
         for trial in range(50):
             beta = rng.standard_normal(3)
-            bound = sensitivity(spec, T, eta, N0, N0 * n0, beta)
+            bound = sensitivity(spec, T, eta, N0, N0 * n0)
             y = rng.standard_normal((n0, 3)) * rng.uniform(0.5, 4)
             y2 = y.copy()
             y2[rng.integers(n0)] = rng.standard_normal(3) * 10.0 ** rng.integers(0, 6)
@@ -243,9 +241,8 @@ class TestMorOps:
 
     def test_sensitivity(self):
         spec = _spec("mor")
-        for beta in (np.zeros(2), np.array([20.0, -3.0])):
-            assert sensitivity(spec, 2.0, 0.5, 8, 4000, beta) == pytest.approx(0.016, rel=1e-12)
-            assert sensitivity(spec, 2.0, 0.0, 8, 4000, beta) == 0.0
+        assert sensitivity(spec, 2.0, 0.5, 8, 4000) == pytest.approx(0.016, rel=1e-12)
+        assert sensitivity(spec, 2.0, 0.0, 8, 4000) == 0.0
 
     def test_sensitivity_bounds_adjacent_steps(self):
         rng = np.random.default_rng(7)
@@ -253,7 +250,7 @@ class TestMorOps:
         spec = ModelSpec("mor", 3, 1.0)
         for trial in range(50):
             beta = rng.standard_normal(3)
-            bound = sensitivity(spec, T, eta, N0, N0 * n0, beta)
+            bound = sensitivity(spec, T, eta, N0, N0 * n0)
             x = rng.standard_normal((n0, 3))
             y = rng.standard_normal(n0)
             x2, y2 = x.copy(), y.copy()
@@ -307,9 +304,12 @@ class TestRmcOps:
         assert got[0] == pytest.approx(8.0, rel=1e-12)
 
     def test_truncated_frozen_value(self):
+        # One missing coordinate, beta = 2 > T = 1.5: m = n = c beta = 2 and
+        # m^T beta = n^T beta = 4, so the step is
+        # 1.5 * 1.5 - clamp(2) - 1.5 * 1.5 + 1.5 * 1.5 = 2.25 - 1.5.
         batch = RmcBatch(np.array([[0.0]]), np.array([[0.0]]), np.array([5.0]))
         got = truncated_grad(ModelSpec("rmc", 1, 1.0), np.array([2.0]), batch, 1.5)
-        assert got[0] == pytest.approx(0.25, rel=1e-12)
+        assert got[0] == pytest.approx(0.75, rel=1e-12)
 
     def test_truncated_equals_raw_when_T_large(self):
         rng = np.random.default_rng(11)
@@ -356,12 +356,10 @@ class TestRmcOps:
             np.testing.assert_allclose(got, total / n, rtol=1e-10)
 
     def test_sensitivity(self):
+        # 0.5 * (6 * 2^2 + 2) * 8 / 4000: the clamped -(1 - z) * beta term adds T.
         spec = _spec("rmc")
-        assert sensitivity(spec, 2.0, 0.5, 8, 4000, np.zeros(2)) == pytest.approx(0.024, rel=1e-12)
-        assert sensitivity(spec, 2.0, 0.0, 8, 4000, np.array([20.0, -3.0])) == 0.0
-        # 0.5 * (6 * 2^2 + 20) * 8 / 4000: the iterate's largest |beta_j| joins 6 T^2.
-        got = sensitivity(spec, 2.0, 0.5, 8, 4000, np.array([-20.0, 3.0]))
-        assert got == pytest.approx(0.044, rel=1e-12)
+        assert sensitivity(spec, 2.0, 0.5, 8, 4000) == pytest.approx(0.026, rel=1e-12)
+        assert sensitivity(spec, 2.0, 0.0, 8, 4000) == 0.0
 
 
 @pytest.mark.parametrize("name, value", [
@@ -372,7 +370,7 @@ class TestRmcOps:
 def test_sensitivity_rejects_bad_eta_N0_n(name, value):
     args = {"eta": 0.5, "N0": 2, "n": 4000, name: value}
     with pytest.raises(ValueError, match=f"^{name} must be"):
-        sensitivity(_spec("rmc"), 2.0, args["eta"], args["N0"], args["n"], np.ones(2))
+        sensitivity(_spec("rmc"), 2.0, args["eta"], args["N0"], args["n"])
 
 
 BAD_NUMBERS = pytest.mark.parametrize("value", [True, "2", math.nan], ids=["bool", "str", "nan"])
@@ -381,7 +379,7 @@ BAD_NUMBERS = pytest.mark.parametrize("value", [True, "2", math.nan], ids=["bool
 @BAD_NUMBERS
 def test_sensitivity_rejects_a_T_that_is_not_a_number(value):
     with pytest.raises(ValueError, match="^T must be a positive finite number"):
-        sensitivity(_spec("gmm"), value, 0.5, 5, 100, np.ones(2))
+        sensitivity(_spec("gmm"), value, 0.5, 5, 100)
 
 
 def _batches():

@@ -2,16 +2,19 @@
 
 The rmc gradient sums its fill-in term as one rank-one product and clamps
 ``c_i * beta`` only in the row blocks that hold a row with
-|c_i| ||beta||_inf > T.  No benchmark
+|c_i| ||beta||_inf > T.  Its ``-(1 - z) * clamp(beta, T)`` term adds a
+per-block column sum only for the columns where |beta_j| > T.  No benchmark
 workload separates its regimes, so this times each one on one sample of
 n rows at d = 200 and 10% missingness (the baseline-rmc workload's), drawn
 around a 10-sparse truth:
 
 - ``T = inf``: the raw gradient of every ``dpem baseline``, near the truth;
 - ``sparse``: T = 1 with a 10-sparse estimate near the truth, where some
-  rows saturate on the support;
+  rows saturate on the support and the clamp of beta binds on the 4 support
+  entries above 1;
 - ``runaway``: T = 3 with one coordinate of the estimate run away to 40, as
-  private iterates do at small epsilon, where most rows saturate.
+  private iterates do at small epsilon, where most rows saturate and the
+  clamp of beta binds on that coordinate.
 
 Prints the numpy version, then per regime the share of saturating rows and
 the median of ``--reps`` timings of ``models.truncated_grad`` after one
