@@ -63,14 +63,19 @@ class EmConfig:
         """Noise scale of every step of a run on n samples; 0.0 at T = inf.
 
         :func:`noisy_ht_scale` if ``s_hat`` is set, else :func:`gaussian_noise_std`,
-        of lam = :func:`models.sensitivity` at ``N0 * (n // N0)`` samples.
+        of lam = :func:`models.sensitivity` at ``N0 * (n // N0)`` samples.  A
+        scale that overflows a draw raises a ``ValueError`` naming epsilon.
         """
         if math.isinf(self.T):
             return 0.0
         lam = models.sensitivity(spec, self.T, self.eta, self.N0, self.N0 * (n // self.N0))
-        if self.s_hat is not None:
-            return noisy_ht_scale(lam, self.s_hat, self.budget)
-        return gaussian_noise_std(lam, spec.d, self.budget)
+        try:
+            if self.s_hat is not None:
+                return noisy_ht_scale(lam, self.s_hat, self.budget)
+            return gaussian_noise_std(lam, spec.d, self.budget)
+        except ValueError as exc:
+            raise ValueError(
+                f"the noise at epsilon = {self.budget.epsilon!r} overflows: {exc}") from exc
 
 
 def _start(spec, batch, config, beta0) -> np.ndarray:

@@ -95,15 +95,6 @@ def _keys(raw, where: str, required, optional=()) -> dict:
     return raw
 
 
-def _check_noise_scale(spec: ModelSpec, n: int, config: EmConfig) -> None:
-    """Refuse, before any run, a budget whose step scale overflows a draw."""
-    try:
-        config.step_scale(spec, n)
-    except ValueError as exc:
-        raise ValueError(
-            f"the noise at epsilon = {config.budget.epsilon!r} overflows: {exc}") from exc
-
-
 def _check_delta_rule(rule, delta) -> None:
     if rule not in ("half_n", "explicit"):
         raise ConfigError(f"delta_rule must be 'half_n' or 'explicit', got {rule!r}")
@@ -178,7 +169,9 @@ def _resolve_cell(model: str, high_dim: bool, p: dict):
         raise ValueError(f"derived T overflows (T_rule = {p['T_rule']}, sigma = {spec.sigma})")
     delta = 1.0 / (2.0 * n) if p["delta_rule"] == "half_n" else p["delta"]
     em_config = EmConfig(p["eta"], T, N0, PrivacyBudget(p["epsilon"], delta), s_hat)
-    _check_noise_scale(spec, n, em_config)
+    # Its value is unused: the call refuses, before any run, a budget whose
+    # step scale overflows a draw.
+    em_config.step_scale(spec, n)
     return n, spec, em_config
 
 
@@ -592,7 +585,9 @@ def run_classification(
     d = X.shape[1]
     spec = ModelSpec("gmm", d, config.sigma_fit)
     with _config_errors():
-        _check_noise_scale(spec, n_train, em_config)
+        # Its value is unused: the call refuses, before any repetition, a
+        # budget whose step scale overflows a draw.
+        em_config.step_scale(spec, n_train)
     # The all-coordinates 1/sqrt(d) start, thresholded to s_hat nonzeros
     # (ties resolve to the lowest indices) to satisfy the engine's sparsity
     # precondition.

@@ -31,7 +31,8 @@ products ``X beta`` behind the weights, fill-ins and generators go through
 :func:`matvec`.  The gmm and mor gradients average their rows as
 ``clamp(X, T)^T r / n`` through :func:`clamped_rowsum`, and the rmc gradient
 sums the same kind of products over its closed form, which never forms the
-(n, d) fill-in and holds because ``x_obs = z * x`` (see
+(n, d) fill-in and holds because ``x_obs = z * x``; a row block where no
+clamp can bind sums its fill-in as one rank-one product (see
 :func:`_rmc_truncated_grad`).  All three take one row block at a time, add
 the per-block sums in order, and never copy the whole batch.
 The threaded BLAS gemv behind ``X @ beta`` and ``X.T @ r`` stalled for
@@ -264,21 +265,17 @@ def _generate_rmc(spec: ModelSpec, n: int, oracle: NoiseOracle) -> RmcBatch:
 # values and never forms an (n, d) temporary.
 #
 # The fill-in term sum_i w_i u_i * clamp(c_i beta), with row weight
-# w_i = r_i + clamp(c_i q_i), is a rank-one product wherever the clamp cannot
-# bind: there it is beta * (U^T (w * c)), U the rows u_i.  It can bind only on
-# the saturating rows I = {i : |c_i| ||beta||_inf > T}, none at T = inf.
-# Rounding is monotone, so off I every entry has
-# fl(|c_i beta_j|) = fl(|c_i| |beta_j|) <= fl(|c_i| ||beta||_inf) <= T and its
-# clamp is the identity.  A block with no saturating row, found from its
-# largest |c_i|, puts every row in the rank-one sum; a block with one clamps
-# every row's fill-in, over beta's nonzero columns only, since a zero beta_j
-# adds exactly 0 there.  No row is in both, so no term cancels however far
-# c_i beta_j runs past T.  The unclamped -sum_i u_i * beta folds into the same
-# product, which is beta * (U^T (w * c * [no row of the block saturates] - 1)),
-# so at T = inf a block reads its (rows, d) arrays five times and forms no
-# product of c and beta.  The gradient's term is -sum_i u_i * clamp(beta), so
-# the columns O = {j : |beta_j| > T}, none at T = inf, add back
-# (beta_j - clamp(beta_j)) sum_i u_ij, from their own per-block column sums.
+# w_i = r_i + clamp(c_i q_i), and the term -sum_i u_i * clamp(beta) fold into
+# one rank-one product wherever no clamp can bind.  A block folds when no row
+# saturates, |c_i| ||beta||_inf <= T for every row i in it, and
+# ||beta||_inf <= T; at T = inf every block folds.  Rounding is monotone, so
+# then every entry has fl(|c_i beta_j|) <= fl(|c_i| ||beta||_inf) <= T, both
+# clamps are the identity, and the block adds clamp(beta) * (U^T (w * c - 1)),
+# U the rows u_i: it reads its (rows, d) arrays five times and forms no
+# product of c and beta.  Every other block clamps every row's fill-in, over
+# beta's nonzero columns only, since a zero beta_j adds exactly 0 there, and
+# adds -clamp(beta) * (U^T 1).  No row is in both sums, so no term cancels
+# however far c_i beta_j runs past T.
 def _rmc_truncated_grad(beta, batch: RmcBatch, sigma: float, T: float) -> np.ndarray:
     """Truncated gradient with y, m, m^T beta, n, and n^T beta clamped.
 
@@ -292,12 +289,12 @@ def _rmc_truncated_grad(beta, batch: RmcBatch, sigma: float, T: float) -> np.nda
     r_i = clamp(y_i) - clamp(x_obs_i^T beta + c_i q_i) and
     w_i = r_i + clamp(c_i q_i), the terms sum to
     sum_i [clamp(x_obs_i) r_i + w_i u_i * clamp(c_i beta) - u_i * clamp(beta)].
-    In a block where no row saturates the last two are the rank-one
-    beta * (U^T (w * c - 1)); in one where a row does, the block adds
-    sum_i w_i u_i * clamp(c_i beta) on beta's support and -beta * (U^T 1).
-    Both are accumulated a row block at a time, and the columns where
-    |beta_j| > T then add (beta_j - clamp(beta_j)) (U^T 1)_j.  ``z`` may be
-    the boolean mask ``_generate_rmc`` returns or the same mask as 0/1 floats.
+    A block where no row saturates and ||beta||_inf <= T adds the last two as
+    the rank-one clamp(beta) * (U^T (w * c - 1)); every other block adds
+    sum_i w_i u_i * clamp(c_i beta) on beta's support and
+    -clamp(beta) * (U^T 1).  Both are accumulated a row block at a time.
+    ``z`` may be the boolean mask ``_generate_rmc`` returns or the same mask
+    as 0/1 floats.
     """
     n, d = batch.x_obs.shape
     beta_sq = beta * beta
@@ -308,8 +305,6 @@ def _rmc_truncated_grad(beta, batch: RmcBatch, sigma: float, T: float) -> np.nda
     if support.size == d:
         support = slice(None)
     beta_supp = beta[support]
-    over = np.flatnonzero(np.abs(beta) > T)
-    missing_over = np.zeros(over.size)
     clamped = np.zeros(d)
     rank_one = np.zeros(d)
     step = max(1, BLOCK_VALUES // d)
@@ -327,9 +322,9 @@ def _rmc_truncated_grad(beta, batch: RmcBatch, sigma: float, T: float) -> np.nda
         r = clamp(block.y, T) - clamp(x_beta + cq, T)
         clamped += np.einsum("ij,i->j", clamp(block.x_obs, T, out=x_buf[:len(block)]), r)
         r += clamp(cq, T)
-        if np.abs(c).max() * beta_inf > T:
-            # A row saturates: every row's fill-in is clamped, in x_buf, which
-            # the einsum above is done with.
+        if beta_inf > T or np.abs(c).max() * beta_inf > T:
+            # A clamp can bind: every row's fill-in is clamped, in x_buf,
+            # which the einsum above is done with.
             fill = np.multiply.outer(c, beta_supp, out=x_buf[:len(block), :beta_supp.size])
             fill = clamp(fill, T, out=fill)
             fill *= missing[:, support]
@@ -337,11 +332,7 @@ def _rmc_truncated_grad(beta, batch: RmcBatch, sigma: float, T: float) -> np.nda
             rank_one -= missing.sum(axis=0)
         else:
             rank_one += np.einsum("ij,i->j", missing, r * c - 1.0)
-        if over.size:
-            missing_over += missing[:, over].sum(axis=0)
-    g = clamped + beta * rank_one
-    g[over] += (beta[over] - clamp(beta[over], T)) * missing_over
-    return g / n
+    return (clamped + clamp(beta, T) * rank_one) / n
 
 
 _Model = namedtuple("_Model", ["generate", "truncated_grad", "c", "p", "b"])

@@ -6,7 +6,10 @@ import tracemalloc
 
 import numpy as np
 
-from dpem.mechanisms import NoiseOracle, derive_seed
+from dpem.mechanisms import BLOCK_VALUES, NoiseOracle, derive_seed
+
+# Three of rmc's row blocks at d = 200 plus a one-row tail.
+TAIL_N = 3 * (BLOCK_VALUES // 200) + 1
 
 
 def make_gmm_class_data(seed=2026, d=30, n=400, s_star=10, sigma=0.5, signal=1.25):

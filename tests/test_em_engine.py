@@ -405,6 +405,16 @@ class TestStepScale:
         got = EmConfig(0.5, T, 4, NONPRIVATE, s_hat).step_scale(ModelSpec(kind, 5, 0.5), 400)
         assert got == 0.0 and math.copysign(1.0, got) == 1.0
 
+    @pytest.mark.parametrize("run, s_hat", [(run_high_dim, 3), (run_low_dim, None)],
+                             ids=["high_dim", "low_dim"])
+    def test_overflowing_scale_names_epsilon(self, run, s_hat):
+        # The drivers, called directly, refuse the scale with the message
+        # the harness's pre-run check gives, before any batch is read.
+        spec, data, beta_star = make_instance("gmm", 12)
+        config = EmConfig(0.5, 1.5, 4, PrivacyBudget(1e-310, 1e-3), s_hat)
+        with pytest.raises(ValueError, match=r"^the noise at epsilon = 1e-310 overflows: "):
+            run(spec, data, config, beta_star, NoiseOracle(6))
+
 
 class TestRunLowDim:
     def _instance(self, seed, d=10, n=5000, sigma=0.5):

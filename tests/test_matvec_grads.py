@@ -25,7 +25,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import bits, traced_peak_bytes
+from helpers import TAIL_N, bits, traced_peak_bytes
 from references import rmc_coefficients, rmc_fill_in
 
 from dpem.mechanisms import BLOCK_VALUES, NoiseOracle
@@ -38,8 +38,6 @@ from dpem.models import (
 from dpem.models import clamp, clamped_rowsum, expit, matvec
 
 SIGMA = 0.5
-# Three of rmc's row blocks at d = 200 plus a one-row tail.
-TAIL_N = 3 * (BLOCK_VALUES // 200) + 1
 
 
 def reference_gmm_grad(beta, batch, sigma, T):
